@@ -120,14 +120,13 @@ def stage_align(cfg, out_dir, prov, threads=1):
              f"{cfg.align_iterations} EM iterations", t0)
 
 
-def stage_train(cfg, out_dir, prov, threads=1):
+def stage_train(cfg, out_dir, prov):
     t0 = time.perf_counter()
     bitext = _read_bitext(cfg, out_dir)
     links = align.read_alignments(_require(out_dir / "alignments.pharaoh",
                                            "align"))
     vocab = embed.vocab_from_bitext(bitext, cfg.train.min_count)
-    table = embed.train_biskip(bitext, links, cfg.train, vocab=vocab,
-                               threads=threads)
+    table = embed.train_biskip(bitext, links, cfg.train, vocab=vocab)
     embed.save_embeddings(table, vocab, out_dir / "embeddings.txt",
                           comments=(prov,))
     _summary("train", f"{len(vocab)} vocabulary entries, dim "
@@ -256,7 +255,7 @@ def run_all(cfg, out_dir, prov, threads=1, k=None):
     stage_pair(cfg, out_dir, prov)
     stage_normalize(cfg, out_dir, prov)
     stage_align(cfg, out_dir, prov, threads)
-    stage_train(cfg, out_dir, prov, threads)
+    stage_train(cfg, out_dir, prov)
     stage_compose(cfg, out_dir, prov)
     stage_map(cfg, out_dir, prov, k)
     if cfg.truth is not None:
@@ -298,7 +297,7 @@ def _build_parser():
         sub.add_argument("--seed", type=int, default=None,
                          help="override train.seed")
         sub.add_argument("--threads", type=int, default=1,
-                         help="parallel workers for align/train")
+                         help="parallel workers for align")
         sub.add_argument("--k", type=int, default=None,
                          help="override retrieve.k for map")
     return parser
@@ -326,7 +325,7 @@ def main(argv=None):
         elif args.command == "align":
             stage_align(cfg, out_dir, prov, args.threads)
         elif args.command == "train":
-            stage_train(cfg, out_dir, prov, args.threads)
+            stage_train(cfg, out_dir, prov)
         elif args.command == "compose":
             stage_compose(cfg, out_dir, prov)
         elif args.command == "map":

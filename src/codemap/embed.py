@@ -3,15 +3,17 @@
 One shared embedding table holds both languages, tokens tagged `a:`/`b:`.
 Each center token predicts its same-language window, and, through its
 alignment links, the window around the linked position on the other side,
-giving four prediction directions over a single table.  Single-threaded
-training with a fixed seed is bit-reproducible.
+giving four prediction directions over a single table.  Training takes one
+SGD step per center over all of those contexts and their negatives
+(`sgns_center_step`); the same gradient, `sgns_grads`, backs the
+single-context `sgns_pair_loss`/`sgns_pair_grads` checked against finite
+differences.  Training with a fixed seed is bit-reproducible.
 """
 
 from __future__ import annotations
 
 import warnings
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,14 +166,52 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -SIGMOID_CLAMP, SIGMOID_CLAMP)))
 
 
+def sgns_loss(center: int, ids, labels, table: EmbeddingTable) -> float:
+    """-sum_i log sig(+-u_i . v) over output rows `ids` of one center.
+
+    A label-1 id is a context (sign +), a label-0 id a negative (sign -);
+    a repeated id contributes one term per occurrence.
+    """
+    scores = table.output_vecs[ids] @ table.input_vecs[center]
+    return -float(np.log(sigmoid((2.0 * labels - 1.0) * scores)).sum())
+
+
+def sgns_grads(center: int, ids, labels, table: EmbeddingTable):
+    """Analytic gradient of sgns_loss.
+
+    Returns (gradient of input row `center`, the distinct output rows
+    touched, their gradients).  Every output row's gradient is the input
+    vector scaled by the summed errors of its occurrences in `ids`.
+    """
+    v = table.input_vecs[center]
+    outputs = table.output_vecs[ids]
+    errors = sigmoid(outputs @ v) - labels
+    rows, slot = np.unique(ids, return_inverse=True)
+    return (errors @ outputs, rows,
+            np.outer(np.bincount(slot, weights=errors), v))
+
+
+def sgns_center_step(center: int, ids, labels, table: EmbeddingTable,
+                     lr: float) -> None:
+    """One SGD step on sgns_loss, over all contexts and negatives of a
+    center at once; both matrices move from the pre-step table."""
+    grad_in, rows, grad_out = sgns_grads(center, ids, labels, table)
+    table.input_vecs[center] -= lr * grad_in
+    table.output_vecs[rows] -= lr * grad_out
+
+
+def _pair_batch(context: int, negatives):
+    ids = np.array([context, *negatives], dtype=np.intp)
+    labels = np.zeros(len(ids))
+    labels[0] = 1.0
+    return ids, labels
+
+
 def sgns_pair_loss(center: int, context: int, negatives,
                    table: EmbeddingTable) -> float:
-    """-log sig(u_ctx . v) - sum_neg log sig(-u_neg . v)."""
-    v = table.input_vecs[center]
-    loss = -float(np.log(sigmoid(table.output_vecs[context] @ v)))
-    for neg in negatives:
-        loss -= float(np.log(sigmoid(-(table.output_vecs[neg] @ v))))
-    return loss
+    """-log sig(u_ctx . v) - sum_neg log sig(-u_neg . v): sgns_loss for a
+    single context."""
+    return sgns_loss(center, *_pair_batch(context, negatives), table)
 
 
 def sgns_pair_grads(center: int, context: int, negatives,
@@ -179,26 +219,14 @@ def sgns_pair_grads(center: int, context: int, negatives,
     """Analytic gradients of sgns_pair_loss per touched (matrix, id) slot.
 
     Keys are ("in", id) or ("out", id); duplicate negatives accumulate,
-    matching the loss summation.
+    matching the loss summation.  A view of sgns_grads, the gradient the
+    trainer steps along.
     """
-    v = table.input_vecs[center]
-    grads: dict = {}
-
-    def add(key, value):
-        if key in grads:
-            grads[key] = grads[key] + value
-        else:
-            grads[key] = value.copy()
-
-    u_ctx = table.output_vecs[context]
-    s = sigmoid(u_ctx @ v)
-    add(("in", center), (s - 1.0) * u_ctx)
-    add(("out", context), (s - 1.0) * v)
-    for neg in negatives:
-        u_neg = table.output_vecs[neg]
-        s_neg = sigmoid(u_neg @ v)
-        add(("in", center), s_neg * u_neg)
-        add(("out", neg), s_neg * v)
+    grad_in, rows, grad_out = sgns_grads(
+        center, *_pair_batch(context, negatives), table)
+    grads = {("in", center): grad_in}
+    grads.update({("out", int(row)): grad
+                  for row, grad in zip(rows, grad_out)})
     return grads
 
 
@@ -250,19 +278,23 @@ class _Trainer:
         self.table = table
         self.lr = cfg.lr0
 
-    def update(self, center: int, context: int, rng: np.random.Generator):
-        draws = rng.random(self.cfg.negatives)
+    def step(self, center: int, contexts: list[int],
+             rng: np.random.Generator) -> None:
+        """Sample K negatives per context and take one center step.
+
+        A negative equal to its own context is dropped; duplicates are
+        kept and accumulate, as in sgns_pair_loss.
+        """
+        if not contexts:
+            return
+        positives = np.array(contexts)
+        draws = rng.random((len(contexts), self.cfg.negatives))
         negatives = np.searchsorted(self.vocab.noise_cdf, draws, side="right")
-        negatives = np.unique(negatives)
-        negatives = negatives[negatives != context]
-        ids = np.concatenate(([context], negatives))
+        negatives = negatives[negatives != positives[:, None]]
+        ids = np.concatenate((positives, negatives))
         labels = np.zeros(len(ids))
-        labels[0] = 1.0
-        v_old = self.table.input_vecs[center].copy()
-        outputs = self.table.output_vecs[ids]  # fancy index copies
-        gains = (labels - sigmoid(outputs @ v_old)) * self.lr
-        self.table.input_vecs[center] += gains @ outputs
-        self.table.output_vecs[ids] += np.outer(gains, v_old)
+        labels[:len(contexts)] = 1.0
+        sgns_center_step(center, ids, labels, self.table, self.lr)
 
     def train_pair(self, tokens_a, tokens_b, links,
                    rng: np.random.Generator):
@@ -279,32 +311,31 @@ class _Trainer:
         for own_pos, own_ids, other_pos, other_ids, cross in sides:
             for idx, center in enumerate(own_ids):
                 reach = int(rng.integers(1, cfg.window + 1))
-                lo = max(0, idx - reach)
-                for ctx_idx in range(lo, min(len(own_ids), idx + reach + 1)):
-                    if ctx_idx != idx:
-                        self.update(center, own_ids[ctx_idx], rng)
+                contexts = (own_ids[max(0, idx - reach):idx]
+                            + own_ids[idx + 1:idx + reach + 1])
                 for j in cross.get(own_pos[idx], ()):
                     q = bisect_left(other_pos, j)
-                    aligned_present = q < len(other_pos) and other_pos[q] == j
-                    lo = max(0, q - reach)
-                    hi = min(len(other_ids), q + reach + (1 if aligned_present else 0))
-                    for ctx_idx in range(lo, hi):
-                        if aligned_present and ctx_idx == q:
-                            continue  # the link partner is the surrogate center
-                        self.update(center, other_ids[ctx_idx], rng)
+                    # the link partner, when kept, is the surrogate center
+                    # and not a context of its own window
+                    skip = int(q < len(other_pos) and other_pos[q] == j)
+                    contexts += other_ids[max(0, q - reach):q]
+                    contexts += other_ids[q + skip:q + skip + reach]
+                self.step(center, contexts, rng)
         return scanned_a + scanned_b
 
 
 def train_biskip(bitext: list[Pair], links, cfg: TrainConfig,
-                 vocab: Vocabulary | None = None,
-                 threads: int = 1) -> EmbeddingTable:
+                 vocab: Vocabulary | None = None) -> EmbeddingTable:
     """Train shared bilingual embeddings over an aligned bitext.
 
     `vocab` defaults to one built from the bitext itself with
-    cfg.min_count.  The learning rate decays linearly from lr0 to
-    lr0 * 1e-4 over all in-vocabulary token occurrences, frozen within
-    each pair.  threads > 1 switches to asynchronous unsynchronized
-    updates: faster, converges, but not bit-reproducible.
+    cfg.min_count.  Each kept center token takes one SGD step
+    (sgns_center_step) over all its contexts at once: its same-language
+    window and the window around every position it is linked to, each
+    context with cfg.negatives noise samples.  The learning rate decays
+    linearly from lr0 to lr0 * 1e-4 over all in-vocabulary token
+    occurrences, frozen within each pair.  A fixed seed gives
+    bit-identical tables.
     """
     if vocab is None:
         if not bitext:
@@ -326,12 +357,6 @@ def train_biskip(bitext: list[Pair], links, cfg: TrainConfig,
         return table
     schedule_span = cfg.epochs * total
     trainer = _Trainer(vocab, cfg, table)
-
-    if threads > 1:
-        _train_hogwild(trainer, bitext, links_by_pair, threads,
-                       schedule_span)
-        return table
-
     processed = 0
     for _ in range(cfg.epochs):
         for tokens_a, tokens_b, pair_id in bitext:
@@ -344,30 +369,6 @@ def train_biskip(bitext: list[Pair], links, cfg: TrainConfig,
             and np.isfinite(table.output_vecs).all()):
         raise FloatingPointError("non-finite values after training")
     return table
-
-
-def _train_hogwild(trainer: _Trainer, bitext, links_by_pair, threads: int,
-                   schedule_span: int) -> None:
-    """Asynchronous SGD over shared arrays; races are tolerated."""
-    progress = [0]
-
-    def work(chunk_and_seed):
-        chunk, seed = chunk_and_seed
-        rng = np.random.default_rng(seed)
-        for tokens_a, tokens_b, pair_id in chunk:
-            trainer.lr = max(
-                trainer.cfg.lr0 * (1.0 - progress[0] / schedule_span),
-                trainer.cfg.lr0 * LR_FLOOR_FACTOR)
-            progress[0] += trainer.train_pair(
-                tokens_a, tokens_b, links_by_pair.get(pair_id, frozenset()),
-                rng)
-
-    size = (len(bitext) + threads - 1) // threads
-    for epoch in range(trainer.cfg.epochs):
-        chunks = [(bitext[k:k + size], trainer.cfg.seed + epoch * threads + w)
-                  for w, k in enumerate(range(0, len(bitext), size))]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, chunks))
 
 
 # ---------------------------------------------------------------------------

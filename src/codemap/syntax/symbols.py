@@ -113,7 +113,7 @@ def resolve_chain(segs: list[str], symbols: SymbolTable, *,
         return resolve_chain([CLASS_ALIASES[head]] + rest, symbols,
                              var_lookup=False)
     prim = canon_primitive(head)
-    if prim is not None and rest:
+    if prim is not None:
         return _join(prim, rest), "signature"
     if rest:
         # a chain that already starts inside a known namespace or the

@@ -8,8 +8,9 @@ import pytest
 from codemap.align import AlignmentLinkSet
 from codemap.embed import (EmbeddingTable, TrainConfig, Vocabulary,
                            build_vocab, init_table, load_embeddings,
-                           save_embeddings, sgns_pair_grads, sgns_pair_loss,
-                           sigmoid, train_biskip, vocab_from_bitext)
+                           save_embeddings, sgns_center_step, sgns_pair_grads,
+                           sgns_pair_loss, sigmoid, train_biskip,
+                           vocab_from_bitext)
 from codemap.syntax import EnrichedToken, EnrichedTokenStream
 
 
@@ -140,6 +141,32 @@ def test_gradient_matches_finite_differences():
                 assert abs(numeric - grad[k]) / scale < 1e-4
 
 
+def test_center_step_is_minus_lr_times_summed_pair_grads():
+    rng = np.random.default_rng(8)
+    table = _tiny_table(rng)
+    center, lr = 0, 0.05
+    # context 3 is listed twice, and negative 2 equals the other context
+    batches = [(3, [2, 5]), (3, [1, 1]), (2, [4, 3])]
+    contexts = [context for context, _ in batches]
+    negatives = [neg for _, negs in batches for neg in negs]
+    ids = np.array(contexts + negatives)
+    labels = np.array([1.0] * len(contexts) + [0.0] * len(negatives))
+
+    expected = EmbeddingTable(table.input_vecs.copy(),
+                              table.output_vecs.copy())
+    for context, negs in batches:
+        for (which, idx), grad in sgns_pair_grads(center, context, negs,
+                                                  table).items():
+            matrix = (expected.input_vecs if which == "in"
+                      else expected.output_vecs)
+            matrix[idx] -= lr * grad
+    sgns_center_step(center, ids, labels, table, lr)
+    assert np.allclose(table.input_vecs, expected.input_vecs,
+                       rtol=1e-12, atol=1e-14)
+    assert np.allclose(table.output_vecs, expected.output_vecs,
+                       rtol=1e-12, atol=1e-14)
+
+
 def test_sigmoid_clamped():
     assert sigmoid(1000.0) <= 1.0
     assert sigmoid(-1000.0) > 0.0
@@ -220,9 +247,20 @@ def test_linked_tokens_become_neighbors():
     assert ranked[0] == "b:readonly"
 
 
-def test_hogwild_mode_runs():
-    table = train_biskip(LINKED, LINKS, CFG, threads=2)
-    assert np.isfinite(table.input_vecs).all()
+def test_center_without_contexts_leaves_table_unchanged():
+    bitext = [(["solo"], ["alone"], "p0")]
+    vocab = vocab_from_bitext(bitext)
+    with pytest.warns(UserWarning, match="monolingual"):
+        got = train_biskip(bitext, [AlignmentLinkSet("p0", frozenset())],
+                           CFG, vocab=vocab)
+    expected = init_table(len(vocab), CFG, np.random.default_rng(CFG.seed))
+    assert np.array_equal(got.input_vecs, expected.input_vecs)
+    assert np.array_equal(got.output_vecs, expected.output_vecs)
+
+    sgns_center_step(0, np.array([], dtype=np.intp), np.zeros(0), got, 0.1)
+    assert np.array_equal(got.input_vecs, expected.input_vecs)
+    assert np.array_equal(got.output_vecs, expected.output_vecs)
+    assert np.isfinite(got.input_vecs).all()
 
 
 def test_subsampling_keeps_valid_probabilities():

@@ -12,6 +12,7 @@ from codemap.syntax import (EnrichedTokenStream, ParseError, SymbolTable,
                             build_symbols, extract_elements, normalize,
                             parse, read_elements, read_stream,
                             resolve_signature, write_elements, write_stream)
+from codemap.syntax.symbols import canon_primitive
 
 # ---------------------------------------------------------------------------
 # golden listings
@@ -387,3 +388,43 @@ def test_generated_sources_normalize(case):
     elements = extract_elements(tree, stream)
     for element in elements:
         assert element.token_indices[-1] < len(stream.tokens)
+
+
+# ---------------------------------------------------------------------------
+# primitive array creation: the element type is a primitive whatever the
+# file imports, so it is never namespace-qualified
+
+_PRIMITIVES = {
+    "java": ("int", "long", "float", "double", "boolean", "char", "byte",
+             "short"),
+    "csharp": ("int", "long", "float", "double", "bool", "char", "byte",
+               "short", "uint", "ulong", "ushort", "sbyte", "decimal"),
+}
+_SEGMENT = st.sampled_from(["System", "java", "util", "demo", "io", "Text"])
+
+
+@st.composite
+def _array_creation(draw):
+    lang = draw(st.sampled_from(["java", "csharp"]))
+    prim = draw(st.sampled_from(_PRIMITIVES[lang]))
+    header = []
+    for _ in range(draw(st.integers(0, 3))):
+        name = ".".join(draw(st.lists(_SEGMENT, min_size=1, max_size=3)))
+        if lang == "java":
+            tail = ".*" if draw(st.booleans()) else ".Widget"
+            header.append(f"import {name}{tail};")
+        else:
+            header.append(f"using {name};")
+    prefix = "\n".join(header) + "\nclass A { void f() { x = "
+    source = prefix + f"new {prim}[{draw(st.integers(0, 99))}]; }} }}"
+    return source, lang, prim, len(prefix)
+
+
+@given(_array_creation())
+@settings(max_examples=60, deadline=None)
+def test_primitive_array_creation_never_qualified(case):
+    source, lang, prim, new_at = case
+    stream = normalize(parse(source, lang))
+    created = [t.text for t in stream.tokens if t.start == new_at]
+    assert created == [canon_primitive(prim)]
+    assert not any(ch.isspace() for ch in created[0])
