@@ -10,8 +10,9 @@ order across the two languages, which is anchor enough here.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+from . import artifacts
 
 NULL = "<NULL>"
 
@@ -91,8 +92,8 @@ def uniform_init(bitext: list[Pair]) -> TranslationTable:
     return table
 
 
-def _expect_chunk(bitext: list[Pair], table: TranslationTable):
-    """E-step over a slice of pairs; returns (counts, totals, log-lik)."""
+def _e_step(bitext: list[Pair], table: TranslationTable):
+    """One E-step over the bitext; returns (counts, totals, log-lik)."""
     counts: dict[str, dict[str, float]] = {}
     totals: dict[str, float] = {}
     loglik = 0.0
@@ -116,38 +117,20 @@ def _expect_chunk(bitext: list[Pair], table: TranslationTable):
     return counts, totals, loglik
 
 
-def train_model1(bitext: list[Pair], iterations: int = 10, threads: int = 1,
+def train_model1(bitext: list[Pair], iterations: int = 10,
                  log_likelihoods: list | None = None) -> TranslationTable:
     """EM-train a translation table from uniform initialization.
 
     `log_likelihoods`, when given, receives the corpus log-likelihood under
     the table *entering* each iteration, so monotonicity is observable.
-    Worker count never changes results beyond float summation order.
     """
     if not bitext:
         raise ValueError("empty bitext")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     table = uniform_init(bitext)
-    chunks = _chunk_pairs(bitext, threads)
     for _ in range(iterations):
-        if threads > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda c: _expect_chunk(c, table),
-                                        chunks))
-        else:
-            results = [_expect_chunk(chunk, table) for chunk in chunks]
-        counts: dict[str, dict[str, float]] = {}
-        totals: dict[str, float] = {}
-        loglik = 0.0
-        for chunk_counts, chunk_totals, chunk_ll in results:
-            loglik += chunk_ll
-            for source, row in chunk_counts.items():
-                dest = counts.setdefault(source, {})
-                for target, value in row.items():
-                    dest[target] = dest.get(target, 0.0) + value
-            for source, value in chunk_totals.items():
-                totals[source] = totals.get(source, 0.0) + value
+        counts, totals, loglik = _e_step(bitext, table)
         if log_likelihoods is not None:
             log_likelihoods.append(loglik)
         table = {source: {target: value / totals[source]
@@ -156,24 +139,10 @@ def train_model1(bitext: list[Pair], iterations: int = 10, threads: int = 1,
     return table
 
 
-def _chunk_pairs(bitext: list[Pair], threads: int) -> list[list[Pair]]:
-    n = max(1, min(threads, len(bitext)))
-    size = (len(bitext) + n - 1) // n
-    return [bitext[k:k + size] for k in range(0, len(bitext), size)]
-
-
 def corpus_log_likelihood(table: TranslationTable,
                           bitext: list[Pair]) -> float:
     """Sum over pairs and targets of log p(b_j | a), NULL included."""
-    total = 0.0
-    for tokens_a, tokens_b, _ in bitext:
-        sources = [NULL] + tokens_a
-        norm = math.log(len(sources))
-        for target in tokens_b:
-            denom = sum(table.get(source, {}).get(target, 0.0)
-                        for source in sources)
-            total += math.log(max(denom, PROB_FLOOR)) - norm
-    return total
+    return _e_step(bitext, table)[2]
 
 
 def viterbi_align(table: TranslationTable, tokens_a: list[str],
@@ -211,16 +180,16 @@ def symmetrize(forward: AlignmentLinkSet, backward: AlignmentLinkSet,
 
 
 def align_bitext(bitext: list[Pair], iterations: int = 10,
-                 mode: str = "intersection", threads: int = 1,
+                 mode: str = "intersection",
                  ) -> tuple[list[AlignmentLinkSet], TranslationTable]:
     """Train both directions and emit symmetrized links per pair.
 
     Returns the link sets (in bitext order) and the forward (a -> b)
     translation table.
     """
-    forward_table = train_model1(bitext, iterations, threads)
+    forward_table = train_model1(bitext, iterations)
     reversed_bitext = [(b, a, pid) for a, b, pid in bitext]
-    backward_table = train_model1(reversed_bitext, iterations, threads)
+    backward_table = train_model1(reversed_bitext, iterations)
     out = []
     for tokens_a, tokens_b, pair_id in bitext:
         fwd = viterbi_align(forward_table, tokens_a, tokens_b, pair_id)
@@ -235,60 +204,43 @@ def align_bitext(bitext: list[Pair], iterations: int = 10,
 
 def write_alignments(link_sets, path, comments=()) -> None:
     """Pharaoh format: `pair-id<TAB>i-j i-j ...`, links sorted by (i, j)."""
-    lines = [f"# {c}" for c in comments]
-    for link_set in link_sets:
-        rendered = " ".join(f"{i}-{j}" for i, j in sorted(link_set.links))
-        lines.append(f"{link_set.pair_id}\t{rendered}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    artifacts.write_lines(path, (
+        f"{link_set.pair_id}\t"
+        + " ".join(f"{i}-{j}" for i, j in sorted(link_set.links))
+        for link_set in link_sets), comments)
+
+
+def _link(item: str) -> tuple[int, int]:
+    i, sep, j = item.partition("-")
+    if not sep:
+        raise ValueError(f"bad link {item!r}")
+    return int(i), int(j)
 
 
 def read_alignments(path) -> list[AlignmentLinkSet]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            pair_id, _, rest = line.partition("\t")
-            if not pair_id:
-                raise ValueError(f"{path}:{lineno}: missing pair id")
-            links = set()
-            for item in rest.split():
-                i, sep, j = item.partition("-")
-                if not sep:
-                    raise ValueError(f"{path}:{lineno}: bad link {item!r}")
-                links.add((int(i), int(j)))
-            out.append(AlignmentLinkSet(pair_id, frozenset(links)))
+    for lineno, (pair_id, rest) in artifacts.records(path, 2):
+        if not pair_id:
+            raise ValueError(f"{path}:{lineno}: missing pair id")
+        links = frozenset(artifacts.field(path, lineno, _link, item)
+                          for item in rest.split())
+        out.append(AlignmentLinkSet(pair_id, links))
     return out
 
 
 def write_table(table: TranslationTable, path, comments=(),
                 min_prob: float = TABLE_WRITE_MIN_PROB) -> None:
     """Translation-table TSV, negligible rows omitted."""
-    lines = [f"# {c}" for c in comments]
-    for source in sorted(table):
-        row = table[source]
-        for target in sorted(row):
-            prob = row[target]
-            if prob < min_prob:
-                continue
-            lines.append(f"{source}\t{target}\t{prob!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    artifacts.write_lines(path, (
+        f"{source}\t{target}\t{prob!r}"
+        for source in sorted(table)
+        for target, prob in sorted(table[source].items())
+        if prob >= min_prob), comments)
 
 
 def read_table(path) -> TranslationTable:
     table: TranslationTable = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields, "
-                                 f"got {len(parts)}")
-            source, target, prob = parts
-            table.setdefault(source, {})[target] = float(prob)
+    for lineno, (source, target, prob) in artifacts.records(path, 3):
+        table.setdefault(source, {})[target] = artifacts.field(
+            path, lineno, float, prob)
     return table

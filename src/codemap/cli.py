@@ -74,13 +74,11 @@ def stage_normalize(cfg, out_dir, prov):
             except ParseError as err:
                 raise ValueError(f"{relpath}: {err}") from None
             stream = normalize(tree, build_symbols(tree), file=relpath)
-            out = _stream_path(out_dir, side, relpath)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            write_stream(stream, out, comments=(prov,))
-            elements = extract_elements(tree, stream)
-            out = _elements_path(out_dir, side, relpath)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            write_elements(elements, out, comments=(prov,))
+            write_stream(stream, _stream_path(out_dir, side, relpath),
+                         comments=(prov,))
+            write_elements(extract_elements(tree, stream),
+                           _elements_path(out_dir, side, relpath),
+                           comments=(prov,))
             n_tokens += len(stream.tokens)
     _summary("normalize", f"{2 * len(pairs)} files, {n_tokens} tokens",
              t0)
@@ -103,15 +101,14 @@ def _read_bitext(cfg, out_dir):
     return align.build_bitext(raw, max_len=cfg.align_max_len)
 
 
-def stage_align(cfg, out_dir, prov, threads=1):
+def stage_align(cfg, out_dir, prov):
     t0 = time.perf_counter()
     bitext = _read_bitext(cfg, out_dir)
     if not bitext:
         raise ValueError("no non-empty stream pairs; nothing to align")
     links, table = align.align_bitext(bitext,
                                       iterations=cfg.align_iterations,
-                                      mode=cfg.symmetrization,
-                                      threads=threads)
+                                      mode=cfg.symmetrization)
     align.write_alignments(links, out_dir / "alignments.pharaoh",
                            comments=(prov,))
     align.write_table(table, out_dir / "ttable.tsv", comments=(prov,))
@@ -204,9 +201,7 @@ def stage_map(cfg, out_dir, prov, k=None):
             continue
         queries.append(retrieve.Query(element_id, vector, cfg.side, k))
     rankings = retrieve.run_queries(queries, ids, matrix)
-    mapping_dir = out_dir / "mappings"
-    mapping_dir.mkdir(parents=True, exist_ok=True)
-    retrieve.write_rankings(mapping_dir / f"{cfg.granularity}.tsv",
+    retrieve.write_rankings(out_dir / "mappings" / f"{cfg.granularity}.tsv",
                             rankings, comments=(prov,))
     note = f", {zero_skipped} zero-vector queries skipped" \
         if zero_skipped else ""
@@ -251,10 +246,10 @@ def stage_diff_ref(cfg, out_dir, prov):
     return diff
 
 
-def run_all(cfg, out_dir, prov, threads=1, k=None):
+def run_all(cfg, out_dir, prov, k=None):
     stage_pair(cfg, out_dir, prov)
     stage_normalize(cfg, out_dir, prov)
-    stage_align(cfg, out_dir, prov, threads)
+    stage_align(cfg, out_dir, prov)
     stage_train(cfg, out_dir, prov)
     stage_compose(cfg, out_dir, prov)
     stage_map(cfg, out_dir, prov, k)
@@ -296,8 +291,6 @@ def _build_parser():
                          help="artifact directory (default codemap-out)")
         sub.add_argument("--seed", type=int, default=None,
                          help="override train.seed")
-        sub.add_argument("--threads", type=int, default=1,
-                         help="parallel workers for align")
         sub.add_argument("--k", type=int, default=None,
                          help="override retrieve.k for map")
     return parser
@@ -314,8 +307,6 @@ def main(argv=None):
         prov = provenance(config_hash(args.config), cfg.train.seed)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.threads < 1:
-            raise ValueError("--threads must be at least 1")
         if args.k is not None and args.k < 1:
             raise ValueError("--k must be at least 1")
         if args.command == "pair":
@@ -323,7 +314,7 @@ def main(argv=None):
         elif args.command == "normalize":
             stage_normalize(cfg, out_dir, prov)
         elif args.command == "align":
-            stage_align(cfg, out_dir, prov, args.threads)
+            stage_align(cfg, out_dir, prov)
         elif args.command == "train":
             stage_train(cfg, out_dir, prov)
         elif args.command == "compose":
@@ -335,7 +326,7 @@ def main(argv=None):
         elif args.command == "diff-ref":
             stage_diff_ref(cfg, out_dir, prov)
         else:
-            run_all(cfg, out_dir, prov, args.threads, args.k)
+            run_all(cfg, out_dir, prov, args.k)
     except MissingArtifact as err:
         print(f"codemap: {err}", file=sys.stderr)
         return 2

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import artifacts
+
 LANG_EXTENSIONS = {
     "java": (".java",),
     "csharp": (".cs",),
@@ -145,22 +147,12 @@ def write_pair_manifest(
     pairs: list[FilePair], out: Path, comments: tuple[str, ...] = ()
 ) -> None:
     """TSV, one pair per line: stem, path_a, path_b, similarity."""
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# {c}" for c in comments]
-    for p in pairs:
-        lines.append(f"{p.stem}\t{p.path_a}\t{p.path_b}\t{p.similarity!r}")
-    out.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    artifacts.write_lines(
+        out, (f"{p.stem}\t{p.path_a}\t{p.path_b}\t{p.similarity!r}"
+              for p in pairs), comments)
 
 
 def read_pair_manifest(path: Path) -> list[FilePair]:
-    pairs = []
-    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{n}: expected 4 tab-separated fields")
-        stem, pa, pb, sim = parts
-        pairs.append(FilePair(path_a=pa, path_b=pb, stem=stem, similarity=float(sim)))
-    return pairs
+    return [FilePair(path_a=pa, path_b=pb, stem=stem,
+                     similarity=artifacts.field(path, n, float, sim))
+            for n, (stem, pa, pb, sim) in artifacts.records(path, 4)]

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
+
 Pair = tuple[list[str], list[str], str]
 
 LR_FLOOR_FACTOR = 1e-4
@@ -237,37 +239,23 @@ def _keep_probability(count: float, total: int, subsample: float) -> float:
     return min(1.0, (frequency / subsample) ** 0.5 * ratio + ratio)
 
 
-def _subsample_side(tokens: list[str], tag: str, vocab: Vocabulary,
-                    cfg: TrainConfig, rng: np.random.Generator):
-    """Kept (original_position, vocab_id) pairs, in order.
-
-    One rng draw per in-vocabulary occurrence keeps the stream of random
-    numbers aligned across runs; subsample=0 skips drawing entirely.
-    """
-    kept_pos: list[int] = []
-    kept_ids: list[int] = []
-    scanned = 0
-    for position, token in enumerate(tokens):
-        vocab_id = vocab.id_of(tag + token)
-        if vocab_id is None:
-            continue
-        scanned += 1
-        if cfg.subsample > 0:
-            p_keep = _keep_probability(vocab.counts[vocab_id],
-                                       vocab.total_count, cfg.subsample)
-            if rng.random() > p_keep:
-                continue
-        kept_pos.append(position)
-        kept_ids.append(vocab_id)
-    return kept_pos, kept_ids, scanned
-
-
 def _link_map(links, transpose: bool) -> dict[int, list[int]]:
     out: dict[int, list[int]] = {}
     for i, j in sorted(links):
         src, dst = (j, i) if transpose else (i, j)
         out.setdefault(src, []).append(dst)
     return out
+
+
+def _side(tokens: list[str], tag: str, vocab: Vocabulary, links,
+          transpose: bool):
+    """One side of a pair as (in-vocabulary positions, their ids, links
+    from its positions to the other side's); fixed across epochs."""
+    ids = [vocab.id_of(tag + token) for token in tokens]
+    positions = [k for k, vocab_id in enumerate(ids) if vocab_id is not None]
+    return (np.array(positions, dtype=np.intp),
+            np.array([ids[k] for k in positions], dtype=np.intp),
+            _link_map(links, transpose))
 
 
 class _Trainer:
@@ -277,6 +265,24 @@ class _Trainer:
         self.cfg = cfg
         self.table = table
         self.lr = cfg.lr0
+        self.keep_probability = None
+        if cfg.subsample > 0:
+            self.keep_probability = np.array([
+                _keep_probability(count, vocab.total_count, cfg.subsample)
+                for count in vocab.counts])
+
+    def subsample(self, side, rng: np.random.Generator):
+        """A side from _side with kept positions and ids as lists.
+
+        One rng draw per in-vocabulary occurrence keeps the stream of
+        random numbers aligned across runs; subsample=0 skips drawing
+        entirely.
+        """
+        positions, ids, links = side
+        if self.keep_probability is not None:
+            kept = rng.random(len(ids)) <= self.keep_probability[ids]
+            positions, ids = positions[kept], ids[kept]
+        return positions.tolist(), ids.tolist(), links
 
     def step(self, center: int, contexts: list[int],
              rng: np.random.Generator) -> None:
@@ -296,21 +302,13 @@ class _Trainer:
         labels[:len(contexts)] = 1.0
         sgns_center_step(center, ids, labels, self.table, self.lr)
 
-    def train_pair(self, tokens_a, tokens_b, links,
-                   rng: np.random.Generator):
-        """All four directions for one pair; returns scanned token count."""
-        cfg = self.cfg
-        pos_a, ids_a, scanned_a = _subsample_side(tokens_a, "a:", self.vocab,
-                                                  cfg, rng)
-        pos_b, ids_b, scanned_b = _subsample_side(tokens_b, "b:", self.vocab,
-                                                  cfg, rng)
-        a_to_b = _link_map(links, transpose=False)
-        b_to_a = _link_map(links, transpose=True)
-        sides = ((pos_a, ids_a, pos_b, ids_b, a_to_b),
-                 (pos_b, ids_b, pos_a, ids_a, b_to_a))
-        for own_pos, own_ids, other_pos, other_ids, cross in sides:
+    def train_pair(self, pair, rng: np.random.Generator) -> None:
+        """All four directions for one pair of sides from _side."""
+        side_a, side_b = (self.subsample(side, rng) for side in pair)
+        for (own_pos, own_ids, cross), (other_pos, other_ids, _) in (
+                (side_a, side_b), (side_b, side_a)):
             for idx, center in enumerate(own_ids):
-                reach = int(rng.integers(1, cfg.window + 1))
+                reach = int(rng.integers(1, self.cfg.window + 1))
                 contexts = (own_ids[max(0, idx - reach):idx]
                             + own_ids[idx + 1:idx + reach + 1])
                 for j in cross.get(own_pos[idx], ()):
@@ -321,7 +319,6 @@ class _Trainer:
                     contexts += other_ids[max(0, q - reach):q]
                     contexts += other_ids[q + skip:q + skip + reach]
                 self.step(center, contexts, rng)
-        return scanned_a + scanned_b
 
 
 def train_biskip(bitext: list[Pair], links, cfg: TrainConfig,
@@ -349,22 +346,24 @@ def train_biskip(bitext: list[Pair], links, cfg: TrainConfig,
         warnings.warn("no alignment links; training monolingually",
                       stacklevel=2)
     links_by_pair = {link_set.pair_id: link_set.links for link_set in links}
-    total = 0
-    for tokens_a, tokens_b, _ in bitext:
-        total += sum(1 for t in tokens_a if ("a:" + t) in vocab)
-        total += sum(1 for t in tokens_b if ("b:" + t) in vocab)
+    pairs = []
+    for tokens_a, tokens_b, pair_id in bitext:
+        pair_links = links_by_pair.get(pair_id, frozenset())
+        pairs.append((_side(tokens_a, "a:", vocab, pair_links, False),
+                      _side(tokens_b, "b:", vocab, pair_links, True)))
+    sizes = [len(side_a[1]) + len(side_b[1]) for side_a, side_b in pairs]
+    total = sum(sizes)
     if total == 0:
         return table
     schedule_span = cfg.epochs * total
     trainer = _Trainer(vocab, cfg, table)
     processed = 0
     for _ in range(cfg.epochs):
-        for tokens_a, tokens_b, pair_id in bitext:
+        for pair, size in zip(pairs, sizes):
             trainer.lr = max(cfg.lr0 * (1.0 - processed / schedule_span),
                              cfg.lr0 * LR_FLOOR_FACTOR)
-            processed += trainer.train_pair(
-                tokens_a, tokens_b, links_by_pair.get(pair_id, frozenset()),
-                rng)
+            trainer.train_pair(pair, rng)
+            processed += size
     if not (np.isfinite(table.input_vecs).all()
             and np.isfinite(table.output_vecs).all()):
         raise FloatingPointError("non-finite values after training")
@@ -378,48 +377,13 @@ def train_biskip(bitext: list[Pair], links, cfg: TrainConfig,
 def save_embeddings(table: EmbeddingTable, vocab: Vocabulary, path,
                     comments=()) -> None:
     """Header `<|V|> <d>`, then `token v1 ... vd` rows (input vectors)."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"{len(vocab)} {table.dim}")
-    for row, token in enumerate(vocab.tokens):
-        values = " ".join(f"{x:.9g}" for x in table.input_vecs[row])
-        lines.append(f"{token} {values}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    artifacts.write_vectors(path, vocab.tokens, table.input_vecs, comments)
 
 
 def load_embeddings(path) -> tuple[EmbeddingTable, Vocabulary]:
     """Inverse of save_embeddings; counts are lost, so the loaded
     vocabulary reports count 1 (uniform noise) for every token."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    body = [(n, line) for n, line in enumerate(lines, start=1)
-            if line and not line.startswith("#")]
-    if not body:
-        raise ValueError(f"{path}: missing header")
-    header_no, header = body[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise ValueError(f"{path}:{header_no}: header must be `<|V|> <d>`")
-    try:
-        size, dim = int(parts[0]), int(parts[1])
-    except ValueError as err:
-        raise ValueError(f"{path}:{header_no}: bad header: {err}") from None
-    rows = body[1:]
-    if len(rows) != size:
-        raise ValueError(f"{path}: header promises {size} rows, "
-                         f"found {len(rows)}")
-    tokens: list[str] = []
-    vectors = np.zeros((size, dim), dtype=np.float64)
-    for k, (lineno, line) in enumerate(rows):
-        fields = line.split()
-        if len(fields) != dim + 1:
-            raise ValueError(f"{path}:{lineno}: expected token + {dim} "
-                             f"values, got {len(fields)} fields")
-        tokens.append(fields[0])
-        try:
-            vectors[k] = [float(x) for x in fields[1:]]
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: bad value: {err}") from None
+    tokens, vectors, _, _ = artifacts.read_vectors(path)
     vocab = Vocabulary.from_ordered(tokens)
     table = EmbeddingTable(vectors, np.zeros_like(vectors))
     return table, vocab

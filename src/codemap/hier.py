@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from . import artifacts
+
 WEIGHTINGS = ("uniform", "tfidf")
 
 
@@ -114,71 +116,20 @@ def write_element_embeddings(path, ids, matrix, coverages, weighting,
     element: id, d coordinates, coverage."""
     if not (len(ids) == matrix.shape[0] == len(coverages)):
         raise ValueError("ids, matrix and coverages disagree on length")
-    with open(path, "w", encoding="utf-8") as handle:
-        for comment in comments:
-            handle.write(f"# {comment}\n")
-        handle.write(f"{len(ids)} {matrix.shape[1]} {weighting}\n")
-        for element_id, row, coverage in zip(ids, matrix, coverages):
-            coords = " ".join(f"{x:.9g}" for x in row)
-            handle.write(f"{element_id} {coords} {coverage:.9g}\n")
+    artifacts.write_vectors(path, ids, matrix, comments, weighting,
+                            coverages)
 
 
 def read_element_embeddings(path):
     """Inverse of write_element_embeddings; returns
     (ids, matrix, coverages, weighting)."""
-    header = None
-    ids, rows, coverages = [], [], []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                parts = line.split()
-                if len(parts) != 3 or parts[2] not in WEIGHTINGS:
-                    raise ValueError(
-                        f"{path}:{lineno}: bad header {line!r}")
-                try:
-                    header = (int(parts[0]), int(parts[1]), parts[2])
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: bad header {line!r}") from None
-                continue
-            parts = line.split()
-            if len(parts) != header[1] + 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {header[1] + 2} fields, "
-                    f"got {len(parts)}")
-            ids.append(parts[0])
-            try:
-                rows.append([float(x) for x in parts[1:-1]])
-                coverages.append(float(parts[-1]))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: non-numeric field") from None
-    if header is None:
-        raise ValueError(f"{path}: missing header")
-    if len(ids) != header[0]:
-        raise ValueError(f"{path}: header promises {header[0]} rows, "
-                         f"found {len(ids)}")
-    matrix = np.array(rows) if rows else np.zeros((0, header[1]))
-    return ids, matrix, coverages, header[2]
+    return artifacts.read_vectors(path, WEIGHTINGS, extra=True)
 
 
 def write_skips(path, skipped, comments=()):
     """One skipped element id per line."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for comment in comments:
-            handle.write(f"# {comment}\n")
-        for element_id in skipped:
-            handle.write(f"{element_id}\n")
+    artifacts.write_lines(path, skipped, comments)
 
 
 def read_skips(path):
-    skipped = []
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                skipped.append(line)
-    return skipped
+    return [element_id for _, (element_id,) in artifacts.records(path, 1)]

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifacts
+
 SIDES = ("a2b", "b2a")
 
 
@@ -179,62 +181,34 @@ def diff_reference(rankings, reference):
 
 def write_rankings(path, rankings, comments=()):
     """TSV: query-id, rank (1-based), target-id, cosine."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for comment in comments:
-            handle.write(f"# {comment}\n")
-        for qid in sorted(rankings):
-            for rank, (target, score) in enumerate(rankings[qid], start=1):
-                handle.write(f"{qid}\t{rank}\t{target}\t{score:.9g}\n")
+    artifacts.write_lines(path, (
+        f"{qid}\t{rank}\t{target}\t{score:.9g}"
+        for qid in sorted(rankings)
+        for rank, (target, score) in enumerate(rankings[qid], start=1)),
+        comments)
 
 
 def read_rankings(path):
     rankings: dict[str, list] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, "
-                                 f"got {len(parts)}")
-            qid, rank_text, target, score_text = parts
-            try:
-                rank = int(rank_text)
-                score = float(score_text)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: bad rank or score") from None
-            ranked = rankings.setdefault(qid, [])
-            if rank != len(ranked) + 1:
-                raise ValueError(f"{path}:{lineno}: rank {rank} out of "
-                                 f"order for query {qid!r}")
-            ranked.append((target, score))
+    for lineno, (qid, rank, target, score) in artifacts.records(path, 4):
+        ranked = rankings.setdefault(qid, [])
+        if artifacts.field(path, lineno, int, rank) != len(ranked) + 1:
+            raise ValueError(f"{path}:{lineno}: rank {rank} out of "
+                             f"order for query {qid!r}")
+        ranked.append((target, artifacts.field(path, lineno, float, score)))
     return rankings
 
 
 def write_truth(path, truth, comments=()):
     """TSV: query-id, relevant-id; one relevant item per line."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for comment in comments:
-            handle.write(f"# {comment}\n")
-        for qid in sorted(truth):
-            for item in sorted(truth[qid]):
-                handle.write(f"{qid}\t{item}\n")
+    artifacts.write_lines(path, (f"{qid}\t{item}" for qid in sorted(truth)
+                                 for item in sorted(truth[qid])), comments)
 
 
 def read_truth(path):
     truth: dict[str, set] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 fields, "
-                                 f"got {len(parts)}")
-            truth.setdefault(parts[0], set()).add(parts[1])
+    for _, (qid, item) in artifacts.records(path, 2):
+        truth.setdefault(qid, set()).add(item)
     if not truth:
         raise ValueError(f"{path}: no ground-truth rows")
     return truth
@@ -242,16 +216,13 @@ def read_truth(path):
 
 def write_report(path, report, comments=()):
     """TSV of aggregate metrics: metric name, value."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for comment in comments:
-            handle.write(f"# {comment}\n")
-        for k in sorted(report.map_at_k):
-            handle.write(f"map@{k}\t{report.map_at_k[k]:.9g}\n")
-        handle.write(f"p@1\t{report.precision_at_1:.9g}\n")
-        handle.write(f"queries\t{report.n_queries}\n")
-        handle.write(f"skipped\t{len(report.skipped)}\n")
-        for qid in report.skipped:
-            handle.write(f"skipped-query\t{qid}\n")
+    artifacts.write_lines(path, (
+        *(f"map@{k}\t{report.map_at_k[k]:.9g}"
+          for k in sorted(report.map_at_k)),
+        f"p@1\t{report.precision_at_1:.9g}",
+        f"queries\t{report.n_queries}",
+        f"skipped\t{len(report.skipped)}",
+        *(f"skipped-query\t{qid}" for qid in report.skipped)), comments)
 
 
 def read_report(path):
@@ -259,27 +230,18 @@ def read_report(path):
     p1 = None
     n_queries = 0
     skipped = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 fields, "
-                                 f"got {len(parts)}")
-            key, value = parts
-            if key.startswith("map@"):
-                map_at_k[int(key[4:])] = float(value)
-            elif key == "p@1":
-                p1 = float(value)
-            elif key == "queries":
-                n_queries = int(value)
-            elif key == "skipped-query":
-                skipped.append(value)
-            elif key != "skipped":
-                raise ValueError(f"{path}:{lineno}: unknown metric "
-                                 f"{key!r}")
+    for lineno, (key, value) in artifacts.records(path, 2):
+        if key.startswith("map@"):
+            k = artifacts.field(path, lineno, int, key[4:])
+            map_at_k[k] = artifacts.field(path, lineno, float, value)
+        elif key == "p@1":
+            p1 = artifacts.field(path, lineno, float, value)
+        elif key == "queries":
+            n_queries = artifacts.field(path, lineno, int, value)
+        elif key == "skipped-query":
+            skipped.append(value)
+        elif key != "skipped":
+            raise ValueError(f"{path}:{lineno}: unknown metric {key!r}")
     if p1 is None or not map_at_k:
         raise ValueError(f"{path}: incomplete report")
     return MappingReport(map_at_k=map_at_k, precision_at_1=p1,
@@ -289,30 +251,19 @@ def read_report(path):
 def read_reference(path):
     """TSV mapping source-id to its expected top-1 target-id."""
     reference: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 fields, "
-                                 f"got {len(parts)}")
-            if parts[0] in reference:
-                raise ValueError(f"{path}:{lineno}: duplicate source "
-                                 f"{parts[0]!r}")
-            reference[parts[0]] = parts[1]
+    for lineno, (source, target) in artifacts.records(path, 2):
+        if source in reference:
+            raise ValueError(f"{path}:{lineno}: duplicate source "
+                             f"{source!r}")
+        reference[source] = target
     return reference
 
 
 def write_diff(path, diff, comments=()):
     """TSV: status, source, current target, reference target or `-`."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for comment in comments:
-            handle.write(f"# {comment}\n")
-        for source, top in diff["new"]:
-            handle.write(f"new\t{source}\t{top}\t-\n")
-        for source, top in diff["agreeing"]:
-            handle.write(f"agreeing\t{source}\t{top}\t{top}\n")
-        for source, top, expected in diff["conflicting"]:
-            handle.write(f"conflicting\t{source}\t{top}\t{expected}\n")
+    artifacts.write_lines(path, (
+        *(f"new\t{source}\t{top}\t-" for source, top in diff["new"]),
+        *(f"agreeing\t{source}\t{top}\t{top}"
+          for source, top in diff["agreeing"]),
+        *(f"conflicting\t{source}\t{top}\t{expected}"
+          for source, top, expected in diff["conflicting"])), comments)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import artifacts
 from .normalize import EnrichedTokenStream
 from .tree import SyntaxTree
 
@@ -62,28 +63,16 @@ def extract_elements(tree: SyntaxTree,
 
 def write_elements(elements, path, comments=()) -> None:
     """Element TSV: granularity, span, inclusive token range, label."""
-    lines = [f"# {c}" for c in comments]
-    for e in elements:
-        lines.append("\t".join((e.granularity, str(e.start), str(e.end),
-                                str(e.token_indices[0]),
-                                str(e.token_indices[-1]), e.label)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    artifacts.write_lines(path, ("\t".join((
+        e.granularity, str(e.start), str(e.end), str(e.token_indices[0]),
+        str(e.token_indices[-1]), e.label)) for e in elements), comments)
 
 
 def read_elements(path) -> list[CodeElement]:
     elements: list[CodeElement] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 fields, "
-                                 f"got {len(parts)}")
-            granularity, start, end, first, last, label = parts
-            elements.append(CodeElement(
-                granularity, int(start), int(end),
-                tuple(range(int(first), int(last) + 1)), label))
+    for lineno, (granularity, *span, label) in artifacts.records(path, 6):
+        start, end, first, last = (artifacts.field(path, lineno, int, text)
+                                   for text in span)
+        elements.append(CodeElement(granularity, start, end,
+                                    tuple(range(first, last + 1)), label))
     return elements

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .. import artifacts
 from .symbols import (SymbolTable, build_symbols, canon_primitive,
                       resolve_chain, resolve_type_name, simple_arg_name,
                       split_dims)
@@ -295,26 +296,20 @@ def normalize(tree: SyntaxTree, symbols: SymbolTable | None = None,
 
 def write_stream(stream: EnrichedTokenStream, path, comments=()) -> None:
     """Stream file: `#<language> <path>` header, then one line of tokens."""
-    lines = [f"#{stream.language} {stream.file}"]
-    lines.extend(f"# {c}" for c in comments)
-    lines.append(" ".join(t.text for t in stream.tokens))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    artifacts.write_lines(path, (
+        f"#{stream.language} {stream.file}",
+        *(f"# {c}" for c in comments),
+        " ".join(t.text for t in stream.tokens)))
 
 
 def read_stream(path) -> tuple[str, str, list[str]]:
     """Read a stream file back as (language, source path, tokens)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("#"):
+    header = artifacts.first_line(path)
+    if not header.startswith("#"):
         raise ValueError(f"{path}:1: missing `#<language> <path>` header")
-    language, _, source = lines[0][1:].partition(" ")
+    language, _, source = header[1:].partition(" ")
     if not language:
         raise ValueError(f"{path}:1: missing language in header")
-    tokens: list[str] = []
-    for line in lines[1:]:
-        if line.startswith("#"):
-            continue
-        tokens = line.split()
-        break
+    tokens = next((parts for _, parts in artifacts.records(path, sep=None)),
+                  [])
     return language, source, tokens

@@ -63,18 +63,6 @@ def test_history_matches_standalone_loglik():
         corpus_log_likelihood(uniform_init(bitext), bitext), abs=1e-9)
 
 
-def test_thread_count_does_not_change_result():
-    rng = np.random.default_rng(5)
-    bitext = make_toy_bitext(rng, max_pairs=30)
-    table_1 = train_model1(bitext, iterations=5, threads=1)
-    table_3 = train_model1(bitext, iterations=5, threads=3)
-    assert set(table_1) == set(table_3)
-    for source in table_1:
-        for target in table_1[source]:
-            assert table_1[source][target] == pytest.approx(
-                table_3[source][target], abs=1e-9)
-
-
 def test_viterbi_diagonal_on_identical_streams():
     # singleton pairs force an identity-dominant table; the full pair is
     # then linked along its diagonal

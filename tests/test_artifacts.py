@@ -1,0 +1,59 @@
+"""The shared artifact framing: line-numbered errors and atomic writes."""
+
+import re
+import stat
+
+import pytest
+
+from codemap.align import read_alignments, read_table
+from codemap.corpus import read_pair_manifest
+from codemap.embed import load_embeddings
+from codemap.hier import read_element_embeddings, read_skips, write_skips
+from codemap.retrieve import read_rankings, read_report
+from codemap.syntax import read_elements
+
+# each file has one non-numeric field, on line 3
+BAD_NUMBERS = {
+    "link": (read_alignments, "p0\t0-0\np1\t0-0 1-x\n"),
+    "probability": (read_table, "a\tb\t0.5\na\tc\thalf\n"),
+    "similarity": (read_pair_manifest,
+                   "x\tx.java\tx.cs\t1.0\ny\ty.java\ty.cs\thigh\n"),
+    "element index": (read_elements, "statement\t0\t5\t0\t2\tdecl_stmt\n"
+                                     "statement\t6\t9\t3\tx\tdecl_stmt\n"),
+    "rank": (read_rankings, "a:q\t1\tb:x\t0.5\na:q\tsecond\tb:y\t0.4\n"),
+    "report value": (read_report, "map@1\t0.5\np@1\tgood\n"),
+    "embedding value": (load_embeddings, "1 2\na:y 1 y\n"),
+    "coverage": (read_element_embeddings,
+                 "1 2 uniform\ne1 1 2 full\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_bad_number_names_its_line(tmp_path, case):
+    reader, body = BAD_NUMBERS[case]
+    path = tmp_path / "artifact"
+    path.write_text("# provenance\n" + body)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3:")):
+        reader(path)
+
+
+def test_failed_write_keeps_previous_artifact(tmp_path):
+    out = tmp_path / "compose_skips.tsv"
+    write_skips(out, ["e1", "e2"], comments=["first run"])
+    before = out.read_bytes()
+
+    def crashing():
+        yield "e3"
+        raise RuntimeError("stage crashed mid-write")
+
+    with pytest.raises(RuntimeError):
+        write_skips(out, crashing(), comments=["second run"])
+    assert out.read_bytes() == before
+    assert read_skips(out) == ["e1", "e2"]
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+    plain = tmp_path / "plain"
+    with open(plain, "w", encoding="utf-8"):
+        pass
+    assert stat.S_IMODE(out.stat().st_mode) == \
+        stat.S_IMODE(plain.stat().st_mode)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from codemap import align, hier, retrieve
 from codemap.cli import main
 
 JAVA_COUNTER = """\
@@ -195,6 +196,24 @@ def test_unparseable_source_is_validation_error(project, tmp_path,
     assert "Broken.java" in capsys.readouterr().err
 
 
+def test_bad_alignment_link_names_file_and_line(project, tmp_path,
+                                                capsys):
+    out = tmp_path / "out"
+    for stage in ("pair", "normalize", "align"):
+        assert _run(stage, "--config", str(project),
+                    "--out-dir", str(out)) == 0
+    path = out / "alignments.pharaoh"
+    lines = path.read_text().splitlines()
+    lineno = next(n for n, line in enumerate(lines, start=1)
+                  if not line.startswith("#"))
+    pair_id = lines[lineno - 1].split("\t")[0]
+    lines[lineno - 1] = f"{pair_id}\t0-x"
+    path.write_text("\n".join(lines) + "\n")
+    assert _run("train", "--config", str(project),
+                "--out-dir", str(out)) == 3
+    assert f"alignments.pharaoh:{lineno}:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # pipeline behaviour
 
@@ -300,3 +319,48 @@ def test_eval_report_scores_identity_tokens(project, tmp_path):
     report = (out / "report.tsv").read_text()
     assert "map@1\t" in report and "map@5\t" in report
     assert "p@1\t" in report
+
+
+def test_tracer_sees_every_artifact_function(project, tmp_path):
+    from perfbench.tracing import IO_FUNCTIONS, Tracer
+
+    class Recorder(Tracer):
+        """Notes which function each io span wrapped."""
+
+        def __init__(self):
+            super().__init__("test")
+            self.io_functions = set()
+
+        def call(self, name, fn, args, kwargs):
+            if name.startswith("io."):
+                self.io_functions.add(fn.__name__)
+            return super().call(name, fn, args, kwargs)
+
+    (project.parent / "reference.tsv").write_text("a:int\tb:int\n")
+    config = project.parent / "with_ref.cfg"
+    config.write_text(CONFIG + "retrieve.reference = reference.tsv\n")
+    out = tmp_path / "out"
+    tracer = Recorder()
+    tracer.install()
+    try:
+        assert _run("run-all", "--config", str(config),
+                    "--out-dir", str(out)) == 0
+        written = tracer.counts["io.bytes_written"]
+        # functions the pipeline never calls, on the run's own artifacts
+        align.read_table(out / "ttable.tsv")
+        hier.read_element_embeddings(out / "element_vecs.txt")
+        hier.read_skips(out / "compose_skips.tsv")
+        retrieve.read_report(out / "report.tsv")
+        retrieve.write_truth(tmp_path / "truth.tsv",
+                             retrieve.read_truth(project.parent /
+                                                 "truth.tsv"))
+    finally:
+        tracer.uninstall()
+    assert tracer.io_functions == {name for names in IO_FUNCTIONS.values()
+                                   for name in names}
+    spans = {span[0] for span in tracer.spans}
+    assert {"io.read", "io.write"} <= spans
+    # every artifact of the run went through a traced writer
+    assert written == sum(p.stat().st_size for p in out.rglob("*")
+                          if p.is_file()) > 0
+    assert tracer.counts["io.bytes_read"] > 0
