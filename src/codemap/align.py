@@ -5,12 +5,22 @@ table with a NULL source token, Viterbi linking takes per-target argmaxes,
 and intersecting the two directions yields high-precision links.  Model 1
 has no distortion component: structural keywords recur in near-parallel
 order across the two languages, which is anchor enough here.
+
+EM and Viterbi run on `Model1Table`'s integer index in batches of whole
+segments, at most BATCH_OCCURRENCES occurrences unless one segment is
+longer, to bound the float temporaries.  Occurrences keep the order of a
+loop over pairs, targets and sources, and `np.bincount`/`np.add.at` add in
+input order, so counts, totals and denominators are the left-to-right sums
+of a dict-of-dicts E-step under Python 3.11's `sum` (3.12 compensates it):
+tables and links match it bit for bit.  Per-batch `bincount`s would not.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import artifacts
 
@@ -18,11 +28,12 @@ NULL = "<NULL>"
 
 # a pair is (tokens_a, tokens_b, pair_id)
 Pair = tuple[list[str], list[str], str]
-# nested translation table: t[source][target] = p(target | source)
-TranslationTable = dict[str, dict[str, float]]
+# t[source][target] = p(target | source): a dict of dicts or a Model1Table
+TranslationTable = Mapping[str, Mapping[str, float]]
 
 PROB_FLOOR = 1e-12
 TABLE_WRITE_MIN_PROB = 1e-6
+BATCH_OCCURRENCES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -78,47 +89,110 @@ def _split(tokens: list[str], max_len: int, boundary_token: str) -> list[list[st
     return segments
 
 
-def uniform_init(bitext: list[Pair]) -> TranslationTable:
-    cooc: dict[str, dict[str, None]] = {NULL: {}}
-    for tokens_a, tokens_b, _ in bitext:
-        targets = dict.fromkeys(tokens_b)
-        cooc[NULL].update(targets)
-        for token in tokens_a:
-            cooc.setdefault(token, {}).update(targets)
-    table: TranslationTable = {}
-    for source, targets in cooc.items():
-        p = 1.0 / len(targets) if targets else 0.0
-        table[source] = {target: p for target in targets}
-    return table
+class Model1Table(Mapping):
+    """A direction's index, read as `table[source][target]` (rows are
+    built on access).  Each occurrence (pair, target position, source
+    position with NULL first) has an int32 `cell`, the id of a distinct
+    (source, target); a target position's occurrences form a segment.  `t`
+    is each cell's probability in `table`, or uniform over a source's."""
+
+    def __init__(self, bitext: list[Pair], table=None):
+        self.source_ids, target_ids = {NULL: 0}, {}
+        keys = [np.zeros(0, np.int64)]
+        for tokens_a, tokens_b, _ in bitext:
+            src = np.array([0] + [self.source_ids.setdefault(
+                token, len(self.source_ids)) for token in tokens_a])
+            tgt = np.array([target_ids.setdefault(token, len(target_ids))
+                            for token in tokens_b], dtype=np.int64)
+            keys.append((src << 32 | tgt[:, None]).ravel())
+        self.sources, self.targets = list(self.source_ids), list(target_ids)
+        self.pair_ids = [pair_id for _, _, pair_id in bitext]
+        # cell ids from one argsort: np.unique's inverse holds more copies
+        keys = np.concatenate(keys)
+        order = np.argsort(keys)
+        keys = keys[order]
+        new = np.ones(len(keys), bool)
+        new[1:] = keys[1:] != keys[:-1]
+        self.cell = np.empty(len(keys), np.int32)
+        self.cell[order] = np.cumsum(new, dtype=np.int32) - 1
+        cells = keys[new]
+        self.cell_src = (cells >> 32).astype(np.int32)
+        self.cell_tgt = (cells & 0xFFFFFFFF).astype(np.int32)
+        self.rows = np.searchsorted(self.cell_src,
+                                    np.arange(len(self.sources) + 1))
+        lengths = [len(tokens_b) for _, tokens_b, _ in bitext]
+        self.pair_segs = np.cumsum([0] + lengths)
+        self.seg_offsets = np.cumsum([0, *np.repeat(
+            [len(tokens_a) + 1 for tokens_a, _, _ in bitext], lengths)])
+        self.t = 1.0 / np.diff(self.rows)[self.cell_src]
+        if table is not None:
+            rows = [table.get(source, {}) for source in self.sources]
+            self.t = np.array([rows[s].get(self.targets[k], 0.0) for s, k in
+                               zip(self.cell_src.tolist(),
+                                   self.cell_tgt.tolist())])
+
+    def __getitem__(self, source):
+        lo, hi = self.rows[self.source_ids[source]:][:2]
+        if lo == hi:
+            raise KeyError(source)
+        targets = [self.targets[k] for k in self.cell_tgt[lo:hi].tolist()]
+        return dict(zip(targets, self.t[lo:hi].tolist()))
+
+    def __iter__(self):
+        return (self.sources[s] for s in np.flatnonzero(np.diff(self.rows)))
+
+    def __len__(self):
+        return int(np.count_nonzero(np.diff(self.rows)))
+
+    def batches(self):
+        """Per batch: cells, `t` of cells, each occurrence's segment counted
+        from the batch's first, and segment starts and sizes."""
+        offsets, first = self.seg_offsets, 0
+        while first < len(offsets) - 1:
+            end = max(first + 1, int(np.searchsorted(
+                offsets, offsets[first] + BATCH_OCCURRENCES, "right")) - 1)
+            cells = self.cell[offsets[first]:offsets[end]]
+            sizes = np.diff(offsets[first:end + 1])
+            yield (cells, self.t[cells], np.repeat(np.arange(end - first),
+                   sizes), offsets[first:end] - offsets[first], sizes)
+            first = end
+
+    def e_step(self):
+        """Expected counts per cell and totals per source under `t`, and
+        the corpus log-likelihood (the one sum taken in another order)."""
+        counts, totals = np.zeros(len(self.t)), np.zeros(len(self.sources))
+        loglik = 0.0
+        for cells, p, seg, _, sizes in self.batches():
+            denom = np.bincount(seg, weights=p, minlength=len(sizes))
+            loglik += float(np.sum(np.log(np.maximum(denom, PROB_FLOOR))
+                                   - np.log(sizes)))
+            # a zero denominator has only zero shares
+            share = p / np.where(denom > 0.0, denom, 1.0)[seg]
+            np.add.at(counts, cells, share)
+            np.add.at(totals, self.cell_src[cells], share)
+        return counts, totals, loglik
+
+    def viterbi(self) -> list[AlignmentLinkSet]:
+        """Per pair, the links (i, j) from each target position j to the
+        first maximum of its segment, none where that is NULL."""
+        best = []
+        for _, p, seg, starts, _ in self.batches():
+            top = np.maximum.reduceat(p, starts)[seg]
+            offsets = np.arange(len(p)) - starts[seg]
+            best += (np.minimum.reduceat(np.where(p == top, offsets, len(p)),
+                                         starts) - 1).tolist()
+        bounds = self.pair_segs.tolist()
+        return [AlignmentLinkSet(pair_id, frozenset(
+            (i, j) for j, i in enumerate(best[lo:hi]) if i >= 0))
+            for pair_id, lo, hi in zip(self.pair_ids, bounds, bounds[1:])]
 
 
-def _e_step(bitext: list[Pair], table: TranslationTable):
-    """One E-step over the bitext; returns (counts, totals, log-lik)."""
-    counts: dict[str, dict[str, float]] = {}
-    totals: dict[str, float] = {}
-    loglik = 0.0
-    for tokens_a, tokens_b, _ in bitext:
-        sources = [NULL] + tokens_a
-        norm = math.log(len(sources))
-        for target in tokens_b:
-            probs = [table.get(source, {}).get(target, 0.0)
-                     for source in sources]
-            denom = sum(probs)
-            loglik += math.log(max(denom, PROB_FLOOR)) - norm
-            if denom <= 0.0:
-                continue
-            for source, p in zip(sources, probs):
-                if p == 0.0:
-                    continue
-                share = p / denom
-                row = counts.setdefault(source, {})
-                row[target] = row.get(target, 0.0) + share
-                totals[source] = totals.get(source, 0.0) + share
-    return counts, totals, loglik
+def uniform_init(bitext: list[Pair]) -> Model1Table:
+    return Model1Table(bitext)
 
 
 def train_model1(bitext: list[Pair], iterations: int = 10,
-                 log_likelihoods: list | None = None) -> TranslationTable:
+                 log_likelihoods: list | None = None) -> Model1Table:
     """EM-train a translation table from uniform initialization.
 
     `log_likelihoods`, when given, receives the corpus log-likelihood under
@@ -130,37 +204,24 @@ def train_model1(bitext: list[Pair], iterations: int = 10,
         raise ValueError("iterations must be >= 1")
     table = uniform_init(bitext)
     for _ in range(iterations):
-        counts, totals, loglik = _e_step(bitext, table)
+        counts, totals, loglik = table.e_step()
         if log_likelihoods is not None:
             log_likelihoods.append(loglik)
-        table = {source: {target: value / totals[source]
-                          for target, value in row.items()}
-                 for source, row in counts.items()}
+        table.t = np.divide(counts, totals[table.cell_src],
+                            out=np.zeros_like(counts), where=counts > 0.0)
     return table
 
 
 def corpus_log_likelihood(table: TranslationTable,
                           bitext: list[Pair]) -> float:
     """Sum over pairs and targets of log p(b_j | a), NULL included."""
-    return _e_step(bitext, table)[2]
+    return Model1Table(bitext, table).e_step()[2]
 
 
 def viterbi_align(table: TranslationTable, tokens_a: list[str],
                   tokens_b: list[str], pair_id: str = "") -> AlignmentLinkSet:
     """Per-target argmax links; NULL and earlier sources win ties."""
-    links = set()
-    null_row = table.get(NULL, {})
-    for j, target in enumerate(tokens_b):
-        best = null_row.get(target, 0.0)
-        best_i = None
-        for i, source in enumerate(tokens_a):
-            p = table.get(source, {}).get(target, 0.0)
-            if p > best:
-                best = p
-                best_i = i
-        if best_i is not None:
-            links.add((best_i, j))
-    return AlignmentLinkSet(pair_id, frozenset(links))
+    return Model1Table([(tokens_a, tokens_b, pair_id)], table).viterbi()[0]
 
 
 def symmetrize(forward: AlignmentLinkSet, backward: AlignmentLinkSet,
@@ -180,22 +241,18 @@ def symmetrize(forward: AlignmentLinkSet, backward: AlignmentLinkSet,
 
 
 def align_bitext(bitext: list[Pair], iterations: int = 10,
-                 mode: str = "intersection",
-                 ) -> tuple[list[AlignmentLinkSet], TranslationTable]:
+                 mode: str = "intersection", log_likelihoods=None,
+                 ) -> tuple[list[AlignmentLinkSet], Model1Table]:
     """Train both directions and emit symmetrized links per pair.
 
     Returns the link sets (in bitext order) and the forward (a -> b)
-    translation table.
+    translation table; `log_likelihoods` receives the forward EM history.
     """
-    forward_table = train_model1(bitext, iterations)
-    reversed_bitext = [(b, a, pid) for a, b, pid in bitext]
-    backward_table = train_model1(reversed_bitext, iterations)
-    out = []
-    for tokens_a, tokens_b, pair_id in bitext:
-        fwd = viterbi_align(forward_table, tokens_a, tokens_b, pair_id)
-        bwd = viterbi_align(backward_table, tokens_b, tokens_a, pair_id)
-        out.append(symmetrize(fwd, bwd, mode))
-    return out, forward_table
+    forward = train_model1(bitext, iterations, log_likelihoods)
+    backward = train_model1([(b, a, pid) for a, b, pid in bitext],
+                            iterations)
+    return [symmetrize(fwd, bwd, mode) for fwd, bwd
+            in zip(forward.viterbi(), backward.viterbi())], forward
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,13 @@ def _expect_fields(path, lineno, parts, fields):
                          f"got {len(parts)}")
 
 
+def check_field(path, what, text):
+    """`text`, refused if it would not read back as one field."""
+    if text.split() != [text]:
+        raise ValueError(f"{path}: {what} {text!r} is empty or has whitespace")
+    return text
+
+
 def _floats(texts):
     return np.array(texts, dtype=np.float64)
 
@@ -85,7 +92,7 @@ def write_vectors(path, ids, matrix, comments=(), tag=None,
         for row, (item, vector) in enumerate(zip(ids, matrix)):
             values = " ".join(f"{x:.9g}" for x in vector)
             extra = "" if extras is None else f" {extras[row]:.9g}"
-            yield f"{item} {values}{extra}"
+            yield f"{check_field(path, 'id', item)} {values}{extra}"
     write_lines(path, lines(), comments)
 
 

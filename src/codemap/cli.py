@@ -106,15 +106,17 @@ def stage_align(cfg, out_dir, prov):
     bitext = _read_bitext(cfg, out_dir)
     if not bitext:
         raise ValueError("no non-empty stream pairs; nothing to align")
-    links, table = align.align_bitext(bitext,
-                                      iterations=cfg.align_iterations,
-                                      mode=cfg.symmetrization)
+    history = []
+    links, table = align.align_bitext(
+        bitext, iterations=cfg.align_iterations, mode=cfg.symmetrization,
+        log_likelihoods=history)
     align.write_alignments(links, out_dir / "alignments.pharaoh",
                            comments=(prov,))
     align.write_table(table, out_dir / "ttable.tsv", comments=(prov,))
     n_links = sum(len(s.links) for s in links)
     _summary("align", f"{len(bitext)} aligned chunks, {n_links} links, "
-             f"{cfg.align_iterations} EM iterations", t0)
+             f"{cfg.align_iterations} EM iterations, loglik "
+             f"{history[0]:.1f} -> {history[-1]:.1f}", t0)
 
 
 def stage_train(cfg, out_dir, prov):

@@ -299,7 +299,8 @@ def write_stream(stream: EnrichedTokenStream, path, comments=()) -> None:
     artifacts.write_lines(path, (
         f"#{stream.language} {stream.file}",
         *(f"# {c}" for c in comments),
-        " ".join(t.text for t in stream.tokens)))
+        " ".join(artifacts.check_field(path, "token", t.text)
+                 for t in stream.tokens)))
 
 
 def read_stream(path) -> tuple[str, str, list[str]]:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from codemap import align
 from codemap.align import (NULL, AlignmentLinkSet, align_bitext,
                            build_bitext, corpus_log_likelihood,
                            read_alignments, read_table, symmetrize,
@@ -89,6 +90,91 @@ def test_viterbi_tie_prefers_smallest_index():
     table = {NULL: {}, "a": {"x": 0.9}}
     links = viterbi_align(table, ["a", "a"], ["x"], "p")
     assert links.links == frozenset({(0, 0)})
+
+
+def test_viterbi_tie_with_null_leaves_target_unlinked():
+    table = {NULL: {"x": 0.5}, "a": {"x": 0.5}}
+    assert viterbi_align(table, ["a"], ["x"], "p").links == frozenset()
+    # one pair: NULL and "a" both reach p(x) = 1 after an iteration
+    trained = train_model1([(["a"], ["x"], "p")], iterations=1)
+    assert trained[NULL]["x"] == trained["a"]["x"] == 1.0
+    assert trained.viterbi() == [AlignmentLinkSet("p", frozenset())]
+
+
+def test_viterbi_all_zero_target_unlinked():
+    table = {NULL: {"x": 0.0}, "a": {"x": 0.0, "y": 1.0}}
+    links = viterbi_align(table, ["a", "a"], ["x", "y"], "p")
+    assert links.links == frozenset({(0, 1)})
+
+
+def _oracle_model1(bitext, iterations):
+    """Nested-dict Model 1 EM, the reference the index kernels must equal
+    bit for bit: (table, log-likelihood history)."""
+    cooc = {NULL: {}}
+    for tokens_a, tokens_b, _ in bitext:
+        for source in [NULL] + tokens_a:
+            cooc.setdefault(source, {}).update(dict.fromkeys(tokens_b))
+    table = {s: {t: 1.0 / len(row) for t in row} for s, row in cooc.items()}
+    history = []
+    for _ in range(iterations):
+        counts, totals, loglik = {}, {}, 0.0
+        for tokens_a, tokens_b, _ in bitext:
+            sources = [NULL] + tokens_a
+            for target in tokens_b:
+                probs = [table.get(s, {}).get(target, 0.0) for s in sources]
+                denom = sum(probs)
+                loglik += math.log(max(denom, 1e-12)) - math.log(len(sources))
+                if denom <= 0.0:
+                    continue
+                for source, p in zip(sources, probs):
+                    if p == 0.0:
+                        continue
+                    share = p / denom
+                    row = counts.setdefault(source, {})
+                    row[target] = row.get(target, 0.0) + share
+                    totals[source] = totals.get(source, 0.0) + share
+        history.append(loglik)
+        table = {s: {t: v / totals[s] for t, v in row.items()}
+                 for s, row in counts.items()}
+    return table, history
+
+
+def _oracle_viterbi(table, tokens_a, tokens_b):
+    links = set()
+    for j, target in enumerate(tokens_b):
+        best, best_i = table.get(NULL, {}).get(target, 0.0), None
+        for i, source in enumerate(tokens_a):
+            if table.get(source, {}).get(target, 0.0) > best:
+                best, best_i = table[source][target], i
+        if best_i is not None:
+            links.add((best_i, j))
+    return frozenset(links)
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+def test_index_kernels_equal_the_dict_oracle(batch, monkeypatch):
+    if batch is not None:
+        # every segment (target position) becomes a batch of its own
+        monkeypatch.setattr(align, "BATCH_OCCURRENCES", batch)
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        bitext = make_toy_bitext(rng, max_vocab=5)
+        expected, expected_history = _oracle_model1(bitext, 6)
+        backward, _ = _oracle_model1([(b, a, p) for a, b, p in bitext], 6)
+        history = []
+        table = train_model1(bitext, 6, log_likelihoods=history)
+        if batch is not None:
+            segments = len(table.seg_offsets) - 1
+            assert len(list(table.batches())) == segments
+        assert dict(table) == expected
+        assert history == pytest.approx(expected_history, abs=1e-9)
+        link_sets, _ = align_bitext(bitext, 6)
+        for (tokens_a, tokens_b, pair_id), fwd, merged in zip(
+                bitext, table.viterbi(), link_sets):
+            assert fwd.links == _oracle_viterbi(expected, tokens_a, tokens_b)
+            assert viterbi_align(table, tokens_a, tokens_b, pair_id) == fwd
+            bwd = _oracle_viterbi(backward, tokens_b, tokens_a)
+            assert merged.links == fwd.links & {(i, j) for j, i in bwd}
 
 
 def test_symmetrize_idempotent_and_set_ops():

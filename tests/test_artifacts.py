@@ -5,12 +5,16 @@ import stat
 
 import pytest
 
+import numpy as np
+
 from codemap.align import read_alignments, read_table
 from codemap.corpus import read_pair_manifest
-from codemap.embed import load_embeddings
+from codemap.embed import (EmbeddingTable, Vocabulary, load_embeddings,
+                           save_embeddings)
 from codemap.hier import read_element_embeddings, read_skips, write_skips
 from codemap.retrieve import read_rankings, read_report
-from codemap.syntax import read_elements
+from codemap.syntax import read_elements, write_stream
+from codemap.syntax.normalize import EnrichedToken, EnrichedTokenStream
 
 # each file has one non-numeric field, on line 3
 BAD_NUMBERS = {
@@ -57,3 +61,19 @@ def test_failed_write_keeps_previous_artifact(tmp_path):
         pass
     assert stat.S_IMODE(out.stat().st_mode) == \
         stat.S_IMODE(plain.stat().st_mode)
+
+
+def test_whitespace_in_a_space_delimited_field_is_refused(tmp_path):
+    vectors = tmp_path / "embeddings.txt"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{vectors}: id 'a:two words'")):
+        save_embeddings(EmbeddingTable(np.ones((2, 2)), np.zeros((2, 2))),
+                        Vocabulary.from_ordered(["a:one", "a:two words"]),
+                        vectors)
+    stream = tmp_path / "x.tok"
+    tokens = [EnrichedToken("int", "primitive", 0, 3),
+              EnrichedToken("a\tb", "literal_kind", 4, 7)]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{stream}: token 'a\\tb'")):
+        write_stream(EnrichedTokenStream("x.java", "java", tokens), stream)
+    assert list(tmp_path.iterdir()) == []

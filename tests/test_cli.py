@@ -1,5 +1,7 @@
 """End-to-end CLI tests on a two-file mini project."""
 
+import re
+
 import pytest
 
 from codemap import align, hier, retrieve
@@ -212,6 +214,35 @@ def test_bad_alignment_link_names_file_and_line(project, tmp_path,
     assert _run("train", "--config", str(project),
                 "--out-dir", str(out)) == 3
     assert f"alignments.pharaoh:{lineno}:" in capsys.readouterr().err
+
+
+def test_space_in_a_source_path_is_refused_at_compose(project, tmp_path,
+                                                      capsys):
+    root = project.parent
+    (root / "ja" / "Counter.java").rename(root / "ja" / "My Counter.java")
+    (root / "cs" / "Counter.cs").rename(root / "cs" / "My Counter.cs")
+    config = root / "statement.cfg"
+    config.write_text(CONFIG + "retrieve.granularity = statement\n")
+    out = tmp_path / "out"
+    assert _run("run-all", "--config", str(config),
+                "--out-dir", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "[train]" in err and "[compose]" not in err
+    assert "element_vecs.txt: id 'a:My Counter.java:" in err
+    assert not (out / "element_vecs.txt").exists()
+    assert not list(out.glob(".*.tmp"))
+
+
+def test_align_summary_reports_em_log_likelihood(project, tmp_path,
+                                                 capsys):
+    out = tmp_path / "out"
+    for stage in ("pair", "normalize", "align"):
+        assert _run(stage, "--config", str(project),
+                    "--out-dir", str(out)) == 0
+    err = capsys.readouterr().err
+    first, last = map(float, re.search(
+        r"\[align\] .*, loglik (-?[\d.]+) -> (-?[\d.]+) \(", err).groups())
+    assert first < 0.0 and last >= first
 
 
 # ---------------------------------------------------------------------------
