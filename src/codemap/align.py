@@ -41,10 +41,6 @@ class AlignmentLinkSet:
     pair_id: str
     links: frozenset  # of (i, j) index pairs
 
-    def __post_init__(self):
-        if len({(i, j) for i, j in self.links}) != len(self.links):
-            raise ValueError("duplicate links")
-
 
 def build_bitext(pairs: list[Pair], max_len: int = 2000,
                  boundary_token: str = "func_decl") -> list[Pair]:
@@ -279,9 +275,11 @@ def read_alignments(path) -> list[AlignmentLinkSet]:
     for lineno, (pair_id, rest) in artifacts.records(path, 2):
         if not pair_id:
             raise ValueError(f"{path}:{lineno}: missing pair id")
-        links = frozenset(artifacts.field(path, lineno, _link, item)
-                          for item in rest.split())
-        out.append(AlignmentLinkSet(pair_id, links))
+        links = [artifacts.field(path, lineno, _link, item)
+                 for item in rest.split()]
+        if len(set(links)) != len(links):
+            raise ValueError(f"{path}:{lineno}: duplicate link")
+        out.append(AlignmentLinkSet(pair_id, frozenset(links)))
     return out
 
 

@@ -86,11 +86,13 @@ def write_vectors(path, ids, matrix, comments=(), tag=None,
     """The vector format shared by embeddings and element vectors: header
     `<n> <d> [tag]`, then `id v1 ... vd [extra]` rows at 9 significant
     digits."""
+    template = " ".join(["%.9g"] * matrix.shape[1])
+
     def lines():
         yield " ".join(str(x) for x in (len(ids), matrix.shape[1], tag)
                        if x is not None)
         for row, (item, vector) in enumerate(zip(ids, matrix)):
-            values = " ".join(f"{x:.9g}" for x in vector)
+            values = template % tuple(vector.tolist())
             extra = "" if extras is None else f" {extras[row]:.9g}"
             yield f"{check_field(path, 'id', item)} {values}{extra}"
     write_lines(path, lines(), comments)

@@ -14,6 +14,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, align, corpus, embed, hier, retrieve
 from .config import config_hash, parse_config, provenance
 from .syntax import (ParseError, build_symbols, extract_elements, normalize,
@@ -191,24 +193,23 @@ def stage_map(cfg, out_dir, prov, k=None):
                 if element_id.rsplit(":", 2)[1] == cfg.granularity]
         ids = [all_ids[row] for row in keep]
         matrix = matrix[keep]
-    query_side = cfg.side[0]
-    queries = []
-    zero_skipped = 0
-    for row, element_id in enumerate(ids):
-        if retrieve.element_side(element_id) != query_side:
-            continue
-        vector = tuple(matrix[row])
-        if not any(vector):
-            zero_skipped += 1
-            continue
-        queries.append(retrieve.Query(element_id, vector, cfg.side, k))
+    on_query_side = np.array([retrieve.element_side(i) == cfg.side[0]
+                              for i in ids], dtype=bool)
+    nonzero = np.any(matrix != 0, axis=1)
+    queries = [retrieve.Query(ids[row], tuple(matrix[row].tolist()),
+                              cfg.side, k)
+               for row in np.flatnonzero(on_query_side & nonzero).tolist()]
+    zero_skipped = int(np.count_nonzero(on_query_side & ~nonzero))
+    is_candidate = ~on_query_side & nonzero
+    distinct = len(retrieve.distinct_rows(matrix[is_candidate])[0])
     rankings = retrieve.run_queries(queries, ids, matrix)
     retrieve.write_rankings(out_dir / "mappings" / f"{cfg.granularity}.tsv",
                             rankings, comments=(prov,))
     note = f", {zero_skipped} zero-vector queries skipped" \
         if zero_skipped else ""
-    _summary("map", f"{len(queries)} {cfg.granularity} queries "
-             f"({cfg.side}), top-{k}{note}", t0)
+    _summary("map", f"{len(queries)} {cfg.granularity} queries ({cfg.side}) "
+             f"against {np.count_nonzero(is_candidate)} candidates "
+             f"({distinct} distinct), top-{k}{note}", t0)
     return rankings
 
 

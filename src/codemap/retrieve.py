@@ -16,6 +16,7 @@ import numpy as np
 from . import artifacts
 
 SIDES = ("a2b", "b2a")
+SCORE_BLOCK = 1 << 16  # floats in one block of query-candidate scores
 
 
 def cosine(u, v):
@@ -55,43 +56,80 @@ def element_side(element_id):
     return side
 
 
-def rank_neighbors(query_vec, ids, matrix, k):
-    """Top-k candidates by cosine, ties broken by id.
+def distinct_rows(matrix):
+    """(unique rows, index of each row's unique row): the one notion of
+    identical vectors that ranking and the map summary share.  Asking for
+    the inverse also keeps np.unique from importing numpy.ma (≈1 MB)."""
+    return np.unique(matrix, axis=0, return_inverse=True)
 
-    Zero-norm candidate rows have no cosine and are left out.
+
+def rank_batch(query_vecs, ids, matrix, k):
+    """Top-k candidates by cosine for every query row, ties broken by id.
+
+    Zero-norm candidate rows have no cosine and are left out.  Identical
+    candidate vectors, and identical queries, share one computed score, so
+    their order never depends on where BLAS put them.  Scores are
+    computed for as many query rows at a time as fit in SCORE_BLOCK
+    floats (one row at least); every score equal to the k-th is kept for
+    the tie-break.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    query_vec = np.asarray(query_vec, dtype=float)
-    query_norm = np.linalg.norm(query_vec)
-    if query_norm == 0.0:
+    queries, query_of = distinct_rows(np.asarray(query_vecs, dtype=float))
+    query_norms = np.linalg.norm(queries, axis=1)
+    if np.any(query_norms == 0.0):
         raise ValueError("cosine undefined for zero vector")
     if len(ids) != matrix.shape[0]:
         raise ValueError("ids and matrix disagree on length")
-    if len(ids) == 0:
-        return []
     norms = np.linalg.norm(matrix, axis=1)
-    keep = norms > 0.0
-    sims = (matrix[keep] @ query_vec) / (norms[keep] * query_norm)
-    kept_ids = [i for i, ok in zip(ids, keep) if ok]
-    order = sorted(range(len(kept_ids)),
-                   key=lambda j: (-sims[j], kept_ids[j]))
-    return [(kept_ids[j], float(sims[j])) for j in order[:k]]
+    keep = np.flatnonzero(norms > 0.0)
+    kept_ids = [ids[row] for row in keep.tolist()]
+    n = len(kept_ids)
+    if n == 0:
+        return [[] for _ in query_of]
+    id_rank = np.empty(n, dtype=np.intp)
+    id_rank[sorted(range(n), key=kept_ids.__getitem__)] = np.arange(n)
+    vectors, vector_of = distinct_rows(matrix[keep])
+    vector_norms = np.linalg.norm(vectors, axis=1)
+    top = min(k, n)
+    ranked = []
+    block_rows = max(1, SCORE_BLOCK // n)
+    for start in range(0, len(queries), block_rows):
+        block = slice(start, start + block_rows)
+        sims = ((queries[block] @ vectors.T)
+                / (vector_norms * query_norms[block, None]))[:, vector_of]
+        kth = np.partition(sims, n - top, axis=1)[:, n - top]
+        hit_row, hit = np.nonzero(sims >= kth[:, None])
+        hit_sims = sims[hit_row, hit]
+        order = np.lexsort((id_rank[hit], -hit_sims, hit_row))
+        counts = np.bincount(hit_row, minlength=len(sims))
+        for first in (np.cumsum(counts) - counts).tolist():
+            best = order[first:first + top]
+            ranked.append(list(zip([kept_ids[j] for j in hit[best].tolist()],
+                                   hit_sims[best].tolist())))
+    return [list(ranked[q]) for q in query_of.tolist()]
+
+
+def rank_neighbors(query_vec, ids, matrix, k):
+    """Top-k candidates of one query: a batch of one for rank_batch."""
+    return rank_batch([query_vec], ids, matrix, k)[0]
 
 
 def run_queries(queries, ids, matrix):
-    """Rank each query against the candidates on its target side."""
+    """Rank each query against the candidates on its target side, with
+    one rank_batch call per side and k."""
     by_side = {"a": [], "b": []}
     for row, element_id in enumerate(ids):
         by_side[element_side(element_id)].append(row)
-    rankings = {}
+    groups: dict[tuple, list] = {}
     for query in queries:
-        target = "b" if query.side == "a2b" else "a"
-        rows = by_side[target]
-        sub = matrix[rows] if rows else matrix[:0]
-        sub_ids = [ids[r] for r in rows]
-        rankings[query.id] = rank_neighbors(query.vector, sub_ids, sub,
-                                            query.k)
+        groups.setdefault((query.side, query.k), []).append(query)
+    rankings = {}
+    for (side, k), group in groups.items():
+        rows = by_side["b" if side == "a2b" else "a"]
+        rankings.update(zip([query.id for query in group], rank_batch(
+            [query.vector for query in group], [ids[r] for r in rows],
+            matrix[rows], k)))
     return rankings
 
 

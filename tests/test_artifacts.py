@@ -7,6 +7,7 @@ import pytest
 
 import numpy as np
 
+from codemap import artifacts
 from codemap.align import read_alignments, read_table
 from codemap.corpus import read_pair_manifest
 from codemap.embed import (EmbeddingTable, Vocabulary, load_embeddings,
@@ -77,3 +78,11 @@ def test_whitespace_in_a_space_delimited_field_is_refused(tmp_path):
             f"{stream}: token 'a\\tb'")):
         write_stream(EnrichedTokenStream("x.java", "java", tokens), stream)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_vector_rows_print_each_value_at_nine_digits(tmp_path):
+    vector = [1 / 3, -0.0, 1e-300, 123456789012.0, -2.5e-7, np.inf, np.nan]
+    path = tmp_path / "vectors.txt"
+    artifacts.write_vectors(path, ["x"], np.array([vector]), extras=[0.5])
+    assert path.read_text().splitlines() == [
+        "1 7", "x " + " ".join(f"{x:.9g}" for x in vector) + " 0.5"]

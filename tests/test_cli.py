@@ -216,6 +216,24 @@ def test_bad_alignment_link_names_file_and_line(project, tmp_path,
     assert f"alignments.pharaoh:{lineno}:" in capsys.readouterr().err
 
 
+def test_repeated_alignment_link_is_refused(project, tmp_path, capsys):
+    out = tmp_path / "out"
+    for stage in ("pair", "normalize", "align"):
+        assert _run(stage, "--config", str(project),
+                    "--out-dir", str(out)) == 0
+    path = out / "alignments.pharaoh"
+    lines = path.read_text().splitlines()
+    lineno = next(n for n, line in enumerate(lines, start=1)
+                  if not line.startswith("#"))
+    pair_id = lines[lineno - 1].split("\t")[0]
+    lines[lineno - 1] = f"{pair_id}\t0-0 0-0"
+    path.write_text("\n".join(lines) + "\n")
+    assert _run("train", "--config", str(project),
+                "--out-dir", str(out)) == 3
+    assert f"alignments.pharaoh:{lineno}: duplicate link" in \
+        capsys.readouterr().err
+
+
 def test_space_in_a_source_path_is_refused_at_compose(project, tmp_path,
                                                       capsys):
     root = project.parent
@@ -243,6 +261,30 @@ def test_align_summary_reports_em_log_likelihood(project, tmp_path,
     first, last = map(float, re.search(
         r"\[align\] .*, loglik (-?[\d.]+) -> (-?[\d.]+) \(", err).groups())
     assert first < 0.0 and last >= first
+
+
+def test_map_summary_counts_distinct_candidates(project, tmp_path, capsys):
+    root = project.parent
+    (root / "cs" / "Counter.cs").write_text(CSHARP_COUNTER.replace(
+        "this.total = 0;", "this.total = 0;\n            this.total = 0;"))
+    config = root / "statement.cfg"
+    config.write_text(CONFIG + "retrieve.granularity = statement\n")
+    out = tmp_path / "out"
+    for stage in ("pair", "normalize", "align", "train", "compose"):
+        assert _run(stage, "--config", str(config),
+                    "--out-dir", str(out)) == 0
+    assert _run("map", "--config", str(config), "--out-dir", str(out),
+                "--k", "9") == 0
+    assert re.search(r"\[map\] 8 statement queries \(a2b\) against "
+                     r"9 candidates \(8 distinct\), top-9 \(",
+                     capsys.readouterr().err)
+    twins = ("b:Counter.cs:statement:2", "b:Counter.cs:statement:3")
+    rankings = retrieve.read_rankings(out / "mappings" / "statement.tsv")
+    for ranked in rankings.values():
+        targets = [target for target, _ in ranked]
+        first = targets.index(twins[0])
+        assert targets[first + 1] == twins[1]
+        assert ranked[first][1] == ranked[first + 1][1]
 
 
 # ---------------------------------------------------------------------------

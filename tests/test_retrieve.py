@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codemap import retrieve
 from codemap.retrieve import (MappingReport, Query, average_precision,
                               cosine, diff_reference, element_side,
                               evaluate_map, precision_at, rank_neighbors,
@@ -99,6 +100,81 @@ def test_run_queries_filters_by_side():
     rankings = run_queries([Query("b:two", (0.0, 1.0), "b2a", k=5)],
                            ids, matrix)
     assert [i for i, _ in rankings["b:two"]] == ["a:one"]
+
+
+def oracle_rank_neighbors(query_vec, ids, matrix, k):
+    """The per-query ranking that the batched kernel replaced."""
+    query_vec = np.asarray(query_vec, dtype=float)
+    query_norm = np.linalg.norm(query_vec)
+    if len(ids) == 0:
+        return []
+    norms = np.linalg.norm(matrix, axis=1)
+    keep = norms > 0.0
+    sims = (matrix[keep] @ query_vec) / (norms[keep] * query_norm)
+    kept_ids = [i for i, ok in zip(ids, keep) if ok]
+    order = sorted(range(len(kept_ids)),
+                   key=lambda j: (-sims[j], kept_ids[j]))
+    return [(kept_ids[j], float(sims[j])) for j in order[:k]]
+
+
+def oracle_run_queries(queries, ids, matrix):
+    by_side = {"a": [], "b": []}
+    for row, element_id in enumerate(ids):
+        by_side[element_side(element_id)].append(row)
+    rankings = {}
+    for query in queries:
+        target = "b" if query.side == "a2b" else "a"
+        rows = by_side[target]
+        sub = matrix[rows] if rows else matrix[:0]
+        sub_ids = [ids[r] for r in rows]
+        rankings[query.id] = oracle_rank_neighbors(query.vector, sub_ids,
+                                                   sub, query.k)
+    return rankings
+
+
+def random_retrieval_case(rng):
+    """Ids, matrix and queries with planted duplicate, parallel and zero
+    rows on both sides.  Entries are small integers, so every dot product
+    and squared norm is exact and any BLAS kernel yields the oracle's
+    floats bit for bit."""
+    dim = int(rng.integers(1, 4))
+    base = rng.integers(-2, 3, size=(int(rng.integers(2, 12)), dim))
+    picks = rng.integers(0, len(base), size=int(rng.integers(4, 40)))
+    scale = rng.choice([1, 1, 1, 2, 3], size=len(picks))
+    matrix = (base[picks] * scale[:, None]).astype(float)
+    matrix[rng.random(len(matrix)) < 0.1] = 0.0
+    names = rng.permutation(len(matrix))
+    ids = [f"{rng.choice(['a', 'b'])}:e{name:02d}" for name in names]
+    queries = []
+    for row in rng.permutation(len(matrix))[:12]:
+        if matrix[row].any():
+            side = "a2b" if ids[row].startswith("a:") else "b2a"
+            k = int(rng.choice([1, 2, 3, len(matrix) + 2]))
+            queries.append(Query(ids[row], tuple(matrix[row]), side, k))
+    return ids, matrix, queries
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_batched_ranking_equals_per_query_oracle(block, monkeypatch):
+    if block is not None:  # one query row per score block
+        monkeypatch.setattr(retrieve, "SCORE_BLOCK", block)
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        ids, matrix, queries = random_retrieval_case(rng)
+        assert run_queries(queries, ids, matrix) == \
+            oracle_run_queries(queries, ids, matrix)
+        for query in queries[:3]:
+            assert rank_neighbors(query.vector, ids, matrix, query.k) == \
+                oracle_rank_neighbors(query.vector, ids, matrix, query.k)
+
+
+def test_tie_group_straddling_k_is_ordered_by_id():
+    ids = ["b:d", "b:a", "b:c", "b:e", "b:b"]
+    matrix = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 0.0],
+                       [3.0, 0.0]])
+    ranked = rank_neighbors([1.0, 0.0], ids, matrix, k=3)
+    assert ranked == [("b:a", 1.0), ("b:b", 1.0), ("b:d", 1.0)]
+    assert ranked == oracle_rank_neighbors([1.0, 0.0], ids, matrix, k=3)
 
 
 # ---------------------------------------------------------------------------
