@@ -1,18 +1,18 @@
 """IBM Model 1 word alignment with bidirectional symmetrization.
 
-Streams from paired files form a bitext; EM learns a lexical translation
-table with a NULL source token, Viterbi linking takes per-target argmaxes,
-and intersecting the two directions yields high-precision links.  Model 1
-has no distortion component: structural keywords recur in near-parallel
-order across the two languages, which is anchor enough here.
+Paired token streams form a bitext, indexed once as integer ids
+(`Bitext`) for alignment and training alike.  EM learns a lexical
+translation table with a NULL source, Viterbi takes per-target argmaxes,
+and intersecting both directions yields high-precision links.  Model 1
+has no distortion: keywords recur in near-parallel order across languages.
 
-EM and Viterbi run on `Model1Table`'s integer index in batches of whole
-segments, at most BATCH_OCCURRENCES occurrences unless one segment is
-longer, to bound the float temporaries.  Occurrences keep the order of a
-loop over pairs, targets and sources, and `np.bincount`/`np.add.at` add in
-input order, so counts, totals and denominators are the left-to-right sums
-of a dict-of-dicts E-step under Python 3.11's `sum` (3.12 compensates it):
-tables and links match it bit for bit.  Per-batch `bincount`s would not.
+Each direction's `Model1Table` numbers its (source, target) cells from
+those ids; EM and Viterbi run in batches of whole segments, at most
+BATCH_OCCURRENCES occurrences unless one segment is longer.  Occurrences
+keep the order of a loop over pairs, targets and sources, and
+`np.bincount`/`np.add.at` add in input order: counts, totals and
+denominators equal a dict-of-dicts E-step's left-to-right sums under
+Python 3.11 (3.12 compensates `sum`), bit for bit; per-batch sums differ.
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ BATCH_OCCURRENCES = 1 << 16
 class AlignmentLinkSet:
     pair_id: str
     links: frozenset  # of (i, j) index pairs
+
+
+class StaleLinks(ValueError):
+    """Alignment links that do not fit the bitext's chunks."""
 
 
 def build_bitext(pairs: list[Pair], max_len: int = 2000,
@@ -85,26 +89,106 @@ def _split(tokens: list[str], max_len: int, boundary_token: str) -> list[list[st
     return segments
 
 
+class Bitext(tuple):
+    """The chunked bitext, a tuple of (tokens_a, tokens_b, pair_id), with
+    its one integer index, the only place token strings become ids:
+    `tokens` is the tagged vocabulary (`a:`/`b:`) in (-count, token)
+    order with its `counts`, `ids` each side's token ids flat over the
+    pairs and `offsets` each side's pair boundaries in them.
+    `transposed()` is the b -> a direction over the same index."""
+
+    def __init__(self, pairs: list[Pair]):
+        self.pair_ids = [pair_id for _, _, pair_id in self]
+        self.tags, tokens, flat = ("a:", "b:"), [], []
+        for side, tag in enumerate(self.tags):
+            ids = {}
+            flat += [ids.setdefault(token, len(ids)) + len(tokens)
+                     for pair in self for token in pair[side]]
+            tokens += [tag + token for token in ids]
+        counts = np.bincount(flat, minlength=len(tokens))
+        order = sorted(range(len(tokens)),
+                       key=lambda k: (-counts[k], tokens[k]))
+        self.tokens, self.counts = [tokens[k] for k in order], counts[order]
+        rank = np.empty(len(tokens), np.int32)
+        rank[order] = np.arange(len(tokens))
+        self.offsets = tuple(np.cumsum([0] + [len(pair[side]) for pair
+                                              in self]) for side in (0, 1))
+        self.ids = tuple(np.split(rank[flat], [self.offsets[0][-1]]))
+
+    @classmethod
+    def of(cls, bitext) -> "Bitext":
+        return bitext if isinstance(bitext, cls) else cls(bitext)
+
+    def transposed(self) -> "Bitext":
+        """The swapped triples over this index, which is not rebuilt."""
+        view = tuple.__new__(Bitext, [(b, a, pid) for a, b, pid in self])
+        view.__dict__.update(self.__dict__, tags=self.tags[::-1],
+                             ids=self.ids[::-1], offsets=self.offsets[::-1])
+        return view
+
+    def links(self, link_sets) -> list[tuple]:
+        """Per side of an a -> b index, the linked positions and their
+        partners on the other side, flat positions into `ids` sorted by
+        own then other, with pair offsets.  A link set that names no pair,
+        or a link outside its pair, was aligned on another chunking."""
+        pair_of = {pair_id: k for k, pair_id in enumerate(self.pair_ids)}
+        for link_set in link_sets:
+            if link_set.pair_id not in pair_of:
+                raise StaleLinks(f"pair {link_set.pair_id}: no such chunk "
+                                 f"in the bitext; rerun align")
+        pair, i, j = np.array([(pair_of[link_set.pair_id], i, j)
+                               for link_set in link_sets
+                               for i, j in link_set.links],
+                              dtype=np.int64).reshape(-1, 3).T
+        len_a, len_b = (np.diff(offsets)[pair] for offsets in self.offsets)
+        bad = np.flatnonzero((np.minimum(i, j) < 0) | (i >= len_a)
+                             | (j >= len_b))
+        if len(bad):
+            k = bad[0]
+            raise StaleLinks(f"pair {self.pair_ids[pair[k]]}: link "
+                             f"{i[k]}-{j[k]} outside its {len_a[k]}x"
+                             f"{len_b[k]} chunk; rerun align")
+        i, j = i + self.offsets[0][pair], j + self.offsets[1][pair]
+        out = []
+        for own, other, offsets in zip((i, j), (j, i), self.offsets):
+            order = np.lexsort((other, own))
+            own, other = own[order], other[order]
+            out.append((own, other, np.searchsorted(own, offsets)))
+        return out
+
+
 class Model1Table(Mapping):
-    """A direction's index, read as `table[source][target]` (rows are
-    built on access).  Each occurrence (pair, target position, source
-    position with NULL first) has an int32 `cell`, the id of a distinct
+    """A direction's table, read as `table[source][target]` (rows are
+    built on access).  Sources are the bitext's ids plus one, NULL is
+    source 0.  Each occurrence (pair, target position, source position
+    with NULL first) has an int32 `cell`, the id of a distinct
     (source, target); a target position's occurrences form a segment.  `t`
     is each cell's probability in `table`, or uniform over a source's."""
 
-    def __init__(self, bitext: list[Pair], table=None):
-        self.source_ids, target_ids = {NULL: 0}, {}
-        keys = [np.zeros(0, np.int64)]
-        for tokens_a, tokens_b, _ in bitext:
-            src = np.array([0] + [self.source_ids.setdefault(
-                token, len(self.source_ids)) for token in tokens_a])
-            tgt = np.array([target_ids.setdefault(token, len(target_ids))
-                            for token in tokens_b], dtype=np.int64)
-            keys.append((src << 32 | tgt[:, None]).ravel())
-        self.sources, self.targets = list(self.source_ids), list(target_ids)
-        self.pair_ids = [pair_id for _, _, pair_id in bitext]
+    def __init__(self, bitext, table=None):
+        bitext = Bitext.of(bitext)
+        (src_ids, tgt_ids), (src_off, tgt_off) = bitext.ids, bitext.offsets
+        self.targets = [token[2:] for token in bitext.tokens]
+        self.sources = [NULL] + self.targets
+        self.source_ids = {NULL: 0} | {
+            name: k + 1 for k, name in enumerate(self.targets)
+            if bitext.tokens[k].startswith(bitext.tags[0])}
+        self.pair_ids, self.pair_segs = bitext.pair_ids, tgt_off
+        # each pair's sources, NULL first, from source_off on
+        source_off = src_off + np.arange(len(src_off))
+        sources = np.insert(src_ids.astype(np.int64) + 1, src_off[:-1], 0)
+        lengths = np.diff(tgt_off)
+        sizes = np.repeat(np.diff(source_off), lengths)
+        self.seg_offsets = np.cumsum([0, *sizes])
+        # occurrence k of segment s is sources[k + shift[s]]; batches keep
+        # the temporaries small next to the keys and the argsort below
+        shift = np.repeat(source_off[:-1], lengths) - self.seg_offsets[:-1]
+        keys = np.empty(self.seg_offsets[-1], np.int64)
+        for lo in range(0, len(keys), BATCH_OCCURRENCES):
+            k = np.arange(lo, min(lo + BATCH_OCCURRENCES, len(keys)))
+            seg = np.searchsorted(self.seg_offsets, k, "right") - 1
+            keys[lo:lo + len(k)] = sources[k + shift[seg]] << 32 | tgt_ids[seg]
         # cell ids from one argsort: np.unique's inverse holds more copies
-        keys = np.concatenate(keys)
         order = np.argsort(keys)
         keys = keys[order]
         new = np.ones(len(keys), bool)
@@ -116,10 +200,6 @@ class Model1Table(Mapping):
         self.cell_tgt = (cells & 0xFFFFFFFF).astype(np.int32)
         self.rows = np.searchsorted(self.cell_src,
                                     np.arange(len(self.sources) + 1))
-        lengths = [len(tokens_b) for _, tokens_b, _ in bitext]
-        self.pair_segs = np.cumsum([0] + lengths)
-        self.seg_offsets = np.cumsum([0, *np.repeat(
-            [len(tokens_a) + 1 for tokens_a, _, _ in bitext], lengths)])
         self.t = 1.0 / np.diff(self.rows)[self.cell_src]
         if table is not None:
             rows = [table.get(source, {}) for source in self.sources]
@@ -183,10 +263,6 @@ class Model1Table(Mapping):
             for pair_id, lo, hi in zip(self.pair_ids, bounds, bounds[1:])]
 
 
-def uniform_init(bitext: list[Pair]) -> Model1Table:
-    return Model1Table(bitext)
-
-
 def train_model1(bitext: list[Pair], iterations: int = 10,
                  log_likelihoods: list | None = None) -> Model1Table:
     """EM-train a translation table from uniform initialization.
@@ -198,7 +274,7 @@ def train_model1(bitext: list[Pair], iterations: int = 10,
         raise ValueError("empty bitext")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    table = uniform_init(bitext)
+    table = Model1Table(bitext)
     for _ in range(iterations):
         counts, totals, loglik = table.e_step()
         if log_likelihoods is not None:
@@ -208,15 +284,10 @@ def train_model1(bitext: list[Pair], iterations: int = 10,
     return table
 
 
-def corpus_log_likelihood(table: TranslationTable,
-                          bitext: list[Pair]) -> float:
-    """Sum over pairs and targets of log p(b_j | a), NULL included."""
-    return Model1Table(bitext, table).e_step()[2]
-
-
 def viterbi_align(table: TranslationTable, tokens_a: list[str],
                   tokens_b: list[str], pair_id: str = "") -> AlignmentLinkSet:
-    """Per-target argmax links; NULL and earlier sources win ties."""
+    """Per-target argmax links; NULL and earlier sources win ties.  Kept
+    although only tests call it: perfbench/tracing.py wraps it by name."""
     return Model1Table([(tokens_a, tokens_b, pair_id)], table).viterbi()[0]
 
 
@@ -244,9 +315,9 @@ def align_bitext(bitext: list[Pair], iterations: int = 10,
     Returns the link sets (in bitext order) and the forward (a -> b)
     translation table; `log_likelihoods` receives the forward EM history.
     """
+    bitext = Bitext.of(bitext)
     forward = train_model1(bitext, iterations, log_likelihoods)
-    backward = train_model1([(b, a, pid) for a, b, pid in bitext],
-                            iterations)
+    backward = train_model1(bitext.transposed(), iterations)
     return [symmetrize(fwd, bwd, mode) for fwd, bwd
             in zip(forward.viterbi(), backward.viterbi())], forward
 

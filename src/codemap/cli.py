@@ -87,8 +87,8 @@ def stage_normalize(cfg, out_dir, prov):
 
 
 def _read_bitext(cfg, out_dir):
-    """Raw (tokens_a, tokens_b, pair_id) triples from the stream files,
-    chunked to the configured maximum length."""
+    """The stream files' token pairs, chunked to the configured maximum
+    length, as one integer index."""
     pairs = corpus.read_pair_manifest(_require(out_dir / "pairs.tsv",
                                                "pair"))
     raw = []
@@ -100,7 +100,7 @@ def _read_bitext(cfg, out_dir):
         _, _, tokens_a = read_stream(path_a)
         _, _, tokens_b = read_stream(path_b)
         raw.append((tokens_a, tokens_b, pair.path_a))
-    return align.build_bitext(raw, max_len=cfg.align_max_len)
+    return align.Bitext(align.build_bitext(raw, max_len=cfg.align_max_len))
 
 
 def stage_align(cfg, out_dir, prov):
@@ -124,10 +124,13 @@ def stage_align(cfg, out_dir, prov):
 def stage_train(cfg, out_dir, prov):
     t0 = time.perf_counter()
     bitext = _read_bitext(cfg, out_dir)
-    links = align.read_alignments(_require(out_dir / "alignments.pharaoh",
-                                           "align"))
+    path = _require(out_dir / "alignments.pharaoh", "align")
+    links = align.read_alignments(path)
     vocab = embed.vocab_from_bitext(bitext, cfg.train.min_count)
-    table = embed.train_biskip(bitext, links, cfg.train, vocab=vocab)
+    try:
+        table = embed.train_biskip(bitext, links, cfg.train, vocab=vocab)
+    except align.StaleLinks as err:
+        raise ValueError(f"{path}: {err}") from None
     embed.save_embeddings(table, vocab, out_dir / "embeddings.txt",
                           comments=(prov,))
     _summary("train", f"{len(vocab)} vocabulary entries, dim "

@@ -1,26 +1,24 @@
 """Bilingual skip-gram (BiSkip) with negative sampling.
 
-One shared embedding table holds both languages, tokens tagged `a:`/`b:`.
-Each center token predicts its same-language window, and, through its
-alignment links, the window around the linked position on the other side,
-giving four prediction directions over a single table.  Training takes one
-SGD step per center over all of those contexts and their negatives
-(`sgns_center_step`); the same gradient, `sgns_grads`, backs the
-single-context `sgns_pair_loss`/`sgns_pair_grads` checked against finite
-differences.  Training with a fixed seed is bit-reproducible.
+One shared embedding table holds both languages, tokens tagged `a:`/`b:`;
+ids, counts, windows and link partners come from the bitext's integer
+index (`align.Bitext`).  Each center predicts its same-language window
+and, through its links, the window around each linked position on the
+other side.  One SGD step per center covers all those contexts and their
+negatives (`sgns_center_step`); its gradient `sgns_grads` backs the
+`sgns_pair_loss`/`sgns_pair_grads` checked against finite differences.
+Training with a fixed seed is bit-reproducible.
 """
 
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import artifacts
-
-Pair = tuple[list[str], list[str], str]
+from .align import Bitext
 
 LR_FLOOR_FACTOR = 1e-4
 SIGMOID_CLAMP = 30.0
@@ -55,45 +53,20 @@ class TrainConfig:
             raise ValueError("subsample must be >= 0")
 
 
-@dataclass(frozen=True)
-class VocabEntry:
-    id: int
-    count: int
-
-
 class Vocabulary:
-    """Language-tagged token vocabulary with a count^0.75 noise law."""
+    """Language-tagged tokens, ids in the given order, with a count^0.75
+    noise law.  Counts default to 1 (uniform noise), as for a loaded
+    table; an empty vocabulary is allowed, so saved empty tables load."""
 
-    def __init__(self, counts: dict[str, int], min_count: int = 1):
-        surviving = {t: c for t, c in counts.items() if c >= min_count}
-        if not surviving:
-            raise ValueError("no tokens survive min_count")
-        order = sorted(surviving, key=lambda t: (-surviving[t], t))
-        self._init_from(order, [surviving[t] for t in order])
-
-    @classmethod
-    def from_ordered(cls, tokens: list[str],
-                     counts: list[int] | None = None) -> "Vocabulary":
-        """Build preserving token order (used when loading saved tables).
-
-        Unlike the counting constructor this permits an empty vocabulary,
-        so that saved empty tables load back.
-        """
-        if len(set(tokens)) != len(tokens):
+    def __init__(self, tokens: list[str], counts: list[int] | None = None):
+        self.tokens = list(tokens)
+        self.ids = {token: k for k, token in enumerate(self.tokens)}
+        if len(self.ids) != len(self.tokens):
             raise ValueError("duplicate tokens")
-        vocab = cls.__new__(cls)
-        vocab._init_from(list(tokens), counts or [1] * len(tokens))
-        return vocab
-
-    def _init_from(self, tokens: list[str], counts: list[int]) -> None:
-        self.tokens = tokens
-        self.entries = {t: VocabEntry(i, c)
-                        for i, (t, c) in enumerate(zip(tokens, counts))}
-        self.counts = np.asarray(counts, dtype=np.float64)
+        self.counts = np.asarray(counts or [1] * len(tokens), np.float64)
         self.total_count = int(self.counts.sum())
         weights = self.counts ** NOISE_POWER
-        total_weight = weights.sum()
-        self.noise_dist = weights / total_weight if len(tokens) else weights
+        self.noise_dist = weights / weights.sum() if len(tokens) else weights
         self.noise_cdf = np.cumsum(self.noise_dist)
         if len(tokens):
             self.noise_cdf[-1] = 1.0
@@ -102,43 +75,20 @@ class Vocabulary:
         return len(self.tokens)
 
     def __contains__(self, token: str) -> bool:
-        return token in self.entries
+        return token in self.ids
 
     def id_of(self, token: str) -> int | None:
-        entry = self.entries.get(token)
-        return entry.id if entry is not None else None
+        return self.ids.get(token)
 
 
-def build_vocab(streams, min_count: int = 1,
-                lang_a: str | None = None) -> Vocabulary:
-    """Count tokens over streams, tagging by language side.
-
-    Streams whose language equals `lang_a` (default: the first stream's
-    language) are tagged `a:`, all others `b:`.
-    """
-    if not streams:
-        raise ValueError("no streams")
-    if lang_a is None:
-        lang_a = streams[0].language
-    counts: dict[str, int] = {}
-    for stream in streams:
-        tag = "a:" if stream.language == lang_a else "b:"
-        for token in stream.tokens:
-            key = tag + token.text
-            counts[key] = counts.get(key, 0) + 1
-    return Vocabulary(counts, min_count)
-
-
-def vocab_from_bitext(bitext: list[Pair], min_count: int = 1) -> Vocabulary:
-    counts: dict[str, int] = {}
-    for tokens_a, tokens_b, _ in bitext:
-        for token in tokens_a:
-            key = "a:" + token
-            counts[key] = counts.get(key, 0) + 1
-        for token in tokens_b:
-            key = "b:" + token
-            counts[key] = counts.get(key, 0) + 1
-    return Vocabulary(counts, min_count)
+def vocab_from_bitext(bitext, min_count: int = 1) -> Vocabulary:
+    """The bitext index's tagged tokens seen at least min_count times, in
+    its (-count, token) order, so vocabulary ids are index ids."""
+    bitext = Bitext.of(bitext)
+    kept = int(np.count_nonzero(bitext.counts >= min_count))
+    if not kept:
+        raise ValueError("no tokens survive min_count")
+    return Vocabulary(bitext.tokens[:kept], bitext.counts[:kept].tolist())
 
 
 @dataclass
@@ -239,50 +189,24 @@ def _keep_probability(count: float, total: int, subsample: float) -> float:
     return min(1.0, (frequency / subsample) ** 0.5 * ratio + ratio)
 
 
-def _link_map(links, transpose: bool) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for i, j in sorted(links):
-        src, dst = (j, i) if transpose else (i, j)
-        out.setdefault(src, []).append(dst)
-    return out
-
-
-def _side(tokens: list[str], tag: str, vocab: Vocabulary, links,
-          transpose: bool):
-    """One side of a pair as (in-vocabulary positions, their ids, links
-    from its positions to the other side's); fixed across epochs."""
-    ids = [vocab.id_of(tag + token) for token in tokens]
-    positions = [k for k, vocab_id in enumerate(ids) if vocab_id is not None]
-    return (np.array(positions, dtype=np.intp),
-            np.array([ids[k] for k in positions], dtype=np.intp),
-            _link_map(links, transpose))
-
-
 class _Trainer:
-    def __init__(self, vocab: Vocabulary, cfg: TrainConfig,
-                 table: EmbeddingTable):
-        self.vocab = vocab
-        self.cfg = cfg
-        self.table = table
-        self.lr = cfg.lr0
-        self.keep_probability = None
-        if cfg.subsample > 0:
-            self.keep_probability = np.array([
-                _keep_probability(count, vocab.total_count, cfg.subsample)
-                for count in vocab.counts])
-
-    def subsample(self, side, rng: np.random.Generator):
-        """A side from _side with kept positions and ids as lists.
-
-        One rng draw per in-vocabulary occurrence keeps the stream of
-        random numbers aligned across runs; subsample=0 skips drawing
-        entirely.
-        """
-        positions, ids, links = side
-        if self.keep_probability is not None:
-            kept = rng.random(len(ids)) <= self.keep_probability[ids]
-            positions, ids = positions[kept], ids[kept]
-        return positions.tolist(), ids.tolist(), links
+    def __init__(self, bitext: Bitext, links, vocab: Vocabulary,
+                 cfg: TrainConfig, table: EmbeddingTable):
+        self.vocab, self.cfg, self.table, self.lr = vocab, cfg, table, cfg.lr0
+        self.keep_probability = None if cfg.subsample == 0 else np.array([
+            _keep_probability(count, vocab.total_count, cfg.subsample)
+            for count in vocab.counts])
+        vocab_of = np.array([vocab.ids.get(token, -1)
+                             for token in bitext.tokens], np.intp)
+        # per side, the in-vocabulary positions into its `ids`, their
+        # vocabulary ids and pair offsets into both; fixed across epochs
+        self.sides = []
+        for ids, offsets in zip(bitext.ids, bitext.offsets):
+            ids = vocab_of[ids]
+            positions = np.flatnonzero(ids >= 0)
+            self.sides.append((positions, ids[positions],
+                               np.searchsorted(positions, offsets)))
+        self.links = bitext.links(links)
 
     def step(self, center: int, contexts: list[int],
              rng: np.random.Generator) -> None:
@@ -302,26 +226,39 @@ class _Trainer:
         labels[:len(contexts)] = 1.0
         sgns_center_step(center, ids, labels, self.table, self.lr)
 
-    def train_pair(self, pair, rng: np.random.Generator) -> None:
-        """All four directions for one pair of sides from _side."""
-        side_a, side_b = (self.subsample(side, rng) for side in pair)
-        for (own_pos, own_ids, cross), (other_pos, other_ids, _) in (
-                (side_a, side_b), (side_b, side_a)):
+    def train_pair(self, pair: int, rng: np.random.Generator) -> None:
+        """All four directions of one pair.  Subsampling draws once per
+        in-vocabulary occurrence, side a then side b (none at 0)."""
+        kept = []
+        for positions, ids, offsets in self.sides:
+            span = slice(offsets[pair], offsets[pair + 1])
+            positions, ids = positions[span], ids[span]
+            if self.keep_probability is not None:
+                keep = rng.random(len(ids)) <= self.keep_probability[ids]
+                positions, ids = positions[keep], ids[keep]
+            kept.append((positions, ids.tolist()))
+        for (own_pos, own_ids), (other_pos, other_ids), (
+                own, other, offsets) in zip(kept, kept[::-1], self.links):
+            span = slice(offsets[pair], offsets[pair + 1])
+            own, other = own[span], other[span]
+            first = np.searchsorted(own, own_pos).tolist()
+            last = np.searchsorted(own, own_pos, "right").tolist()
+            # a link partner's place among the other side's kept positions;
+            # the partner, when kept, is the surrogate center and not a
+            # context of its own window
+            before = np.searchsorted(other_pos, other).tolist()
+            after = np.searchsorted(other_pos, other, "right").tolist()
             for idx, center in enumerate(own_ids):
                 reach = int(rng.integers(1, self.cfg.window + 1))
                 contexts = (own_ids[max(0, idx - reach):idx]
                             + own_ids[idx + 1:idx + reach + 1])
-                for j in cross.get(own_pos[idx], ()):
-                    q = bisect_left(other_pos, j)
-                    # the link partner, when kept, is the surrogate center
-                    # and not a context of its own window
-                    skip = int(q < len(other_pos) and other_pos[q] == j)
-                    contexts += other_ids[max(0, q - reach):q]
-                    contexts += other_ids[q + skip:q + skip + reach]
+                for k in range(first[idx], last[idx]):
+                    contexts += other_ids[max(0, before[k] - reach):before[k]]
+                    contexts += other_ids[after[k]:after[k] + reach]
                 self.step(center, contexts, rng)
 
 
-def train_biskip(bitext: list[Pair], links, cfg: TrainConfig,
+def train_biskip(bitext, links, cfg: TrainConfig,
                  vocab: Vocabulary | None = None) -> EmbeddingTable:
     """Train shared bilingual embeddings over an aligned bitext.
 
@@ -332,11 +269,10 @@ def train_biskip(bitext: list[Pair], links, cfg: TrainConfig,
     context with cfg.negatives noise samples.  The learning rate decays
     linearly from lr0 to lr0 * 1e-4 over all in-vocabulary token
     occurrences, frozen within each pair.  A fixed seed gives
-    bit-identical tables.
+    bit-identical tables.  Links must fit the chunks (`Bitext.links`).
     """
+    bitext = Bitext.of(bitext)
     if vocab is None:
-        if not bitext:
-            raise ValueError("empty bitext and no vocabulary")
         vocab = vocab_from_bitext(bitext, cfg.min_count)
     rng = np.random.default_rng(cfg.seed)
     table = init_table(len(vocab), cfg, rng)
@@ -345,21 +281,15 @@ def train_biskip(bitext: list[Pair], links, cfg: TrainConfig,
     if not any(link_set.links for link_set in links):
         warnings.warn("no alignment links; training monolingually",
                       stacklevel=2)
-    links_by_pair = {link_set.pair_id: link_set.links for link_set in links}
-    pairs = []
-    for tokens_a, tokens_b, pair_id in bitext:
-        pair_links = links_by_pair.get(pair_id, frozenset())
-        pairs.append((_side(tokens_a, "a:", vocab, pair_links, False),
-                      _side(tokens_b, "b:", vocab, pair_links, True)))
-    sizes = [len(side_a[1]) + len(side_b[1]) for side_a, side_b in pairs]
-    total = sum(sizes)
+    trainer = _Trainer(bitext, links, vocab, cfg, table)
+    sizes = sum(np.diff(offsets) for _, _, offsets in trainer.sides)
+    total = int(sizes.sum())
     if total == 0:
         return table
     schedule_span = cfg.epochs * total
-    trainer = _Trainer(vocab, cfg, table)
     processed = 0
     for _ in range(cfg.epochs):
-        for pair, size in zip(pairs, sizes):
+        for pair, size in enumerate(sizes.tolist()):
             trainer.lr = max(cfg.lr0 * (1.0 - processed / schedule_span),
                              cfg.lr0 * LR_FLOOR_FACTOR)
             trainer.train_pair(pair, rng)
@@ -384,6 +314,6 @@ def load_embeddings(path) -> tuple[EmbeddingTable, Vocabulary]:
     """Inverse of save_embeddings; counts are lost, so the loaded
     vocabulary reports count 1 (uniform noise) for every token."""
     tokens, vectors, _, _ = artifacts.read_vectors(path)
-    vocab = Vocabulary.from_ordered(tokens)
+    vocab = Vocabulary(tokens)
     table = EmbeddingTable(vectors, np.zeros_like(vectors))
     return table, vocab

@@ -110,11 +110,6 @@ def rank_batch(query_vecs, ids, matrix, k):
     return [list(ranked[q]) for q in query_of.tolist()]
 
 
-def rank_neighbors(query_vec, ids, matrix, k):
-    """Top-k candidates of one query: a batch of one for rank_batch."""
-    return rank_batch([query_vec], ids, matrix, k)[0]
-
-
 def run_queries(queries, ids, matrix):
     """Rank each query against the candidates on its target side, with
     one rank_batch call per side and k."""

@@ -244,7 +244,7 @@ def test_criterion_8_composition_properties(capsys):
     from codemap.embed import Vocabulary
     with criterion(capsys, 8, "composition-properties", 5.0):
         rng = np.random.default_rng(31)
-        vocab = Vocabulary.from_ordered(
+        vocab = Vocabulary(
             [f"a:tok{k}" for k in range(40)])
         vectors = rng.normal(size=(40, 12))
         universe = [f"a:tok{k}" for k in range(40)] + \

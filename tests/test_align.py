@@ -1,16 +1,16 @@
 """Model 1 EM, Viterbi linking and symmetrization tests."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from codemap import align
-from codemap.align import (NULL, AlignmentLinkSet, align_bitext,
-                           build_bitext, corpus_log_likelihood,
-                           read_alignments, read_table, symmetrize,
-                           train_model1, uniform_init, viterbi_align,
-                           write_alignments, write_table)
+from codemap.align import (NULL, AlignmentLinkSet, Bitext, Model1Table,
+                           align_bitext, build_bitext, read_alignments,
+                           read_table, symmetrize, train_model1,
+                           viterbi_align, write_alignments, write_table)
 from conftest import make_toy_bitext
 
 
@@ -27,7 +27,7 @@ def test_second_pair_disambiguates():
 
 def test_uniform_init_over_cooccurring_targets():
     bitext = [(["a"], ["x", "y"], "p0"), (["b"], ["z"], "p1")]
-    table = uniform_init(bitext)
+    table = Model1Table(bitext)
     assert table["a"] == {"x": 0.5, "y": 0.5}
     assert table["b"] == {"z": 1.0}
     assert set(table[NULL]) == {"x", "y", "z"}
@@ -60,8 +60,9 @@ def test_history_matches_standalone_loglik():
     bitext = make_toy_bitext(rng)
     history = []
     train_model1(bitext, iterations=3, log_likelihoods=history)
-    assert history[0] == pytest.approx(
-        corpus_log_likelihood(uniform_init(bitext), bitext), abs=1e-9)
+    # the uniform table, re-indexed from its rows like any other table
+    standalone = Model1Table(bitext, dict(Model1Table(bitext))).e_step()[2]
+    assert history[0] == pytest.approx(standalone, abs=1e-9)
 
 
 def test_viterbi_diagonal_on_identical_streams():
@@ -175,6 +176,29 @@ def test_index_kernels_equal_the_dict_oracle(batch, monkeypatch):
             assert viterbi_align(table, tokens_a, tokens_b, pair_id) == fwd
             bwd = _oracle_viterbi(backward, tokens_b, tokens_a)
             assert merged.links == fwd.links & {(i, j) for j, i in bwd}
+
+
+def test_bitext_index_decodes_to_its_pairs():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        # the same string on both sides, and an empty side
+        pairs = make_toy_bitext(rng) + [(["s0", "t0"], ["t0", "s0"], "both"),
+                                        (["s1"], [], "empty")]
+        bitext = Bitext(pairs)
+        transposed = bitext.transposed()
+        assert list(transposed) == [(b, a, p) for a, b, p in pairs]
+        for view, tags in ((bitext, ("a:", "b:")), (transposed, ("b:", "a:"))):
+            assert view.tokens is bitext.tokens
+            for side, tag in enumerate(tags):
+                ids, offsets = view.ids[side], view.offsets[side]
+                for k, pair in enumerate(view):
+                    assert [view.tokens[i] for i in
+                            ids[offsets[k]:offsets[k + 1]].tolist()] == \
+                        [tag + token for token in pair[side]]
+        counts = (Counter("a:" + token for a, _, _ in pairs for token in a)
+                  + Counter("b:" + token for _, b, _ in pairs for token in b))
+        assert dict(zip(bitext.tokens, bitext.counts.tolist())) == counts
+        assert bitext.tokens == sorted(counts, key=lambda t: (-counts[t], t))
 
 
 def test_symmetrize_idempotent_and_set_ops():

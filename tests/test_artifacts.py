@@ -69,7 +69,7 @@ def test_whitespace_in_a_space_delimited_field_is_refused(tmp_path):
     with pytest.raises(ValueError, match=re.escape(
             f"{vectors}: id 'a:two words'")):
         save_embeddings(EmbeddingTable(np.ones((2, 2)), np.zeros((2, 2))),
-                        Vocabulary.from_ordered(["a:one", "a:two words"]),
+                        Vocabulary(["a:one", "a:two words"]),
                         vectors)
     stream = tmp_path / "x.tok"
     tokens = [EnrichedToken("int", "primitive", 0, 3),

@@ -1,6 +1,7 @@
 """End-to-end CLI tests on a two-file mini project."""
 
 import re
+from collections import Counter
 
 import pytest
 
@@ -234,6 +235,23 @@ def test_repeated_alignment_link_is_refused(project, tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_alignments_from_another_chunking_are_refused(project, tmp_path,
+                                                     capsys):
+    short, long = project.parent / "short.cfg", project.parent / "long.cfg"
+    for config, max_len in ((short, 12), (long, 60)):
+        config.write_text(CONFIG.replace("align.max_len = 40",
+                                         f"align.max_len = {max_len}"))
+    out = tmp_path / "out"
+    for stage in ("pair", "normalize", "align"):
+        assert _run(stage, "--config", str(short),
+                    "--out-dir", str(out)) == 0
+    assert "#1\t" in (out / "alignments.pharaoh").read_text()
+    assert _run("train", "--config", str(long), "--out-dir", str(out)) == 3
+    assert re.search(r"alignments\.pharaoh: pair \S+: .*; rerun align",
+                     capsys.readouterr().err)
+    assert not (out / "embeddings.txt").exists()
+
+
 def test_space_in_a_source_path_is_refused_at_compose(project, tmp_path,
                                                       capsys):
     root = project.parent
@@ -396,6 +414,8 @@ def test_eval_report_scores_identity_tokens(project, tmp_path):
 
 def test_tracer_sees_every_artifact_function(project, tmp_path):
     from perfbench.tracing import IO_FUNCTIONS, Tracer
+    from perfbench.workloads import (config_value, corpus_properties,
+                                     read_streams)
 
     class Recorder(Tracer):
         """Notes which function each io span wrapped."""
@@ -437,3 +457,18 @@ def test_tracer_sees_every_artifact_function(project, tmp_path):
     assert written == sum(p.stat().st_size for p in out.rglob("*")
                           if p.is_file()) > 0
     assert tracer.counts["io.bytes_read"] > 0
+    # the counting hooks see what each traced function was given
+    iterations, epochs, max_len, min_count = (
+        int(config_value(config, key)) for key in (
+            "align.iterations", "train.epochs", "align.max_len",
+            "train.min_count"))
+    props = corpus_properties(out, max_len)
+    assert tracer.counts["align.em_iterations"] == 2 * iterations
+    assert tracer.counts["align.em_cells"] == \
+        iterations * props["em_cells_per_iteration"] > 0
+    tagged = Counter(tag + token for pair in read_streams(out)
+                     for tag, tokens in zip(("a:", "b:"), pair)
+                     for token in tokens)
+    kept = [count for count in tagged.values() if count >= min_count]
+    assert tracer.counts["embed.vocab_size"] == len(kept) > 0
+    assert tracer.counts["embed.train_tokens"] == epochs * sum(kept)

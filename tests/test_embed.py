@@ -1,23 +1,19 @@
 """Vocabulary, SGNS objective and BiSkip trainer tests."""
 
 import math
+import warnings
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 
 from codemap.align import AlignmentLinkSet
-from codemap.embed import (EmbeddingTable, TrainConfig, Vocabulary,
-                           build_vocab, init_table, load_embeddings,
-                           save_embeddings, sgns_center_step, sgns_pair_grads,
-                           sgns_pair_loss, sigmoid, train_biskip,
-                           vocab_from_bitext)
-from codemap.syntax import EnrichedToken, EnrichedTokenStream
-
-
-def _stream(tokens, language="java", file="f"):
-    return EnrichedTokenStream(
-        file=file, language=language,
-        tokens=[EnrichedToken(t, "keyword", 0, 1) for t in tokens])
+from codemap.embed import (LR_FLOOR_FACTOR, EmbeddingTable, TrainConfig,
+                           Vocabulary, _keep_probability, init_table,
+                           load_embeddings, save_embeddings,
+                           sgns_center_step, sgns_pair_grads, sgns_pair_loss,
+                           sigmoid, train_biskip, vocab_from_bitext)
+from conftest import make_toy_bitext
 
 
 # ---------------------------------------------------------------------------
@@ -25,25 +21,25 @@ def _stream(tokens, language="java", file="f"):
 
 
 def test_build_vocab_counts_and_tags():
-    vocab = build_vocab([_stream(["x", "x", "y"])], min_count=1)
-    assert vocab.entries["a:x"].count == 2
-    assert vocab.entries["a:y"].count == 1
+    vocab = vocab_from_bitext([(["x", "x", "y"], [], "p")], min_count=1)
+    assert vocab.counts[vocab.id_of("a:x")] == 2
+    assert vocab.counts[vocab.id_of("a:y")] == 1
     assert len(vocab) == 2
 
 
 def test_build_vocab_min_count_drops():
-    vocab = build_vocab([_stream(["x", "x", "y"])], min_count=2)
+    vocab = vocab_from_bitext([(["x", "x", "y"], ["z"], "p")], min_count=2)
     assert list(vocab.tokens) == ["a:x"]
 
 
 def test_build_vocab_second_language_tagged_b():
-    vocab = build_vocab([_stream(["x"], "java"), _stream(["y"], "csharp")])
+    vocab = vocab_from_bitext([(["x"], ["y"], "p")])
     assert "a:x" in vocab
     assert "b:y" in vocab
 
 
 def test_noise_distribution_three_quarters_power():
-    vocab = build_vocab([_stream(["x", "x", "y"])])
+    vocab = vocab_from_bitext([(["x", "x", "y"], [], "p")])
     expected_x = 2 ** 0.75 / (2 ** 0.75 + 1 ** 0.75)
     assert vocab.noise_dist[vocab.id_of("a:x")] == pytest.approx(expected_x)
     assert abs(vocab.noise_dist.sum() - 1.0) <= 1e-9
@@ -51,9 +47,9 @@ def test_noise_distribution_three_quarters_power():
 
 def test_empty_vocab_rejected():
     with pytest.raises(ValueError):
-        build_vocab([_stream(["x"])], min_count=5)
+        vocab_from_bitext([(["x"], [], "p")], min_count=5)
     with pytest.raises(ValueError):
-        build_vocab([])
+        vocab_from_bitext([])
 
 
 def test_ids_dense_and_ordered_by_count():
@@ -272,6 +268,118 @@ def test_subsampling_keeps_valid_probabilities():
     assert np.isfinite(table.input_vecs).all()
 
 
+def test_links_that_do_not_fit_the_bitext_are_refused():
+    outside = [AlignmentLinkSet("p0", frozenset({(0, 0), (3, 1)}))]
+    with pytest.raises(ValueError, match="p0: link 3-1 outside its 3x3"):
+        train_biskip(LINKED, outside, CFG)
+    unknown = LINKS + [AlignmentLinkSet("p0#1", frozenset({(0, 0)}))]
+    with pytest.raises(ValueError, match="p0#1: no such chunk"):
+        train_biskip(LINKED, unknown, CFG)
+
+
+def _oracle_link_map(links, transpose):
+    out = {}
+    for i, j in sorted(links):
+        src, dst = (j, i) if transpose else (i, j)
+        out.setdefault(src, []).append(dst)
+    return out
+
+
+def _oracle_side(tokens, tag, vocab, links, transpose):
+    ids = [vocab.id_of(tag + token) for token in tokens]
+    positions = [k for k, vocab_id in enumerate(ids) if vocab_id is not None]
+    return (np.array(positions, dtype=np.intp),
+            np.array([ids[k] for k in positions], dtype=np.intp),
+            _oracle_link_map(links, transpose))
+
+
+def _oracle_train(bitext, links, cfg, vocab):
+    """The per-pair trainer over string lookups, link dicts and bisect
+    that the index trainer replaced; it must be equalled bit for bit."""
+    rng = np.random.default_rng(cfg.seed)
+    table = init_table(len(vocab), cfg, rng)
+    keep_probability = None
+    if cfg.subsample > 0:
+        keep_probability = np.array([
+            _keep_probability(count, vocab.total_count, cfg.subsample)
+            for count in vocab.counts])
+    links_by_pair = {link_set.pair_id: link_set.links for link_set in links}
+    pairs = []
+    for tokens_a, tokens_b, pair_id in bitext:
+        pair_links = links_by_pair.get(pair_id, frozenset())
+        pairs.append((_oracle_side(tokens_a, "a:", vocab, pair_links, False),
+                      _oracle_side(tokens_b, "b:", vocab, pair_links, True)))
+    sizes = [len(side_a[1]) + len(side_b[1]) for side_a, side_b in pairs]
+    schedule_span = cfg.epochs * sum(sizes)
+
+    def subsample(side):
+        positions, ids, cross = side
+        if keep_probability is not None:
+            kept = rng.random(len(ids)) <= keep_probability[ids]
+            positions, ids = positions[kept], ids[kept]
+        return positions.tolist(), ids.tolist(), cross
+
+    def step(center, contexts, lr):
+        if not contexts:
+            return
+        positives = np.array(contexts)
+        draws = rng.random((len(contexts), cfg.negatives))
+        negatives = np.searchsorted(vocab.noise_cdf, draws, side="right")
+        negatives = negatives[negatives != positives[:, None]]
+        ids = np.concatenate((positives, negatives))
+        labels = np.zeros(len(ids))
+        labels[:len(contexts)] = 1.0
+        sgns_center_step(center, ids, labels, table, lr)
+
+    processed = 0
+    for _ in range(cfg.epochs):
+        for pair, size in zip(pairs, sizes):
+            lr = max(cfg.lr0 * (1.0 - processed / schedule_span),
+                     cfg.lr0 * LR_FLOOR_FACTOR)
+            side_a, side_b = (subsample(side) for side in pair)
+            for (own_pos, own_ids, cross), (other_pos, other_ids, _) in (
+                    (side_a, side_b), (side_b, side_a)):
+                for idx, center in enumerate(own_ids):
+                    reach = int(rng.integers(1, cfg.window + 1))
+                    contexts = (own_ids[max(0, idx - reach):idx]
+                                + own_ids[idx + 1:idx + reach + 1])
+                    for j in cross.get(own_pos[idx], ()):
+                        q = bisect_left(other_pos, j)
+                        skip = int(q < len(other_pos) and other_pos[q] == j)
+                        contexts += other_ids[max(0, q - reach):q]
+                        contexts += other_ids[q + skip:q + skip + reach]
+                    step(center, contexts, lr)
+            processed += size
+    return table
+
+
+@pytest.mark.parametrize("subsample,min_count",
+                         [(0.0, 1), (0.0, 2), (0.05, 1), (0.05, 2)])
+def test_index_trainer_equals_the_string_oracle(subsample, min_count):
+    rng = np.random.default_rng(int(subsample * 100) + min_count)
+    cfg = TrainConfig(dim=4, window=2, negatives=2, epochs=2,
+                      subsample=subsample, min_count=min_count, seed=5)
+    for _ in range(15):
+        bitext = make_toy_bitext(rng, max_vocab=8, max_pairs=12)
+        links = []
+        for tokens_a, tokens_b, pair_id in bitext:
+            if rng.random() < 0.8:  # some pairs have no link set
+                n = int(rng.integers(0, len(tokens_a) + len(tokens_b)))
+                links.append(AlignmentLinkSet(pair_id, frozenset(
+                    (int(rng.integers(len(tokens_a))),
+                     int(rng.integers(len(tokens_b)))) for _ in range(n))))
+        try:
+            vocab = vocab_from_bitext(bitext, min_count)
+        except ValueError:  # nothing survives min_count
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = train_biskip(bitext, links, cfg, vocab=vocab)
+        expected = _oracle_train(bitext, links, cfg, vocab)
+        assert np.array_equal(got.input_vecs, expected.input_vecs)
+        assert np.array_equal(got.output_vecs, expected.output_vecs)
+
+
 # ---------------------------------------------------------------------------
 # save / load
 
@@ -304,7 +412,7 @@ def test_round_trip_preserves_rankings(tmp_path):
 
 
 def test_save_small_table_line_count(tmp_path):
-    vocab = Vocabulary.from_ordered(["a:x"])
+    vocab = Vocabulary(["a:x"])
     table = EmbeddingTable(np.ones((1, 2)), np.zeros((1, 2)))
     out = tmp_path / "one.txt"
     save_embeddings(table, vocab, out)
@@ -312,7 +420,7 @@ def test_save_small_table_line_count(tmp_path):
 
 
 def test_save_empty_table(tmp_path):
-    vocab = Vocabulary.from_ordered([])
+    vocab = Vocabulary([])
     table = EmbeddingTable(np.zeros((0, 3)), np.zeros((0, 3)))
     out = tmp_path / "empty.txt"
     save_embeddings(table, vocab, out)

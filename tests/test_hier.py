@@ -15,7 +15,7 @@ from codemap.hier import (CoverageZero, build_idf, compose_corpus,
 from codemap.syntax import EnrichedToken, EnrichedTokenStream, parse, \
     build_symbols, normalize, extract_elements
 
-VOCAB = Vocabulary.from_ordered(["a:x", "a:y", "a:z", "b:x"])
+VOCAB = Vocabulary(["a:x", "a:y", "a:z", "b:x"])
 VECS = np.array([[1.0, 0.0],
                  [0.0, 1.0],
                  [2.0, 2.0],
@@ -139,7 +139,7 @@ def test_method_embeds_flat_not_statement_means():
     assert len(statements) == 2
 
     tokens = element_tokens(method, stream, "a")
-    vocab = Vocabulary.from_ordered(sorted(set(tokens)))
+    vocab = Vocabulary(sorted(set(tokens)))
     rng = np.random.default_rng(3)
     vecs = rng.normal(size=(len(vocab), 4))
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from codemap import retrieve
 from codemap.retrieve import (MappingReport, Query, average_precision,
                               cosine, diff_reference, element_side,
-                              evaluate_map, precision_at, rank_neighbors,
+                              evaluate_map, precision_at, rank_batch,
                               read_rankings, read_reference, read_report,
                               read_truth, run_queries, write_diff,
                               write_rankings, write_report, write_truth)
@@ -41,7 +41,7 @@ def test_cosine_examples():
 def test_rank_neighbors_orders_by_similarity():
     ids = ["b:far", "b:near", "b:mid"]
     matrix = np.array([[-1.0, 0.0], [1.0, 0.1], [0.5, 0.8]])
-    ranked = rank_neighbors([1.0, 0.0], ids, matrix, k=3)
+    ranked = rank_batch([[1.0, 0.0]], ids, matrix, k=3)[0]
     assert [i for i, _ in ranked] == ["b:near", "b:mid", "b:far"]
     assert ranked[0][1] > ranked[1][1] > ranked[2][1]
 
@@ -49,26 +49,26 @@ def test_rank_neighbors_orders_by_similarity():
 def test_rank_neighbors_tie_breaks_lexicographically():
     ids = ["b:z", "b:a"]
     matrix = np.array([[2.0, 0.0], [1.0, 0.0]])  # same direction
-    ranked = rank_neighbors([1.0, 0.0], ids, matrix, k=2)
+    ranked = rank_batch([[1.0, 0.0]], ids, matrix, k=2)[0]
     assert [i for i, _ in ranked] == ["b:a", "b:z"]
 
 
 def test_rank_neighbors_truncates_and_skips_zero_rows():
     ids = ["b:x", "b:zero", "b:y"]
     matrix = np.array([[1.0, 0.0], [0.0, 0.0], [0.9, 0.1]])
-    ranked = rank_neighbors([1.0, 0.0], ids, matrix, k=2)
+    ranked = rank_batch([[1.0, 0.0]], ids, matrix, k=2)[0]
     assert len(ranked) == 2
     assert "b:zero" not in [i for i, _ in ranked]
-    assert rank_neighbors([1.0, 0.0], [], np.zeros((0, 2)), k=5) == []
+    assert rank_batch([[1.0, 0.0]], [], np.zeros((0, 2)), k=5) == [[]]
 
 
 def test_rank_neighbors_validation():
     with pytest.raises(ValueError):
-        rank_neighbors([0.0, 0.0], ["b:x"], np.ones((1, 2)), k=1)
+        rank_batch([[0.0, 0.0]], ["b:x"], np.ones((1, 2)), k=1)
     with pytest.raises(ValueError):
-        rank_neighbors([1.0, 0.0], ["b:x"], np.ones((2, 2)), k=1)
+        rank_batch([[1.0, 0.0]], ["b:x"], np.ones((2, 2)), k=1)
     with pytest.raises(ValueError):
-        rank_neighbors([1.0, 0.0], ["b:x"], np.ones((1, 2)), k=0)
+        rank_batch([[1.0, 0.0]], ["b:x"], np.ones((1, 2)), k=0)
 
 
 def test_query_validation():
@@ -164,7 +164,7 @@ def test_batched_ranking_equals_per_query_oracle(block, monkeypatch):
         assert run_queries(queries, ids, matrix) == \
             oracle_run_queries(queries, ids, matrix)
         for query in queries[:3]:
-            assert rank_neighbors(query.vector, ids, matrix, query.k) == \
+            assert rank_batch([query.vector], ids, matrix, query.k)[0] == \
                 oracle_rank_neighbors(query.vector, ids, matrix, query.k)
 
 
@@ -172,7 +172,7 @@ def test_tie_group_straddling_k_is_ordered_by_id():
     ids = ["b:d", "b:a", "b:c", "b:e", "b:b"]
     matrix = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 0.0],
                        [3.0, 0.0]])
-    ranked = rank_neighbors([1.0, 0.0], ids, matrix, k=3)
+    ranked = rank_batch([[1.0, 0.0]], ids, matrix, k=3)[0]
     assert ranked == [("b:a", 1.0), ("b:b", 1.0), ("b:d", 1.0)]
     assert ranked == oracle_rank_neighbors([1.0, 0.0], ids, matrix, k=3)
 
