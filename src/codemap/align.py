@@ -342,10 +342,13 @@ def _link(item: str) -> tuple[int, int]:
 
 
 def read_alignments(path) -> list[AlignmentLinkSet]:
-    out = []
+    out, seen = [], set()
     for lineno, (pair_id, rest) in artifacts.records(path, 2):
         if not pair_id:
             raise ValueError(f"{path}:{lineno}: missing pair id")
+        if pair_id in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate pair")
+        seen.add(pair_id)
         links = [artifacts.field(path, lineno, _link, item)
                  for item in rest.split()]
         if len(set(links)) != len(links):

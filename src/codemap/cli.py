@@ -137,11 +137,12 @@ def stage_train(cfg, out_dir, prov):
              f"{cfg.train.dim}, {cfg.train.epochs} epochs", t0)
 
 
-def _load_elements(cfg, out_dir):
-    """(element_id, tagged tokens) for every extracted element."""
+def _load_elements(out_dir, vocab):
+    """Every extracted element as (element ids, the vocabulary ids of
+    their tokens flat, -1 where out of vocabulary, element offsets)."""
     pairs = corpus.read_pair_manifest(_require(out_dir / "pairs.tsv",
                                                "pair"))
-    out = []
+    element_ids, token_ids, offsets = [], [], [0]
     for pair in pairs:
         for side in ("a", "b"):
             relpath = pair.path_a if side == "a" else pair.path_b
@@ -150,28 +151,35 @@ def _load_elements(cfg, out_dir):
             element_file = _require(_elements_path(out_dir, side, relpath),
                                     "normalize")
             _, _, tokens = read_stream(stream_file)
+            stream_ids = [vocab.ids.get(f"{side}:{token}", -1)
+                          for token in tokens]
             ordinals = {"expression": 0, "statement": 0, "method": 0}
             for element in read_elements(element_file):
                 ordinal = ordinals[element.granularity]
                 ordinals[element.granularity] += 1
-                element_id = (f"{side}:{relpath}:"
-                              f"{element.granularity}:{ordinal}")
-                tagged = [f"{side}:{tokens[k]}"
-                          for k in element.token_indices]
-                out.append((element_id, tagged))
-    return out
+                span = element.token_indices
+                if span[0] < 0 or span[-1] >= len(stream_ids):
+                    raise ValueError(f"{element_file}: tokens {span[0]}-"
+                                     f"{span[-1]} are outside the "
+                                     f"{len(stream_ids)}-token stream")
+                element_ids.append(f"{side}:{relpath}:"
+                                   f"{element.granularity}:{ordinal}")
+                token_ids.extend(stream_ids[span[0]:span[-1] + 1])
+                offsets.append(len(token_ids))
+    return element_ids, np.array(token_ids, dtype=np.intp), offsets
 
 
 def stage_compose(cfg, out_dir, prov):
     t0 = time.perf_counter()
     table, vocab = embed.load_embeddings(
         _require(out_dir / "embeddings.txt", "train"))
-    elements = _load_elements(cfg, out_dir)
+    element_ids, token_ids, offsets = _load_elements(out_dir, vocab)
     idf = None
     if cfg.weighting == "tfidf":
-        idf = hier.build_idf(tokens for _, tokens in elements)
+        idf = hier.build_idf(token_ids, offsets, len(vocab))
     ids, matrix, coverages, skipped = hier.compose_corpus(
-        elements, vocab, table.input_vecs, cfg.weighting, idf)
+        element_ids, token_ids, offsets, table.input_vecs, cfg.weighting,
+        idf)
     hier.write_element_embeddings(out_dir / "element_vecs.txt", ids,
                                   matrix, coverages, cfg.weighting,
                                   comments=(prov,))

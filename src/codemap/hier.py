@@ -2,9 +2,9 @@
 
 An element (expression, statement or method) is embedded as a weighted
 mean over its flat token multiset: either uniform, or tf-idf where each
-distinct token contributes its count times its inverse document
-frequency.  Tokens missing from the vocabulary are skipped; an element
-whose tokens are all missing has no embedding and raises CoverageZero.
+occurrence weighs its token's inverse document frequency.  Tokens
+missing from the vocabulary are skipped; an element whose tokens are all
+missing has no embedding.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 from . import artifacts
 
 WEIGHTINGS = ("uniform", "tfidf")
+BLOCK = 1 << 15  # floats in one block of weighted token rows
 
 
 class CoverageZero(ValueError):
@@ -27,87 +28,83 @@ class CoverageZero(ValueError):
         self.element_id = element_id
 
 
-def element_tokens(element, stream, tag):
-    """Tagged token texts of one element drawn from its stream."""
-    texts = [stream.tokens[k].text for k in element.token_indices]
-    return [f"{tag}:{t}" for t in texts]
+def _in_vocabulary(token_ids, offsets):
+    """Element lengths, then the element and the vocabulary id of every
+    in-vocabulary token occurrence, in token order."""
+    token_ids = np.asarray(token_ids, dtype=np.intp)
+    lengths = np.diff(offsets)
+    known = token_ids >= 0
+    owners = np.repeat(np.arange(len(lengths)), lengths)
+    return lengths, owners[known], token_ids[known]
 
 
-def build_idf(documents):
-    """Inverse document frequencies, one document per element.
-
-    idf(t) = ln(n_docs / df(t)).  Tokens absent from every document are
-    simply absent from the result.
+def build_idf(token_ids, offsets, size):
+    """Inverse document frequencies of the `size` vocabulary ids, one
+    document per element, laid out as for compose_corpus: idf(t) =
+    ln(n_docs / df(t)), 0 for an id in no document.  It takes `math.log`
+    because `np.log` can differ from it in the last bit.
     """
-    documents = list(documents)
-    if not documents:
+    lengths, owners, token_ids = _in_vocabulary(token_ids, offsets)
+    if not len(lengths):
         raise ValueError("no documents")
-    df: dict[str, int] = {}
-    for doc in documents:
-        for token in set(doc):
-            df[token] = df.get(token, 0) + 1
-    n = len(documents)
-    return {token: math.log(n / count) for token, count in df.items()}
+    cells = np.unique(owners * size + token_ids)
+    df = np.bincount(cells % size, minlength=size).tolist()
+    return np.array([math.log(len(lengths) / count) if count else 0.0
+                     for count in df])
 
 
-def compose_element(tokens, vocab, vectors, weighting="uniform", idf=None,
-                    element_id=""):
-    """Embed one element; returns (vector, coverage).
+def compose_corpus(element_ids, token_ids, offsets, vectors,
+                   weighting="uniform", idf=None):
+    """Embed elements given as vocabulary ids, -1 for a missing token:
+    element k owns token_ids[offsets[k]:offsets[k + 1]].
 
-    Coverage is the fraction of token occurrences found in the
-    vocabulary.  tf-idf weights are tf * idf per distinct token; if the
-    weights sum to zero (all idf zero or missing) the in-vocabulary
-    tokens fall back to a uniform mean, so coverage alone decides
-    whether an element is representable.
+    An occurrence weighs 1 (uniform) or idf[id] (tfidf), and 1 again in
+    an element whose weights sum to zero, so coverage alone decides
+    whether an element is representable.  Weighted rows are added in
+    token order, as many at a time as fit in BLOCK floats (one at
+    least), so a uniform row equals `mean(axis=0)` of its token vectors
+    bit for bit and the memory used stays bounded.  Returns (ids,
+    matrix, coverages, skipped_ids), rows in input order minus the
+    skipped elements, those of coverage zero.
     """
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}")
     if weighting == "tfidf" and idf is None:
         raise ValueError("tfidf weighting needs idf values")
-    tokens = list(tokens)
-    if not tokens:
-        raise CoverageZero(element_id)
-    present = [t for t in tokens if t in vocab]
-    if not present:
-        raise CoverageZero(element_id)
-    coverage = len(present) / len(tokens)
-
-    if weighting == "uniform":
-        rows = vectors[[vocab.id_of(t) for t in present]]
-        return rows.mean(axis=0), coverage
-
-    counts: dict[str, int] = {}
-    for t in present:
-        counts[t] = counts.get(t, 0) + 1
-    weights = np.array([counts[t] * idf.get(t, 0.0) for t in counts])
-    rows = vectors[[vocab.id_of(t) for t in counts]]
-    total = weights.sum()
-    if total <= 0.0:
-        weights = np.array([float(counts[t]) for t in counts])
-        total = weights.sum()
-    return (weights @ rows) / total, coverage
-
-
-def compose_corpus(elements, vocab, vectors, weighting="uniform", idf=None):
-    """Embed (element_id, tokens) pairs; skips uncoverable elements.
-
-    Returns (ids, matrix, coverages, skipped_ids) with rows in input
-    order minus the skipped elements.
-    """
-    ids, rows, coverages, skipped = [], [], [], []
-    for element_id, tokens in elements:
-        try:
-            vec, coverage = compose_element(tokens, vocab, vectors,
-                                            weighting, idf, element_id)
-        except CoverageZero:
-            skipped.append(element_id)
-            continue
-        ids.append(element_id)
-        rows.append(vec)
-        coverages.append(coverage)
-    dim = vectors.shape[1]
-    matrix = np.array(rows) if rows else np.zeros((0, dim))
+    lengths, owners, token_ids = _in_vocabulary(token_ids, offsets)
+    present = np.bincount(owners, minlength=len(lengths))
+    weights = np.asarray(idf, dtype=np.float64)[token_ids] \
+        if weighting == "tfidf" else np.ones(len(token_ids))
+    totals = np.bincount(owners, weights, minlength=len(lengths))
+    unweighted = totals <= 0.0
+    weights[unweighted[owners]] = 1.0
+    totals[unweighted] = present[unweighted]
+    sums = np.zeros((len(lengths), vectors.shape[1]))
+    step = max(1, BLOCK // vectors.shape[1])
+    for lo in range(0, len(token_ids), step):
+        np.add.at(sums, owners[lo:lo + step], weights[lo:lo + step, None]
+                  * vectors[token_ids[lo:lo + step]])
+    covered = present > 0
+    matrix = sums[covered] / totals[covered][:, None]
+    coverages = (present[covered] / lengths[covered]).tolist()
+    ids = [element_ids[k] for k in np.flatnonzero(covered).tolist()]
+    skipped = [element_ids[k] for k in np.flatnonzero(~covered).tolist()]
     return ids, matrix, coverages, skipped
+
+
+def compose_element(tokens, vocab, vectors, weighting="uniform", idf=None,
+                    element_id=""):
+    """Embed one element of tagged tokens with compose_corpus; returns
+    (vector, coverage).  `idf` maps tokens to weights, 0 if absent."""
+    token_ids = [vocab.ids.get(token, -1) for token in tokens]
+    if idf is not None:
+        idf = [idf.get(token, 0.0) for token in vocab.tokens]
+    ids, matrix, coverages, _ = compose_corpus(
+        [element_id], token_ids, [0, len(token_ids)], vectors, weighting,
+        idf)
+    if not ids:
+        raise CoverageZero(element_id)
+    return matrix[0], coverages[0]
 
 
 def write_element_embeddings(path, ids, matrix, coverages, weighting,

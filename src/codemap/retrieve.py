@@ -19,18 +19,6 @@ SIDES = ("a2b", "b2a")
 SCORE_BLOCK = 1 << 16  # floats in one block of query-candidate scores
 
 
-def cosine(u, v):
-    """Cosine similarity; zero vectors have no direction and are
-    rejected."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    norm_u = np.linalg.norm(u)
-    norm_v = np.linalg.norm(v)
-    if norm_u == 0.0 or norm_v == 0.0:
-        raise ValueError("cosine undefined for zero vector")
-    return float(u @ v) / (norm_u * norm_v)
-
-
 @dataclass(frozen=True)
 class Query:
     id: str

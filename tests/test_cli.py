@@ -235,6 +235,45 @@ def test_repeated_alignment_link_is_refused(project, tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_repeated_alignment_pair_is_refused(project, tmp_path, capsys):
+    out = tmp_path / "out"
+    for stage in ("pair", "normalize", "align"):
+        assert _run(stage, "--config", str(project),
+                    "--out-dir", str(out)) == 0
+    path = out / "alignments.pharaoh"
+    lines = path.read_text().splitlines()
+    lineno = next(n for n, line in enumerate(lines, start=1)
+                  if not line.startswith("#"))
+    lines.insert(lineno, lines[lineno - 1])
+    path.write_text("\n".join(lines) + "\n")
+    assert _run("train", "--config", str(project),
+                "--out-dir", str(out)) == 3
+    assert f"alignments.pharaoh:{lineno + 1}: duplicate pair" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [(4, "99999"), (3, "-1")],
+                         ids=["last_past_the_end", "negative_first"])
+def test_element_range_outside_its_stream_is_refused(project, tmp_path,
+                                                     capsys, field, value):
+    out = tmp_path / "out"
+    for stage in ("pair", "normalize", "align", "train"):
+        assert _run(stage, "--config", str(project),
+                    "--out-dir", str(out)) == 0
+    path = out / "elements" / "a" / "Counter.java.tsv"
+    lines = path.read_text().splitlines()
+    lineno = next(n for n, line in enumerate(lines)
+                  if not line.startswith("#"))
+    fields = lines[lineno].split("\t")
+    fields[field] = value
+    lines[lineno] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    assert _run("compose", "--config", str(project),
+                "--out-dir", str(out)) == 3
+    assert "Counter.java.tsv: " in capsys.readouterr().err
+    assert not (out / "element_vecs.txt").exists()
+
+
 def test_alignments_from_another_chunking_are_refused(project, tmp_path,
                                                      capsys):
     short, long = project.parent / "short.cfg", project.parent / "long.cfg"
@@ -441,8 +480,8 @@ def test_tracer_sees_every_artifact_function(project, tmp_path):
         written = tracer.counts["io.bytes_written"]
         # functions the pipeline never calls, on the run's own artifacts
         align.read_table(out / "ttable.tsv")
-        hier.read_element_embeddings(out / "element_vecs.txt")
-        hier.read_skips(out / "compose_skips.tsv")
+        composed = hier.read_element_embeddings(out / "element_vecs.txt")[0]
+        skipped = hier.read_skips(out / "compose_skips.tsv")
         retrieve.read_report(out / "report.tsv")
         retrieve.write_truth(tmp_path / "truth.tsv",
                              retrieve.read_truth(project.parent /
@@ -472,3 +511,5 @@ def test_tracer_sees_every_artifact_function(project, tmp_path):
     kept = [count for count in tagged.values() if count >= min_count]
     assert tracer.counts["embed.vocab_size"] == len(kept) > 0
     assert tracer.counts["embed.train_tokens"] == epochs * sum(kept)
+    assert tracer.counts["hier.elements"] == len(composed) > 0
+    assert tracer.counts["hier.skipped"] == len(skipped)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codemap import hier
 from codemap.embed import Vocabulary
-from codemap.hier import (CoverageZero, build_idf, compose_corpus,
-                          compose_element, element_tokens,
+from codemap.hier import (WEIGHTINGS, CoverageZero, build_idf,
+                          compose_corpus, compose_element,
                           read_element_embeddings, read_skips,
                           write_element_embeddings, write_skips)
 from codemap.syntax import EnrichedToken, EnrichedTokenStream, parse, \
@@ -20,6 +21,15 @@ VECS = np.array([[1.0, 0.0],
                  [0.0, 1.0],
                  [2.0, 2.0],
                  [-1.0, 3.0]])
+
+
+def flatten(elements, vocab=VOCAB):
+    """(element ids, flat vocabulary ids, offsets) of (id, tokens) pairs,
+    as compose_corpus takes them."""
+    token_ids = [vocab.ids.get(token, -1) for _, tokens in elements
+                 for token in tokens]
+    offsets = np.cumsum([0] + [len(tokens) for _, tokens in elements])
+    return [element_id for element_id, _ in elements], token_ids, offsets
 
 
 def test_uniform_mean():
@@ -79,12 +89,15 @@ def test_tfidf_requires_idf():
 
 
 def test_build_idf():
-    idf = build_idf([["a:x", "a:y"], ["a:x"], ["a:x", "a:z"]])
-    assert idf["a:x"] == pytest.approx(0.0)
-    assert idf["a:y"] == pytest.approx(math.log(3.0))
-    assert idf["a:z"] == pytest.approx(math.log(3.0))
+    _, token_ids, offsets = flatten([("d0", ["a:x", "a:y"]),
+                                     ("d1", ["a:x", "a:x", "a:oov"]),
+                                     ("d2", ["a:x", "a:z"])])
+    idf = build_idf(token_ids, offsets, len(VOCAB))
+    assert idf[VOCAB.id_of("a:x")] == pytest.approx(0.0)
+    assert idf[VOCAB.id_of("a:y")] == pytest.approx(math.log(3.0))
+    assert idf[VOCAB.id_of("a:z")] == pytest.approx(math.log(3.0))
     with pytest.raises(ValueError):
-        build_idf([])
+        build_idf([], [0], len(VOCAB))
 
 
 def test_equal_idf_matches_uniform():
@@ -138,23 +151,25 @@ def test_method_embeds_flat_not_statement_means():
     statements = [e for e in elements if e.granularity == "statement"]
     assert len(statements) == 2
 
-    tokens = element_tokens(method, stream, "a")
-    vocab = Vocabulary(sorted(set(tokens)))
+    texts = [f"a:{token.text}" for token in stream.tokens]
+    vocab = Vocabulary(sorted(set(texts)))
     rng = np.random.default_rng(3)
     vecs = rng.normal(size=(len(vocab), 4))
 
-    flat, _ = compose_element(tokens, vocab, vecs)
-    stmt_means = [compose_element(element_tokens(s, stream, "a"),
-                                  vocab, vecs)[0] for s in statements]
+    _, matrix, _, _ = compose_corpus(*flatten(
+        [(e.granularity, [texts[k] for k in e.token_indices])
+         for e in [method] + statements], vocab), vecs)
+    flat, stmt_means = matrix[0], matrix[1:]
     assert not np.allclose(flat, np.mean(stmt_means, axis=0), atol=1e-6)
-    present = [t for t in tokens if t in vocab]
-    manual = vecs[[vocab.id_of(t) for t in present]].mean(axis=0)
+    manual = vecs[[vocab.id_of(texts[k])
+                   for k in method.token_indices]].mean(axis=0)
     assert np.allclose(flat, manual)
 
 
 def test_compose_corpus_orders_and_skips():
     elements = [("e0", ["a:x"]), ("e1", ["a:none"]), ("e2", ["a:y", "a:z"])]
-    ids, matrix, coverages, skipped = compose_corpus(elements, VOCAB, VECS)
+    ids, matrix, coverages, skipped = compose_corpus(*flatten(elements),
+                                                     VECS)
     assert ids == ["e0", "e2"]
     assert skipped == ["e1"]
     assert matrix.shape == (2, 2)
@@ -163,15 +178,81 @@ def test_compose_corpus_orders_and_skips():
 
 
 def test_compose_corpus_empty():
-    ids, matrix, coverages, skipped = compose_corpus([], VOCAB, VECS)
+    ids, matrix, coverages, skipped = compose_corpus(*flatten([]), VECS)
     assert ids == [] and skipped == [] and coverages == []
     assert matrix.shape == (0, 2)
+
+
+def oracle_compose_element(tokens, vocab, vectors, weighting, idf,
+                           element_id):
+    """Per-element composition written against the definition, one
+    token string at a time: the code the corpus kernel replaced."""
+    present = [t for t in tokens if t in vocab]
+    if not present:
+        raise CoverageZero(element_id)
+    coverage = len(present) / len(tokens)
+    if weighting == "uniform":
+        rows = vectors[[vocab.id_of(t) for t in present]]
+        return rows.mean(axis=0), coverage
+    counts = {}
+    for t in present:
+        counts[t] = counts.get(t, 0) + 1
+    weights = np.array([counts[t] * idf.get(t, 0.0) for t in counts])
+    rows = vectors[[vocab.id_of(t) for t in counts]]
+    total = weights.sum()
+    if total <= 0.0:
+        weights = np.array([float(counts[t]) for t in counts])
+        total = weights.sum()
+    return (weights @ rows) / total, coverage
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_corpus_kernel_equals_the_per_element_oracle(block, monkeypatch):
+    if block is not None:  # one token occurrence per block
+        monkeypatch.setattr(hier, "BLOCK", block)
+    rng = np.random.default_rng(11)
+    tokens = [f"a:t{k}" for k in range(30)]
+    vocab = Vocabulary(tokens)
+    vectors = rng.normal(size=(len(vocab), 7))
+    universe = tokens + [f"a:oov{k}" for k in range(8)]
+    elements = [[universe[j] for j in rng.integers(0, len(universe),
+                                                   rng.integers(1, 25))]
+                for _ in range(400)]
+    # the first ten tokens have idf 0, so an element of only those (and
+    # out-of-vocabulary tokens) has weights summing to zero
+    zero_idf = [tokens[1], tokens[4], tokens[1], "a:oov2"]
+    elements += [[], ["a:oov0", "a:oov3", "a:oov0"], zero_idf]
+    idf = {t: 0.0 if k < 10 else float(rng.exponential())
+           for k, t in enumerate(tokens)}
+    element_ids, token_ids, offsets = flatten(
+        [(f"e{k}", element) for k, element in enumerate(elements)], vocab)
+    for weighting in WEIGHTINGS:
+        ids, matrix, coverages, skipped = compose_corpus(
+            element_ids, token_ids, offsets, vectors, weighting,
+            [idf[t] for t in vocab.tokens])
+        want = {}
+        for element_id, element in zip(element_ids, elements):
+            try:
+                want[element_id] = oracle_compose_element(
+                    element, vocab, vectors, weighting, idf, element_id)
+            except CoverageZero:
+                pass
+        assert ids == list(want)
+        assert skipped == [e for e in element_ids if e not in want]
+        assert {"e400", "e401"} <= set(skipped) and "e402" in ids
+        assert coverages == [coverage for _, coverage in want.values()]
+        expected = np.array([vec for vec, _ in want.values()])
+        if weighting == "uniform":
+            assert np.array_equal(matrix, expected)
+        else:
+            np.testing.assert_allclose(matrix, expected, rtol=1e-12,
+                                       atol=0.0)
 
 
 def test_element_embedding_round_trip(tmp_path):
     elements = [("a:F.java:method:0", ["a:x", "a:y"]),
                 ("b:F.cs:statement:1", ["b:x", "a:missing"])]
-    ids, matrix, coverages, _ = compose_corpus(elements, VOCAB, VECS)
+    ids, matrix, coverages, _ = compose_corpus(*flatten(elements), VECS)
     out = tmp_path / "vecs.txt"
     write_element_embeddings(out, ids, matrix, coverages, "uniform",
                              comments=["demo"])

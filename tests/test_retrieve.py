@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from codemap import retrieve
 from codemap.retrieve import (MappingReport, Query, average_precision,
-                              cosine, diff_reference, element_side,
-                              evaluate_map, precision_at, rank_batch,
-                              read_rankings, read_reference, read_report,
-                              read_truth, run_queries, write_diff,
-                              write_rankings, write_report, write_truth)
+                              diff_reference, element_side, evaluate_map,
+                              precision_at, rank_batch, read_rankings,
+                              read_reference, read_report, read_truth,
+                              run_queries, write_diff, write_rankings,
+                              write_report, write_truth)
 
 
 def oracle_average_precision(ranked, relevant, k):
@@ -26,16 +26,6 @@ def oracle_average_precision(ranked, relevant, k):
 
 # ---------------------------------------------------------------------------
 # cosine and ranking
-
-
-def test_cosine_examples():
-    assert cosine([1, 0], [1, 0]) == pytest.approx(1.0)
-    assert cosine([1, 0], [0, 1]) == pytest.approx(0.0)
-    assert cosine([1, 0], [-1, 0]) == pytest.approx(-1.0)
-    with pytest.raises(ValueError):
-        cosine([0, 0], [1, 0])
-    with pytest.raises(ValueError):
-        cosine([1, 0], [0, 0])
 
 
 def test_rank_neighbors_orders_by_similarity():
