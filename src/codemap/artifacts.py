@@ -85,16 +85,16 @@ def write_vectors(path, ids, matrix, comments=(), tag=None,
                   extras=None) -> None:
     """The vector format shared by embeddings and element vectors: header
     `<n> <d> [tag]`, then `id v1 ... vd [extra]` rows at 9 significant
-    digits."""
-    template = " ".join(["%.9g"] * matrix.shape[1])
+    digits; the extra is one more column."""
+    columns = matrix if extras is None else np.column_stack((matrix, extras))
+    template = " ".join(["%.9g"] * columns.shape[1])
 
     def lines():
         yield " ".join(str(x) for x in (len(ids), matrix.shape[1], tag)
                        if x is not None)
-        for row, (item, vector) in enumerate(zip(ids, matrix)):
-            values = template % tuple(vector.tolist())
-            extra = "" if extras is None else f" {extras[row]:.9g}"
-            yield f"{check_field(path, 'id', item)} {values}{extra}"
+        for item, row in zip(ids, columns):
+            values = template % tuple(row.tolist())
+            yield f"{check_field(path, 'id', item)} {values}"
     write_lines(path, lines(), comments)
 
 
@@ -111,15 +111,14 @@ def read_vectors(path, tags=None, extra=False):
     if tags is not None and tag not in tags:
         raise ValueError(f"{path}:{lineno}: header tag {tag!r} is not one "
                          f"of {', '.join(tags)}")
-    ids, vectors, extras = [], [], []
+    ids, values = [], []
     for lineno, parts in rows:
         _expect_fields(path, lineno, parts, dim + 1 + extra)
         ids.append(parts[0])
-        vectors.append(field(path, lineno, _floats, parts[1:dim + 1]))
-        if extra:
-            extras.append(field(path, lineno, float, parts[-1]))
+        values.append(field(path, lineno, _floats, parts[1:]))
     if len(ids) != size:
         raise ValueError(f"{path}: header promises {size} rows, "
                          f"found {len(ids)}")
-    matrix = np.array(vectors) if vectors else np.zeros((0, dim))
-    return ids, matrix, extras if extra else None, tag
+    columns = np.array(values) if ids else np.zeros((0, dim + extra))
+    extras = columns[:, dim].tolist() if extra else None
+    return ids, columns[:, :dim], extras, tag

@@ -158,13 +158,13 @@ def _load_elements(out_dir, vocab):
                 ordinal = ordinals[element.granularity]
                 ordinals[element.granularity] += 1
                 span = element.token_indices
-                if span[0] < 0 or span[-1] >= len(stream_ids):
+                if span.start < 0 or span.stop > len(stream_ids):
                     raise ValueError(f"{element_file}: tokens {span[0]}-"
                                      f"{span[-1]} are outside the "
                                      f"{len(stream_ids)}-token stream")
                 element_ids.append(f"{side}:{relpath}:"
                                    f"{element.granularity}:{ordinal}")
-                token_ids.extend(stream_ids[span[0]:span[-1] + 1])
+                token_ids.extend(stream_ids[span.start:span.stop])
                 offsets.append(len(token_ids))
     return element_ids, np.array(token_ids, dtype=np.intp), offsets
 

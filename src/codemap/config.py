@@ -12,14 +12,14 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import __version__
+from . import __version__, syntax
 from .corpus import ProjectManifest
 from .embed import TrainConfig
 from .hier import WEIGHTINGS
 from .retrieve import SIDES
 
 SYMMETRIZATIONS = ("intersection", "union")
-GRANULARITIES = ("token", "expression", "statement", "method")
+GRANULARITIES = ("token", *syntax.elements.GRANULARITIES)
 
 
 @dataclass

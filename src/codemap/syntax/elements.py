@@ -18,17 +18,15 @@ class CodeElement:
     granularity: str  # expression | statement | method
     start: int
     end: int
-    token_indices: tuple[int, ...]
+    token_indices: range  # the contiguous stream tokens it owns
     label: str
 
     def __post_init__(self):
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"bad granularity: {self.granularity}")
         if not self.token_indices:
-            raise ValueError("element owns no tokens")
-        if any(b <= a for a, b in zip(self.token_indices,
-                                      self.token_indices[1:])):
-            raise ValueError("token indices must be strictly increasing")
+            raise ValueError(f"token range {self.token_indices.start}-"
+                             f"{self.token_indices.stop - 1} is empty")
 
 
 def extract_elements(tree: SyntaxTree,
@@ -57,7 +55,7 @@ def extract_elements(tree: SyntaxTree,
         if hi <= lo:
             continue
         elements.append(CodeElement(granularity, node.start, node.end,
-                                    tuple(range(lo, hi)), label))
+                                    range(lo, hi), label))
     return elements
 
 
@@ -73,6 +71,9 @@ def read_elements(path) -> list[CodeElement]:
     for lineno, (granularity, *span, label) in artifacts.records(path, 6):
         start, end, first, last = (artifacts.field(path, lineno, int, text)
                                    for text in span)
-        elements.append(CodeElement(granularity, start, end,
-                                    tuple(range(first, last + 1)), label))
+        try:
+            elements.append(CodeElement(granularity, start, end,
+                                        range(first, last + 1), label))
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
     return elements

@@ -5,6 +5,14 @@ a resolved signature, a primitive placeholder, a literal-kind marker or a
 plain keyword.  Punctuation and operators never survive.  With
 `structure=False` the walk performs signature substitution only, which is
 the form the listing-style examples are written in.
+
+One rule places the structural keywords: a node whose kind is in
+`STRUCT_KEYWORDS` opens its token range with that keyword, before anything
+its handler emits.  A node kind without a `_visit_<kind>` handler only
+walks its children, so a kind that adds no tokens of its own has no
+handler.  Package and import nodes have no children; the symbol table
+alone reads them.  `literal_type` is the one keyword that names no node
+kind: the `literal` handler emits it.
 """
 
 from __future__ import annotations
@@ -24,9 +32,6 @@ STRUCT_KEYWORDS = {
 }
 
 LITERAL_KINDS = {"string", "char", "number", "boolean", "null"}
-
-_STATEMENT_LIKE = {"decl_stmt", "expr_stmt", "if_stmt", "loop", "return_stmt",
-                   "block"}
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,8 @@ class _Normalizer:
 
     def visit(self, node: Node) -> None:
         lo = len(self.tokens)
+        if node.kind in STRUCT_KEYWORDS:
+            self.kw(node.kind, node)
         handler = getattr(self, f"_visit_{node.kind}", None)
         if handler is not None:
             handler(node)
@@ -82,21 +89,7 @@ class _Normalizer:
 
     # structure ------------------------------------------------------------
 
-    def _visit_unit(self, node: Node) -> None:
-        self.kw("unit", node)
-        self._visit_children(node)
-
-    def _visit_package(self, node: Node) -> None:
-        pass  # consumed by the symbol table
-
-    def _visit_import(self, node: Node) -> None:
-        pass  # consumed by the symbol table
-
-    def _visit_namespace(self, node: Node) -> None:
-        self._visit_children(node)
-
     def _visit_class(self, node: Node) -> None:
-        self.kw("class", node)
         for mod in node.meta["modifiers"]:
             self.tok(mod, "keyword", node)
         qualified = self.sym.qualify_declared(node.meta["name"])
@@ -114,7 +107,6 @@ class _Normalizer:
         self.sym.class_stack.pop()
 
     def _visit_func_decl(self, node: Node) -> None:
-        self.kw("func_decl", node)
         for mod in node.meta["modifiers"]:
             self.tok(mod, "keyword", node)
         return_type = node.meta["return_type"]
@@ -134,12 +126,7 @@ class _Normalizer:
 
     # statements -----------------------------------------------------------
 
-    def _visit_decl_stmt(self, node: Node) -> None:
-        self.kw("decl_stmt", node)
-        self._visit_children(node)
-
     def _visit_decl(self, node: Node) -> None:
-        self.kw("decl", node)
         for mod in node.meta["modifiers"]:
             self.tok(mod, "keyword", node)
         declared = node.meta["type"]
@@ -155,28 +142,7 @@ class _Normalizer:
         self.sym.declare(node.meta["name"], declared)
         self._visit_children(node)
 
-    def _visit_expr_stmt(self, node: Node) -> None:
-        self.kw("expr_stmt", node)
-        self._visit_children(node)
-
-    def _visit_expr(self, node: Node) -> None:
-        self.kw("expr", node)
-        self._visit_children(node)
-
-    def _visit_if_stmt(self, node: Node) -> None:
-        self.kw("if_stmt", node)
-        self._visit_children(node)
-
-    def _visit_loop(self, node: Node) -> None:
-        self.kw("loop", node)
-        self._visit_children(node)
-
-    def _visit_return_stmt(self, node: Node) -> None:
-        self.kw("return_stmt", node)
-        self._visit_children(node)
-
     def _visit_block(self, node: Node) -> None:
-        self.kw("block", node)
         self.sym.push_scope()
         self._visit_children(node)
         self.sym.pop_scope()
@@ -184,12 +150,7 @@ class _Normalizer:
     # expressions ----------------------------------------------------------
 
     def _visit_func_call(self, node: Node) -> None:
-        self.kw("func_call", node)
         self.tok(self._call_signature(node), "signature", node)
-        self._visit_children(node)
-
-    def _visit_argument(self, node: Node) -> None:
-        self.kw("argument", node)
         self._visit_children(node)
 
     def _visit_literal(self, node: Node) -> None:
@@ -204,10 +165,6 @@ class _Normalizer:
 
     def _visit_name(self, node: Node) -> None:
         self.tok(node.text, "keyword", node)
-
-    def _visit_opaque(self, node: Node) -> None:
-        self.kw("opaque", node)
-        self._visit_children(node)
 
     # helpers ----------------------------------------------------------------
 

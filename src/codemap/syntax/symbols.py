@@ -157,26 +157,6 @@ def simple_arg_name(type_name: str, symbols: SymbolTable | None = None) -> str:
     return base.split(".")[-1] + dims
 
 
-def resolve_signature(name: str, symbols: SymbolTable) -> str:
-    """Resolve a rendered name, keeping any trailing argument list intact."""
-    if not name:
-        raise ValueError("empty name")
-    suffix = ""
-    paren = name.find("(")
-    if paren != -1:
-        suffix = name[paren:]
-        name = name[:paren]
-    segs = name.split(".")
-    if suffix:
-        if len(segs) == 1:
-            owner = symbols.class_stack[-1] if symbols.class_stack else "unk"
-            return f"{owner}.{segs[0]}{suffix}"
-        owner, _ = resolve_chain(segs[:-1], symbols)
-        return f"{owner}.{segs[-1]}{suffix}"
-    text, _ = resolve_chain(segs, symbols)
-    return text
-
-
 def build_symbols(tree) -> SymbolTable:
     """Collect package, imports and declared classes from a parsed unit."""
     sym = SymbolTable()

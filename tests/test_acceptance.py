@@ -19,7 +19,7 @@ from codemap.embed import (EmbeddingTable, TrainConfig, sgns_pair_grads,
 from codemap.hier import CoverageZero, compose_element
 from codemap.retrieve import evaluate_map
 from codemap.syntax import (SymbolTable, build_symbols, extract_elements,
-                            normalize, parse, resolve_signature)
+                            normalize, parse)
 
 FIXTURE_CONFIG = Path(__file__).parent.parent / "fixtures" / "demo" / \
     "config.txt"
@@ -54,14 +54,18 @@ def test_criterion_1_golden_normalization(capsys):
 
         symbols = SymbolTable(
             imports={"CommonTree": "Antlr.Runtime.Tree.CommonTree"})
-        assert resolve_signature("CommonTree", symbols) == \
-            "Antlr.Runtime.Tree.CommonTree"
+        stream = normalize(parse("CommonTree;", "csharp"), symbols,
+                           structure=False)
+        assert [t.text for t in stream.tokens] == \
+            ["Antlr.Runtime.Tree.CommonTree"]
 
         symbols = SymbolTable()
         symbols.push_scope()
         symbols.declare("lexer", "Antlr.Runtime.SlimLexer")
-        assert resolve_signature("lexer.Emit()", symbols) == \
-            "Antlr.Runtime.SlimLexer.Emit()"
+        stream = normalize(parse("lexer.Emit();", "csharp"), symbols,
+                           structure=False)
+        assert [t.text for t in stream.tokens] == \
+            ["Antlr.Runtime.SlimLexer.Emit()"]
 
         source = ('using System;\n\nclass Program {\n'
                   '    static void Main() {\n'

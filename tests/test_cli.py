@@ -257,21 +257,39 @@ def test_repeated_alignment_pair_is_refused(project, tmp_path, capsys):
 def test_element_range_outside_its_stream_is_refused(project, tmp_path,
                                                      capsys, field, value):
     out = tmp_path / "out"
+    _edit_first_element(project, out, {field: value})
+    assert _run("compose", "--config", str(project),
+                "--out-dir", str(out)) == 3
+    assert "Counter.java.tsv: " in capsys.readouterr().err
+    assert not (out / "element_vecs.txt").exists()
+
+
+def test_reversed_element_range_names_its_line(project, tmp_path, capsys):
+    out = tmp_path / "out"
+    lineno = _edit_first_element(project, out, {3: "9", 4: "5"})
+    assert _run("compose", "--config", str(project),
+                "--out-dir", str(out)) == 3
+    assert f"Counter.java.tsv:{lineno}: token range 9-5 is empty" in \
+        capsys.readouterr().err
+    assert not (out / "element_vecs.txt").exists()
+
+
+def _edit_first_element(project, out, changes):
+    """Run the stages up to train, then overwrite fields of the first
+    element row of `Counter.java`; returns that row's line number."""
     for stage in ("pair", "normalize", "align", "train"):
         assert _run(stage, "--config", str(project),
                     "--out-dir", str(out)) == 0
     path = out / "elements" / "a" / "Counter.java.tsv"
     lines = path.read_text().splitlines()
-    lineno = next(n for n, line in enumerate(lines)
-                  if not line.startswith("#"))
-    fields = lines[lineno].split("\t")
-    fields[field] = value
-    lines[lineno] = "\t".join(fields)
+    index = next(n for n, line in enumerate(lines)
+                 if not line.startswith("#"))
+    fields = lines[index].split("\t")
+    for position, value in changes.items():
+        fields[position] = value
+    lines[index] = "\t".join(fields)
     path.write_text("\n".join(lines) + "\n")
-    assert _run("compose", "--config", str(project),
-                "--out-dir", str(out)) == 3
-    assert "Counter.java.tsv: " in capsys.readouterr().err
-    assert not (out / "element_vecs.txt").exists()
+    return index + 1
 
 
 def test_alignments_from_another_chunking_are_refused(project, tmp_path,

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codemap.syntax import (EnrichedTokenStream, ParseError, SymbolTable,
-                            build_symbols, extract_elements, normalize,
-                            parse, read_elements, read_stream,
-                            resolve_signature, write_elements, write_stream)
+from codemap.syntax import (LITERAL_KINDS, STRUCT_KEYWORDS,
+                            EnrichedTokenStream, ParseError, SymbolTable,
+                            extract_elements, normalize, parse,
+                            read_elements, read_stream, write_elements,
+                            write_stream)
 from codemap.syntax.symbols import canon_primitive
 
 # ---------------------------------------------------------------------------
@@ -22,12 +23,6 @@ def test_golden_primitive_decl():
     tree = parse("int i;", "java")
     stream = normalize(tree, structure=False)
     assert [t.text for t in stream.tokens] == ["int", "int_id"]
-
-
-def test_golden_imported_type_name():
-    sym = SymbolTable(imports={"CommonTree": "Antlr.Runtime.Tree.CommonTree"})
-    assert (resolve_signature("CommonTree", sym)
-            == "Antlr.Runtime.Tree.CommonTree")
 
 
 def test_golden_imported_type_name_in_stream():
@@ -44,11 +39,9 @@ def test_golden_method_call_on_local():
     assert [t.text for t in stream.tokens] == ["Antlr.Runtime.SlimLexer.Emit()"]
 
 
-def test_golden_method_call_via_resolve():
-    sym = SymbolTable()
-    sym.declare("lexer", "Antlr.Runtime.SlimLexer")
-    assert (resolve_signature("lexer.Emit()", sym)
-            == "Antlr.Runtime.SlimLexer.Emit()")
+def test_golden_call_on_primitive_local_names_the_type():
+    stream = normalize(parse("int x; x.Foo();", "java"), structure=False)
+    assert [t.text for t in stream.tokens] == ["int", "int_id", "int.Foo()"]
 
 
 GOLDEN_CS = """using System;
@@ -156,12 +149,15 @@ def test_opaque_keeps_identifiers():
 
 
 def test_unknown_name_falls_back():
-    assert resolve_signature("Foo", SymbolTable()) == "unk.Foo"
+    stream = normalize(parse("Foo;", "csharp"), SymbolTable(),
+                       structure=False)
+    assert [t.text for t in stream.tokens] == ["unk.Foo"]
 
 
 def test_qualified_name_resolves_to_itself():
-    assert (resolve_signature("Antlr.Runtime.Tree.CommonTree", SymbolTable())
-            == "Antlr.Runtime.Tree.CommonTree")
+    stream = normalize(parse("Antlr.Runtime.Tree.CommonTree;", "csharp"),
+                       SymbolTable(), structure=False)
+    assert [t.text for t in stream.tokens] == ["Antlr.Runtime.Tree.CommonTree"]
 
 
 def test_wildcard_import_qualifies():
@@ -385,6 +381,15 @@ def test_generated_sources_normalize(case):
         assert token.text
         assert token.text not in PUNCT
         assert " " not in token.text
+        if token.kind == "struct_kw":
+            assert token.text in STRUCT_KEYWORDS
+        elif token.kind == "literal_kind":
+            assert token.text in LITERAL_KINDS
+    for node in tree.root.walk():
+        lo, hi = stream.node_ranges[id(node)]
+        if node.kind in STRUCT_KEYWORDS and hi > lo:
+            assert stream.tokens[lo].kind == "struct_kw"
+            assert stream.tokens[lo].text == node.kind
     elements = extract_elements(tree, stream)
     for element in elements:
         assert element.token_indices[-1] < len(stream.tokens)
