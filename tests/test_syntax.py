@@ -4,6 +4,8 @@ The four golden listings are the anchor: they pin signature substitution,
 qualified-name resolution and the enriched stream format exactly.
 """
 
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -334,6 +336,381 @@ def test_element_file_round_trip(tmp_path):
     out = tmp_path / "Sample.elements"
     write_elements(elements, out, comments=["tool test"])
     assert read_elements(out) == elements
+
+
+# ---------------------------------------------------------------------------
+# construct table: one compact rendering (kind, span, text, meta) per parser
+# production, so a change to any production shows up as a changed line
+
+
+def _meta_value(value):
+    if isinstance(value, list):
+        return ",".join(":".join(x) if isinstance(x, tuple) else x
+                        for x in value)
+    return value
+
+
+def _render(node, depth=0):
+    meta = " ".join(f"{k}={_meta_value(v)}"
+                    for k, v in sorted(node.meta.items()) if k != "language")
+    text = "" if node.text is None else f" {node.text}"
+    lines = ["  " * depth + f"{node.kind} {node.start}-{node.end}{text}"
+             + (f" {meta}" if meta else "")]
+    for child in node.children:
+        lines.extend(_render(child, depth + 1))
+    return lines
+
+
+# try/catch/finally is pinned as it parses today: the opaque scanner stops
+# at the `(` or `{` after a continuation keyword, so everything from the
+# catch clause on becomes one expression statement
+CONSTRUCTS = [
+    pytest.param(
+        "java",
+        'for (int i = 0; i < n; i++) { f(i); }',
+        """
+        loop 0-37
+          decl_stmt 5-15 modifiers= type=int
+            decl 9-14 modifiers= name=i type=int
+              literal 13-14 0 kind=number
+          expr 16-21
+            nameref 16-17 segs=i
+            nameref 20-21 segs=n
+          expr 23-26
+            nameref 23-24 segs=i
+          block 28-37
+            expr_stmt 30-35
+              expr 30-35
+                func_call 30-34 new=False owner_unknown=False segs=f
+                  argument 32-33
+                    nameref 32-33 segs=i
+""", id="for_classic"),
+    pytest.param(
+        "java",
+        'for (String s : items) g(s);',
+        """
+        loop 0-28
+          decl_stmt 5-13 modifiers= type=String
+            decl 5-13 modifiers= name=s type=String
+          expr 16-21
+            nameref 16-21 segs=items
+          expr_stmt 23-28
+            expr 23-28
+              func_call 23-27 new=False owner_unknown=False segs=g
+                argument 25-26
+                  nameref 25-26 segs=s
+""", id="for_enhanced"),
+    pytest.param(
+        "java",
+        'for (;;) { }',
+        """
+        loop 0-12
+          block 9-12
+""", id="for_empty"),
+    pytest.param(
+        "csharp",
+        'foreach (var x in xs) { Use(x); }',
+        """
+        loop 0-33
+          decl_stmt 9-14 modifiers= type=var
+            decl 9-14 modifiers= name=x type=var
+          expr 18-21
+            nameref 18-20 segs=xs
+          block 22-33
+            expr_stmt 24-31
+              expr 24-31
+                func_call 24-30 new=False owner_unknown=False segs=Use
+                  argument 28-29
+                    nameref 28-29 segs=x
+""", id="foreach"),
+    pytest.param(
+        "java",
+        'do { n--; } while (n > 0);',
+        """
+        loop 0-26
+          block 3-11
+            expr_stmt 5-9
+              expr 5-9
+                nameref 5-6 segs=n
+          expr 19-26
+            nameref 19-20 segs=n
+            literal 23-24 0 kind=number
+""", id="do_while"),
+    pytest.param(
+        "java",
+        'if (a) f(); else if (b) g(); else h();',
+        """
+        if_stmt 0-38
+          expr 4-6
+            nameref 4-5 segs=a
+          expr_stmt 7-11
+            expr 7-11
+              func_call 7-10 new=False owner_unknown=False segs=f
+          if_stmt 17-38
+            expr 21-23
+              nameref 21-22 segs=b
+            expr_stmt 24-28
+              expr 24-28
+                func_call 24-27 new=False owner_unknown=False segs=g
+            expr_stmt 34-38
+              expr 34-38
+                func_call 34-37 new=False owner_unknown=False segs=h
+""", id="if_else_if"),
+    pytest.param(
+        "java",
+        'while (ok) { return x + 1; } return;',
+        """
+        loop 0-28
+          expr 7-10
+            nameref 7-9 segs=ok
+          block 11-28
+            return_stmt 13-26
+              expr 20-25
+                nameref 20-21 segs=x
+                literal 24-25 1 kind=number
+        return_stmt 29-36
+""", id="while_return"),
+    pytest.param(
+        "csharp",
+        'class A { int Twice(int x) => x * 2; }',
+        """
+        class 0-38 modifiers= name=A
+          func_decl 10-36 modifiers= name=Twice params=int:x return_type=int
+            return_stmt 30-36
+              expr 30-36
+                nameref 30-31 segs=x
+                literal 34-35 2 kind=number
+""", id="expression_bodied_method"),
+    pytest.param(
+        "java",
+        'class A { A(int x) { this.x = x; } }',
+        """
+        class 0-36 modifiers= name=A
+          func_decl 10-34 modifiers= name=A params=int:x return_type=None
+            block 19-34
+              expr_stmt 21-32
+                expr 21-32
+                  nameref 21-27 segs=this,x
+                  nameref 30-31 segs=x
+""", id="constructor"),
+    pytest.param(
+        "java",
+        'class A { static int a = 1, b[] = {2, 3}, c; }',
+        """
+        class 0-46 modifiers= name=A
+          decl_stmt 10-44 modifiers=static type=int
+            decl 21-26 modifiers=static name=a type=int
+              literal 25-26 1 kind=number
+            decl 28-40 modifiers=static name=b type=int[]
+              literal 35-36 2 kind=number
+              literal 38-39 3 kind=number
+            decl 42-43 modifiers=static name=c type=int
+""", id="field_declarators"),
+    pytest.param(
+        "java",
+        'class A { void f(final String... args) { } }',
+        """
+        class 0-44 modifiers= name=A
+          func_decl 10-42 modifiers= name=f params=String[]:args return_type=void
+            block 39-42
+""", id="varargs_and_default"),
+    pytest.param(
+        "csharp",
+        'class A { void G(ref int a, out int[] b, int c = 3) { } }',
+        """
+        class 0-57 modifiers= name=A
+          func_decl 10-55 modifiers= name=G params=int:a,int[]:b,int:c return_type=void
+            block 52-55
+""", id="ref_out_default"),
+    pytest.param(
+        "java",
+        '@Deprecated class A { @Override public String toString() { '
+        'return "a"; } }',
+        """
+        class 12-74 modifiers= name=A
+          func_decl 32-72 modifiers=public name=toString params= return_type=String
+            block 57-72
+              return_stmt 59-70
+                expr 66-69
+                  literal 66-69 "a" kind=string
+""", id="java_annotations"),
+    pytest.param(
+        "csharp",
+        '[Serializable] class A { [Obsolete("x")] public void M() { '
+        '} }',
+        """
+        class 15-62 modifiers= name=A
+          func_decl 41-60 modifiers=public name=M params= return_type=void
+            block 57-60
+""", id="csharp_attributes"),
+    pytest.param(
+        "csharp",
+        'namespace A.B; class C { }',
+        """
+        namespace 0-26 name=A.B
+          class 15-26 modifiers= name=C
+""", id="namespace_file_scoped"),
+    pytest.param(
+        "csharp",
+        'namespace A { class C { } } int x;',
+        """
+        namespace 0-27 name=A
+          class 14-25 modifiers= name=C
+        decl_stmt 28-34 modifiers= type=int
+          decl 32-33 modifiers= name=x type=int
+""", id="namespace_block"),
+    pytest.param(
+        "csharp",
+        'using static System.Math; using IO = System.IO; using X;',
+        """
+        import 0-25 qualified=System.Math wildcard=True
+        import 26-47 qualified=System.IO simple=IO wildcard=False
+        import 48-56 qualified=X wildcard=True
+""", id="using_alias_and_static"),
+    pytest.param(
+        "java",
+        'package a.b; import static a.B.c; import a.C; import a.d.*;',
+        """
+        package 0-12 name=a.b
+        import 13-33 qualified=a.B.c simple=c wildcard=False
+        import 34-45 qualified=a.C simple=C wildcard=False
+        import 46-59 qualified=a.d wildcard=True
+""", id="java_package_and_imports"),
+    pytest.param(
+        "csharp",
+        'var l = new List<int>(3) { 1, 2 };',
+        """
+        decl_stmt 0-34 modifiers= type=var
+          decl 4-33 modifiers= name=l type=var
+            func_call 8-24 new=True owner_unknown=False segs=List
+              argument 22-23
+                literal 22-23 3 kind=number
+            literal 27-28 1 kind=number
+            literal 30-31 2 kind=number
+""", id="new_with_arguments_and_initializer"),
+    pytest.param(
+        "java",
+        'int[][] m = new int[2][n]; int[] v = new int[] { 1, x };',
+        """
+        decl_stmt 0-26 modifiers= type=int[][]
+          decl 8-25 modifiers= name=m type=int[][]
+            nameref 12-19 is_type=True segs=int
+            literal 20-21 2 kind=number
+            nameref 23-24 segs=n
+        decl_stmt 27-56 modifiers= type=int[]
+          decl 33-55 modifiers= name=v type=int[]
+            nameref 37-46 is_type=True segs=int
+            literal 49-50 1 kind=number
+            nameref 52-53 segs=x
+""", id="array_creation"),
+    pytest.param(
+        "java",
+        'b.append(x).append("y").toString(); new B().go(1);',
+        """
+        expr_stmt 0-35
+          expr 0-35
+            func_call 0-11 new=False owner_unknown=False segs=b,append
+              argument 9-10
+                nameref 9-10 segs=x
+            func_call 12-23 new=False owner_unknown=True segs=append
+              argument 19-22
+                literal 19-22 "y" kind=string
+            func_call 24-34 new=False owner_unknown=True segs=toString
+        expr_stmt 36-50
+          expr 36-50
+            func_call 36-43 new=True owner_unknown=False segs=B
+            func_call 44-49 new=False owner_unknown=True segs=go
+              argument 47-48
+                literal 47-48 1 kind=number
+""", id="chained_calls"),
+    pytest.param(
+        "java",
+        "x = (a + 'c') * m[i] + true + null + 1.5;",
+        """
+        expr_stmt 0-41
+          expr 0-41
+            nameref 0-1 segs=x
+            nameref 5-6 segs=a
+            literal 9-12 'c' kind=char
+            nameref 16-17 segs=m
+            nameref 18-19 segs=i
+            literal 23-27 true kind=boolean
+            literal 30-34 null kind=null
+            literal 37-40 1.5 kind=number
+""", id="literals_and_groups"),
+    pytest.param(
+        "csharp",
+        'class A { void F() { switch (k) { case 1: G(); break; } '
+        'lock (o) { I(); } throw e; } }',
+        """
+        class 0-86 modifiers= name=A
+          func_decl 10-84 modifiers= name=F params= return_type=void
+            block 19-84
+              opaque 21-55
+                name 21-27 switch
+                name 29-30 k
+                name 34-38 case
+                literal 39-40 1 kind=number
+                name 42-43 G
+                name 47-52 break
+              opaque 56-73
+                name 56-60 lock
+                name 62-63 o
+                name 67-68 I
+              opaque 74-82
+                name 74-79 throw
+                name 80-81 e
+""", id="opaque_statements"),
+    pytest.param(
+        "java",
+        'try { g(); } catch (E e) { h(e); } finally { k(); } m();',
+        """
+        opaque 0-18
+          name 0-3 try
+          name 6-7 g
+          name 13-18 catch
+        expr_stmt 19-56
+          expr 19-56
+            nameref 20-21 segs=E
+            nameref 22-23 segs=e
+            func_call 27-31 new=False owner_unknown=False segs=h
+              argument 29-30
+                nameref 29-30 segs=e
+            nameref 35-42 segs=finally
+            func_call 45-48 new=False owner_unknown=False segs=k
+            func_call 52-55 new=False owner_unknown=False segs=m
+""", id="try_catch_finally"),
+    pytest.param(
+        "csharp",
+        'class A { int P { get; set; } enum E { X, Y } interface I { '
+        'void M(); } }',
+        """
+        class 0-73 modifiers= name=A
+          opaque 10-29
+            name 10-13 int
+            name 14-15 P
+            name 18-21 get
+            name 23-26 set
+          opaque 30-45
+            name 30-34 enum
+            name 35-36 E
+            name 39-40 X
+            name 42-43 Y
+          opaque 46-71
+            name 46-55 interface
+            name 56-57 I
+            name 60-64 void
+            name 65-66 M
+""", id="opaque_members"),
+
+]
+
+
+@pytest.mark.parametrize("language, source, expected", CONSTRUCTS)
+def test_construct_table(language, source, expected):
+    tree = parse(source, language)
+    rendered = [line for node in tree.root.children for line in _render(node)]
+    assert rendered == textwrap.dedent(expected).strip("\n").splitlines()
 
 
 # ---------------------------------------------------------------------------
