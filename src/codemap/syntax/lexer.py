@@ -32,6 +32,10 @@ _TWO_CHAR_OPS = {
 }
 
 
+# quote -> token kind and the name an unterminated literal is reported by
+_QUOTES = {'"': ("str", "string"), "'": ("char", "char literal")}
+
+
 def _is_name_start(c: str) -> bool:
     return c.isalpha() or c in "_$"
 
@@ -100,31 +104,19 @@ def lex(source: str) -> list[Tok]:
             c = '"'
             advance(1)
             start = i
-        if c == '"':
+        if c in _QUOTES:
+            kind, what = _QUOTES[c]
             advance(1)
-            while i < n and source[i] != '"':
+            while i < n and source[i] != c:
                 if source[i] == "\\":
                     advance(1)
-                if source[i] == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
+                if i == n or source[i] == "\n":
+                    break
                 advance(1)
-            if i >= n:
-                raise ParseError("unterminated string", start_line, start_col)
+            if i == n or source[i] != c:
+                raise ParseError(f"unterminated {what}", start_line, start_col)
             advance(1)
-            toks.append(Tok("str", source[start:i], start, i, start_line, start_col))
-            continue
-        if c == "'":
-            advance(1)
-            while i < n and source[i] != "'":
-                if source[i] == "\\":
-                    advance(1)
-                if source[i] == "\n":
-                    raise ParseError("unterminated char literal", start_line, start_col)
-                advance(1)
-            if i >= n:
-                raise ParseError("unterminated char literal", start_line, start_col)
-            advance(1)
-            toks.append(Tok("char", source[start:i], start, i, start_line, start_col))
+            toks.append(Tok(kind, source[start:i], start, i, start_line, start_col))
             continue
         if c.isdigit():
             advance(1)

@@ -2,9 +2,15 @@
 
 The subset covers what the downstream token normalizer can exploit:
 package/namespace headers, imports, class declarations, fields, methods,
-local declarations, calls, literals, if/loops/return and blocks.  Anything
-else degrades to an `opaque` node that keeps its identifier and literal
-tokens, so no input is rejected for using an unsupported construct.
+local declarations, calls, literals, if/loops/return and blocks.  Each
+construct has one production.
+
+Contract: an unsupported construct becomes an `opaque` node that keeps
+its identifier and literal tokens, so no input is rejected for using
+one.  Input that ends where a construct still needs a token (after
+`class`, inside `for (`, in an unterminated literal) raises `ParseError`
+with the line and column, never another exception.  A missing closing
+brace or `;` at the end of input is tolerated.
 """
 
 from __future__ import annotations
@@ -27,15 +33,34 @@ PRIMITIVES = {
     "string", "object", "var",
 }
 
+# keywords that never start a type reference
+_NOT_TYPES = {"new", "return", "if", "while", "for", "foreach", "do", "else"}
+
+_HEADERS = {
+    "java": {"package": "parse_package", "import": "parse_java_import"},
+    "csharp": {"using": "parse_csharp_using", "namespace": "parse_namespace"},
+}
+
+_STATEMENTS = {
+    "{": "parse_block", "if": "parse_if", "while": "parse_while",
+    "do": "parse_do_while", "for": "parse_for", "foreach": "parse_foreach",
+    "return": "parse_return",
+}
+
 # statement keywords that open a construct we do not model; the opaque
 # scanner must swallow their brace blocks and continuation clauses
-_OPAQUE_BLOCK_KW = {
+_OPAQUE_STATEMENT_KW = {
     "try", "switch", "synchronized", "lock", "using", "fixed", "checked",
-    "unchecked",
+    "unchecked", "break", "continue", "throw", "goto", "yield",
 }
 _OPAQUE_CONTINUATION_KW = {"catch", "finally", "else"}
 
 _TYPE_DECL_KW = {"interface", "enum", "struct", "record", "delegate", "event"}
+
+_GROUP_CLOSE = {"(": ")", "[": "]", "{": "}"}
+
+_TOKEN_LITERALS = {"str": "string", "char": "char", "num": "number"}
+_KEYWORD_LITERALS = {"true": "boolean", "false": "boolean", "null": "null"}
 
 
 class Parser:
@@ -60,20 +85,36 @@ class Parser:
         return t is not None and t.kind == "name"
 
     def eat(self) -> Tok:
-        t = self.toks[self.i]
+        t = self.peek()
+        if t is None:
+            raise self._end_of_input("unexpected end of input")
         self.i += 1
         return t
 
     def expect(self, text: str) -> Tok:
         t = self.peek()
         if t is None:
-            last = self.toks[-1] if self.toks else None
-            line = last.line if last else 1
-            col = last.col if last else 1
-            raise ParseError(f"expected {text!r}, found end of input", line, col)
+            raise self._end_of_input(f"expected {text!r}, found end of input")
         if t.text != text:
             raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
-        return self.eat()
+        self.i += 1
+        return t
+
+    def _skip(self, text: str) -> bool:
+        """Eat the next token if it is `text`."""
+        if self.at(text):
+            self.i += 1
+            return True
+        return False
+
+    def _end_of_input(self, message: str) -> ParseError:
+        last = self.toks[-1] if self.toks else None
+        return ParseError(message, last.line if last else 1,
+                          last.col if last else 1)
+
+    def _next_start(self) -> int:
+        t = self.peek()
+        return t.start if t is not None else self._end_offset()
 
     def _end_offset(self) -> int:
         return self.toks[self.i - 1].end if self.i > 0 else 0
@@ -89,14 +130,21 @@ class Parser:
             elif t.text == close_ch:
                 depth -= 1
 
+    def _items(self, parse_item, close: str | None = None) -> list[Node]:
+        """Items up to `close`, which is eaten, or else to the end of input."""
+        items: list[Node] = []
+        while self.peek() is not None and not (close and self.at(close)):
+            item = parse_item()
+            if item is not None:
+                items.append(item)
+        if close:
+            self._skip(close)
+        return items
+
     # compilation unit -----------------------------------------------------
 
     def parse_unit(self) -> SyntaxTree:
-        children: list[Node] = []
-        while self.peek() is not None:
-            node = self.parse_top_level()
-            if node is not None:
-                children.append(node)
+        children = self._items(self.parse_top_level)
         root = Node("unit", 0, len(self.src), children, meta={"language": self.lang})
         return SyntaxTree(root, self.lang)
 
@@ -105,14 +153,9 @@ class Parser:
         t = self.peek()
         if t is None:
             return None
-        if t.text == "package" and self.lang == "java":
-            return self.parse_package()
-        if t.text == "import" and self.lang == "java":
-            return self.parse_java_import()
-        if t.text == "using" and self.lang == "csharp":
-            return self.parse_csharp_using()
-        if t.text == "namespace" and self.lang == "csharp":
-            return self.parse_namespace()
+        header = _HEADERS[self.lang].get(t.text)
+        if header is not None:
+            return getattr(self, header)()
         saved = self.i
         mods = self._collect_modifiers()
         if self.at("class"):
@@ -122,80 +165,60 @@ class Parser:
         return self.parse_statement()
 
     def parse_package(self) -> Node:
-        start = self.peek().start
-        self.expect("package")
+        start = self.expect("package").start
         name = self._dotted_name()
-        if self.at(";"):
-            self.eat()
+        self._skip(";")
         return Node("package", start, self._end_offset(), meta={"name": name})
 
     def parse_java_import(self) -> Node:
-        start = self.peek().start
-        self.expect("import")
-        if self.at("static"):
-            self.eat()
+        start = self.expect("import").start
+        self._skip("static")
         segs = [self.eat().text]
         wildcard = False
-        while self.at("."):
-            self.eat()
-            if self.at("*"):
-                self.eat()
+        while self._skip("."):
+            if self._skip("*"):
                 wildcard = True
                 break
             segs.append(self.eat().text)
-        if self.at(";"):
-            self.eat()
+        self._skip(";")
         meta = {"qualified": ".".join(segs), "wildcard": wildcard}
         if not wildcard:
             meta["simple"] = segs[-1]
         return Node("import", start, self._end_offset(), meta=meta)
 
     def parse_csharp_using(self) -> Node:
-        start = self.peek().start
-        self.expect("using")
-        if self.at("static"):
-            self.eat()
+        start = self.expect("using").start
+        self._skip("static")
         first = self._dotted_name()
-        meta: dict
-        if self.at("="):
-            self.eat()
+        if self._skip("="):
             target = self._dotted_name()
             meta = {"qualified": target, "wildcard": False, "simple": first}
         else:
             # plain `using N;` imports a namespace, like a java wildcard
             meta = {"qualified": first, "wildcard": True}
-        if self.at(";"):
-            self.eat()
+        self._skip(";")
         return Node("import", start, self._end_offset(), meta=meta)
 
     def parse_namespace(self) -> Node:
-        start = self.peek().start
-        self.expect("namespace")
+        start = self.expect("namespace").start
         name = self._dotted_name()
-        children: list[Node] = []
-        if self.at(";"):
+        if self._skip(";"):
             # file-scoped namespace: rest of the file belongs to it
-            self.eat()
-            while self.peek() is not None:
-                node = self.parse_top_level()
-                if node is not None:
-                    children.append(node)
+            children = self._items(self.parse_top_level)
         else:
             self.expect("{")
-            while self.peek() is not None and not self.at("}"):
-                node = self.parse_top_level()
-                if node is not None:
-                    children.append(node)
-            if self.at("}"):
-                self.eat()
+            children = self._items(self.parse_top_level, "}")
         return Node("namespace", start, self._end_offset(), children, meta={"name": name})
 
-    def _dotted_name(self) -> str:
+    def _dotted(self) -> list[str]:
         segs = [self.eat().text]
         while self.at(".") and self.at_name(1):
-            self.eat()
+            self.i += 1
             segs.append(self.eat().text)
-        return ".".join(segs)
+        return segs
+
+    def _dotted_name(self) -> str:
+        return ".".join(self._dotted())
 
     def _skip_annotations(self) -> None:
         while True:
@@ -221,22 +244,14 @@ class Parser:
 
     # class bodies ---------------------------------------------------------
 
-    def parse_class(self, mods: list[str], start: int | None = None) -> Node:
-        if start is None:
-            start = self.peek().start
+    def parse_class(self, mods: list[str], start: int) -> Node:
         self.expect("class")
         name = self.eat().text
         self._skip_generic_args()
         while self.peek() is not None and not self.at("{"):
             self.eat()  # extends/implements/base list, where clauses
         self.expect("{")
-        members: list[Node] = []
-        while self.peek() is not None and not self.at("}"):
-            member = self.parse_member(name)
-            if member is not None:
-                members.append(member)
-        if self.at("}"):
-            self.eat()
+        members = self._items(lambda: self.parse_member(name), "}")
         return Node("class", start, self._end_offset(), members,
                     meta={"name": name, "modifiers": mods})
 
@@ -244,69 +259,34 @@ class Parser:
         self._skip_annotations()
         if self.peek() is None or self.at("}"):
             return None
-        if self.at(";"):
-            self.eat()
+        if self._skip(";"):
             return None
         entry = self.i
         mods = self._collect_modifiers()
         start = self.toks[entry].start
         if self.at("class"):
             return self.parse_class(mods, start)
-        if self.at_name() and self.peek().text in _TYPE_DECL_KW:
-            self.i = entry
-            return self.parse_opaque_member()
-        if self.at("{"):
+        if self.at("{") or (self.at_name() and self.peek().text in _TYPE_DECL_KW):
             self.i = entry
             return self.parse_opaque_member()
         # constructor: class name followed directly by an argument list
         if self.at(class_name) and self.at("(", 1):
             return self.parse_method(mods, None, self.eat().text, start)
-        saved = self.i
         type_name = self._try_type()
         if type_name is not None and self.at_name():
             name = self.eat().text
             self._skip_generic_args()
             if self.at("("):
                 return self.parse_method(mods, type_name, name, start)
-            if self.lang == "csharp" and self.at("{"):
-                # property accessor block
-                self.i = entry
-                return self.parse_opaque_member()
             if self.at("=") or self.at(",") or self.at(";") or self.at("["):
                 self.i -= 1  # re-read the declarator name
-                return self.parse_field(mods, type_name, start)
+                return self._declarators(mods, type_name, start)
+        # anything else, a C# property's accessor block included
         self.i = entry
         return self.parse_opaque_member()
 
-    def parse_field(self, mods: list[str], type_name: str, start: int) -> Node:
-        decls: list[Node] = []
-        while True:
-            d_start = self.peek().start
-            name = self.eat().text
-            dims = ""
-            while self.at("["):
-                self._skip_balanced("[", "]")
-                dims += "[]"
-            init: list[Node] = []
-            if self.at("="):
-                self.eat()
-                init = self.parse_expr_atoms({",", ";"})
-            decls.append(Node("decl", d_start, self._end_offset(), init,
-                              meta={"name": name, "type": type_name + dims,
-                                    "modifiers": mods}))
-            if self.at(","):
-                self.eat()
-                continue
-            break
-        if self.at(";"):
-            self.eat()
-        return Node("decl_stmt", start, self._end_offset(), decls,
-                    meta={"type": type_name, "modifiers": mods})
-
     def parse_method(self, mods: list[str], return_type: str | None,
-                     name: str, start: int | None = None) -> Node:
-        if start is None:
-            start = self.toks[self.i - 1].start
+                     name: str, start: int) -> Node:
         self.expect("(")
         params: list[tuple[str, str]] = []
         while self.peek() is not None and not self.at(")"):
@@ -319,22 +299,17 @@ class Parser:
                 self.eat()
                 continue
             if self.at(".") and self.at(".", 1):  # varargs `...`
-                while self.at("."):
-                    self.eat()
+                while self._skip("."):
+                    pass
                 p_type += "[]"
             if self.at_name():
                 p_name = self.eat().text
-                while self.at("["):
-                    self._skip_balanced("[", "]")
-                    p_type += "[]"
-                if self.at("="):  # default value
-                    self.eat()
+                p_type += self._dims()
+                if self._skip("="):  # default value
                     self.parse_expr_atoms({",", ")"})
                 params.append((p_type, p_name))
-            if self.at(","):
-                self.eat()
-        if self.at(")"):
-            self.eat()
+            self._skip(",")
+        self._skip(")")
         # throws clause / base-ctor call / where clauses
         while self.peek() is not None and not (
                 self.at("{") or self.at(";") or self.at("=>")):
@@ -344,18 +319,12 @@ class Parser:
                 self.eat()
         body: list[Node] = []
         if self.at("{"):
-            block = self.parse_block()
-            body = [block]
-        elif self.at("=>"):
-            self.eat()
-            e_start = self.peek().start if self.peek() else self._end_offset()
-            atoms = self.parse_expr_atoms({";"})
-            if self.at(";"):
-                self.eat()
-            expr = Node("expr", e_start, self._end_offset(), atoms)
-            body = [Node("return_stmt", e_start, self._end_offset(), [expr])]
-        elif self.at(";"):
-            self.eat()
+            body = [self.parse_block()]
+        elif self._skip("=>"):
+            expr = self._expr(";", ";")
+            body = [Node("return_stmt", expr.start, expr.end, [expr])]
+        else:
+            self._skip(";")
         return Node("func_decl", start, self._end_offset(), body,
                     meta={"name": name, "modifiers": mods,
                           "return_type": return_type, "params": params})
@@ -376,7 +345,7 @@ class Parser:
                 break
             if depth == 0 and t.text == "}" and not saw_brace:
                 break  # do not eat the enclosing class brace
-            t = self.eat()
+            self.eat()
             if t.text in "{([":
                 depth += 1
                 if t.text == "{":
@@ -385,8 +354,8 @@ class Parser:
                 depth -= 1
             elif t.kind == "name":
                 leaves.append(Node("name", t.start, t.end, text=t.text))
-            elif t.kind in ("str", "num", "char"):
-                leaves.append(_literal_node(t))
+            elif (literal := _literal(t)) is not None:
+                leaves.append(literal)
         if self.i == entry:  # never stall on a stray closing brace
             self.eat()
         return Node("opaque", start, self._end_offset(), leaves)
@@ -394,257 +363,168 @@ class Parser:
     # statements -----------------------------------------------------------
 
     def parse_block(self) -> Node:
-        start = self.peek().start
-        self.expect("{")
-        stmts: list[Node] = []
-        while self.peek() is not None and not self.at("}"):
-            s = self.parse_statement()
-            if s is not None:
-                stmts.append(s)
-        if self.at("}"):
-            self.eat()
+        start = self.expect("{").start
+        stmts = self._items(self.parse_statement, "}")
         return Node("block", start, self._end_offset(), stmts)
 
     def parse_statement(self) -> Node | None:
         self._skip_annotations()
         t = self.peek()
-        if t is None:
+        if t is None or self._skip(";"):
             return None
-        if t.text == ";":
-            self.eat()
-            return None
-        if t.text == "{":
-            return self.parse_block()
-        if t.text == "if":
-            return self.parse_if()
-        if t.text == "while":
-            return self.parse_while()
-        if t.text == "do":
-            return self.parse_do_while()
-        if t.text == "for":
-            return self.parse_for()
-        if t.text == "foreach":
-            return self.parse_foreach()
-        if t.text == "return":
-            return self.parse_return()
-        if t.kind == "name" and t.text in _OPAQUE_BLOCK_KW:
+        if t.text in _STATEMENTS:
+            return getattr(self, _STATEMENTS[t.text])()
+        if t.kind == "name" and t.text in _OPAQUE_STATEMENT_KW:
             # `using (...)` as a statement, try/switch/lock blocks, ...
-            return self.parse_opaque_member()
-        if t.kind == "name" and t.text in (
-                "break", "continue", "throw", "goto", "yield"):
             return self.parse_opaque_member()
         decl = self._try_local_decl()
         if decl is not None:
             return decl
-        start = t.start
-        atoms = self.parse_expr_atoms({";"})
-        if self.at(";"):
-            self.eat()
-        if not atoms:
+        expr = self._expr(";", ";")
+        if not expr.children:
             return None
-        expr = Node("expr", start, self._end_offset(), atoms)
-        return Node("expr_stmt", start, self._end_offset(), [expr])
+        return Node("expr_stmt", expr.start, expr.end, [expr])
+
+    def _body(self) -> list[Node]:
+        """The controlled statement of if/else/loops, if there is one."""
+        stmt = self.parse_statement()
+        return [] if stmt is None else [stmt]
+
+    def _condition(self, *ends: str) -> Node:
+        """`( expr )`; the expr's span runs through the `)` and any `ends`."""
+        self.expect("(")
+        return self._expr(")", ")", *ends)
 
     def parse_if(self) -> Node:
-        start = self.peek().start
-        self.expect("if")
-        self.expect("(")
-        c_start = self.peek().start if self.peek() else start
-        atoms = self.parse_expr_atoms({")"})
-        self.expect(")")
-        cond = Node("expr", c_start, self._end_offset(), atoms)
-        children = [cond]
-        then = self.parse_statement()
-        if then is not None:
-            children.append(then)
-        if self.at("else"):
-            self.eat()
-            other = self.parse_statement()
-            if other is not None:
-                children.append(other)
+        start = self.expect("if").start
+        children = [self._condition(), *self._body()]
+        if self._skip("else"):
+            children += self._body()
         return Node("if_stmt", start, self._end_offset(), children)
 
     def parse_while(self) -> Node:
-        start = self.peek().start
-        self.expect("while")
-        self.expect("(")
-        c_start = self.peek().start if self.peek() else start
-        atoms = self.parse_expr_atoms({")"})
-        self.expect(")")
-        cond = Node("expr", c_start, self._end_offset(), atoms)
-        children = [cond]
-        body = self.parse_statement()
-        if body is not None:
-            children.append(body)
+        start = self.expect("while").start
+        children = [self._condition(), *self._body()]
         return Node("loop", start, self._end_offset(), children)
 
     def parse_do_while(self) -> Node:
-        start = self.peek().start
-        self.expect("do")
-        children = []
-        body = self.parse_statement()
-        if body is not None:
-            children.append(body)
+        start = self.expect("do").start
+        children = self._body()
         self.expect("while")
-        self.expect("(")
-        c_start = self.peek().start if self.peek() else start
-        atoms = self.parse_expr_atoms({")"})
-        self.expect(")")
-        if self.at(";"):
-            self.eat()
-        children.append(Node("expr", c_start, self._end_offset(), atoms))
+        children.append(self._condition(";"))
         return Node("loop", start, self._end_offset(), children)
 
     def parse_for(self) -> Node:
-        start = self.peek().start
-        self.expect("for")
+        start = self.expect("for").start
         self.expect("(")
-        children: list[Node] = []
-        # java enhanced for: `for (Type name : iterable)`
-        saved = self.i
-        enhanced = None
-        p_type = self._try_type()
-        if p_type is not None and self.at_name() and self.at(":", 1):
-            d_start = self.toks[saved].start
-            name = self.eat().text
-            decl = Node("decl", d_start, self._end_offset(), [],
-                        meta={"name": name, "type": p_type, "modifiers": []})
-            stmt = Node("decl_stmt", d_start, self._end_offset(), [decl],
-                        meta={"type": p_type, "modifiers": []})
-            self.expect(":")
-            e_start = self.peek().start if self.peek() else d_start
-            atoms = self.parse_expr_atoms({")"})
-            it = Node("expr", e_start, self._end_offset(), atoms)
-            enhanced = [stmt, it]
-        else:
-            self.i = saved
-        if enhanced is not None:
-            children.extend(enhanced)
-        else:
-            if not self.at(";"):
-                init = self._try_local_decl(terminator=";")
-                if init is None:
-                    i_start = self.peek().start
-                    atoms = self.parse_expr_atoms({";"})
-                    init = Node("expr", i_start, self._end_offset(), atoms)
-                children.append(init)
-            if self.at(";"):
-                self.eat()
-            if not self.at(";"):
-                c_start = self.peek().start
-                atoms = self.parse_expr_atoms({";"})
-                children.append(Node("expr", c_start, self._end_offset(), atoms))
-            if self.at(";"):
-                self.eat()
-            if not self.at(")"):
-                u_start = self.peek().start
-                atoms = self.parse_expr_atoms({")"})
-                children.append(Node("expr", u_start, self._end_offset(), atoms))
+        children = self._enhanced_for_head() or self._for_clauses()
         self.expect(")")
-        body = self.parse_statement()
-        if body is not None:
-            children.append(body)
+        children += self._body()
         return Node("loop", start, self._end_offset(), children)
+
+    def _enhanced_for_head(self) -> list[Node] | None:
+        """java `Type name : iterable`, or None with the cursor unmoved."""
+        saved = self.i
+        p_type = self._try_type()
+        if p_type is None or not (self.at_name() and self.at(":", 1)):
+            self.i = saved
+            return None
+        var = self._loop_var(self.toks[saved].start, p_type, self.eat().text)
+        self.expect(":")
+        return [var, self._expr(")")]
+
+    def _for_clauses(self) -> list[Node]:
+        """`init; condition; update`, each of them optional."""
+        init = self._try_local_decl()  # a declaration eats its own `;`
+        if init is None:
+            if not self.at(";"):
+                init = self._expr(";")
+            self._skip(";")
+        clauses = [] if init is None else [init]
+        if not self.at(";"):
+            clauses.append(self._expr(";"))
+        self._skip(";")
+        if not self.at(")"):
+            clauses.append(self._expr(")"))
+        return clauses
 
     def parse_foreach(self) -> Node:
-        start = self.peek().start
-        self.expect("foreach")
+        start = self.expect("foreach").start
         self.expect("(")
-        d_start = self.peek().start if self.peek() else start
+        d_start = self._next_start()
         p_type = self._try_type() or "?"
         name = self.eat().text if self.at_name() else "?"
-        decl = Node("decl", d_start, self._end_offset(), [],
-                    meta={"name": name, "type": p_type, "modifiers": []})
-        stmt = Node("decl_stmt", d_start, self._end_offset(), [decl],
-                    meta={"type": p_type, "modifiers": []})
-        if self.at("in"):
-            self.eat()
-        e_start = self.peek().start if self.peek() else d_start
-        atoms = self.parse_expr_atoms({")"})
-        self.expect(")")
-        it = Node("expr", e_start, self._end_offset(), atoms)
-        children = [stmt, it]
-        body = self.parse_statement()
-        if body is not None:
-            children.append(body)
+        var = self._loop_var(d_start, p_type, name)
+        self._skip("in")
+        children = [var, self._expr(")", ")"), *self._body()]
         return Node("loop", start, self._end_offset(), children)
 
+    def _loop_var(self, start: int, type_name: str, name: str) -> Node:
+        """The `decl_stmt` of an enhanced-for or foreach variable."""
+        decl = Node("decl", start, self._end_offset(), [],
+                    meta={"name": name, "type": type_name, "modifiers": []})
+        return Node("decl_stmt", start, self._end_offset(), [decl],
+                    meta={"type": type_name, "modifiers": []})
+
     def parse_return(self) -> Node:
-        start = self.peek().start
-        self.expect("return")
-        children = []
-        if not self.at(";"):
-            e_start = self.peek().start if self.peek() else start
-            atoms = self.parse_expr_atoms({";"})
-            if atoms:
-                children.append(Node("expr", e_start, self._end_offset(), atoms))
-        if self.at(";"):
-            self.eat()
+        start = self.expect("return").start
+        expr = self._expr(";")
+        self._skip(";")
+        children = [expr] if expr.children else []
         return Node("return_stmt", start, self._end_offset(), children)
 
-    def _try_local_decl(self, terminator: str = ";") -> Node | None:
+    def _try_local_decl(self) -> Node | None:
         saved = self.i
         mods = self._collect_modifiers()
         type_name = self._try_type()
-        if type_name is None or not self.at_name():
-            self.i = saved
-            return None
         nxt = self.peek(1)
-        if nxt is None or nxt.text not in ("=", ",", ";", "[", ":"):
+        if (type_name is None or not self.at_name() or nxt is None
+                or nxt.text not in ("=", ",", ";", "[")):
             self.i = saved
             return None
-        if nxt.text == ":":  # enhanced-for declarator, not a local
-            self.i = saved
-            return None
-        start = self.toks[saved].start
+        return self._declarators(mods, type_name, self.toks[saved].start)
+
+    def _declarators(self, mods: list[str], type_name: str, start: int) -> Node:
+        """`name[] = init, name2, ...;` of a field or local declaration."""
         decls: list[Node] = []
         while True:
-            d_start = self.peek().start
+            d_start = self._next_start()
             name = self.eat().text
-            dims = ""
-            while self.at("["):
-                self._skip_balanced("[", "]")
-                dims += "[]"
-            init: list[Node] = []
-            if self.at("="):
-                self.eat()
-                init = self.parse_expr_atoms({",", terminator})
+            dims = self._dims()
+            init = self.parse_expr_atoms({",", ";"}) if self._skip("=") else []
             decls.append(Node("decl", d_start, self._end_offset(), init,
                               meta={"name": name, "type": type_name + dims,
                                     "modifiers": mods}))
-            if self.at(","):
-                self.eat()
-                continue
-            break
-        if self.at(terminator) and terminator == ";":
-            self.eat()
+            if not self._skip(","):
+                break
+        self._skip(";")
         return Node("decl_stmt", start, self._end_offset(), decls,
                     meta={"type": type_name, "modifiers": mods})
+
+    def _dims(self) -> str:
+        """Skip the brackets after a declarator name, one `[]` for each."""
+        dims = ""
+        while self.at("["):
+            self._skip_balanced("[", "]")
+            dims += "[]"
+        return dims
 
     # types ----------------------------------------------------------------
 
     def _try_type(self) -> str | None:
         """Parse a type reference; generic arguments are erased."""
-        if not self.at_name():
+        t = self.peek()
+        if (t is None or t.kind != "name" or t.text in MODIFIERS
+                or t.text in _NOT_TYPES):
             return None
         saved = self.i
-        first = self.eat().text
-        if first in MODIFIERS or first in ("new", "return", "if", "while",
-                                           "for", "foreach", "do", "else"):
-            self.i = saved
-            return None
-        segs = [first]
-        if first not in PRIMITIVES:
-            while self.at(".") and self.at_name(1):
-                self.eat()
-                segs.append(self.eat().text)
+        segs = [self.eat().text] if t.text in PRIMITIVES else self._dotted()
         if not self._skip_generic_args():
             self.i = saved
             return None
         dims = ""
         while self.at("[") and self.at("]", 1):
-            self.eat()
-            self.eat()
+            self.i += 2
             dims += "[]"
         if self.at("?"):  # csharp nullable annotation
             nxt = self.peek(1)
@@ -675,6 +555,21 @@ class Parser:
 
     # expressions ----------------------------------------------------------
 
+    def _expr(self, stop: str, *ends: str) -> Node:
+        """One `expr` over the atoms before `stop`.
+
+        Its span runs through the `ends` eaten after the atoms: a `)` must
+        be there, a `;` may be missing.
+        """
+        start = self._next_start()
+        atoms = self.parse_expr_atoms({stop})
+        for end in ends:
+            if end == ")":
+                self.expect(end)
+            else:
+                self._skip(end)
+        return Node("expr", start, self._end_offset(), atoms)
+
     def parse_expr_atoms(self, stop: set[str]) -> list[Node]:
         """Flatten one expression into call/literal/name atoms.
 
@@ -687,102 +582,60 @@ class Parser:
             t = self.peek()
             if t is None or t.text in stop:
                 break
-            if t.kind in ("str", "num", "char"):
+            literal = _literal(t)
+            if literal is not None:
                 self.eat()
-                atoms.append(_literal_node(t))
-                continue
-            if t.kind == "name":
-                if t.text in ("true", "false"):
-                    self.eat()
-                    atoms.append(Node("literal", t.start, t.end,
-                                      text=t.text, meta={"kind": "boolean"}))
-                    continue
-                if t.text == "null":
-                    self.eat()
-                    atoms.append(Node("literal", t.start, t.end,
-                                      text=t.text, meta={"kind": "null"}))
-                    continue
-                if t.text == "new":
-                    atoms.extend(self._parse_new())
-                    continue
+                atoms.append(literal)
+            elif t.text == "new":
+                atoms.extend(self._parse_new())
+            elif t.kind == "name":
                 atoms.extend(self._parse_name_atom())
-                continue
-            if t.text == "(":
-                self.eat()
-                atoms.extend(self.parse_expr_atoms({")"}))
-                if self.at(")"):
-                    self.eat()
-                continue
-            if t.text == "[":
-                self.eat()
-                atoms.extend(self.parse_expr_atoms({"]"}))
-                if self.at("]"):
-                    self.eat()
-                continue
-            if t.text == "{":
-                self.eat()
-                atoms.extend(self.parse_expr_atoms({"}"}))
-                if self.at("}"):
-                    self.eat()
-                continue
-            self.eat()  # operator or separator: no token survives
+            elif t.text in _GROUP_CLOSE:
+                atoms.extend(self._group())
+            else:
+                self.eat()  # operator or separator: no token survives
+        return atoms
+
+    def _group(self) -> list[Node]:
+        """The atoms inside one `(...)`, `[...]` or `{...}`."""
+        close = _GROUP_CLOSE[self.eat().text]
+        atoms = self.parse_expr_atoms({close})
+        self._skip(close)
         return atoms
 
     def _parse_name_atom(self) -> list[Node]:
-        start_tok = self.peek()
-        segs = [self.eat().text]
-        while self.at(".") and self.at_name(1):
-            self.eat()
-            segs.append(self.eat().text)
+        start = self.peek().start
+        segs = self._dotted()
         if self.at("("):
-            call = self._parse_call(segs, start_tok.start, new=False)
-            atoms = [call]
-            # chained member calls have an unknowable owner type
-            while self.at(".") and self.at_name(1) and self.at("(", 2):
-                self.eat()
-                m_start = self.peek().start
-                member = [self.eat().text]
-                chained = self._parse_call(member, m_start, new=False,
-                                           owner_unknown=True)
-                atoms.append(chained)
-            return atoms
-        return [Node("nameref", start_tok.start, self._end_offset(),
-                     meta={"segs": segs})]
+            return self._call_chain(segs, start, new=False)
+        return [Node("nameref", start, self._end_offset(), meta={"segs": segs})]
 
     def _parse_new(self) -> list[Node]:
-        start = self.peek().start
-        self.expect("new")
+        start = self.expect("new").start
         type_name = self._try_type()
         if type_name is None:
             return []
-        base = type_name.replace("[]", "")
+        segs = type_name.replace("[]", "").split(".")
         if self.at("("):
-            call = self._parse_call(base.split("."), start, new=True)
-            atoms = [call]
-            while self.at(".") and self.at_name(1) and self.at("(", 2):
-                self.eat()
-                m_start = self.peek().start
-                member = [self.eat().text]
-                atoms.append(self._parse_call(member, m_start, new=False,
-                                              owner_unknown=True))
-            if self.at("{"):  # object/collection initializer
-                self.eat()
-                atoms.extend(self.parse_expr_atoms({"}"}))
-                if self.at("}"):
-                    self.eat()
-            return atoms
-        atoms: list[Node] = [Node("nameref", start, self._end_offset(),
-                                  meta={"segs": base.split("."), "is_type": True})]
-        while self.at("["):
-            self.eat()
-            atoms.extend(self.parse_expr_atoms({"]"}))
-            if self.at("]"):
-                self.eat()
-        if self.at("{"):
-            self.eat()
-            atoms.extend(self.parse_expr_atoms({"}"}))
-            if self.at("}"):
-                self.eat()
+            atoms = self._call_chain(segs, start, new=True)
+        else:
+            atoms = [Node("nameref", start, self._end_offset(),
+                          meta={"segs": segs, "is_type": True})]
+            while self.at("["):
+                atoms.extend(self._group())
+        if self.at("{"):  # object, collection or array initializer
+            atoms.extend(self._group())
+        return atoms
+
+    def _call_chain(self, segs: list[str], start: int, new: bool) -> list[Node]:
+        """A call and the member calls chained onto it."""
+        atoms = [self._parse_call(segs, start, new)]
+        # chained member calls have an unknowable owner type
+        while self.at(".") and self.at_name(1) and self.at("(", 2):
+            self.i += 1
+            member = self.eat()
+            atoms.append(self._parse_call([member.text], member.start, False,
+                                          owner_unknown=True))
         return atoms
 
     def _parse_call(self, segs: list[str], start: int, new: bool,
@@ -794,27 +647,26 @@ class Parser:
             atoms = self.parse_expr_atoms({",", ")"})
             if atoms:
                 args.append(Node("argument", a_start, self._end_offset(), atoms))
-            if self.at(","):
-                self.eat()
-        if self.at(")"):
-            self.eat()
+            self._skip(",")
+        self._skip(")")
         return Node("func_call", start, self._end_offset(), args,
                     meta={"segs": segs, "new": new,
                           "owner_unknown": owner_unknown})
 
 
-def _literal_node(t: Tok) -> Node:
-    if t.kind == "str":
-        kind = "string"
-    elif t.kind == "char":
-        kind = "char"
+def _literal(t: Tok) -> Node | None:
+    """The literal leaf of a literal token or of true/false/null."""
+    if t.kind == "name":
+        kind = _KEYWORD_LITERALS.get(t.text)
     else:
-        kind = "number"
+        kind = _TOKEN_LITERALS.get(t.kind)
+    if kind is None:
+        return None
     return Node("literal", t.start, t.end, text=t.text, meta={"kind": kind})
 
 
 def parse(source: str, language: str) -> SyntaxTree:
-    """Parse one source file; unsupported constructs become opaque nodes."""
+    """Parse one source file; see the module docstring for the contract."""
     if language not in ("java", "csharp"):
         raise ValueError(f"unsupported language: {language}")
     return Parser(source, language).parse_unit()

@@ -185,10 +185,17 @@ def test_eval_without_truth_configured(project, tmp_path, capsys):
     assert "retrieve.truth" in capsys.readouterr().err
 
 
+# the last three end inside a construct, which once crashed the parser
+@pytest.mark.parametrize("source", [
+    'class Broken { String s = "unterminated; }\n',
+    "class",
+    "for (",
+    'String s = "abc\\',
+], ids=["unterminated_string", "ends_after_class", "ends_inside_for",
+        "ends_after_escape"])
 def test_unparseable_source_is_validation_error(project, tmp_path,
-                                                capsys):
-    (project.parent / "ja" / "Broken.java").write_text(
-        'class Broken { String s = "unterminated; }\n')
+                                                capsys, source):
+    (project.parent / "ja" / "Broken.java").write_text(source)
     (project.parent / "cs" / "Broken.cs").write_text(
         "namespace Mini { class Broken { } }\n")
     out = tmp_path / "out"
@@ -196,7 +203,8 @@ def test_unparseable_source_is_validation_error(project, tmp_path,
                 "--out-dir", str(out)) == 0
     assert _run("normalize", "--config", str(project),
                 "--out-dir", str(out)) == 3
-    assert "Broken.java" in capsys.readouterr().err
+    assert re.search(r"Broken\.java: .+ \(line \d+, column \d+\)",
+                     capsys.readouterr().err)
 
 
 def test_bad_alignment_link_names_file_and_line(project, tmp_path,

@@ -136,6 +136,18 @@ class A {
     check(tree.root)
 
 
+def test_for_with_declared_init_and_empty_condition():
+    tree = parse("for (int i = 0; ; i++) { } x();", "java")
+    loop, after = tree.root.children
+    assert loop.kind == "loop"
+    assert [n.kind for n in loop.children] == ["decl_stmt", "expr", "block"]
+    decl_stmt, update, _ = loop.children
+    assert decl_stmt.children[0].meta["name"] == "i"
+    assert [n.meta["segs"] for n in update.children] == [["i"]]
+    assert (update.start, update.end) == (18, 21)
+    assert after.kind == "expr_stmt"
+
+
 def test_opaque_keeps_identifiers():
     source = "class A { void f() { try { g(); } catch (E e) { } } }"
     tree = parse(source, "java")
@@ -771,6 +783,29 @@ def test_generated_sources_normalize(case):
     for element in elements:
         assert element.token_indices[-1] < len(stream.tokens)
 
+
+# token soup: whatever the tokens, parse returns a tree or raises ParseError;
+# the pool holds every keyword a production starts with and literals cut
+# off inside their escape
+
+_SOUP = ["class", "package", "import", "using", "namespace", "static", "for",
+         "foreach", "in", "while", "do", "if", "else", "return", "new", "try",
+         "catch", "switch", "break", "enum", "int", "var", "String", "x",
+         "a.b", "(", ")", "{", "}", "[", "]", "<", ">", ";", ",", ".", ":",
+         "=", "=>", "?", "@", "*", "+", "1", "'c'", '"s"', "true", "null",
+         '"abc\\', "'\\", '$"x\\', "\n"]
+
+
+@given(st.sampled_from(["java", "csharp"]),
+       st.lists(st.sampled_from(_SOUP), max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_token_soup_parses_or_raises_parse_error(language, tokens):
+    try:
+        tree = parse(" ".join(tokens), language)
+    except ParseError as err:
+        assert err.line >= 1 and err.col >= 1
+    else:
+        assert tree.root.kind == "unit"
 
 # ---------------------------------------------------------------------------
 # primitive array creation: the element type is a primitive whatever the
