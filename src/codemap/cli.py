@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -323,24 +324,15 @@ def main(argv=None):
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.k is not None and args.k < 1:
             raise ValueError("--k must be at least 1")
-        if args.command == "pair":
-            stage_pair(cfg, out_dir, prov)
-        elif args.command == "normalize":
-            stage_normalize(cfg, out_dir, prov)
-        elif args.command == "align":
-            stage_align(cfg, out_dir, prov)
-        elif args.command == "train":
-            stage_train(cfg, out_dir, prov)
-        elif args.command == "compose":
-            stage_compose(cfg, out_dir, prov)
-        elif args.command == "map":
-            stage_map(cfg, out_dir, prov, args.k)
-        elif args.command == "eval":
-            stage_eval(cfg, out_dir, prov)
-        elif args.command == "diff-ref":
-            stage_diff_ref(cfg, out_dir, prov)
-        else:
-            run_all(cfg, out_dir, prov, args.k)
+        # looked up per call, so a stage wrapped after import still runs
+        stages = {
+            "pair": stage_pair, "normalize": stage_normalize,
+            "align": stage_align, "train": stage_train,
+            "compose": stage_compose, "map": partial(stage_map, k=args.k),
+            "eval": stage_eval, "diff-ref": stage_diff_ref,
+            "run-all": partial(run_all, k=args.k),
+        }
+        stages[args.command](cfg, out_dir, prov)
     except MissingArtifact as err:
         print(f"codemap: {err}", file=sys.stderr)
         return 2
