@@ -108,9 +108,8 @@ class Parser:
         return False
 
     def _end_of_input(self, message: str) -> ParseError:
-        last = self.toks[-1] if self.toks else None
-        return ParseError(message, last.line if last else 1,
-                          last.col if last else 1)
+        last = self.toks[-1]  # parse_unit stops before an empty token list
+        return ParseError(message, last.line, last.col)
 
     def _next_start(self) -> int:
         t = self.peek()
@@ -299,8 +298,8 @@ class Parser:
                 self.eat()
                 continue
             if self.at(".") and self.at(".", 1):  # varargs `...`
-                while self._skip("."):
-                    pass
+                while self.at("."):
+                    self.eat()
                 p_type += "[]"
             if self.at_name():
                 p_name = self.eat().text
