@@ -128,14 +128,17 @@ def stage_train(cfg, out_dir, prov):
     path = _require(out_dir / "alignments.pharaoh", "align")
     links = align.read_alignments(path)
     vocab = embed.vocab_from_bitext(bitext, cfg.train.min_count)
+    losses = []
     try:
-        table = embed.train_biskip(bitext, links, cfg.train, vocab=vocab)
+        table = embed.train_biskip(bitext, links, cfg.train, vocab=vocab,
+                                   losses=losses)
     except align.StaleLinks as err:
         raise ValueError(f"{path}: {err}") from None
     embed.save_embeddings(table, vocab, out_dir / "embeddings.txt",
                           comments=(prov,))
+    loss = f", loss {losses[0]:.3f} -> {losses[-1]:.3f}" if losses else ""
     _summary("train", f"{len(vocab)} vocabulary entries, dim "
-             f"{cfg.train.dim}, {cfg.train.epochs} epochs", t0)
+             f"{cfg.train.dim}, {cfg.train.epochs} epochs{loss}", t0)
 
 
 def _load_elements(out_dir, vocab):

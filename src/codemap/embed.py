@@ -4,10 +4,14 @@ One shared embedding table holds both languages, tokens tagged `a:`/`b:`;
 ids, counts, windows and link partners come from the bitext's integer
 index (`align.Bitext`).  Each center predicts its same-language window
 and, through its links, the window around each linked position on the
-other side.  One SGD step per center covers all those contexts and their
-negatives (`sgns_center_step`); its gradient `sgns_grads` backs the
-`sgns_pair_loss`/`sgns_pair_grads` checked against finite differences.
-Training with a fixed seed is bit-reproducible.
+other side.  One SGD step per pair side (`sgns_side_step`) covers the
+contexts and negatives of all the side's centers, as three small matrix
+products on the distinct centers and output rows (`sgns_side`).  Within
+a side every update reads the table as it was before the side, and
+repeated centers and rows sum their gradients (the Hogwild-style
+trade-off).  `sgns_pair_loss`/`sgns_pair_grads`, checked against finite
+differences, are one-center views of the same kernel.  Training with a
+fixed seed is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ class Vocabulary:
         self.ids = {token: k for k, token in enumerate(self.tokens)}
         if len(self.ids) != len(self.tokens):
             raise ValueError("duplicate tokens")
-        self.counts = np.asarray(counts or [1] * len(tokens), np.float64)
+        self.counts = np.asarray(
+            [1] * len(tokens) if counts is None else counts, np.float64)
         self.total_count = int(self.counts.sum())
         weights = self.counts ** NOISE_POWER
         self.noise_dist = weights / weights.sum() if len(tokens) else weights
@@ -118,52 +123,56 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -SIGMOID_CLAMP, SIGMOID_CLAMP)))
 
 
-def sgns_loss(center: int, ids, labels, table: EmbeddingTable) -> float:
-    """-sum_i log sig(+-u_i . v) over output rows `ids` of one center.
+def sgns_side(centers, rows, labels, table: EmbeddingTable):
+    """The SGNS kernel: loss and gradients of a batch of occurrences.
 
-    A label-1 id is a context (sign +), a label-0 id a negative (sign -);
-    a repeated id contributes one term per occurrence.
+    Occurrence i pairs input row `centers[i]` with output row `rows[i]`,
+    a context if `labels[i]` is 1 and a negative if 0; the loss is
+    -sum_i log sig(+-u_rows[i] . v_centers[i]).  Counted into (center,
+    row) cells, `total` over all occurrences and `pos` over contexts, the
+    summed errors are E = total * sig(V U^T) - pos for V = input[C] and
+    U = output[R], C and R the distinct centers and rows.  Returns
+    (C, E U, R, E^T V, loss): the gradients of rows C and R.
     """
-    scores = table.output_vecs[ids] @ table.input_vecs[center]
-    return -float(np.log(sigmoid((2.0 * labels - 1.0) * scores)).sum())
+    C, center_slot = np.unique(centers, return_inverse=True)
+    R, row_slot = np.unique(rows, return_inverse=True)
+    cells = center_slot * len(R) + row_slot
+    size, shape = len(C) * len(R), (len(C), len(R))
+    total = np.bincount(cells, minlength=size).reshape(shape)
+    pos = np.bincount(cells, labels, size).reshape(shape)
+    V, U = table.input_vecs[C], table.output_vecs[R]
+    scores = np.clip(V @ U.T, -SIGMOID_CLAMP, SIGMOID_CLAMP)
+    sig = sigmoid(scores)
+    errors = total * sig - pos
+    # -log sig(-s) = s - log sig(s)
+    loss = float(((total - pos) * scores - total * np.log(sig)).sum())
+    return C, errors @ U, R, errors.T @ V, loss
 
 
-def sgns_grads(center: int, ids, labels, table: EmbeddingTable):
-    """Analytic gradient of sgns_loss.
-
-    Returns (gradient of input row `center`, the distinct output rows
-    touched, their gradients).  Every output row's gradient is the input
-    vector scaled by the summed errors of its occurrences in `ids`.
-    """
-    v = table.input_vecs[center]
-    outputs = table.output_vecs[ids]
-    errors = sigmoid(outputs @ v) - labels
-    rows, slot = np.unique(ids, return_inverse=True)
-    return (errors @ outputs, rows,
-            np.outer(np.bincount(slot, weights=errors), v))
+def sgns_side_step(centers, rows, labels, table: EmbeddingTable,
+                   lr: float) -> float:
+    """One SGD step on sgns_side's loss; returns the loss before it.  In
+    training the batch is one pair side.  Hogwild-style, every update
+    reads the table as it was before the step, and repeated centers and
+    rows sum their gradients."""
+    C, grad_in, R, grad_out, loss = sgns_side(centers, rows, labels, table)
+    table.input_vecs[C] -= lr * grad_in
+    table.output_vecs[R] -= lr * grad_out
+    return loss
 
 
-def sgns_center_step(center: int, ids, labels, table: EmbeddingTable,
-                     lr: float) -> None:
-    """One SGD step on sgns_loss, over all contexts and negatives of a
-    center at once; both matrices move from the pre-step table."""
-    grad_in, rows, grad_out = sgns_grads(center, ids, labels, table)
-    table.input_vecs[center] -= lr * grad_in
-    table.output_vecs[rows] -= lr * grad_out
-
-
-def _pair_batch(context: int, negatives):
-    ids = np.array([context, *negatives], dtype=np.intp)
-    labels = np.zeros(len(ids))
+def _pair_batch(center: int, context: int, negatives):
+    rows = np.array([context, *negatives], dtype=np.intp)
+    labels = np.zeros(len(rows))
     labels[0] = 1.0
-    return ids, labels
+    return np.full(len(rows), center), rows, labels
 
 
 def sgns_pair_loss(center: int, context: int, negatives,
                    table: EmbeddingTable) -> float:
-    """-log sig(u_ctx . v) - sum_neg log sig(-u_neg . v): sgns_loss for a
-    single context."""
-    return sgns_loss(center, *_pair_batch(context, negatives), table)
+    """-log sig(u_ctx . v) - sum_neg log sig(-u_neg . v): sgns_side for
+    one center and a single context."""
+    return sgns_side(*_pair_batch(center, context, negatives), table)[4]
 
 
 def sgns_pair_grads(center: int, context: int, negatives,
@@ -171,12 +180,12 @@ def sgns_pair_grads(center: int, context: int, negatives,
     """Analytic gradients of sgns_pair_loss per touched (matrix, id) slot.
 
     Keys are ("in", id) or ("out", id); duplicate negatives accumulate,
-    matching the loss summation.  A view of sgns_grads, the gradient the
-    trainer steps along.
+    matching the loss summation.  A one-center view of sgns_side, the
+    kernel the trainer steps along.
     """
-    grad_in, rows, grad_out = sgns_grads(
-        center, *_pair_batch(context, negatives), table)
-    grads = {("in", center): grad_in}
+    _, grad_in, rows, grad_out, _ = sgns_side(
+        *_pair_batch(center, context, negatives), table)
+    grads = {("in", center): grad_in[0]}
     grads.update({("out", int(row)): grad
                   for row, grad in zip(rows, grad_out)})
     return grads
@@ -208,27 +217,13 @@ class _Trainer:
                                np.searchsorted(positions, offsets)))
         self.links = bitext.links(links)
 
-    def step(self, center: int, contexts: list[int],
-             rng: np.random.Generator) -> None:
-        """Sample K negatives per context and take one center step.
-
-        A negative equal to its own context is dropped; duplicates are
-        kept and accumulate, as in sgns_pair_loss.
-        """
-        if not contexts:
-            return
-        positives = np.array(contexts)
-        draws = rng.random((len(contexts), self.cfg.negatives))
-        negatives = np.searchsorted(self.vocab.noise_cdf, draws, side="right")
-        negatives = negatives[negatives != positives[:, None]]
-        ids = np.concatenate((positives, negatives))
-        labels = np.zeros(len(ids))
-        labels[:len(contexts)] = 1.0
-        sgns_center_step(center, ids, labels, self.table, self.lr)
-
-    def train_pair(self, pair: int, rng: np.random.Generator) -> None:
-        """All four directions of one pair.  Subsampling draws once per
-        in-vocabulary occurrence, side a then side b (none at 0)."""
+    def train_pair(self, pair: int, rng: np.random.Generator):
+        """Both sides of one pair, one sgns_side_step each; returns the
+        summed loss and the number of contexts.  Subsampling draws once
+        per in-vocabulary occurrence, side a then side b (none at 0); then
+        each side draws its reaches, then K negatives per context.  A
+        negative equal to its own context is dropped; duplicates are kept
+        and accumulate, as in sgns_pair_loss."""
         kept = []
         for positions, ids, offsets in self.sides:
             span = slice(offsets[pair], offsets[pair + 1])
@@ -236,7 +231,8 @@ class _Trainer:
             if self.keep_probability is not None:
                 keep = rng.random(len(ids)) <= self.keep_probability[ids]
                 positions, ids = positions[keep], ids[keep]
-            kept.append((positions, ids.tolist()))
+            kept.append((positions, ids))
+        loss, n_contexts = 0.0, 0
         for (own_pos, own_ids), (other_pos, other_ids), (
                 own, other, offsets) in zip(kept, kept[::-1], self.links):
             span = slice(offsets[pair], offsets[pair + 1])
@@ -248,28 +244,50 @@ class _Trainer:
             # context of its own window
             before = np.searchsorted(other_pos, other).tolist()
             after = np.searchsorted(other_pos, other, "right").tolist()
-            for idx, center in enumerate(own_ids):
-                reach = int(rng.integers(1, self.cfg.window + 1))
-                contexts = (own_ids[max(0, idx - reach):idx]
-                            + own_ids[idx + 1:idx + reach + 1])
+            own_list, other_list = own_ids.tolist(), other_ids.tolist()
+            reaches = rng.integers(1, self.cfg.window + 1, size=len(own_ids))
+            contexts, counts = [], []
+            for idx, reach in enumerate(reaches.tolist()):
+                start = len(contexts)
+                contexts += own_list[max(0, idx - reach):idx]
+                contexts += own_list[idx + 1:idx + reach + 1]
                 for k in range(first[idx], last[idx]):
-                    contexts += other_ids[max(0, before[k] - reach):before[k]]
-                    contexts += other_ids[after[k]:after[k] + reach]
-                self.step(center, contexts, rng)
+                    contexts += other_list[max(0, before[k] - reach):before[k]]
+                    contexts += other_list[after[k]:after[k] + reach]
+                counts.append(len(contexts) - start)
+            if not contexts:
+                continue
+            centers, contexts = np.repeat(own_ids, counts), np.array(contexts)
+            draws = rng.random((len(contexts), self.cfg.negatives))
+            negatives = np.searchsorted(self.vocab.noise_cdf, draws,
+                                        side="right")
+            keep = negatives != contexts[:, None]
+            labels = np.zeros(len(contexts) + np.count_nonzero(keep))
+            labels[:len(contexts)] = 1.0
+            loss += sgns_side_step(
+                np.concatenate((centers, np.repeat(centers, keep.sum(1)))),
+                np.concatenate((contexts, negatives[keep])), labels,
+                self.table, self.lr)
+            n_contexts += len(contexts)
+        return loss, n_contexts
 
 
 def train_biskip(bitext, links, cfg: TrainConfig,
-                 vocab: Vocabulary | None = None) -> EmbeddingTable:
+                 vocab: Vocabulary | None = None,
+                 losses: list | None = None) -> EmbeddingTable:
     """Train shared bilingual embeddings over an aligned bitext.
 
     `vocab` defaults to one built from the bitext itself with
-    cfg.min_count.  Each kept center token takes one SGD step
-    (sgns_center_step) over all its contexts at once: its same-language
-    window and the window around every position it is linked to, each
-    context with cfg.negatives noise samples.  The learning rate decays
-    linearly from lr0 to lr0 * 1e-4 over all in-vocabulary token
-    occurrences, frozen within each pair.  A fixed seed gives
-    bit-identical tables.  Links must fit the chunks (`Bitext.links`).
+    cfg.min_count.  Each pair side takes one SGD step (sgns_side_step)
+    over the contexts of all its kept centers: each center's
+    same-language window and the window around every position it is
+    linked to, each context with cfg.negatives noise samples.  The
+    learning rate decays linearly from lr0 to lr0 * 1e-4 over all
+    in-vocabulary token occurrences, frozen within each pair.  Each
+    epoch appends to `losses`, if given, its mean loss per context (the
+    context's term and its negatives', read before each step).  A fixed
+    seed gives bit-identical tables.  Links must fit the chunks
+    (`Bitext.links`).
     """
     bitext = Bitext.of(bitext)
     if vocab is None:
@@ -289,11 +307,16 @@ def train_biskip(bitext, links, cfg: TrainConfig,
     schedule_span = cfg.epochs * total
     processed = 0
     for _ in range(cfg.epochs):
+        epoch_loss, epoch_contexts = 0.0, 0
         for pair, size in enumerate(sizes.tolist()):
             trainer.lr = max(cfg.lr0 * (1.0 - processed / schedule_span),
                              cfg.lr0 * LR_FLOOR_FACTOR)
-            trainer.train_pair(pair, rng)
+            loss, n_contexts = trainer.train_pair(pair, rng)
+            epoch_loss += loss
+            epoch_contexts += n_contexts
             processed += size
+        if losses is not None:
+            losses.append(epoch_loss / max(epoch_contexts, 1))
     if not (np.isfinite(table.input_vecs).all()
             and np.isfinite(table.output_vecs).all()):
         raise FloatingPointError("non-finite values after training")

@@ -337,7 +337,9 @@ class Parser:
         saw_brace = False
         while self.peek() is not None:
             t = self.peek()
-            if depth == 0 and saw_brace and t.text not in _OPAQUE_CONTINUATION_KW:
+            if depth == 0 and t.text in _OPAQUE_CONTINUATION_KW:
+                saw_brace = False  # the clause runs to the end of its block
+            elif depth == 0 and saw_brace:
                 break
             if depth == 0 and t.text == ";":
                 self.eat()

@@ -1,5 +1,6 @@
 """End-to-end CLI tests on a two-file mini project."""
 
+import math
 import re
 from collections import Counter
 
@@ -344,6 +345,19 @@ def test_align_summary_reports_em_log_likelihood(project, tmp_path,
     first, last = map(float, re.search(
         r"\[align\] .*, loglik (-?[\d.]+) -> (-?[\d.]+) \(", err).groups())
     assert first < 0.0 and last >= first
+
+
+def test_train_summary_reports_sgns_loss(project, tmp_path, capsys):
+    out = tmp_path / "out"
+    for stage in ("pair", "normalize", "align", "train"):
+        assert _run(stage, "--config", str(project),
+                    "--out-dir", str(out)) == 0
+    err = capsys.readouterr().err
+    first, last = map(float, re.search(
+        r"\[train\] .*, 3 epochs, loss ([\d.]+) -> ([\d.]+) \(",
+        err).groups())
+    # 2 negatives per context, each term log 2 at the zero output vectors
+    assert 0.0 < last and 0.0 < first <= 3 * math.log(2)
 
 
 def test_map_summary_counts_distinct_candidates(project, tmp_path, capsys):

@@ -7,13 +7,14 @@ from bisect import bisect_left
 import numpy as np
 import pytest
 
+from codemap import embed
 from codemap.align import AlignmentLinkSet
 from codemap.embed import (LR_FLOOR_FACTOR, EmbeddingTable, TrainConfig,
                            Vocabulary, _keep_probability, init_table,
-                           load_embeddings, save_embeddings,
-                           sgns_center_step, sgns_pair_grads, sgns_pair_loss,
-                           sigmoid, train_biskip, vocab_from_bitext)
-from conftest import make_toy_bitext
+                           load_embeddings, save_embeddings, sgns_pair_grads,
+                           sgns_pair_loss, sgns_side_step, sigmoid,
+                           train_biskip, vocab_from_bitext)
+from conftest import make_bijective_corpus, make_toy_bitext
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +57,14 @@ def test_ids_dense_and_ordered_by_count():
     vocab = vocab_from_bitext([(["q", "q", "q"], ["z"], "p")])
     assert [vocab.id_of(t) for t in vocab.tokens] == list(range(len(vocab)))
     assert vocab.tokens[0] == "a:q"
+
+
+def test_vocabulary_takes_counts_as_an_array():
+    vocab = Vocabulary(["a:x", "a:y"], np.array([2, 3]))
+    assert vocab.counts.tolist() == [2.0, 3.0]
+    assert vocab.total_count == 5
+    assert vocab.noise_dist[1] == pytest.approx(3 ** 0.75
+                                                / (2 ** 0.75 + 3 ** 0.75))
 
 
 def test_config_validation():
@@ -137,30 +146,66 @@ def test_gradient_matches_finite_differences():
                 assert abs(numeric - grad[k]) / scale < 1e-4
 
 
-def test_center_step_is_minus_lr_times_summed_pair_grads():
+def _side_batch(batches):
+    """Occurrence arrays of (center, context, negatives) batches."""
+    centers, rows, labels = [], [], []
+    for center, context, negatives in batches:
+        centers += [center] * (1 + len(negatives))
+        rows += [context, *negatives]
+        labels += [1.0] + [0.0] * len(negatives)
+    return (np.array(centers, dtype=np.intp), np.array(rows, dtype=np.intp),
+            np.array(labels))
+
+
+def test_side_step_is_minus_lr_times_summed_pair_grads():
     rng = np.random.default_rng(8)
     table = _tiny_table(rng)
-    center, lr = 0, 0.05
-    # context 3 is listed twice, and negative 2 equals the other context
-    batches = [(3, [2, 5]), (3, [1, 1]), (2, [4, 3])]
-    contexts = [context for context, _ in batches]
-    negatives = [neg for _, negs in batches for neg in negs]
-    ids = np.array(contexts + negatives)
-    labels = np.array([1.0] * len(contexts) + [0.0] * len(negatives))
-
+    lr = 0.05
+    # centers 0 and 4 repeat and share output rows; context 3 is listed
+    # twice for center 0, and negative 2 equals another context
+    batches = [(0, 3, [2, 5]), (0, 3, [1, 1]), (4, 2, [4, 3]), (0, 2, [0]),
+               (4, 3, [5, 5])]
     expected = EmbeddingTable(table.input_vecs.copy(),
                               table.output_vecs.copy())
-    for context, negs in batches:
+    expected_loss = 0.0
+    for center, context, negs in batches:
+        expected_loss += sgns_pair_loss(center, context, negs, table)
         for (which, idx), grad in sgns_pair_grads(center, context, negs,
                                                   table).items():
             matrix = (expected.input_vecs if which == "in"
                       else expected.output_vecs)
             matrix[idx] -= lr * grad
-    sgns_center_step(center, ids, labels, table, lr)
+    loss = sgns_side_step(*_side_batch(batches), table, lr)
+    assert loss == pytest.approx(expected_loss, rel=1e-12)
     assert np.allclose(table.input_vecs, expected.input_vecs,
                        rtol=1e-12, atol=1e-14)
     assert np.allclose(table.output_vecs, expected.output_vecs,
                        rtol=1e-12, atol=1e-14)
+
+
+def test_side_without_collisions_equals_sequential_center_steps():
+    rng = np.random.default_rng(13)
+    lr = 0.1
+    for _ in range(20):
+        table = _tiny_table(rng, size=12)
+        # distinct centers; every output row belongs to one center only
+        centers = rng.permutation(12)[:3].tolist()
+        rows = rng.permutation(12)
+        cuts = sorted(rng.choice(np.arange(1, 12), 2, replace=False))
+        batches = []
+        for center, own_rows in zip(centers, np.split(rows, cuts)):
+            context, *negatives = own_rows.tolist()
+            batches.append((center, context, negatives))
+        sequential = EmbeddingTable(table.input_vecs.copy(),
+                                    table.output_vecs.copy())
+        for batch in batches:
+            sgns_side_step(*_side_batch([batch]), sequential, lr)
+        sgns_side_step(*_side_batch(batches), table, lr)
+        # equal up to the order the matrix products sum in
+        assert np.allclose(table.input_vecs, sequential.input_vecs,
+                           rtol=1e-12, atol=1e-15)
+        assert np.allclose(table.output_vecs, sequential.output_vecs,
+                           rtol=1e-12, atol=1e-15)
 
 
 def test_sigmoid_clamped():
@@ -229,6 +274,18 @@ def test_no_links_warns_but_trains():
     assert np.isfinite(table.input_vecs).all()
 
 
+def test_epoch_losses_are_reported_and_fall():
+    bitext, _, links = make_bijective_corpus(n_pairs=60)
+    cfg = TrainConfig(dim=16, epochs=5, subsample=0.0, seed=3)
+    losses = []
+    train_biskip(bitext, links, cfg, losses=losses)
+    assert len(losses) == cfg.epochs
+    # zero output vectors score sig(0) = 1/2: log 2 per term, at most
+    # 1 + K terms per context
+    assert 0.0 < losses[0] <= (1 + cfg.negatives) * math.log(2)
+    assert losses[-1] < 0.75 * losses[0]
+
+
 def test_linked_tokens_become_neighbors():
     table = train_biskip(LINKED, LINKS, CFG)
     vocab = vocab_from_bitext(LINKED)
@@ -253,7 +310,8 @@ def test_center_without_contexts_leaves_table_unchanged():
     assert np.array_equal(got.input_vecs, expected.input_vecs)
     assert np.array_equal(got.output_vecs, expected.output_vecs)
 
-    sgns_center_step(0, np.array([], dtype=np.intp), np.zeros(0), got, 0.1)
+    empty = np.array([], dtype=np.intp)
+    assert sgns_side_step(empty, empty, np.zeros(0), got, 0.1) == 0.0
     assert np.array_equal(got.input_vecs, expected.input_vecs)
     assert np.array_equal(got.output_vecs, expected.output_vecs)
     assert np.isfinite(got.input_vecs).all()
@@ -294,8 +352,11 @@ def _oracle_side(tokens, tag, vocab, links, transpose):
 
 
 def _oracle_train(bitext, links, cfg, vocab):
-    """The per-pair trainer over string lookups, link dicts and bisect
-    that the index trainer replaced; it must be equalled bit for bit."""
+    """The trainer over string lookups, link dicts and bisect, drawing in
+    the trainer's order: per pair, subsampling of side a then side b, then
+    per side its reaches and its negatives.  Each side's update is summed
+    occurrence by occurrence from the table as it was before the side.
+    Returns the table and every non-empty side's (lr, occurrences)."""
     rng = np.random.default_rng(cfg.seed)
     table = init_table(len(vocab), cfg, rng)
     keep_probability = None
@@ -319,18 +380,18 @@ def _oracle_train(bitext, links, cfg, vocab):
             positions, ids = positions[kept], ids[kept]
         return positions.tolist(), ids.tolist(), cross
 
-    def step(center, contexts, lr):
-        if not contexts:
-            return
-        positives = np.array(contexts)
-        draws = rng.random((len(contexts), cfg.negatives))
-        negatives = np.searchsorted(vocab.noise_cdf, draws, side="right")
-        negatives = negatives[negatives != positives[:, None]]
-        ids = np.concatenate((positives, negatives))
-        labels = np.zeros(len(ids))
-        labels[:len(contexts)] = 1.0
-        sgns_center_step(center, ids, labels, table, lr)
+    def step(occurrences, lr):
+        grad_in = np.zeros_like(table.input_vecs)
+        grad_out = np.zeros_like(table.output_vecs)
+        for center, row, label in occurrences:
+            error = sigmoid(table.output_vecs[row]
+                            @ table.input_vecs[center]) - label
+            grad_in[center] += error * table.output_vecs[row]
+            grad_out[row] += error * table.input_vecs[center]
+        table.input_vecs -= lr * grad_in
+        table.output_vecs -= lr * grad_out
 
+    sides = []
     processed = 0
     for _ in range(cfg.epochs):
         for pair, size in zip(pairs, sizes):
@@ -339,8 +400,10 @@ def _oracle_train(bitext, links, cfg, vocab):
             side_a, side_b = (subsample(side) for side in pair)
             for (own_pos, own_ids, cross), (other_pos, other_ids, _) in (
                     (side_a, side_b), (side_b, side_a)):
-                for idx, center in enumerate(own_ids):
-                    reach = int(rng.integers(1, cfg.window + 1))
+                reaches = rng.integers(1, cfg.window + 1, size=len(own_ids))
+                windows = []
+                for idx, (center, reach) in enumerate(zip(own_ids,
+                                                          reaches.tolist())):
                     contexts = (own_ids[max(0, idx - reach):idx]
                                 + own_ids[idx + 1:idx + reach + 1])
                     for j in cross.get(own_pos[idx], ()):
@@ -348,14 +411,43 @@ def _oracle_train(bitext, links, cfg, vocab):
                         skip = int(q < len(other_pos) and other_pos[q] == j)
                         contexts += other_ids[max(0, q - reach):q]
                         contexts += other_ids[q + skip:q + skip + reach]
-                    step(center, contexts, lr)
+                    windows += [(center, context) for context in contexts]
+                if not windows:
+                    continue
+                draws = rng.random((len(windows), cfg.negatives))
+                negatives = np.searchsorted(vocab.noise_cdf, draws,
+                                            side="right").tolist()
+                occurrences = []
+                for (center, context), negs in zip(windows, negatives):
+                    occurrences.append((center, context, 1.0))
+                    occurrences += [(center, neg, 0.0) for neg in negs
+                                    if neg != context]
+                sides.append((lr, occurrences))
+                step(occurrences, lr)
             processed += size
-    return table
+    return table, sides
+
+
+def _cell_counts(size, centers, rows, labels):
+    """(total, pos): occurrences per (center, row) cell, all and contexts."""
+    total, pos = np.zeros((size, size)), np.zeros((size, size))
+    np.add.at(total, (centers, rows), 1.0)
+    np.add.at(pos, (centers, rows), labels)
+    return total, pos
 
 
 @pytest.mark.parametrize("subsample,min_count",
                          [(0.0, 1), (0.0, 2), (0.05, 1), (0.05, 2)])
-def test_index_trainer_equals_the_string_oracle(subsample, min_count):
+def test_index_trainer_equals_the_string_oracle(subsample, min_count,
+                                                monkeypatch):
+    steps = []
+
+    def recording_step(centers, rows, labels, table, lr):
+        steps.append((lr, centers, rows, labels))
+        return side_step(centers, rows, labels, table, lr)
+    side_step = embed.sgns_side_step
+    monkeypatch.setattr(embed, "sgns_side_step", recording_step)
+
     rng = np.random.default_rng(int(subsample * 100) + min_count)
     cfg = TrainConfig(dim=4, window=2, negatives=2, epochs=2,
                       subsample=subsample, min_count=min_count, seed=5)
@@ -372,12 +464,27 @@ def test_index_trainer_equals_the_string_oracle(subsample, min_count):
             vocab = vocab_from_bitext(bitext, min_count)
         except ValueError:  # nothing survives min_count
             continue
+        steps.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = train_biskip(bitext, links, cfg, vocab=vocab)
-        expected = _oracle_train(bitext, links, cfg, vocab)
-        assert np.array_equal(got.input_vecs, expected.input_vecs)
-        assert np.array_equal(got.output_vecs, expected.output_vecs)
+        expected, sides = _oracle_train(bitext, links, cfg, vocab)
+        # the same draws give every side the same cells, exactly
+        assert len(steps) == len(sides)
+        for (lr, centers, rows, labels), (oracle_lr, occurrences) in zip(
+                steps, sides):
+            assert lr == oracle_lr
+            oracle = np.array(occurrences).T
+            for counts, oracle_counts in zip(
+                    _cell_counts(len(vocab), centers, rows, labels),
+                    _cell_counts(len(vocab), oracle[0].astype(np.intp),
+                                 oracle[1].astype(np.intp), oracle[2])):
+                assert np.array_equal(counts, oracle_counts)
+        # the tables differ only in the order each gradient is summed
+        np.testing.assert_allclose(got.input_vecs, expected.input_vecs,
+                                   rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(got.output_vecs, expected.output_vecs,
+                                   rtol=1e-9, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -677,21 +677,33 @@ CONSTRUCTS = [
         "java",
         'try { g(); } catch (E e) { h(e); } finally { k(); } m();',
         """
-        opaque 0-18
+        opaque 0-51
           name 0-3 try
           name 6-7 g
           name 13-18 catch
-        expr_stmt 19-56
-          expr 19-56
-            nameref 20-21 segs=E
-            nameref 22-23 segs=e
-            func_call 27-31 new=False owner_unknown=False segs=h
-              argument 29-30
-                nameref 29-30 segs=e
-            nameref 35-42 segs=finally
-            func_call 45-48 new=False owner_unknown=False segs=k
+          name 20-21 E
+          name 22-23 e
+          name 27-28 h
+          name 29-30 e
+          name 35-42 finally
+          name 45-46 k
+        expr_stmt 52-56
+          expr 52-56
             func_call 52-55 new=False owner_unknown=False segs=m
 """, id="try_catch_finally"),
+    pytest.param(
+        "csharp",
+        'try { G(); } catch { H(); } M();',
+        """
+        opaque 0-27
+          name 0-3 try
+          name 6-7 G
+          name 13-18 catch
+          name 21-22 H
+        expr_stmt 28-32
+          expr 28-32
+            func_call 28-31 new=False owner_unknown=False segs=M
+""", id="catch_without_a_filter"),
     pytest.param(
         "csharp",
         'class A { int P { get; set; } enum E { X, Y } interface I { '
