@@ -4,14 +4,17 @@ One shared embedding table holds both languages, tokens tagged `a:`/`b:`;
 ids, counts, windows and link partners come from the bitext's integer
 index (`align.Bitext`).  Each center predicts its same-language window
 and, through its links, the window around each linked position on the
-other side.  One SGD step per pair side (`sgns_side_step`) covers the
-contexts and negatives of all the side's centers, as three small matrix
-products on the distinct centers and output rows (`sgns_side`).  Within
-a side every update reads the table as it was before the side, and
+other side.  One SGD step (`sgns_side_step`) covers the contexts and
+negatives of up to SIDE_BATCH consecutive centers of a pair side, as
+three small matrix products on their distinct centers and output rows
+(`sgns_side`); a side of at most SIDE_BATCH tokens is one step.  Within
+a step every update reads the table as it was before the step, and
 repeated centers and rows sum their gradients (the Hogwild-style
-trade-off).  `sgns_pair_loss`/`sgns_pair_grads`, checked against finite
-differences, are one-center views of the same kernel.  Training with a
-fixed seed is bit-reproducible.
+trade-off).  That trade-off, and the step's cost, grow with the number
+of centers, so the gain over per-center steps depends on side length.
+`sgns_pair_loss`/`sgns_pair_grads`, checked against finite differences,
+are one-center views of the same kernel.  Training with a fixed seed is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -27,6 +30,11 @@ from .align import Bitext
 LR_FLOOR_FACTOR = 1e-4
 SIGMOID_CLAMP = 30.0
 NOISE_POWER = 0.75
+# Most consecutive centers of a pair side in one SGD step.  The step
+# reads the table as it was before it and sums a repeated center's
+# gradients into one update, so a step over a few hundred code tokens
+# diverges; a side of up to 32 tokens (the demo's chunks) is one step.
+SIDE_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -142,7 +150,7 @@ def sgns_side(centers, rows, labels, table: EmbeddingTable):
     pos = np.bincount(cells, labels, size).reshape(shape)
     V, U = table.input_vecs[C], table.output_vecs[R]
     scores = np.clip(V @ U.T, -SIGMOID_CLAMP, SIGMOID_CLAMP)
-    sig = sigmoid(scores)
+    sig = 1.0 / (1.0 + np.exp(-scores))
     errors = total * sig - pos
     # -log sig(-s) = s - log sig(s)
     loss = float(((total - pos) * scores - total * np.log(sig)).sum())
@@ -152,9 +160,9 @@ def sgns_side(centers, rows, labels, table: EmbeddingTable):
 def sgns_side_step(centers, rows, labels, table: EmbeddingTable,
                    lr: float) -> float:
     """One SGD step on sgns_side's loss; returns the loss before it.  In
-    training the batch is one pair side.  Hogwild-style, every update
-    reads the table as it was before the step, and repeated centers and
-    rows sum their gradients."""
+    training the batch is up to SIDE_BATCH centers of one pair side.
+    Hogwild-style, every update reads the table as it was before the
+    step, and repeated centers and rows sum their gradients."""
     C, grad_in, R, grad_out, loss = sgns_side(centers, rows, labels, table)
     table.input_vecs[C] -= lr * grad_in
     table.output_vecs[R] -= lr * grad_out
@@ -218,12 +226,13 @@ class _Trainer:
         self.links = bitext.links(links)
 
     def train_pair(self, pair: int, rng: np.random.Generator):
-        """Both sides of one pair, one sgns_side_step each; returns the
-        summed loss and the number of contexts.  Subsampling draws once
-        per in-vocabulary occurrence, side a then side b (none at 0); then
-        each side draws its reaches, then K negatives per context.  A
-        negative equal to its own context is dropped; duplicates are kept
-        and accumulate, as in sgns_pair_loss."""
+        """Both sides of one pair, one sgns_side_step per SIDE_BATCH
+        consecutive kept centers of each; returns the summed loss and the
+        number of contexts.  Subsampling draws once per in-vocabulary
+        occurrence, side a then side b (none at 0); then each side draws
+        its reaches, then K negatives per context.  A negative equal to
+        its own context is dropped; duplicates are kept and accumulate,
+        as in sgns_pair_loss."""
         kept = []
         for positions, ids, offsets in self.sides:
             span = slice(offsets[pair], offsets[pair + 1])
@@ -262,12 +271,20 @@ class _Trainer:
             negatives = np.searchsorted(self.vocab.noise_cdf, draws,
                                         side="right")
             keep = negatives != contexts[:, None]
-            labels = np.zeros(len(contexts) + np.count_nonzero(keep))
-            labels[:len(contexts)] = 1.0
-            loss += sgns_side_step(
-                np.concatenate((centers, np.repeat(centers, keep.sum(1)))),
-                np.concatenate((contexts, negatives[keep])), labels,
-                self.table, self.lr)
+            # context offsets where each later batch of centers starts
+            cuts = np.cumsum(counts)[SIDE_BATCH - 1:-1:SIDE_BATCH].tolist()
+            for lo, hi in zip([0, *cuts], [*cuts, len(contexts)]):
+                if lo == hi:
+                    continue
+                batch_centers, batch_keep = centers[lo:hi], keep[lo:hi]
+                labels = np.zeros(hi - lo + np.count_nonzero(batch_keep))
+                labels[:hi - lo] = 1.0
+                loss += sgns_side_step(
+                    np.concatenate((batch_centers, np.repeat(
+                        batch_centers, batch_keep.sum(1)))),
+                    np.concatenate((contexts[lo:hi],
+                                    negatives[lo:hi][batch_keep])),
+                    labels, self.table, self.lr)
             n_contexts += len(contexts)
         return loss, n_contexts
 
@@ -278,10 +295,10 @@ def train_biskip(bitext, links, cfg: TrainConfig,
     """Train shared bilingual embeddings over an aligned bitext.
 
     `vocab` defaults to one built from the bitext itself with
-    cfg.min_count.  Each pair side takes one SGD step (sgns_side_step)
-    over the contexts of all its kept centers: each center's
-    same-language window and the window around every position it is
-    linked to, each context with cfg.negatives noise samples.  The
+    cfg.min_count.  Each SIDE_BATCH consecutive kept centers of a pair
+    side take one SGD step (sgns_side_step) over their contexts: each
+    center's same-language window and the window around every position
+    it is linked to, each context with cfg.negatives noise samples.  The
     learning rate decays linearly from lr0 to lr0 * 1e-4 over all
     in-vocabulary token occurrences, frozen within each pair.  Each
     epoch appends to `losses`, if given, its mean loss per context (the

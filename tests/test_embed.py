@@ -354,9 +354,10 @@ def _oracle_side(tokens, tag, vocab, links, transpose):
 def _oracle_train(bitext, links, cfg, vocab):
     """The trainer over string lookups, link dicts and bisect, drawing in
     the trainer's order: per pair, subsampling of side a then side b, then
-    per side its reaches and its negatives.  Each side's update is summed
-    occurrence by occurrence from the table as it was before the side.
-    Returns the table and every non-empty side's (lr, occurrences)."""
+    per side its reaches and its negatives.  Each batch of SIDE_BATCH
+    consecutive centers of a side is summed occurrence by occurrence from
+    the table as it was before the batch.  Returns the table and every
+    non-empty batch's (lr, occurrences)."""
     rng = np.random.default_rng(cfg.seed)
     table = init_table(len(vocab), cfg, rng)
     keep_probability = None
@@ -391,7 +392,7 @@ def _oracle_train(bitext, links, cfg, vocab):
         table.input_vecs -= lr * grad_in
         table.output_vecs -= lr * grad_out
 
-    sides = []
+    steps = []
     processed = 0
     for _ in range(cfg.epochs):
         for pair, size in zip(pairs, sizes):
@@ -411,21 +412,24 @@ def _oracle_train(bitext, links, cfg, vocab):
                         skip = int(q < len(other_pos) and other_pos[q] == j)
                         contexts += other_ids[max(0, q - reach):q]
                         contexts += other_ids[q + skip:q + skip + reach]
-                    windows += [(center, context) for context in contexts]
+                    windows += [(idx // embed.SIDE_BATCH, center, context)
+                                for context in contexts]
                 if not windows:
                     continue
                 draws = rng.random((len(windows), cfg.negatives))
                 negatives = np.searchsorted(vocab.noise_cdf, draws,
                                             side="right").tolist()
-                occurrences = []
-                for (center, context), negs in zip(windows, negatives):
+                batches = {}
+                for (batch, center, context), negs in zip(windows, negatives):
+                    occurrences = batches.setdefault(batch, [])
                     occurrences.append((center, context, 1.0))
                     occurrences += [(center, neg, 0.0) for neg in negs
                                     if neg != context]
-                sides.append((lr, occurrences))
-                step(occurrences, lr)
+                for occurrences in batches.values():
+                    steps.append((lr, occurrences))
+                    step(occurrences, lr)
             processed += size
-    return table, sides
+    return table, steps
 
 
 def _cell_counts(size, centers, rows, labels):
@@ -440,6 +444,28 @@ def _cell_counts(size, centers, rows, labels):
                          [(0.0, 1), (0.0, 2), (0.05, 1), (0.05, 2)])
 def test_index_trainer_equals_the_string_oracle(subsample, min_count,
                                                 monkeypatch):
+    _assert_trainer_equals_oracle(subsample, min_count, monkeypatch)
+
+
+def test_long_sides_step_in_batches_of_centers(monkeypatch):
+    # toy sides have up to 7 tokens; batches of 2 centers split them
+    monkeypatch.setattr(embed, "SIDE_BATCH", 2)
+    _assert_trainer_equals_oracle(0.0, 1, monkeypatch)
+
+
+def test_long_sides_train_stably():
+    # one step over a whole 600-token side summed each frequent token's
+    # dozens of updates and diverged
+    bitext, _, links = make_bijective_corpus(n_pairs=2, min_len=600,
+                                             max_len=600)
+    cfg = TrainConfig(dim=16, epochs=3, subsample=0.0, seed=3)
+    losses = []
+    table = train_biskip(bitext, links, cfg, losses=losses)
+    assert losses[-1] < losses[0]
+    assert np.linalg.norm(table.input_vecs, axis=1).max() < 10.0
+
+
+def _assert_trainer_equals_oracle(subsample, min_count, monkeypatch):
     steps = []
 
     def recording_step(centers, rows, labels, table, lr):
@@ -468,11 +494,11 @@ def test_index_trainer_equals_the_string_oracle(subsample, min_count,
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = train_biskip(bitext, links, cfg, vocab=vocab)
-        expected, sides = _oracle_train(bitext, links, cfg, vocab)
-        # the same draws give every side the same cells, exactly
-        assert len(steps) == len(sides)
+        expected, oracle_steps = _oracle_train(bitext, links, cfg, vocab)
+        # the same draws give every step the same cells, exactly
+        assert len(steps) == len(oracle_steps)
         for (lr, centers, rows, labels), (oracle_lr, occurrences) in zip(
-                steps, sides):
+                steps, oracle_steps):
             assert lr == oracle_lr
             oracle = np.array(occurrences).T
             for counts, oracle_counts in zip(
