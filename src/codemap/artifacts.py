@@ -10,6 +10,7 @@ with a `path:line:` message.
 
 from __future__ import annotations
 
+import itertools
 import os
 from pathlib import Path
 
@@ -34,10 +35,13 @@ def write_lines(path, lines, comments=()) -> None:
         raise
 
 
-def first_line(path) -> str:
-    """The artifact's first line, comment or not, without its newline."""
-    with open(path, encoding="utf-8") as handle:
-        return handle.readline().rstrip("\n")
+def record_lines(lines):
+    """Yield (lineno, line) for each of `lines` (an open artifact, say)
+    that is neither blank nor a comment, without its newline; the first
+    of `lines` is line 1."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line.startswith("#") and line.strip():
+            yield lineno, line.rstrip("\n")
 
 
 def records(path, fields=None, sep="\t"):
@@ -47,10 +51,8 @@ def records(path, fields=None, sep="\t"):
     With `fields` set, a line with another number of parts raises.
     """
     with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if line.startswith("#") or not line.strip():
-                continue
-            parts = line.rstrip("\n").split(sep)
+        for lineno, line in record_lines(handle):
+            parts = line.split(sep)
             if fields is not None:
                 _expect_fields(path, lineno, parts, fields)
             yield lineno, parts
@@ -100,25 +102,57 @@ def write_vectors(path, ids, matrix, comments=(), tag=None,
 
 def read_vectors(path, tags=None, extra=False):
     """Inverse of write_vectors: (ids, matrix, extras or None, tag).
-    `tags` lists the allowed header tags, None for a header without."""
-    rows = records(path, sep=None)
-    lineno, header = next(rows, (None, None))
-    if header is None:
-        raise ValueError(f"{path}: missing header")
-    _expect_fields(path, lineno, header, 2 if tags is None else 3)
-    size, dim = (field(path, lineno, int, text) for text in header[:2])
-    tag = None if tags is None else header[2]
-    if tags is not None and tag not in tags:
-        raise ValueError(f"{path}:{lineno}: header tag {tag!r} is not one "
-                         f"of {', '.join(tags)}")
-    ids, values = [], []
-    for lineno, parts in rows:
-        _expect_fields(path, lineno, parts, dim + 1 + extra)
-        ids.append(parts[0])
-        values.append(field(path, lineno, _floats, parts[1:]))
+    `tags` lists the allowed header tags, None for a header without.
+
+    The rows stream through one np.loadtxt.  If a row does not parse
+    there, or the rows have another width, the file is read again row by
+    row, which names the first malformed row's line."""
+    with open(path, encoding="utf-8") as handle:
+        rows = record_lines(handle)
+        lineno, header = next(rows, (None, None))
+        if header is None:
+            raise ValueError(f"{path}: missing header")
+        header = header.split()
+        _expect_fields(path, lineno, header, 2 if tags is None else 3)
+        size, dim = (field(path, lineno, int, text) for text in header[:2])
+        tag = None if tags is None else header[2]
+        if tags is not None and tag not in tags:
+            raise ValueError(f"{path}:{lineno}: header tag {tag!r} is not "
+                             f"one of {', '.join(tags)}")
+        ids, columns = _loaded(rows, dim + extra)
+    if columns is None:
+        rows = records(path, sep=None)
+        next(rows)  # the header
+        ids, values = [], []
+        for lineno, parts in rows:
+            _expect_fields(path, lineno, parts, dim + extra + 1)
+            ids.append(parts[0])
+            values.append(field(path, lineno, _floats, parts[1:]))
+        columns = np.array(values)
     if len(ids) != size:
         raise ValueError(f"{path}: header promises {size} rows, "
                          f"found {len(ids)}")
-    columns = np.array(values) if ids else np.zeros((0, dim + extra))
     extras = columns[:, dim].tolist() if extra else None
     return ids, columns[:, :dim], extras, tag
+
+
+def _loaded(rows, width):
+    """(ids, values) of (lineno, `id v1 ... v<width>`) rows, the values
+    as one np.loadtxt matrix, or None if a row is malformed."""
+    ids = []
+
+    def values():
+        for _, line in rows:
+            item, text = line.split(None, 1)  # ValueError: no values
+            ids.append(item)
+            yield text
+    texts = values()
+    try:
+        first = next(texts, None)
+        if first is None:  # np.loadtxt would warn on no rows
+            return ids, np.zeros((0, width))
+        columns = np.loadtxt(itertools.chain([first], texts),
+                             comments=None, ndmin=2)
+    except ValueError:
+        return ids, None
+    return ids, columns if columns.shape[1] == width else None

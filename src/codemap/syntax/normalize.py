@@ -262,12 +262,13 @@ def write_stream(stream: EnrichedTokenStream, path, comments=()) -> None:
 
 def read_stream(path) -> tuple[str, str, list[str]]:
     """Read a stream file back as (language, source path, tokens)."""
-    header = artifacts.first_line(path)
+    with open(path, encoding="utf-8") as handle:
+        header = handle.readline().rstrip("\n")
+        tokens = next((line.split() for _, line in
+                       artifacts.record_lines(handle)), [])
     if not header.startswith("#"):
         raise ValueError(f"{path}:1: missing `#<language> <path>` header")
     language, _, source = header[1:].partition(" ")
     if not language:
         raise ValueError(f"{path}:1: missing language in header")
-    tokens = next((parts for _, parts in artifacts.records(path, sep=None)),
-                  [])
     return language, source, tokens

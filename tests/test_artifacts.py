@@ -86,3 +86,26 @@ def test_vector_rows_print_each_value_at_nine_digits(tmp_path):
     artifacts.write_vectors(path, ["x"], np.array([vector]), extras=[0.5])
     assert path.read_text().splitlines() == [
         "1 7", "x " + " ".join(f"{x:.9g}" for x in vector) + " 0.5"]
+
+
+def test_vector_rows_split_on_any_whitespace(tmp_path):
+    path = tmp_path / "vectors.txt"
+    path.write_text("# provenance\n2 2\nx\t1.5  -2\n\ny   inf\tnan  \n")
+    ids, matrix, extras, tag = artifacts.read_vectors(path)
+    assert (ids, extras, tag) == (["x", "y"], None, None)
+    assert matrix[0].tolist() == [1.5, -2.0]
+    assert matrix[1, 0] == np.inf and np.isnan(matrix[1, 1])
+
+
+@pytest.mark.parametrize("body,error", [
+    ("x 1 2\ny 1\n", ":4: expected 3 fields, got 2"),
+    ("x 1 2\ny\n", ":4: expected 3 fields, got 1"),
+    ("x 1 2\ny 1 2 3\n", ":4: expected 3 fields, got 4"),
+    ("x 1 2 3\ny 1 2 3\n", ":3: expected 3 fields, got 4"),
+], ids=["missing value", "no values", "extra value", "every row extra"])
+def test_vector_row_of_another_width_names_its_line(tmp_path, body, error):
+    path = tmp_path / "vectors.txt"
+    # the header also promises a row too many: the row is named first
+    path.write_text("# provenance\n3 2\n" + body)
+    with pytest.raises(ValueError, match=re.escape(f"{path}{error}")):
+        artifacts.read_vectors(path)

@@ -11,9 +11,9 @@ from codemap import embed
 from codemap.align import AlignmentLinkSet
 from codemap.embed import (LR_FLOOR_FACTOR, EmbeddingTable, TrainConfig,
                            Vocabulary, _keep_probability, init_table,
-                           load_embeddings, save_embeddings, sgns_pair_grads,
-                           sgns_pair_loss, sgns_side_step, sigmoid,
-                           train_biskip, vocab_from_bitext)
+                           load_embeddings, occurrence_cells, save_embeddings,
+                           sgns_pair_grads, sgns_pair_loss, sgns_step,
+                           sigmoid, train_biskip, vocab_from_bitext)
 from conftest import make_bijective_corpus, make_toy_bitext
 
 
@@ -146,15 +146,17 @@ def test_gradient_matches_finite_differences():
                 assert abs(numeric - grad[k]) / scale < 1e-4
 
 
-def _side_batch(batches):
-    """Occurrence arrays of (center, context, negatives) batches."""
+def _side_step(batches, table, lr):
+    """One sgns_step on the cells of (center, context, negatives)
+    batches."""
     centers, rows, labels = [], [], []
     for center, context, negatives in batches:
         centers += [center] * (1 + len(negatives))
         rows += [context, *negatives]
         labels += [1.0] + [0.0] * len(negatives)
-    return (np.array(centers, dtype=np.intp), np.array(rows, dtype=np.intp),
-            np.array(labels))
+    return sgns_step(*occurrence_cells(
+        np.array(centers, dtype=np.intp), np.array(rows, dtype=np.intp),
+        np.array(labels)), table, lr)
 
 
 def test_side_step_is_minus_lr_times_summed_pair_grads():
@@ -175,7 +177,7 @@ def test_side_step_is_minus_lr_times_summed_pair_grads():
             matrix = (expected.input_vecs if which == "in"
                       else expected.output_vecs)
             matrix[idx] -= lr * grad
-    loss = sgns_side_step(*_side_batch(batches), table, lr)
+    loss = _side_step(batches, table, lr)
     assert loss == pytest.approx(expected_loss, rel=1e-12)
     assert np.allclose(table.input_vecs, expected.input_vecs,
                        rtol=1e-12, atol=1e-14)
@@ -199,8 +201,8 @@ def test_side_without_collisions_equals_sequential_center_steps():
         sequential = EmbeddingTable(table.input_vecs.copy(),
                                     table.output_vecs.copy())
         for batch in batches:
-            sgns_side_step(*_side_batch([batch]), sequential, lr)
-        sgns_side_step(*_side_batch(batches), table, lr)
+            _side_step([batch], sequential, lr)
+        _side_step(batches, table, lr)
         # equal up to the order the matrix products sum in
         assert np.allclose(table.input_vecs, sequential.input_vecs,
                            rtol=1e-12, atol=1e-15)
@@ -310,8 +312,7 @@ def test_center_without_contexts_leaves_table_unchanged():
     assert np.array_equal(got.input_vecs, expected.input_vecs)
     assert np.array_equal(got.output_vecs, expected.output_vecs)
 
-    empty = np.array([], dtype=np.intp)
-    assert sgns_side_step(empty, empty, np.zeros(0), got, 0.1) == 0.0
+    assert _side_step([], got, 0.1) == 0.0
     assert np.array_equal(got.input_vecs, expected.input_vecs)
     assert np.array_equal(got.output_vecs, expected.output_vecs)
     assert np.isfinite(got.input_vecs).all()
@@ -465,14 +466,35 @@ def test_long_sides_train_stably():
     assert np.linalg.norm(table.input_vecs, axis=1).max() < 10.0
 
 
+@pytest.mark.parametrize("subsample,side_batch",
+                         [(0.0, 32), (0.05, 32), (3e-3, 32), (0.0, 2)])
+def test_plan_bound_changes_nothing(subsample, side_batch, monkeypatch):
+    # bound 1 plans every pair alone, 10**9 a whole epoch at once; 0.05
+    # keeps every token of this corpus but still draws, 3e-3 drops some
+    monkeypatch.setattr(embed, "SIDE_BATCH", side_batch)
+    bitext, _, links = make_bijective_corpus(n_pairs=120)
+    cfg = TrainConfig(dim=8, epochs=3, subsample=subsample, seed=4)
+    runs = []
+    for bound in (embed.PLAN_CONTEXTS, 1, 10 ** 9):
+        monkeypatch.setattr(embed, "PLAN_CONTEXTS", bound)
+        losses = []
+        table = train_biskip(bitext, links, cfg, losses=losses)
+        runs.append((table, losses))
+    (default, default_losses), *others = runs
+    for table, losses in others:
+        assert np.array_equal(table.input_vecs, default.input_vecs)
+        assert np.array_equal(table.output_vecs, default.output_vecs)
+        assert np.array_equal(losses, default_losses)
+
+
 def _assert_trainer_equals_oracle(subsample, min_count, monkeypatch):
     steps = []
 
-    def recording_step(centers, rows, labels, table, lr):
-        steps.append((lr, centers, rows, labels))
-        return side_step(centers, rows, labels, table, lr)
-    side_step = embed.sgns_side_step
-    monkeypatch.setattr(embed, "sgns_side_step", recording_step)
+    def recording_step(C, R, total, pos, table, lr):
+        steps.append((lr, C, R, total, pos))
+        return step(C, R, total, pos, table, lr)
+    step = embed.sgns_step
+    monkeypatch.setattr(embed, "sgns_step", recording_step)
 
     rng = np.random.default_rng(int(subsample * 100) + min_count)
     cfg = TrainConfig(dim=4, window=2, negatives=2, epochs=2,
@@ -497,12 +519,19 @@ def _assert_trainer_equals_oracle(subsample, min_count, monkeypatch):
         expected, oracle_steps = _oracle_train(bitext, links, cfg, vocab)
         # the same draws give every step the same cells, exactly
         assert len(steps) == len(oracle_steps)
-        for (lr, centers, rows, labels), (oracle_lr, occurrences) in zip(
+        for (lr, C, R, total, pos), (oracle_lr, occurrences) in zip(
                 steps, oracle_steps):
             assert lr == oracle_lr
+            # C and R are the step's distinct centers and rows, sorted,
+            # and each has an occurrence
+            assert (np.diff(C) > 0).all() and (np.diff(R) > 0).all()
+            assert (total.sum(1) > 0).all() and (total.sum(0) > 0).all()
+            dense_total, dense_pos = np.zeros((2, len(vocab), len(vocab)))
+            dense_total[np.ix_(C, R)] = total
+            dense_pos[np.ix_(C, R)] = pos
             oracle = np.array(occurrences).T
             for counts, oracle_counts in zip(
-                    _cell_counts(len(vocab), centers, rows, labels),
+                    (dense_total, dense_pos),
                     _cell_counts(len(vocab), oracle[0].astype(np.intp),
                                  oracle[1].astype(np.intp), oracle[2])):
                 assert np.array_equal(counts, oracle_counts)
