@@ -129,8 +129,8 @@ class Bitext(tuple):
     def links(self, link_sets) -> list[tuple]:
         """Per side of an a -> b index, the linked positions and their
         partners on the other side, flat positions into `ids` sorted by
-        own then other, with pair offsets.  A link set that names no pair,
-        or a link outside its pair, was aligned on another chunking."""
+        own then other.  A link set that names no pair, or a link outside
+        its pair, was aligned on another chunking."""
         pair_of = {pair_id: k for k, pair_id in enumerate(self.pair_ids)}
         for link_set in link_sets:
             if link_set.pair_id not in pair_of:
@@ -150,10 +150,9 @@ class Bitext(tuple):
                              f"{len_b[k]} chunk; rerun align")
         i, j = i + self.offsets[0][pair], j + self.offsets[1][pair]
         out = []
-        for own, other, offsets in zip((i, j), (j, i), self.offsets):
+        for own, other in ((i, j), (j, i)):
             order = np.lexsort((other, own))
-            own, other = own[order], other[order]
-            out.append((own, other, np.searchsorted(own, offsets)))
+            out.append((own[order], other[order]))
         return out
 
 

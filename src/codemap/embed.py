@@ -13,15 +13,20 @@ repeated centers and rows sum their gradients (the Hogwild-style
 trade-off).  That trade-off, and the step's cost, grow with the number
 of centers, so the gain over per-center steps depends on side length.
 
-Training plans a block of consecutive pairs, then steps along it.  The
-plan makes the block's random draws in the order a pair-by-pair trainer
-makes them, gathers all its contexts and negatives at once and counts
-each step's occurrences into (center, row) cells; the step loop then
-runs only the dense kernel.  Contexts and negatives never read the
-table, so planning first changes nothing but the time (the batching of
-Ji et al. 2016, arXiv 1604.04661).  `sgns_pair_loss`/`sgns_pair_grads`,
-checked against finite differences, are one-center views of the same
-kernel.  Training with a fixed seed is bit-reproducible.
+An epoch makes its random draws in three phases: with subsampling, one
+keep draw per in-vocabulary occurrence, side a's then side b's, and one
+window layout over what is kept (without subsampling the layout is built
+once); every kept center's reach, in one draw; and K uniforms per
+context, in context order.  It then plans a block of consecutive pairs
+at a time and steps along it: the plan gathers the block's contexts and
+negatives at once and counts each step's occurrences into (center, row)
+cells, and the step loop runs only the dense kernel.  Contexts and
+negatives never read the table, so planning first changes nothing but
+the time (the batching of Ji et al. 2016, arXiv 1604.04661); uniforms
+are drawn per block, and float draws concatenate, so where a block ends
+changes no draw.  `sgns_pair_loss`/`sgns_pair_grads`, checked against
+finite differences, are one-center views of the same kernel.  Training
+with a fixed seed is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -256,48 +261,22 @@ def _keep_probability(count: float, total: int, subsample: float) -> float:
 
 
 class _Layout(NamedTuple):
-    """Window rows of consecutive pairs, in training order: per pair, side
-    a's kept centers, then side b's.  A center has one row for its own
-    side, then one per kept link of its, for the other side around the
-    partner; the partner, when kept, is the surrogate center and not a
-    context of its own window.  A reach r gives a row windows of
-    min(r, caps) kept ids, ending at anchor 0 and starting at anchor 1."""
+    """Window rows of all pairs, in training order: per pair, side a's kept
+    centers, then side b's.  A center has one row for its own side, then
+    one per kept link of its, for the other side around the partner; the
+    partner, when kept, is the surrogate center and not a context of its
+    own window.  A reach r gives a row windows of min(r, caps) kept ids,
+    ending at anchor 0 and starting at anchor 1."""
     ids: np.ndarray      # kept vocabulary ids, per pair side a's then b's
     offsets: list        # rows of each (pair, side) entry, 2 * pairs + 1
-    centers: list        # kept centers of each entry
-    center: np.ndarray   # per row, its center's index in its entry
+    center_offsets: np.ndarray  # each entry's kept centers, into ids
+    center: np.ndarray   # per row, its center, into ids
     anchors: np.ndarray  # rows x 2, into ids
     caps: np.ndarray     # rows x 2, the room to the ends of the row's side
-    vocab: np.ndarray    # per row, its center's vocabulary id
-
-    def block(self, first: int, last: int) -> _Layout:
-        """The rows of pairs first..last-1 (anchors still into ids)."""
-        lo, hi = self.offsets[2 * first], self.offsets[2 * last]
-        rows = slice(lo, hi)
-        return _Layout(self.ids, [offset - lo for offset in
-                                  self.offsets[2 * first:2 * last + 1]],
-                       self.centers[2 * first:2 * last], self.center[rows],
-                       self.anchors[rows], self.caps[rows], self.vocab[rows])
-
-    @staticmethod
-    def joined(layouts) -> _Layout:
-        """Consecutive layouts as one."""
-        bases = np.cumsum([0] + [len(layout.ids) for layout in layouts])
-        offsets = [0]
-        for layout in layouts:
-            offsets += [offsets[-1] + offset for offset in layout.offsets[1:]]
-        return _Layout(
-            np.concatenate([layout.ids for layout in layouts]), offsets,
-            [count for layout in layouts for count in layout.centers],
-            np.concatenate([layout.center for layout in layouts]),
-            np.concatenate([layout.anchors + base for layout, base in
-                            zip(layouts, bases.tolist())]),
-            np.concatenate([layout.caps for layout in layouts]),
-            np.concatenate([layout.vocab for layout in layouts]))
 
 
 def _layout(kept, links) -> _Layout:
-    """The layout of consecutive pairs from, per side, their kept tokens'
+    """The layout of all pairs from, per side, their kept tokens'
     (positions, vocabulary ids, pair offsets) and their links' (own,
     other) positions, sorted by (own, other)."""
     (_, ids_a, offsets_a), (_, ids_b, offsets_b) = kept
@@ -316,9 +295,11 @@ def _layout(kept, links) -> _Layout:
     np.cumsum(counts + np.column_stack([
         np.bincount(link_pair, minlength=pairs)
         for _, _, _, link_pair in found]), out=offsets[1:])
+    center_offsets = np.zeros(counts.size + 1, np.intp)
+    np.cumsum(counts.ravel(), out=center_offsets[1:])
     size = offsets[-1]
     # int32 halves what a layout kept across epochs holds
-    center, vocab = np.empty(size, np.int32), np.empty(size, np.int32)
+    center = np.empty(size, np.int32)
     anchors = np.empty((size, 2), np.int32)
     caps = np.empty((size, 2), np.int32)
     ids = np.empty(len(ids_a) + len(ids_b), np.int32)
@@ -329,7 +310,8 @@ def _layout(kept, links) -> _Layout:
             pair, linked, other, link_pair)) in enumerate(
                 zip(kept, kept[::-1], found)):
         centers = np.arange(len(own_ids))
-        ids[centers + shifts[side][pair]] = own_ids
+        at = centers + shifts[side][pair]
+        ids[at] = own_ids
         index = centers - own_offsets[pair]
         # an entry holds each center's own row and then its links' rows,
         # so a row follows the entry's earlier centers and their links
@@ -339,10 +321,8 @@ def _layout(kept, links) -> _Layout:
             len(linked))
         before = np.searchsorted(other_pos, other)
         after = np.searchsorted(other_pos, other, "right")
-        center[own_at], center[link_at] = index, index[linked]
-        vocab[own_at], vocab[link_at] = own_ids, own_ids[linked]
-        anchors[own_at] = (np.column_stack((centers, centers + 1))
-                           + shifts[side][pair, None])
+        center[own_at], center[link_at] = at, at[linked]
+        anchors[own_at] = np.column_stack((at, at + 1))
         anchors[link_at] = (np.column_stack((before, after))
                             + shifts[1 - side][link_pair, None])
         caps[own_at] = np.column_stack(
@@ -350,17 +330,14 @@ def _layout(kept, links) -> _Layout:
         caps[link_at] = np.column_stack(
             (before - other_offsets[link_pair],
              other_offsets[link_pair + 1] - after))
-    return _Layout(ids, offsets.tolist(), counts.ravel().tolist(), center,
-                   anchors, caps, vocab)
+    return _Layout(ids, offsets.tolist(), center_offsets, center, anchors,
+                   caps)
 
 
 class _Trainer:
-    """Plans a block of consecutive pairs, then steps along it.
-
-    The plan makes every random draw of the block's pairs in order and
-    counts each step's occurrences into cells; contexts and negatives
-    never read the table, so planning before stepping changes nothing
-    but the time.  The step loop runs sgns_step once per step."""
+    """Makes an epoch's random draws in the three phases of the module
+    docstring, then plans a block of consecutive pairs at a time and
+    steps along it, with sgns_step once per step."""
 
     def __init__(self, bitext: Bitext, links, vocab: Vocabulary,
                  cfg: TrainConfig, table: EmbeddingTable):
@@ -382,59 +359,42 @@ class _Trainer:
         self.pairs = len(bitext)
         # without subsampling every epoch keeps the same tokens
         self.layout = None if self.keep_probability is not None else _layout(
-            self.sides, [(own, other) for own, other, _ in self.links])
+            self.sides, self.links)
 
-    def _subsampled(self, pair: int, rng) -> _Layout:
-        """The layout of one pair after subsampling, with one draw per
-        in-vocabulary occurrence, side a then side b."""
+    def _epoch_layout(self, rng) -> _Layout:
+        """The layout built once or, with subsampling, the layout of the
+        occurrences that a keep draw each leaves, side a's then side b's."""
+        if self.layout is not None:
+            return self.layout
         kept = []
         for positions, ids, offsets in self.sides:
-            span = slice(offsets[pair], offsets[pair + 1])
-            positions, ids = positions[span], ids[span]
             keep = rng.random(len(ids)) <= self.keep_probability[ids]
-            kept.append((positions[keep], ids[keep],
-                         np.array([0, np.count_nonzero(keep)])))
-        return _layout(kept, [
-            (own[offsets[pair]:offsets[pair + 1]],
-             other[offsets[pair]:offsets[pair + 1]])
-            for own, other, offsets in self.links])
+            before = np.zeros(len(keep) + 1, np.intp)
+            np.cumsum(keep, out=before[1:])
+            kept.append((positions[keep], ids[keep], before[offsets]))
+        return _layout(kept, self.links)
 
-    def _draw(self, layout: _Layout, pair: int, rng, lengths,
-              uniforms) -> int:
-        """Per side of the layout's `pair`, draw its reaches and, if it has
-        contexts, K uniforms per context; appends the side's window
-        lengths (rows x 2) and uniforms, and returns its contexts."""
-        contexts = 0
-        for entry in (2 * pair, 2 * pair + 1):
-            rows = slice(layout.offsets[entry], layout.offsets[entry + 1])
-            reaches = rng.integers(1, self.cfg.window + 1,
-                                   size=layout.centers[entry])
-            side = np.minimum(reaches[layout.center[rows], None],
-                              layout.caps[rows])
-            lengths.append(side)
-            count = int(side.sum())
-            if count:
-                uniforms.append(rng.random((count, self.cfg.negatives)))
-            contexts += count
-        return contexts
-
-    def _plan(self, layout: _Layout, lengths, uniforms):
-        """Cells of a block's steps, one per SIDE_BATCH consecutive centers
-        of a pair side that have contexts, and each step's pair index in
-        the block."""
-        lengths = np.concatenate(lengths)
-        entry = np.repeat(np.arange(len(layout.offsets) - 1),
-                          np.diff(layout.offsets))
+    def _plan(self, layout: _Layout, first: int, last: int, lengths,
+              uniforms):
+        """Cells of the steps of pairs first..last-1, one per SIDE_BATCH
+        consecutive centers of a pair side that have contexts, and each
+        step's pair, from the layout's window lengths (rows x 2) and the
+        block's K uniforms per context."""
+        offsets = layout.offsets[2 * first:2 * last + 1]
+        span = slice(offsets[0], offsets[-1])
+        entry = np.repeat(np.arange(2 * first, 2 * last), np.diff(offsets))
+        lengths = lengths[span]
         # one ragged gather: per row its left window, then its right one
-        starts = layout.anchors - lengths * (1, 0)
+        starts = layout.anchors[span] - lengths * (1, 0)
         segment = lengths.ravel()
         ends = np.cumsum(segment)
         contexts = layout.ids[np.repeat(starts.ravel() - ends + segment,
                                         segment) + np.arange(ends[-1])]
         width = lengths.sum(1)
         live = np.flatnonzero(width)
-        entry = entry[live]
-        key = entry << 32 | layout.center[live] // SIDE_BATCH
+        entry, center = entry[live], layout.center[span][live]
+        key = entry << 32 | (center - layout.center_offsets[entry]) \
+            // SIDE_BATCH
         new = np.ones(len(live), bool)
         new[1:] = key[1:] != key[:-1]
         step = np.cumsum(new) - 1
@@ -443,13 +403,13 @@ class _Trainer:
         # its own context counts 0: it is dropped, and its row is in the
         # step's rows anyway
         rows = np.column_stack((contexts, np.searchsorted(
-            self.vocab.noise_cdf, np.concatenate(uniforms), side="right")))
+            self.vocab.noise_cdf, uniforms, side="right")))
         counts = rows != rows[:, :1]
         counts[:, 0] = True
         labels = np.zeros(rows.shape)
         labels[:, 0] = 1.0
         cells = _cells(int(step[-1]) + 1,
-                       step << 32 | layout.vocab[live], center_of,
+                       step << 32 | layout.ids[center], center_of,
                        step[center_of, None] << 32 | rows, labels, counts)
         return cells, entry[new] >> 1
 
@@ -458,34 +418,32 @@ class _Trainer:
         loss summed per pair, then over pairs, and the context count.
         Blocks end at the first pair that brings them to PLAN_CONTEXTS
         contexts."""
-        loss, n_contexts, pair = 0.0, 0, 0
-        while pair < self.pairs:
-            first, lengths, uniforms, subsampled, planned = pair, [], [], [], 0
-            while pair < self.pairs and planned < PLAN_CONTEXTS:
-                if self.layout is None:
-                    subsampled.append(self._subsampled(pair, rng))
-                    planned += self._draw(subsampled[-1], 0, rng, lengths,
-                                          uniforms)
-                else:
-                    planned += self._draw(self.layout, pair, rng, lengths,
-                                          uniforms)
-                pair += 1
-            if planned:
-                layout = (_Layout.joined(subsampled) if self.layout is None
-                          else self.layout.block(first, pair))
-                for pair_loss in self._steps(
-                        *self._plan(layout, lengths, uniforms), lrs, first):
-                    loss += pair_loss
-            n_contexts += planned
-        return loss, n_contexts
+        layout = self._epoch_layout(rng)
+        reaches = rng.integers(1, self.cfg.window + 1, size=len(layout.ids))
+        lengths = np.minimum(reaches[layout.center, None], layout.caps)
+        # the contexts before each row, then before each pair
+        before = np.zeros(len(lengths) + 1, np.int64)
+        np.cumsum(lengths.sum(1), out=before[1:])
+        before = before[layout.offsets[::2]]
+        loss, first = 0.0, 0
+        while before[first] < before[-1]:
+            last = min(int(np.searchsorted(before, before[first]
+                                           + PLAN_CONTEXTS)), self.pairs)
+            uniforms = rng.random((int(before[last] - before[first]),
+                                   self.cfg.negatives))
+            for pair_loss in self._steps(*self._plan(
+                    layout, first, last, lengths, uniforms), lrs):
+                loss += pair_loss
+            first = last
+        return loss, int(before[-1])
 
-    def _steps(self, cells, step_pairs, lrs, first):
+    def _steps(self, cells, step_pairs, lrs):
         """sgns_step along a plan's steps; returns each pair's summed loss."""
         C, c_offsets, R, r_offsets, total, pos, offsets = cells
         c_offsets, r_offsets = c_offsets.tolist(), r_offsets.tolist()
         offsets = offsets.tolist()
         losses, last = [], None
-        for s, pair in enumerate((step_pairs + first).tolist()):
+        for s, pair in enumerate(step_pairs.tolist()):
             c_span = slice(c_offsets[s], c_offsets[s + 1])
             r_span = slice(r_offsets[s], r_offsets[s + 1])
             span = slice(offsets[s], offsets[s + 1])
@@ -510,11 +468,13 @@ def train_biskip(bitext, links, cfg: TrainConfig,
     center's same-language window and the window around every position
     it is linked to, each context with cfg.negatives noise samples.  The
     learning rate decays linearly from lr0 to lr0 * 1e-4 over all
-    in-vocabulary token occurrences, frozen within each pair.  Each
-    epoch appends to `losses`, if given, its mean loss per context (the
-    context's term and its negatives', read before each step).  A fixed
-    seed gives bit-identical tables.  Links must fit the chunks
-    (`Bitext.links`).
+    in-vocabulary token occurrences, frozen within each pair.  An epoch
+    draws, in this order: with cfg.subsample > 0, a keep draw per
+    in-vocabulary occurrence, side a's then side b's; every kept center's
+    reach; and the negatives, context by context.  Each epoch appends to
+    `losses`, if given, its mean loss per context (the context's term and
+    its negatives', read before each step).  A fixed seed gives
+    bit-identical tables.  Links must fit the chunks (`Bitext.links`).
     """
     bitext = Bitext.of(bitext)
     if vocab is None:

@@ -232,17 +232,21 @@ CFG = TrainConfig(dim=16, window=2, negatives=3, epochs=30, subsample=0.0,
                   seed=9)
 
 
-def test_training_deterministic():
-    first = train_biskip(LINKED, LINKS, CFG)
-    second = train_biskip(LINKED, LINKS, CFG)
+@pytest.mark.parametrize("subsample", [0.0, 1e-2])
+def test_training_deterministic(subsample):
+    cfg = TrainConfig(**{**CFG.__dict__, "subsample": subsample})
+    first = train_biskip(LINKED, LINKS, cfg)
+    second = train_biskip(LINKED, LINKS, cfg)
     assert np.array_equal(first.input_vecs, second.input_vecs)
     assert np.array_equal(first.output_vecs, second.output_vecs)
 
 
-def test_training_seed_changes_result():
-    first = train_biskip(LINKED, LINKS, CFG)
+@pytest.mark.parametrize("subsample", [0.0, 1e-2])
+def test_training_seed_changes_result(subsample):
+    cfg = TrainConfig(**{**CFG.__dict__, "subsample": subsample})
+    first = train_biskip(LINKED, LINKS, cfg)
     other = train_biskip(LINKED, LINKS,
-                         TrainConfig(**{**CFG.__dict__, "seed": 10}))
+                         TrainConfig(**{**cfg.__dict__, "seed": 10}))
     assert not np.array_equal(first.input_vecs, other.input_vecs)
 
 
@@ -354,11 +358,13 @@ def _oracle_side(tokens, tag, vocab, links, transpose):
 
 def _oracle_train(bitext, links, cfg, vocab):
     """The trainer over string lookups, link dicts and bisect, drawing in
-    the trainer's order: per pair, subsampling of side a then side b, then
-    per side its reaches and its negatives.  Each batch of SIDE_BATCH
-    consecutive centers of a side is summed occurrence by occurrence from
-    the table as it was before the batch.  Returns the table and every
-    non-empty batch's (lr, occurrences)."""
+    the trainer's order.  Per epoch: subsampling of every pair's side a,
+    then of every pair's side b; then one draw of every kept center's
+    reach, per pair side a's then side b's; then one draw of K uniforms
+    per context, in the same order.  Each batch of SIDE_BATCH consecutive
+    centers of a side is summed occurrence by occurrence from the table
+    as it was before the batch.  Returns the table and every non-empty
+    batch's (lr, occurrences)."""
     rng = np.random.default_rng(cfg.seed)
     table = init_table(len(vocab), cfg, rng)
     keep_probability = None
@@ -396,16 +402,19 @@ def _oracle_train(bitext, links, cfg, vocab):
     steps = []
     processed = 0
     for _ in range(cfg.epochs):
-        for pair, size in zip(pairs, sizes):
+        kept_a = [subsample(side_a) for side_a, _ in pairs]
+        kept_b = [subsample(side_b) for _, side_b in pairs]
+        reaches = iter(rng.integers(1, cfg.window + 1, size=sum(
+            len(side[1]) for side in kept_a + kept_b)).tolist())
+        sides = []  # per pair side, its lr and its (batch, center, context)
+        for side_a, side_b, size in zip(kept_a, kept_b, sizes):
             lr = max(cfg.lr0 * (1.0 - processed / schedule_span),
                      cfg.lr0 * LR_FLOOR_FACTOR)
-            side_a, side_b = (subsample(side) for side in pair)
             for (own_pos, own_ids, cross), (other_pos, other_ids, _) in (
                     (side_a, side_b), (side_b, side_a)):
-                reaches = rng.integers(1, cfg.window + 1, size=len(own_ids))
                 windows = []
-                for idx, (center, reach) in enumerate(zip(own_ids,
-                                                          reaches.tolist())):
+                for idx, center in enumerate(own_ids):
+                    reach = next(reaches)
                     contexts = (own_ids[max(0, idx - reach):idx]
                                 + own_ids[idx + 1:idx + reach + 1])
                     for j in cross.get(own_pos[idx], ()):
@@ -415,21 +424,22 @@ def _oracle_train(bitext, links, cfg, vocab):
                         contexts += other_ids[q + skip:q + skip + reach]
                     windows += [(idx // embed.SIDE_BATCH, center, context)
                                 for context in contexts]
-                if not windows:
-                    continue
-                draws = rng.random((len(windows), cfg.negatives))
-                negatives = np.searchsorted(vocab.noise_cdf, draws,
-                                            side="right").tolist()
-                batches = {}
-                for (batch, center, context), negs in zip(windows, negatives):
-                    occurrences = batches.setdefault(batch, [])
-                    occurrences.append((center, context, 1.0))
-                    occurrences += [(center, neg, 0.0) for neg in negs
-                                    if neg != context]
-                for occurrences in batches.values():
-                    steps.append((lr, occurrences))
-                    step(occurrences, lr)
+                sides.append((lr, windows))
             processed += size
+        draws = rng.random((sum(len(windows) for _, windows in sides),
+                            cfg.negatives))
+        negatives = iter(np.searchsorted(vocab.noise_cdf, draws,
+                                         side="right").tolist())
+        for lr, windows in sides:
+            batches = {}
+            for (batch, center, context), negs in zip(windows, negatives):
+                occurrences = batches.setdefault(batch, [])
+                occurrences.append((center, context, 1.0))
+                occurrences += [(center, neg, 0.0) for neg in negs
+                                if neg != context]
+            for occurrences in batches.values():
+                steps.append((lr, occurrences))
+                step(occurrences, lr)
     return table, steps
 
 
