@@ -1,6 +1,6 @@
 """Print the demo's quality panel over several training seeds.
 
-Per `train.seed` (7-11 unless given), `run-all` on the demo config in a
+Per `train.seed` in SEEDS, `run-all` on the demo config in a
 temporary directory, then:
 - token precision, recall@10, MAP@1/5/10 and the rank of `b:readonly`
   for `a:final`, as `perfbench/checks.py::check_demo` defines them, on
@@ -9,12 +9,11 @@ temporary directory, then:
   Java method's composed vector ranked by cosine against every C#
   method's.
 
-    PYTHONPATH=src python3 scripts/panel.py [--seeds 7 8 9 10 11]
+    PYTHONPATH=src python3 scripts/panel.py
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import sys
@@ -31,6 +30,7 @@ from perfbench.checks import check_demo  # noqa: E402
 
 DEMO = ROOT / "fixtures" / "demo"
 KS = (1, 5, 10)
+SEEDS = (7, 8, 9, 10, 11)
 
 
 def method_quality(out_dir, truth):
@@ -63,16 +63,12 @@ def panel_row(seed, method_truth):
             token["final_readonly_rank"])
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+",
-                        default=[7, 8, 9, 10, 11])
-    args = parser.parse_args(argv)
+def main():
     method_truth = retrieve.read_truth(DEMO / "method_truth.tsv")
     print("seed\ttoken p@1\trecall@10\ttoken MAP@1/5/10\tmethod p@1\t"
           "method MAP@1/5/10\tb:readonly rank")
     method_p1s = []
-    for seed in args.seeds:
+    for seed in SEEDS:
         precision, recall, maps, method_p1, method_maps, rank = panel_row(
             seed, method_truth)
         method_p1s.append(method_p1)

@@ -419,12 +419,18 @@ class _Trainer:
         Blocks end at the first pair that brings them to PLAN_CONTEXTS
         contexts."""
         layout = self._epoch_layout(rng)
-        reaches = rng.integers(1, self.cfg.window + 1, size=len(layout.ids))
+        reaches = rng.integers(1, self.cfg.window + 1, size=len(layout.ids),
+                               dtype=np.int32)
         lengths = np.minimum(reaches[layout.center, None], layout.caps)
-        # the contexts before each row, then before each pair
-        before = np.zeros(len(lengths) + 1, np.int64)
-        np.cumsum(lengths.sum(1), out=before[1:])
-        before = before[layout.offsets[::2]]
+        # the contexts before each pair, summed over the pairs with rows
+        # (reduceat takes each to the next one's first row); int32 keeps
+        # the epoch's arrays at 4 bytes per center and 8 per row
+        rows = np.array(layout.offsets[::2])
+        some = np.flatnonzero(rows[:-1] < rows[1:])
+        before = np.zeros(self.pairs + 1, np.int64)
+        if len(some):
+            before[some + 1] = np.add.reduceat(lengths, rows[some]).sum(1)
+        np.cumsum(before, out=before)
         loss, first = 0.0, 0
         while before[first] < before[-1]:
             last = min(int(np.searchsorted(before, before[first]
