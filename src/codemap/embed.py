@@ -24,9 +24,14 @@ cells, and the step loop runs only the dense kernel.  Contexts and
 negatives never read the table, so planning first changes nothing but
 the time (the batching of Ji et al. 2016, arXiv 1604.04661); uniforms
 are drawn per block, and float draws concatenate, so where a block ends
-changes no draw.  `sgns_pair_loss`/`sgns_pair_grads`, checked against
-finite differences, are one-center views of the same kernel.  Training
-with a fixed seed is bit-reproducible.
+changes no draw.  The plan does not sort: a negative's id is read from
+a table of NOISE_BUCKETS equal buckets of [0, 1), with `searchsorted`
+only in the buckets that hold a noise CDF entry (`_NoiseLookup`), and
+the cells are numbered by masks over vocabulary ids (`_numbered`),
+which are all below the vocabulary size.  The step updates the rows it
+gathered, in place.  `sgns_pair_loss`/`sgns_pair_grads`, checked
+against finite differences, are one-center views of the same kernel.
+Training with a fixed seed is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -52,6 +57,9 @@ SIDE_BATCH = 32
 # that reaches it.  A whole-epoch plan is faster but holds every draw and
 # cell of the epoch in memory.
 PLAN_CONTEXTS = 1024
+# Equal buckets of [0, 1) in the noise lookup; a power of two, so a
+# uniform's bucket is exact.
+NOISE_BUCKETS = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -148,34 +156,54 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -SIGMOID_CLAMP, SIGMOID_CLAMP)))
 
 
-def _numbered(keys, groups):
-    """np.unique of `group << 32 | id` keys: the distinct ids, sorted
-    within each group; each group's offset into them (groups + 1); and
-    each key's slot within its group."""
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    offsets = np.searchsorted(distinct, np.arange(groups + 1) << 32)
-    return distinct & 0xFFFFFFFF, offsets, inverse - offsets[keys >> 32]
+def _numbered(step, ids, steps, size):
+    """The distinct ids of each step, sorted, flat; each step's offset
+    into them (steps + 1); and each entry's index into them.  Entry i is
+    id `ids[i]`, below `size`, of step `step[i]`.  The ids are first
+    renumbered among the call's distinct ones, so the (step, id) mask is
+    steps x distinct, not steps x size."""
+    seen = np.zeros(size, bool)
+    seen[ids] = True
+    distinct = np.flatnonzero(seen)
+    local = np.empty(size, np.intp)
+    local[distinct] = np.arange(len(distinct))
+    marked = np.zeros((steps, len(distinct)), bool)
+    cell = step * len(distinct) + local[ids]
+    marked.ravel()[cell] = True
+    flat = np.flatnonzero(marked)
+    rank = np.empty(marked.size, np.intp)
+    rank[flat] = np.arange(len(flat))
+    offsets = np.zeros(steps + 1, np.intp)
+    np.cumsum(np.count_nonzero(marked, axis=1), out=offsets[1:])
+    return distinct[flat % len(distinct)], offsets, rank[cell]
 
 
-def _cells(steps, center_keys, center_of, row_keys, labels, counts=None):
+def _cells(steps, size, center_step, centers, center_of, rows, labels,
+           counts=None):
     """Occurrences counted into (center, row) cells, per step.
 
-    Occurrence (i, j) pairs center `center_keys[center_of[i]]` with row
-    `row_keys[i, j]`, both keyed `step << 32 | id`.  It is a context if
-    `labels[i, j]` is 1 and a negative if 0, and counts `counts[i, j]`
-    times (default once; a count of 0 still numbers its row).  Returns,
-    flat with per-step offsets, each step's distinct centers C and rows
-    R, sorted, and its |C| x |R| cell counts, `total` over all
-    occurrences and `pos` over contexts: (C, C offsets, R, R offsets,
-    total, pos, cell offsets).
+    Occurrence (i, j) pairs center `centers[center_of[i]]`, of step
+    `center_step[center_of[i]]`, with row `rows[i, j]`; ids are below
+    `size`.  It is a context if `labels[i, j]` is 1 and a negative if 0,
+    and counts `counts[i, j]` times (default once; a count of 0 still
+    numbers its row).  Returns, flat with per-step offsets, each step's
+    distinct centers C and rows R, sorted, and its |C| x |R| cell
+    counts, `total` over all occurrences and `pos` over contexts: (C, C
+    offsets, R, R offsets, total, pos, cell offsets).
     """
-    centers, center_offsets, center_slot = _numbered(center_keys, steps)
-    rows, row_offsets, row_slot = _numbered(row_keys.ravel(), steps)
-    step, widths = center_keys[center_of] >> 32, np.diff(row_offsets)
+    step, width = center_step[center_of], rows.shape[1]
+    centers, center_offsets, center_at = _numbered(center_step, centers,
+                                                   steps, size)
+    rows, row_offsets, row_at = _numbered(np.repeat(step, width),
+                                          rows.ravel(), steps, size)
+    widths = np.diff(row_offsets)
     cell_offsets = np.zeros(steps + 1, np.intp)
     np.cumsum(np.diff(center_offsets) * widths, out=cell_offsets[1:])
-    cells = ((cell_offsets[step] + center_slot[center_of] * widths[step])
-             [:, None] + row_slot.reshape(row_keys.shape)).ravel()
+    # cell: the step's offset, plus the center's slot times the step's
+    # width, plus the row's slot
+    cells = np.repeat(cell_offsets[step] - row_offsets[step] + (
+        center_at - center_offsets[center_step])[center_of] * widths[step],
+                      width) + row_at
     size = int(cell_offsets[-1])
     return (centers, center_offsets, rows, row_offsets,
             np.bincount(cells, None if counts is None else counts.ravel(),
@@ -187,10 +215,34 @@ def occurrence_cells(centers, rows, labels):
     """One step's occurrences as cells: (C, R, total, pos), the distinct
     centers and rows and the |C| x |R| counts over all occurrences and
     over contexts (`labels` 1; negatives are 0)."""
-    C, _, R, _, total, pos, _ = _cells(1, centers, np.arange(len(centers)),
-                                       rows[:, None], labels[:, None])
+    size = 1 + max(int(centers.max(initial=-1)), int(rows.max(initial=-1)))
+    C, _, R, _, total, pos, _ = _cells(
+        1, size, np.zeros(len(centers), np.intp), centers,
+        np.arange(len(centers)), rows[:, None], labels[:, None])
     shape = len(C), len(R)
     return C, R, total.reshape(shape), pos.reshape(shape)
+
+
+def _summed_errors(C, R, total, pos, table: EmbeddingTable):
+    """V = input[C], U = output[R], the summed errors E and the loss of
+    sgns_cells, each built in place."""
+    V, U = table.input_vecs[C], table.output_vecs[R]
+    scores = V @ U.T
+    np.maximum(scores, -SIGMOID_CLAMP, out=scores)
+    np.minimum(scores, SIGMOID_CLAMP, out=scores)
+    sig = np.negative(scores)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    # -log sig(-s) = s - log sig(s)
+    terms = np.subtract(total, pos, dtype=np.float64)
+    terms *= scores
+    logs = np.log(sig)
+    logs *= total
+    terms -= logs
+    sig *= total
+    sig -= pos
+    return V, U, sig, float(terms.sum())
 
 
 def sgns_cells(C, R, total, pos, table: EmbeddingTable):
@@ -203,12 +255,7 @@ def sgns_cells(C, R, total, pos, table: EmbeddingTable):
     U = output[R].  Returns (E U, E^T V, loss): the gradients of rows C
     and R.
     """
-    V, U = table.input_vecs[C], table.output_vecs[R]
-    scores = np.clip(V @ U.T, -SIGMOID_CLAMP, SIGMOID_CLAMP)
-    sig = 1.0 / (1.0 + np.exp(-scores))
-    errors = total * sig - pos
-    # -log sig(-s) = s - log sig(s)
-    loss = float(((total - pos) * scores - total * np.log(sig)).sum())
+    V, U, errors, loss = _summed_errors(C, R, total, pos, table)
     return errors @ U, errors.T @ V, loss
 
 
@@ -216,10 +263,17 @@ def sgns_step(C, R, total, pos, table: EmbeddingTable, lr: float) -> float:
     """One SGD step on sgns_cells' loss; returns the loss before it.  In
     training the step is up to SIDE_BATCH centers of one pair side.
     Hogwild-style, every update reads the table as it was before the
-    step, and repeated centers and rows sum their gradients."""
-    grad_in, grad_out, loss = sgns_cells(C, R, total, pos, table)
-    table.input_vecs[C] -= lr * grad_in
-    table.output_vecs[R] -= lr * grad_out
+    step, and repeated centers and rows sum their gradients.  C and R
+    are distinct, so the rows gathered for the gradients are updated
+    and written back, with no second gather."""
+    V, U, errors, loss = _summed_errors(C, R, total, pos, table)
+    grad_in, grad_out = errors @ U, errors.T @ V
+    grad_in *= lr
+    V -= grad_in
+    table.input_vecs[C] = V
+    grad_out *= lr
+    U -= grad_out
+    table.output_vecs[R] = U
     return loss
 
 
@@ -251,6 +305,28 @@ def sgns_pair_grads(center: int, context: int, negatives,
     grads.update({("out", int(row)): grad
                   for row, grad in zip(cells[1], grad_out)})
     return grads
+
+
+class _NoiseLookup:
+    """`np.searchsorted(cdf, u, side="right")` for uniforms u in [0, 1)
+    by a bucket table.  Over bucket [b/B, (b+1)/B) the search is one id
+    unless a CDF entry falls inside it; draws in such a loose bucket fall
+    back to the search.  2% of the buckets are loose for the demo's 83
+    ids, but all of them once the CDF has an entry in every bucket, as it
+    does with tens of thousands of ids."""
+
+    def __init__(self, cdf):
+        edges = np.arange(NOISE_BUCKETS + 1) / NOISE_BUCKETS
+        self.cdf = cdf
+        self.ids = np.searchsorted(cdf, edges[:-1], side="right")
+        self.loose = self.ids != np.searchsorted(cdf, edges[1:], side="left")
+
+    def __call__(self, uniforms):
+        bucket = (uniforms * NOISE_BUCKETS).astype(np.intp)
+        ids = self.ids[bucket]
+        loose = self.loose[bucket]
+        ids[loose] = np.searchsorted(self.cdf, uniforms[loose], side="right")
+        return ids
 
 
 def _keep_probability(count: float, total: int, subsample: float) -> float:
@@ -342,6 +418,7 @@ class _Trainer:
     def __init__(self, bitext: Bitext, links, vocab: Vocabulary,
                  cfg: TrainConfig, table: EmbeddingTable):
         self.vocab, self.cfg, self.table = vocab, cfg, table
+        self.noise = _NoiseLookup(vocab.noise_cdf)
         self.keep_probability = None if cfg.subsample == 0 else np.array([
             _keep_probability(count, vocab.total_count, cfg.subsample)
             for count in vocab.counts])
@@ -379,7 +456,9 @@ class _Trainer:
         """Cells of the steps of pairs first..last-1, one per SIDE_BATCH
         consecutive centers of a pair side that have contexts, and each
         step's pair, from the layout's window lengths (rows x 2) and the
-        block's K uniforms per context."""
+        block's K uniforms per context.  The negatives come from the
+        bucket lookup and the cells from `_cells`: nothing is sorted,
+        and only draws in the lookup's loose buckets are searched."""
         offsets = layout.offsets[2 * first:2 * last + 1]
         span = slice(offsets[0], offsets[-1])
         entry = np.repeat(np.arange(2 * first, 2 * last), np.diff(offsets))
@@ -402,15 +481,13 @@ class _Trainer:
         # per context its row, then its negatives'.  A negative equal to
         # its own context counts 0: it is dropped, and its row is in the
         # step's rows anyway
-        rows = np.column_stack((contexts, np.searchsorted(
-            self.vocab.noise_cdf, uniforms, side="right")))
+        rows = np.column_stack((contexts, self.noise(uniforms)))
         counts = rows != rows[:, :1]
         counts[:, 0] = True
         labels = np.zeros(rows.shape)
         labels[:, 0] = 1.0
-        cells = _cells(int(step[-1]) + 1,
-                       step << 32 | layout.ids[center], center_of,
-                       step[center_of, None] << 32 | rows, labels, counts)
+        cells = _cells(int(step[-1]) + 1, len(self.vocab), step,
+                       layout.ids[center], center_of, rows, labels, counts)
         return cells, entry[new] >> 1
 
     def train_epoch(self, rng: np.random.Generator, lrs: list[float]):

@@ -210,6 +210,32 @@ def test_side_without_collisions_equals_sequential_center_steps():
                            rtol=1e-12, atol=1e-15)
 
 
+def test_step_equals_the_textbook_update():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        table = _tiny_table(rng, size=40, dim=8)
+        table.input_vecs *= 10.0  # some scores clip at the clamp
+        C = np.sort(rng.choice(40, int(rng.integers(1, 9)), replace=False))
+        R = np.sort(rng.choice(40, int(rng.integers(1, 12)), replace=False))
+        total = rng.integers(0, 6, (len(C), len(R))).astype(float)
+        pos = np.minimum(total, rng.integers(0, 3, total.shape))
+        lr = float(rng.uniform(0.001, 0.1))
+        V, U = table.input_vecs[C], table.output_vecs[R]
+        scores = np.clip(V @ U.T, -embed.SIGMOID_CLAMP, embed.SIGMOID_CLAMP)
+        sig = 1.0 / (1.0 + np.exp(-scores))
+        E = total * sig - pos
+        expected_loss = float(((total - pos) * scores
+                               - total * np.log(sig)).sum())
+        expected = EmbeddingTable(table.input_vecs.copy(),
+                                  table.output_vecs.copy())
+        grad_in, grad_out = E @ U, E.T @ V
+        expected.input_vecs[C] -= lr * grad_in
+        expected.output_vecs[R] -= lr * grad_out
+        assert sgns_step(C, R, total, pos, table, lr) == expected_loss
+        assert np.array_equal(table.input_vecs, expected.input_vecs)
+        assert np.array_equal(table.output_vecs, expected.output_vecs)
+
+
 def test_sigmoid_clamped():
     assert sigmoid(1000.0) <= 1.0
     assert sigmoid(-1000.0) > 0.0
@@ -550,6 +576,85 @@ def _assert_trainer_equals_oracle(subsample, min_count, monkeypatch):
                                    rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(got.output_vecs, expected.output_vecs,
                                    rtol=1e-9, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# plan
+
+
+@pytest.mark.parametrize("counts,all_exact", [
+    ([1] * 4, True),      # CDF entries on bucket edges
+    ([1] * 4096, True),   # one entry per bucket edge
+    ([5, 0, 3, 1, 0, 7], False),
+    (np.random.default_rng(1).integers(1, 300, 83).tolist(), False)])
+def test_noise_lookup_equals_the_search(counts, all_exact):
+    cdf = Vocabulary([f"t{k}" for k in range(len(counts))], counts).noise_cdf
+    lookup = embed._NoiseLookup(cdf)
+    # a CDF entry inside a bucket makes it loose, one on its edge does not
+    assert lookup.loose.any() != all_exact
+    buckets = embed.NOISE_BUCKETS
+    edges = np.arange(buckets + 1) / buckets
+    points = np.concatenate((edges, cdf, np.random.default_rng(2).random(
+        10 ** 5)))
+    uniforms = np.concatenate((
+        points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+        [0.0, 1 - 2 ** -53]))
+    uniforms = uniforms[(uniforms >= 0) & (uniforms < 1)]
+    assert np.array_equal(lookup(uniforms),
+                          np.searchsorted(cdf, uniforms, side="right"))
+
+
+def _oracle_numbered(keys, groups):
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    offsets = np.searchsorted(distinct, np.arange(groups + 1) << 32)
+    return distinct & 0xFFFFFFFF, offsets, inverse - offsets[keys >> 32]
+
+
+def _oracle_cells(steps, center_keys, center_of, row_keys, labels, counts):
+    """_cells over one np.unique of `step << 32 | id` keys per side."""
+    centers, center_offsets, center_slot = _oracle_numbered(center_keys,
+                                                            steps)
+    rows, row_offsets, row_slot = _oracle_numbered(row_keys.ravel(), steps)
+    step, widths = center_keys[center_of] >> 32, np.diff(row_offsets)
+    cell_offsets = np.zeros(steps + 1, np.intp)
+    np.cumsum(np.diff(center_offsets) * widths, out=cell_offsets[1:])
+    cells = ((cell_offsets[step] + center_slot[center_of] * widths[step])
+             [:, None] + row_slot.reshape(row_keys.shape)).ravel()
+    size = int(cell_offsets[-1])
+    return (centers, center_offsets, rows, row_offsets,
+            np.bincount(cells, counts.ravel(), size),
+            np.bincount(cells, labels.ravel(), size), cell_offsets)
+
+
+def test_cells_equal_the_sorted_oracle():
+    rng = np.random.default_rng(17)
+    size = 40_000
+    for _ in range(200):
+        steps = int(rng.integers(1, 7))
+        # step 0 has one center; the rest one to five
+        per_step = np.concatenate(([1], rng.integers(1, 6, steps - 1)))
+        center_step = np.repeat(np.arange(steps), per_step)
+        # a few distinct ids, some near size - 1, so ids repeat in a step
+        pool = np.concatenate((rng.integers(0, 50, 4),
+                               size - 1 - rng.integers(0, 6, 4)))
+        centers = rng.choice(pool, len(center_step))
+        # every center has occurrences, some several
+        center_of = np.sort(np.concatenate((
+            np.arange(len(center_step)),
+            rng.integers(0, len(center_step), int(rng.integers(0, 20))))))
+        rows = rng.choice(pool, (len(center_of), int(rng.integers(1, 7))))
+        labels = np.zeros(rows.shape)
+        labels[:, 0] = 1.0
+        counts = rng.random(rows.shape) < 0.7  # some rows count 0
+        counts[:, 0] = True
+        got = embed._cells(steps, size, center_step, centers, center_of,
+                           rows, labels, counts)
+        expected = _oracle_cells(steps, center_step << 32 | centers,
+                                 center_of, center_step[center_of, None]
+                                 << 32 | rows, labels, counts)
+        assert len(got) == len(expected) == 7
+        for got_array, expected_array in zip(got, expected):
+            assert np.array_equal(got_array, expected_array)
 
 
 # ---------------------------------------------------------------------------

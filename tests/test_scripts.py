@@ -1,7 +1,9 @@
-"""The committed outputs of the scripts in scripts/."""
+"""The scripts in scripts/ and what they write."""
 
 import runpy
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).parent.parent
 
@@ -12,3 +14,13 @@ def test_method_truth_is_what_its_script_writes(tmp_path):
     assert script["main"](["--out", str(out)]) == 0
     assert out.read_bytes() == (
         ROOT / "fixtures" / "demo" / "method_truth.tsv").read_bytes()
+
+
+def test_panel_row_on_the_demo():
+    script = runpy.run_path(str(ROOT / "scripts" / "panel.py"))
+    truth = script["retrieve"].read_truth(
+        ROOT / "fixtures" / "demo" / "method_truth.tsv")
+    precision, _, _, method_p1, _, rank = script["panel_row"](7, truth)
+    assert precision == pytest.approx(0.95)
+    assert rank <= 5
+    assert 0.0 <= method_p1 <= 1.0
