@@ -33,6 +33,8 @@ TranslationTable = Mapping[str, Mapping[str, float]]
 
 PROB_FLOOR = 1e-12
 TABLE_WRITE_MIN_PROB = 1e-6
+# build_bitext splits an over-long side before this token, a method's start
+BOUNDARY_TOKEN = "func_decl"
 BATCH_OCCURRENCES = 1 << 16
 
 
@@ -46,12 +48,11 @@ class StaleLinks(ValueError):
     """Alignment links that do not fit the bitext's chunks."""
 
 
-def build_bitext(pairs: list[Pair], max_len: int = 2000,
-                 boundary_token: str = "func_decl") -> list[Pair]:
+def build_bitext(pairs: list[Pair], max_len: int = 2000) -> list[Pair]:
     """Drop empty-sided pairs and chunk over-long ones.
 
     The E-step is O(|a|*|b|) per pair, so sides longer than max_len are
-    split at method boundaries (positions of `boundary_token`) and the
+    split at method boundaries (positions of BOUNDARY_TOKEN) and the
     sub-streams zipped by order.  Leftover segments on the longer side are
     folded into the last sub-pair rather than dropped, so that chunk can
     exceed max_len when the two sides are very unbalanced.
@@ -65,8 +66,8 @@ def build_bitext(pairs: list[Pair], max_len: int = 2000,
         if len(tokens_a) <= max_len and len(tokens_b) <= max_len:
             out.append((tokens_a, tokens_b, pair_id))
             continue
-        segs_a = _split(tokens_a, max_len, boundary_token)
-        segs_b = _split(tokens_b, max_len, boundary_token)
+        segs_a = _split(tokens_a, max_len)
+        segs_b = _split(tokens_b, max_len)
         k = min(len(segs_a), len(segs_b))
         merged_a = segs_a[:k - 1] + [sum(segs_a[k - 1:], [])]
         merged_b = segs_b[:k - 1] + [sum(segs_b[k - 1:], [])]
@@ -76,8 +77,8 @@ def build_bitext(pairs: list[Pair], max_len: int = 2000,
     return out
 
 
-def _split(tokens: list[str], max_len: int, boundary_token: str) -> list[list[str]]:
-    bounds = [i for i, t in enumerate(tokens) if t == boundary_token]
+def _split(tokens: list[str], max_len: int) -> list[list[str]]:
+    bounds = [i for i, t in enumerate(tokens) if t == BOUNDARY_TOKEN]
     segments: list[list[str]] = []
     start = 0
     while len(tokens) - start > max_len:
@@ -356,14 +357,13 @@ def read_alignments(path) -> list[AlignmentLinkSet]:
     return out
 
 
-def write_table(table: TranslationTable, path, comments=(),
-                min_prob: float = TABLE_WRITE_MIN_PROB) -> None:
-    """Translation-table TSV, negligible rows omitted."""
+def write_table(table: TranslationTable, path, comments=()) -> None:
+    """Translation-table TSV, rows below TABLE_WRITE_MIN_PROB omitted."""
     artifacts.write_lines(path, (
         f"{source}\t{target}\t{prob!r}"
         for source in sorted(table)
         for target, prob in sorted(table[source].items())
-        if prob >= min_prob), comments)
+        if prob >= TABLE_WRITE_MIN_PROB), comments)
 
 
 def read_table(path) -> TranslationTable:

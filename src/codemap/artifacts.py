@@ -115,6 +115,10 @@ def read_vectors(path, tags=None, extra=False):
         header = header.split()
         _expect_fields(path, lineno, header, 2 if tags is None else 3)
         size, dim = (field(path, lineno, int, text) for text in header[:2])
+        if size < 0 or dim < 1:
+            raise ValueError(f"{path}:{lineno}: header promises {size} "
+                             f"rows of width {dim}; need rows >= 0 and "
+                             "width >= 1")
         tag = None if tags is None else header[2]
         if tags is not None and tag not in tags:
             raise ValueError(f"{path}:{lineno}: header tag {tag!r} is not "

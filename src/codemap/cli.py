@@ -336,10 +336,7 @@ def main(argv=None):
             "run-all": partial(run_all, k=args.k),
         }
         stages[args.command](cfg, out_dir, prov)
-    except MissingArtifact as err:
-        print(f"codemap: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (MissingArtifact, OSError) as err:
         print(f"codemap: {err}", file=sys.stderr)
         return 2
     except (ValueError, ParseError) as err:

@@ -126,8 +126,6 @@ def match_stems(
 def _scan(root: Path, lang: str) -> list[str]:
     exts = LANG_EXTENSIONS[lang]
     root = Path(root)
-    if not root.is_dir():
-        raise FileNotFoundError(f"source root not readable: {root}")
     out = []
     for p in sorted(root.rglob("*")):
         if p.is_file() and p.suffix in exts:

@@ -25,13 +25,14 @@ negatives never read the table, so planning first changes nothing but
 the time (the batching of Ji et al. 2016, arXiv 1604.04661); uniforms
 are drawn per block, and float draws concatenate, so where a block ends
 changes no draw.  The plan does not sort: a negative's id is read from
-a table of NOISE_BUCKETS equal buckets of [0, 1), with `searchsorted`
-only in the buckets that hold a noise CDF entry (`_NoiseLookup`), and
-the cells are numbered by masks over vocabulary ids (`_numbered`),
-which are all below the vocabulary size.  The step updates the rows it
-gathered, in place.  `sgns_pair_loss`/`sgns_pair_grads`, checked
-against finite differences, are one-center views of the same kernel.
-Training with a fixed seed is bit-reproducible.
+a table of equal buckets of [0, 1), at least 16 per noise CDF entry,
+with `searchsorted` only in the buckets that hold an entry
+(`_NoiseLookup`), and the cells are numbered by masks over vocabulary
+ids (`_numbered`), which are all below the vocabulary size.  The step
+updates the rows it gathered, in place.  `sgns_pair_loss`/
+`sgns_pair_grads`, checked against finite differences, are one-center
+views of the same kernel.  Training with a fixed seed is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ SIDE_BATCH = 32
 # that reaches it.  A whole-epoch plan is faster but holds every draw and
 # cell of the epoch in memory.
 PLAN_CONTEXTS = 1024
-# Equal buckets of [0, 1) in the noise lookup; a power of two, so a
-# uniform's bucket is exact.
+# Fewest equal buckets of [0, 1) in the noise lookup; a power of two, so
+# a uniform's bucket is exact.
 NOISE_BUCKETS = 2 ** 12
 
 
@@ -115,9 +116,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self.ids
 
-    def id_of(self, token: str) -> int | None:
-        return self.ids.get(token)
-
 
 def vocab_from_bitext(bitext, min_count: int = 1) -> Vocabulary:
     """The bitext index's tagged tokens seen at least min_count times, in
@@ -134,10 +132,6 @@ class EmbeddingTable:
     input_vecs: np.ndarray   # |V| x d
     output_vecs: np.ndarray  # |V| x d
 
-    @property
-    def dim(self) -> int:
-        return self.input_vecs.shape[1]
-
     def __post_init__(self):
         if self.input_vecs.shape != self.output_vecs.shape:
             raise ValueError("input/output shape mismatch")
@@ -150,10 +144,6 @@ def init_table(vocab_size: int, cfg: TrainConfig,
     input_vecs = rng.uniform(-span, span, size=(vocab_size, cfg.dim))
     output_vecs = np.zeros((vocab_size, cfg.dim), dtype=np.float64)
     return EmbeddingTable(input_vecs, output_vecs)
-
-
-def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -SIGMOID_CLAMP, SIGMOID_CLAMP)))
 
 
 def _numbered(step, ids, steps, size):
@@ -311,18 +301,21 @@ class _NoiseLookup:
     """`np.searchsorted(cdf, u, side="right")` for uniforms u in [0, 1)
     by a bucket table.  Over bucket [b/B, (b+1)/B) the search is one id
     unless a CDF entry falls inside it; draws in such a loose bucket fall
-    back to the search.  2% of the buckets are loose for the demo's 83
-    ids, but all of them once the CDF has an entry in every bucket, as it
-    does with tens of thousands of ids."""
+    back to the search.  B is the smallest power of two of at least 16
+    buckets per CDF entry, and NOISE_BUCKETS at least, so at most one
+    bucket in 16 is loose: 2% of them for the demo's 83 ids (4,096
+    buckets), 6% for 31,090 ids (2**19 buckets, 4.7 MB)."""
 
     def __init__(self, cdf):
-        edges = np.arange(NOISE_BUCKETS + 1) / NOISE_BUCKETS
+        self.buckets = max(NOISE_BUCKETS,
+                           1 << (16 * len(cdf) - 1).bit_length())
+        edges = np.arange(self.buckets + 1) / self.buckets
         self.cdf = cdf
         self.ids = np.searchsorted(cdf, edges[:-1], side="right")
         self.loose = self.ids != np.searchsorted(cdf, edges[1:], side="left")
 
     def __call__(self, uniforms):
-        bucket = (uniforms * NOISE_BUCKETS).astype(np.intp)
+        bucket = (uniforms * self.buckets).astype(np.intp)
         ids = self.ids[bucket]
         loose = self.loose[bucket]
         ids[loose] = np.searchsorted(self.cdf, uniforms[loose], side="right")

@@ -19,15 +19,6 @@ WEIGHTINGS = ("uniform", "tfidf")
 BLOCK = 1 << 15  # floats in one block of weighted token rows
 
 
-class CoverageZero(ValueError):
-    """No token of the element is in the embedding vocabulary."""
-
-    def __init__(self, element_id):
-        super().__init__(f"element {element_id!r} has no in-vocabulary "
-                         "tokens")
-        self.element_id = element_id
-
-
 def _in_vocabulary(token_ids, offsets):
     """Element lengths, then the element and the vocabulary id of every
     in-vocabulary token occurrence, in token order."""
@@ -90,21 +81,6 @@ def compose_corpus(element_ids, token_ids, offsets, vectors,
     ids = [element_ids[k] for k in np.flatnonzero(covered).tolist()]
     skipped = [element_ids[k] for k in np.flatnonzero(~covered).tolist()]
     return ids, matrix, coverages, skipped
-
-
-def compose_element(tokens, vocab, vectors, weighting="uniform", idf=None,
-                    element_id=""):
-    """Embed one element of tagged tokens with compose_corpus; returns
-    (vector, coverage).  `idf` maps tokens to weights, 0 if absent."""
-    token_ids = [vocab.ids.get(token, -1) for token in tokens]
-    if idf is not None:
-        idf = [idf.get(token, 0.0) for token in vocab.tokens]
-    ids, matrix, coverages, _ = compose_corpus(
-        [element_id], token_ids, [0, len(token_ids)], vectors, weighting,
-        idf)
-    if not ids:
-        raise CoverageZero(element_id)
-    return matrix[0], coverages[0]
 
 
 def write_element_embeddings(path, ids, matrix, coverages, weighting,

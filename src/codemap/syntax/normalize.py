@@ -113,7 +113,7 @@ class _Normalizer:
         if return_type is not None:
             self._emit_type(return_type, node)
         owner = self.sym.class_stack[-1] if self.sym.class_stack else "unk"
-        args = ",".join(simple_arg_name(ptype, self.sym)
+        args = ",".join(simple_arg_name(ptype)
                         for ptype, _ in node.meta["params"])
         signature = f"{owner}.{node.meta['name']}({args})"
         node.meta["signature"] = signature
@@ -218,7 +218,7 @@ class _Normalizer:
             if len(segs) == 1:
                 declared = self.sym.lookup_var(segs[0])
                 if declared is not None:
-                    return simple_arg_name(declared, self.sym)
+                    return simple_arg_name(declared)
         return "?"
 
 

@@ -145,7 +145,7 @@ def resolve_type_name(type_name: str, symbols: SymbolTable) -> str:
     return text + dims
 
 
-def simple_arg_name(type_name: str, symbols: SymbolTable | None = None) -> str:
+def simple_arg_name(type_name: str) -> str:
     """Short form used inside call/method signature argument lists."""
     base, dims = split_dims(type_name)
     if base in ("var", "?", "", "void"):

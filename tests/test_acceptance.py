@@ -10,13 +10,12 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from codemap.align import align_bitext, train_model1
 from codemap.cli import main
 from codemap.embed import (EmbeddingTable, TrainConfig, sgns_pair_grads,
                            sgns_pair_loss, train_biskip, vocab_from_bitext)
-from codemap.hier import CoverageZero, compose_element
+from codemap.hier import compose_corpus
 from codemap.retrieve import evaluate_map
 from codemap.syntax import (SymbolTable, build_symbols, extract_elements,
                             normalize, parse)
@@ -168,12 +167,12 @@ def test_criterion_5_dictionary_recovery(capsys, bijective_corpus):
         vecs = table.input_vecs
         unit = vecs / np.maximum(
             np.linalg.norm(vecs, axis=1, keepdims=True), 1e-12)
-        b_rows = [vocab.id_of(t) for t in vocab.tokens
+        b_rows = [vocab.ids[t] for t in vocab.tokens
                   if t.startswith("b:")]
         b_tokens = [t for t in vocab.tokens if t.startswith("b:")]
         hits = 0
         for source, target in dictionary.items():
-            sims = unit[b_rows] @ unit[vocab.id_of("a:" + source)]
+            sims = unit[b_rows] @ unit[vocab.ids["a:" + source]]
             hits += b_tokens[int(np.argmax(sims))] == "b:" + target
         accuracy = hits / len(dictionary)
         assert accuracy >= 0.90, f"accuracy {accuracy:.3f}"
@@ -253,24 +252,37 @@ def test_criterion_8_composition_properties(capsys):
         vectors = rng.normal(size=(40, 12))
         universe = [f"a:tok{k}" for k in range(40)] + \
             [f"a:oov{k}" for k in range(10)]
+        # every case, and a shuffle of each covered one, composed in one
+        # call on vocabulary ids, as the compose stage does
+        elements, covered, uncovered = {}, [], []
         for case in range(1000):
             length = int(rng.integers(1, 15))
             tokens = [universe[int(j)]
                       for j in rng.integers(0, len(universe), length)]
-            in_vocab = [t for t in tokens if t in vocab]
-            if not in_vocab:
-                with pytest.raises(CoverageZero):
-                    compose_element(tokens, vocab, vectors,
-                                    element_id=f"case{case}")
+            elements[f"case{case}"] = tokens
+            if not any(t in vocab for t in tokens):
+                uncovered.append(f"case{case}")
                 continue
-            vec, coverage = compose_element(tokens, vocab, vectors)
-            rows = vectors[[vocab.id_of(t) for t in in_vocab]]
+            covered.append(f"case{case}")
+            elements[f"case{case}:shuffled"] = [
+                tokens[int(j)] for j in rng.permutation(length)]
+        token_ids = [vocab.ids.get(t, -1) for tokens in elements.values()
+                     for t in tokens]
+        offsets = np.cumsum([0] + [len(t) for t in elements.values()])
+        ids, matrix, coverages, skipped = compose_corpus(
+            list(elements), token_ids, offsets, vectors)
+        assert skipped == uncovered
+        composed = {element_id: (vec, coverage) for element_id, vec, coverage
+                    in zip(ids, matrix, coverages)}
+        for element_id in covered:
+            vec, coverage = composed[element_id]
+            in_vocab = [t for t in elements[element_id] if t in vocab]
+            rows = vectors[[vocab.ids[t] for t in in_vocab]]
             assert np.all(vec >= rows.min(axis=0) - 1e-9)
             assert np.all(vec <= rows.max(axis=0) + 1e-9)
             assert np.linalg.norm(vec) <= \
                 np.linalg.norm(rows, axis=1).max() + 1e-9
-            shuffled = [tokens[int(j)] for j in rng.permutation(length)]
-            vec2, coverage2 = compose_element(shuffled, vocab, vectors)
+            vec2, coverage2 = composed[element_id + ":shuffled"]
             assert np.allclose(vec, vec2, atol=1e-9)
             assert coverage == coverage2
 

@@ -109,3 +109,22 @@ def test_vector_row_of_another_width_names_its_line(tmp_path, body, error):
     path.write_text("# provenance\n3 2\n" + body)
     with pytest.raises(ValueError, match=re.escape(f"{path}{error}")):
         artifacts.read_vectors(path)
+
+
+@pytest.mark.parametrize("header,body", [
+    ("2 0", "x\ny\n"), ("0 0", ""), ("1 -1", "x\n"), ("-1 2", ""),
+], ids=["width 0", "empty, width 0", "negative width", "negative rows"])
+def test_vector_header_below_its_bounds_names_the_header(tmp_path, header,
+                                                         body):
+    path = tmp_path / "vectors.txt"
+    path.write_text(f"# provenance\n{header}\n{body}")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: header")):
+        artifacts.read_vectors(path)
+
+
+def test_vector_file_of_no_rows_keeps_its_width(tmp_path):
+    path = tmp_path / "vectors.txt"
+    artifacts.write_vectors(path, [], np.zeros((0, 3)))
+    assert path.read_text() == "0 3\n"
+    ids, matrix, _, _ = artifacts.read_vectors(path)
+    assert ids == [] and matrix.shape == (0, 3)

@@ -3,6 +3,7 @@
 import math
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +77,8 @@ namespace Mini {
     }
 }
 """
+
+DEMO = Path(__file__).parent.parent / "fixtures" / "demo"
 
 CONFIG = """\
 project.name = mini
@@ -335,6 +338,24 @@ def test_space_in_a_source_path_is_refused_at_compose(project, tmp_path,
     assert not list(out.glob(".*.tmp"))
 
 
+def test_embeddings_of_width_zero_are_refused_at_compose(project, tmp_path,
+                                                         capsys):
+    out = tmp_path / "out"
+    assert _run("run-all", "--config", str(project),
+                "--out-dir", str(out)) == 0
+    embeddings = out / "embeddings.txt"
+    lines = embeddings.read_text().splitlines()
+    header = next(k for k, line in enumerate(lines)
+                  if not line.startswith("#"))
+    rows = [line.split()[0] for line in lines[header + 1:]]
+    embeddings.write_text("\n".join(lines[:header] + [f"{len(rows)} 0"]
+                                    + rows) + "\n")
+    capsys.readouterr()
+    assert _run("compose", "--config", str(project),
+                "--out-dir", str(out)) == 3
+    assert f"embeddings.txt:{header + 1}: header" in capsys.readouterr().err
+
+
 def test_align_summary_reports_em_log_likelihood(project, tmp_path,
                                                  capsys):
     out = tmp_path / "out"
@@ -449,6 +470,41 @@ def test_rerun_is_byte_identical(project, tmp_path):
                  "alignments.pharaoh", "ttable.tsv"):
         assert (out_one / name).read_bytes() == \
             (out_two / name).read_bytes(), name
+
+
+def test_demo_config_branches_rerun_byte_identical(tmp_path):
+    """tf-idf weighting, union links, b2a queries and subsampling, which
+    the demo config leaves off, end to end, twice."""
+    overrides = {"align.symmetrization": "union", "train.epochs": "2",
+                 "train.subsample": "1e-3", "compose.weighting": "tfidf",
+                 "retrieve.side": "b2a"}
+    lines = []
+    for line in (DEMO / "config.txt").read_text().splitlines():
+        key = line.partition("=")[0].strip()
+        if key in ("project.root_a", "project.root_b"):
+            line = f"{key} = {DEMO / line.partition('=')[2].strip()}"
+        elif key == "retrieve.truth":
+            continue
+        lines.append(f"{key} = {overrides[key]}" if key in overrides
+                     else line)
+    config = tmp_path / "branches.cfg"
+    config.write_text("\n".join(lines) + "\n")
+    outs = [tmp_path / "one", tmp_path / "two"]
+    for out in outs:
+        assert _run("run-all", "--config", str(config),
+                    "--out-dir", str(out)) == 0
+    files = sorted(path.relative_to(outs[0])
+                   for path in outs[0].rglob("*") if path.is_file())
+    assert files == sorted(path.relative_to(outs[1])
+                           for path in outs[1].rglob("*") if path.is_file())
+    for name in files:
+        assert (outs[0] / name).read_bytes() == \
+            (outs[1] / name).read_bytes(), name
+    assert hier.read_element_embeddings(
+        outs[0] / "element_vecs.txt")[3] == "tfidf"
+    queries = retrieve.read_rankings(outs[0] / "mappings" / "token.tsv")
+    assert queries and all(query.startswith("b:") for query in queries)
+    assert not (outs[0] / "report.tsv").exists()
 
 
 def test_stage_rerun_is_idempotent(project, tmp_path):

@@ -13,7 +13,7 @@ from codemap.embed import (LR_FLOOR_FACTOR, EmbeddingTable, TrainConfig,
                            Vocabulary, _keep_probability, init_table,
                            load_embeddings, occurrence_cells, save_embeddings,
                            sgns_pair_grads, sgns_pair_loss, sgns_step,
-                           sigmoid, train_biskip, vocab_from_bitext)
+                           train_biskip, vocab_from_bitext)
 from conftest import make_bijective_corpus, make_toy_bitext
 
 
@@ -23,8 +23,8 @@ from conftest import make_bijective_corpus, make_toy_bitext
 
 def test_build_vocab_counts_and_tags():
     vocab = vocab_from_bitext([(["x", "x", "y"], [], "p")], min_count=1)
-    assert vocab.counts[vocab.id_of("a:x")] == 2
-    assert vocab.counts[vocab.id_of("a:y")] == 1
+    assert vocab.counts[vocab.ids["a:x"]] == 2
+    assert vocab.counts[vocab.ids["a:y"]] == 1
     assert len(vocab) == 2
 
 
@@ -42,7 +42,7 @@ def test_build_vocab_second_language_tagged_b():
 def test_noise_distribution_three_quarters_power():
     vocab = vocab_from_bitext([(["x", "x", "y"], [], "p")])
     expected_x = 2 ** 0.75 / (2 ** 0.75 + 1 ** 0.75)
-    assert vocab.noise_dist[vocab.id_of("a:x")] == pytest.approx(expected_x)
+    assert vocab.noise_dist[vocab.ids["a:x"]] == pytest.approx(expected_x)
     assert abs(vocab.noise_dist.sum() - 1.0) <= 1e-9
 
 
@@ -55,7 +55,7 @@ def test_empty_vocab_rejected():
 
 def test_ids_dense_and_ordered_by_count():
     vocab = vocab_from_bitext([(["q", "q", "q"], ["z"], "p")])
-    assert [vocab.id_of(t) for t in vocab.tokens] == list(range(len(vocab)))
+    assert [vocab.ids[t] for t in vocab.tokens] == list(range(len(vocab)))
     assert vocab.tokens[0] == "a:q"
 
 
@@ -236,12 +236,6 @@ def test_step_equals_the_textbook_update():
         assert np.array_equal(table.output_vecs, expected.output_vecs)
 
 
-def test_sigmoid_clamped():
-    assert sigmoid(1000.0) <= 1.0
-    assert sigmoid(-1000.0) > 0.0
-    assert sigmoid(0.0) == 0.5
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -321,14 +315,14 @@ def test_epoch_losses_are_reported_and_fall():
 def test_linked_tokens_become_neighbors():
     table = train_biskip(LINKED, LINKS, CFG)
     vocab = vocab_from_bitext(LINKED)
-    query = table.input_vecs[vocab.id_of("a:final")]
+    query = table.input_vecs[vocab.ids["a:final"]]
     b_tokens = [t for t in vocab.tokens if t.startswith("b:")]
 
     def cos(u, v):
         return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
 
     ranked = sorted(b_tokens, key=lambda t: -cos(
-        query, table.input_vecs[vocab.id_of(t)]))
+        query, table.input_vecs[vocab.ids[t]]))
     assert ranked[0] == "b:readonly"
 
 
@@ -375,7 +369,7 @@ def _oracle_link_map(links, transpose):
 
 
 def _oracle_side(tokens, tag, vocab, links, transpose):
-    ids = [vocab.id_of(tag + token) for token in tokens]
+    ids = [vocab.ids.get(tag + token) for token in tokens]
     positions = [k for k, vocab_id in enumerate(ids) if vocab_id is not None]
     return (np.array(positions, dtype=np.intp),
             np.array([ids[k] for k in positions], dtype=np.intp),
@@ -413,6 +407,10 @@ def _oracle_train(bitext, links, cfg, vocab):
             kept = rng.random(len(ids)) <= keep_probability[ids]
             positions, ids = positions[kept], ids[kept]
         return positions.tolist(), ids.tolist(), cross
+
+    def sigmoid(x):
+        clamp = embed.SIGMOID_CLAMP
+        return 1.0 / (1.0 + np.exp(-np.clip(x, -clamp, clamp)))
 
     def step(occurrences, lr):
         grad_in = np.zeros_like(table.input_vecs)
@@ -586,13 +584,17 @@ def _assert_trainer_equals_oracle(subsample, min_count, monkeypatch):
     ([1] * 4, True),      # CDF entries on bucket edges
     ([1] * 4096, True),   # one entry per bucket edge
     ([5, 0, 3, 1, 0, 7], False),
-    (np.random.default_rng(1).integers(1, 300, 83).tolist(), False)])
+    (np.random.default_rng(1).integers(1, 300, 83).tolist(), False),
+    # more entries than the fewest buckets
+    (np.random.default_rng(3).integers(1, 300, 31_090).tolist(), False)])
 def test_noise_lookup_equals_the_search(counts, all_exact):
     cdf = Vocabulary([f"t{k}" for k in range(len(counts))], counts).noise_cdf
     lookup = embed._NoiseLookup(cdf)
     # a CDF entry inside a bucket makes it loose, one on its edge does not
     assert lookup.loose.any() != all_exact
-    buckets = embed.NOISE_BUCKETS
+    buckets = lookup.buckets
+    assert buckets >= max(embed.NOISE_BUCKETS, 16 * len(cdf))
+    assert len(lookup.ids) == buckets and lookup.loose.mean() < 0.1
     edges = np.arange(buckets + 1) / buckets
     points = np.concatenate((edges, cdf, np.random.default_rng(2).random(
         10 ** 5)))
@@ -668,7 +670,7 @@ def test_save_load_round_trip(tmp_path):
     save_embeddings(table, vocab, out, comments=["tool test"])
     loaded, loaded_vocab = load_embeddings(out)
     assert loaded_vocab.tokens == vocab.tokens
-    assert loaded.dim == table.dim
+    assert loaded.input_vecs.shape == table.input_vecs.shape
     assert np.allclose(loaded.input_vecs, table.input_vecs, rtol=1e-8)
 
 

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from codemap import hier
 from codemap.embed import Vocabulary
-from codemap.hier import (WEIGHTINGS, CoverageZero, build_idf,
-                          compose_corpus, compose_element,
+from codemap.hier import (WEIGHTINGS, build_idf, compose_corpus,
                           read_element_embeddings, read_skips,
                           write_element_embeddings, write_skips)
 from codemap.syntax import EnrichedToken, EnrichedTokenStream, parse, \
@@ -32,60 +31,68 @@ def flatten(elements, vocab=VOCAB):
     return [element_id for element_id, _ in elements], token_ids, offsets
 
 
+def idf_of(weights, vocab=VOCAB):
+    """Per vocabulary id, the weight of its token, 0 if absent."""
+    return [weights.get(token, 0.0) for token in vocab.tokens]
+
+
 def test_uniform_mean():
-    vec, coverage = compose_element(["a:x", "a:y"], VOCAB, VECS)
-    assert np.allclose(vec, [0.5, 0.5])
-    assert coverage == 1.0
+    _, matrix, coverages, _ = compose_corpus(
+        *flatten([("e", ["a:x", "a:y"])]), VECS)
+    assert np.allclose(matrix[0], [0.5, 0.5])
+    assert coverages == [1.0]
 
 
 def test_uniform_counts_duplicates():
-    vec, _ = compose_element(["a:x", "a:x", "a:y"], VOCAB, VECS)
-    assert np.allclose(vec, [2.0 / 3.0, 1.0 / 3.0])
+    _, matrix, _, _ = compose_corpus(
+        *flatten([("e", ["a:x", "a:x", "a:y"])]), VECS)
+    assert np.allclose(matrix[0], [2.0 / 3.0, 1.0 / 3.0])
 
 
 def test_oov_skipped_and_coverage_reported():
-    vec, coverage = compose_element(["a:x", "a:missing"], VOCAB, VECS)
-    assert np.allclose(vec, [1.0, 0.0])
-    assert coverage == 0.5
+    _, matrix, coverages, _ = compose_corpus(
+        *flatten([("e", ["a:x", "a:missing"])]), VECS)
+    assert np.allclose(matrix[0], [1.0, 0.0])
+    assert coverages == [0.5]
 
 
 def test_coverage_zero_carries_id():
-    with pytest.raises(CoverageZero) as err:
-        compose_element(["a:gone"], VOCAB, VECS, element_id="m:3")
-    assert err.value.element_id == "m:3"
-    with pytest.raises(CoverageZero):
-        compose_element([], VOCAB, VECS)
+    ids, matrix, coverages, skipped = compose_corpus(
+        *flatten([("m:3", ["a:gone"]), ("m:4", [])]), VECS)
+    assert skipped == ["m:3", "m:4"]
+    assert ids == [] and coverages == [] and matrix.shape == (0, 2)
 
 
 def test_tfidf_hand_oracle():
     # weights 3 and 1 over (1,0) and (0,1) -> (0.75, 0.25)
-    idf = {"a:x": 3.0, "a:y": 1.0}
-    vec, _ = compose_element(["a:x", "a:y"], VOCAB, VECS,
-                             weighting="tfidf", idf=idf)
-    assert np.allclose(vec, [0.75, 0.25])
+    idf = idf_of({"a:x": 3.0, "a:y": 1.0})
+    _, matrix, _, _ = compose_corpus(*flatten([("e", ["a:x", "a:y"])]),
+                                     VECS, weighting="tfidf", idf=idf)
+    assert np.allclose(matrix[0], [0.75, 0.25])
 
 
 def test_tfidf_counts_multiply_idf():
     # tf 2 * idf 1 vs tf 1 * idf 2: equal weights -> midpoint
-    idf = {"a:x": 1.0, "a:y": 2.0}
-    vec, _ = compose_element(["a:x", "a:x", "a:y"], VOCAB, VECS,
-                             weighting="tfidf", idf=idf)
-    assert np.allclose(vec, [0.5, 0.5])
+    idf = idf_of({"a:x": 1.0, "a:y": 2.0})
+    _, matrix, _, _ = compose_corpus(
+        *flatten([("e", ["a:x", "a:x", "a:y"])]), VECS, weighting="tfidf",
+        idf=idf)
+    assert np.allclose(matrix[0], [0.5, 0.5])
 
 
 def test_tfidf_zero_weights_fall_back_to_uniform():
-    idf = {"a:x": 0.0, "a:y": 0.0}
-    vec, coverage = compose_element(["a:x", "a:y"], VOCAB, VECS,
-                                    weighting="tfidf", idf=idf)
-    assert np.allclose(vec, [0.5, 0.5])
-    assert coverage == 1.0
+    idf = idf_of({"a:x": 0.0, "a:y": 0.0})
+    _, matrix, coverages, _ = compose_corpus(
+        *flatten([("e", ["a:x", "a:y"])]), VECS, weighting="tfidf", idf=idf)
+    assert np.allclose(matrix[0], [0.5, 0.5])
+    assert coverages == [1.0]
 
 
 def test_tfidf_requires_idf():
     with pytest.raises(ValueError):
-        compose_element(["a:x"], VOCAB, VECS, weighting="tfidf")
+        compose_corpus(*flatten([("e", ["a:x"])]), VECS, weighting="tfidf")
     with pytest.raises(ValueError):
-        compose_element(["a:x"], VOCAB, VECS, weighting="median")
+        compose_corpus(*flatten([("e", ["a:x"])]), VECS, weighting="median")
 
 
 def test_build_idf():
@@ -93,18 +100,18 @@ def test_build_idf():
                                      ("d1", ["a:x", "a:x", "a:oov"]),
                                      ("d2", ["a:x", "a:z"])])
     idf = build_idf(token_ids, offsets, len(VOCAB))
-    assert idf[VOCAB.id_of("a:x")] == pytest.approx(0.0)
-    assert idf[VOCAB.id_of("a:y")] == pytest.approx(math.log(3.0))
-    assert idf[VOCAB.id_of("a:z")] == pytest.approx(math.log(3.0))
+    assert idf[VOCAB.ids["a:x"]] == pytest.approx(0.0)
+    assert idf[VOCAB.ids["a:y"]] == pytest.approx(math.log(3.0))
+    assert idf[VOCAB.ids["a:z"]] == pytest.approx(math.log(3.0))
     with pytest.raises(ValueError):
         build_idf([], [0], len(VOCAB))
 
 
 def test_equal_idf_matches_uniform():
-    idf = {t: 2.5 for t in VOCAB.tokens}
-    tokens = ["a:x", "a:x", "a:z", "a:y", "a:missing"]
-    weighted, _ = compose_element(tokens, VOCAB, VECS, "tfidf", idf)
-    uniform, _ = compose_element(tokens, VOCAB, VECS)
+    idf = [2.5] * len(VOCAB)
+    element = flatten([("e", ["a:x", "a:x", "a:z", "a:y", "a:missing"])])
+    _, weighted, _, _ = compose_corpus(*element, VECS, "tfidf", idf)
+    _, uniform, _, _ = compose_corpus(*element, VECS)
     assert np.allclose(weighted, uniform, atol=1e-12)
 
 
@@ -117,20 +124,21 @@ TOKEN_LISTS = st.lists(
 @given(TOKEN_LISTS, st.permutations(range(12)))
 def test_composition_properties(tokens, perm):
     """Mean containment, norm bound, permutation invariance."""
-    try:
-        vec, coverage = compose_element(tokens, VOCAB, VECS)
-    except CoverageZero:
+    shuffled = [tokens[p] for p in perm if p < len(tokens)]
+    ids, matrix, coverages, skipped = compose_corpus(
+        *flatten([("e", tokens), ("shuffled", shuffled)]), VECS)
+    if skipped:
+        assert skipped == ["e", "shuffled"]
         assert not any(t in VOCAB for t in tokens)
         return
+    (vec, vec2), (coverage, coverage2) = matrix, coverages
     present = [t for t in tokens if t in VOCAB]
-    rows = VECS[[VOCAB.id_of(t) for t in present]]
+    rows = VECS[[VOCAB.ids[t] for t in present]]
     assert np.all(vec >= rows.min(axis=0) - 1e-9)
     assert np.all(vec <= rows.max(axis=0) + 1e-9)
     assert np.linalg.norm(vec) <= np.linalg.norm(rows, axis=1).max() + 1e-9
     assert 0.0 < coverage <= 1.0
 
-    shuffled = [tokens[p] for p in perm if p < len(tokens)]
-    vec2, coverage2 = compose_element(shuffled, VOCAB, VECS)
     assert np.allclose(vec, vec2, atol=1e-9)
     assert coverage == coverage2
 
@@ -161,7 +169,7 @@ def test_method_embeds_flat_not_statement_means():
          for e in [method] + statements], vocab), vecs)
     flat, stmt_means = matrix[0], matrix[1:]
     assert not np.allclose(flat, np.mean(stmt_means, axis=0), atol=1e-6)
-    manual = vecs[[vocab.id_of(texts[k])
+    manual = vecs[[vocab.ids[texts[k]]
                    for k in method.token_indices]].mean(axis=0)
     assert np.allclose(flat, manual)
 
@@ -183,22 +191,22 @@ def test_compose_corpus_empty():
     assert matrix.shape == (0, 2)
 
 
-def oracle_compose_element(tokens, vocab, vectors, weighting, idf,
-                           element_id):
+def oracle_compose_element(tokens, vocab, vectors, weighting, idf):
     """Per-element composition written against the definition, one
-    token string at a time: the code the corpus kernel replaced."""
+    token string at a time: the code the corpus kernel replaced.  None
+    for an element of coverage zero."""
     present = [t for t in tokens if t in vocab]
     if not present:
-        raise CoverageZero(element_id)
+        return None
     coverage = len(present) / len(tokens)
     if weighting == "uniform":
-        rows = vectors[[vocab.id_of(t) for t in present]]
+        rows = vectors[[vocab.ids[t] for t in present]]
         return rows.mean(axis=0), coverage
     counts = {}
     for t in present:
         counts[t] = counts.get(t, 0) + 1
     weights = np.array([counts[t] * idf.get(t, 0.0) for t in counts])
-    rows = vectors[[vocab.id_of(t) for t in counts]]
+    rows = vectors[[vocab.ids[t] for t in counts]]
     total = weights.sum()
     if total <= 0.0:
         weights = np.array([float(counts[t]) for t in counts])
@@ -232,11 +240,10 @@ def test_corpus_kernel_equals_the_per_element_oracle(block, monkeypatch):
             [idf[t] for t in vocab.tokens])
         want = {}
         for element_id, element in zip(element_ids, elements):
-            try:
-                want[element_id] = oracle_compose_element(
-                    element, vocab, vectors, weighting, idf, element_id)
-            except CoverageZero:
-                pass
+            composed = oracle_compose_element(element, vocab, vectors,
+                                              weighting, idf)
+            if composed is not None:
+                want[element_id] = composed
         assert ids == list(want)
         assert skipped == [e for e in element_ids if e not in want]
         assert {"e400", "e401"} <= set(skipped) and "e402" in ids

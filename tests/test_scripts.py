@@ -1,6 +1,8 @@
 """The scripts in scripts/ and what they write."""
 
+import os
 import runpy
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -24,3 +26,12 @@ def test_panel_row_on_the_demo():
     assert precision == pytest.approx(0.95)
     assert rank <= 5
     assert 0.0 <= method_p1 <= 1.0
+
+
+def test_run_demo_shows_readonly_first_for_final(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        ["sh", str(ROOT / "scripts" / "run_demo.sh"), str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+    assert any(line.startswith("a:final\t1\tb:readonly\t")
+               for line in done.stdout.splitlines()), done.stdout
