@@ -71,7 +71,10 @@ def stage_normalize(cfg, out_dir, prov):
     for pair in pairs:
         for side, root, lang in sides:
             relpath = pair.path_a if side == "a" else pair.path_b
-            source = Path(root, relpath).read_text(encoding="utf-8")
+            try:
+                source = Path(root, relpath).read_text(encoding="utf-8")
+            except UnicodeDecodeError as err:
+                raise ValueError(_not_utf8(relpath, err)) from None
             try:
                 tree = parse(source, lang)
             except ParseError as err:
@@ -85,6 +88,15 @@ def stage_normalize(cfg, out_dir, prov):
             n_tokens += len(stream.tokens)
     _summary("normalize", f"{2 * len(pairs)} files, {n_tokens} tokens",
              t0)
+
+
+def _not_utf8(relpath, err):
+    """`relpath:line:col:` of a source's first byte that is not UTF-8; the
+    column counts the characters before it on its line."""
+    data, bad = err.object, err.start
+    line = data.count(b"\n", 0, bad) + 1
+    col = len(data[data.rfind(b"\n", 0, bad) + 1:bad].decode("utf-8")) + 1
+    return f"{relpath}:{line}:{col}: not UTF-8 (byte 0x{data[bad]:02x})"
 
 
 def _read_bitext(cfg, out_dir):
@@ -117,7 +129,9 @@ def stage_align(cfg, out_dir, prov):
                            comments=(prov,))
     align.write_table(table, out_dir / "ttable.tsv", comments=(prov,))
     n_links = sum(len(s.links) for s in links)
-    _summary("align", f"{len(bitext)} aligned chunks, {n_links} links, "
+    density = n_links / int(bitext.offsets[1][-1])
+    _summary("align", f"{len(bitext)} aligned chunks, {n_links} links "
+             f"({density:.2f} per target token), "
              f"{cfg.align_iterations} EM iterations, loglik "
              f"{history[0]:.1f} -> {history[-1]:.1f}", t0)
 

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from codemap import align
+from codemap import align, artifacts
 from codemap.align import (NULL, AlignmentLinkSet, Bitext, Model1Table,
                            align_bitext, build_bitext, read_alignments,
                            read_table, symmetrize, train_model1,
@@ -61,7 +61,8 @@ def test_history_matches_standalone_loglik():
     history = []
     train_model1(bitext, iterations=3, log_likelihoods=history)
     # the uniform table, re-indexed from its rows like any other table
-    standalone = Model1Table(bitext, dict(Model1Table(bitext))).e_step()[2]
+    uniform = Model1Table(bitext, dict(Model1Table(bitext)))
+    standalone = align.EStepIndex(uniform)()[2]
     assert history[0] == pytest.approx(standalone, abs=1e-9)
 
 
@@ -178,6 +179,24 @@ def test_index_kernels_equal_the_dict_oracle(batch, monkeypatch):
             assert merged.links == fwd.links & {(i, j) for j, i in bwd}
 
 
+def test_batches_change_no_cell_ids_or_sums(monkeypatch):
+    # counts and totals add every occurrence in order, whatever the batch
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        bitext = make_toy_bitext(rng, max_vocab=5)
+        default = Model1Table(bitext)
+        default.t = rng.random(len(default.t))
+        with monkeypatch.context() as patch:
+            patch.setattr(align, "BATCH_OCCURRENCES", 3)
+            small = Model1Table(bitext)
+            small.t = default.t
+            small_sums = align.EStepIndex(small)()[:2]
+        for name in ("cell", "cell_src", "cell_tgt"):
+            assert np.array_equal(getattr(small, name), getattr(default, name))
+        for got, expected in zip(small_sums, align.EStepIndex(default)()):
+            assert np.array_equal(got, expected)
+
+
 def test_bitext_index_decodes_to_its_pairs():
     rng = np.random.default_rng(13)
     for _ in range(20):
@@ -283,7 +302,8 @@ def test_alignment_file_round_trip(tmp_path):
 def test_table_file_round_trip(tmp_path):
     table = {"a": {"x": 0.75, "y": 0.25}, NULL: {"x": 1.0}}
     out = tmp_path / "ttable.tsv"
-    write_table(table, out, comments=["tool test"])
+    write_table(Model1Table([(["a"], ["x", "y"], "p")], table), out,
+                comments=["tool test"])
     loaded = read_table(out)
     assert loaded["a"]["x"] == 0.75
     assert loaded[NULL]["x"] == 1.0
@@ -292,6 +312,42 @@ def test_table_file_round_trip(tmp_path):
 def test_table_write_omits_negligible_rows(tmp_path):
     table = {"a": {"x": 1.0 - 1e-9, "y": 1e-9}}
     out = tmp_path / "ttable.tsv"
-    write_table(table, out)
+    write_table(Model1Table([(["a"], ["x", "y"], "p")], table), out)
     loaded = read_table(out)
     assert "y" not in loaded["a"]
+
+
+def _mapping_rows(table):
+    """The table writer's rows as a walk over the Mapping: the reference."""
+    return (f"{source}\t{target}\t{prob!r}"
+            for source in sorted(table)
+            for target, prob in sorted(table[source].items())
+            if prob >= align.TABLE_WRITE_MIN_PROB)
+
+
+def _cell(table, source, target):
+    lo, hi = table.rows[table.source_ids[source]:][:2]
+    return lo + table.cell_tgt[lo:hi].tolist().index(
+        table.targets.index(target))
+
+
+def test_table_writer_equals_the_mapping_walk(tmp_path):
+    rng = np.random.default_rng(37)
+    edge = align.TABLE_WRITE_MIN_PROB
+    below = np.nextafter(edge, 0.0)
+    got, expected = tmp_path / "got.tsv", tmp_path / "expected.tsv"
+    for _ in range(30):
+        bitext = make_toy_bitext(rng) + [(["s0", "s1"], ["t0", "t1"], "e")]
+        table = train_model1(bitext, 3)
+        # kept at the bound, dropped just below it, a source with no row
+        table.t[_cell(table, "s0", "t0")] = edge
+        table.t[_cell(table, "s0", "t1")] = below
+        s1 = table.source_ids["s1"]
+        table.t[table.rows[s1]:table.rows[s1 + 1]] = below
+        write_table(table, got, comments=["tool test"])
+        artifacts.write_lines(expected, _mapping_rows(dict(table)),
+                              ["tool test"])
+        assert got.read_bytes() == expected.read_bytes()
+        loaded = read_table(got)
+        assert loaded["s0"]["t0"] == edge and "t1" not in loaded["s0"]
+        assert "s1" not in loaded and NULL in loaded

@@ -9,6 +9,7 @@ import pytest
 
 from codemap import align, hier, retrieve
 from codemap.cli import main
+from codemap.syntax import read_stream
 
 JAVA_COUNTER = """\
 package mini;
@@ -209,6 +210,17 @@ def test_unparseable_source_is_validation_error(project, tmp_path,
                 "--out-dir", str(out)) == 3
     assert re.search(r"Broken\.java: .+ \(line \d+, column \d+\)",
                      capsys.readouterr().err)
+
+
+def test_source_that_is_not_utf8_names_file_and_line(project, tmp_path,
+                                                    capsys):
+    (project.parent / "ja" / "Latin.java").write_bytes(
+        b'class Latin { String s = "caf\xe9"; }\n')
+    (project.parent / "cs" / "Latin.cs").write_text(
+        "namespace Mini { class Latin { } }\n")
+    assert _run("run-all", "--config", str(project),
+                "--out-dir", str(tmp_path / "out")) == 3
+    assert "Latin.java:1:30: not UTF-8 (byte 0xe9)" in capsys.readouterr().err
 
 
 def test_bad_alignment_link_names_file_and_line(project, tmp_path,
@@ -424,6 +436,12 @@ def test_run_all_writes_every_artifact(project, tmp_path, capsys):
     for stage in ("pair", "normalize", "align", "train", "compose",
                   "map", "eval"):
         assert f"[{stage}]" in err
+    links, density = re.search(r"\[align\] \d+ aligned chunks, (\d+) links "
+                               r"\((\d\.\d\d) per target token\), ",
+                               err).groups()
+    targets = sum(len(read_stream(path)[2])
+                  for path in (out / "streams" / "b").glob("*.tok"))
+    assert density == f"{int(links) / targets:.2f}" and int(links) > 0
 
 
 def test_artifacts_carry_provenance_header(project, tmp_path):
