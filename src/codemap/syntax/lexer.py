@@ -1,12 +1,23 @@
 """Shared lexer for the Java/C# grammar subset.
 
-Produces name, number, string, char and punctuation tokens with byte spans.
-Comments and C# preprocessor directives are dropped.
+One compiled table of named alternatives, tried in order at each offset:
+blanks, `//` and `/* */` comments and `#` lines (C# preprocessor
+directives), all dropped; strings: a Java text block or C# raw string
+`\"\"\"…\"\"\"` (backslash escapes honoured), a C# verbatim `@"…"` and an
+ordinary `"…"`, each of which may follow a `$`; char literals; numbers;
+names; the two-character operators; any other character as punctuation.
+A `/*`, quote or `'` that its rule cannot close raises `ParseError` there.
+
+`start` and `end` are `str` offsets; `line` and `col` count from 1, and
+only `\\n` ends a line.  A `$` string's token begins after the `$` but is
+placed at it.  A name starts with `$` or a `\\w` character that is not a
+decimal digit (so `²`, `½` and `Ⅻ` start names), and a number with a
+decimal digit.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+import re
+from bisect import bisect_left
+from typing import NamedTuple
 
 
 class ParseError(Exception):
@@ -16,8 +27,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Tok:
+class Tok(NamedTuple):
     kind: str  # name | num | str | char | punct
     text: str
     start: int
@@ -26,134 +36,44 @@ class Tok:
     col: int
 
 
-_TWO_CHAR_OPS = {
-    "==", "!=", "<=", ">=", "&&", "||", "++", "--", "+=", "-=", "*=", "/=",
-    "%=", "&=", "|=", "^=", "->", "=>", "::", "??", "?.",
-}
+# `"{3}`: three quotes in a row would end this string literal
+_TABLE = re.compile(r"""
+    (?P<skip> [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ | \#[^\n]* )
+  | (?P<bad_comment> /\* )
+  | (?P<str> \$?"{3}(?:[^\\]|\\.)*?"{3}
+           | \$?@"(?:[^"]|"")*"(?!")
+           | \$?"(?:[^"\\\n]|\\[^\n])*" )
+  | (?P<bad_str> \$?@?" )
+  | (?P<char> '(?:[^'\\\n]|\\[^\n])*' )
+  | (?P<bad_char> ' )
+  | (?P<num> (?: 0[xX][0-9a-fA-F_]* | \d[\d_]*(?:\.\d+)?(?:[eE][+-]?\d+)? )
+             [lLfFdDuUmM]* )
+  | (?P<name> (?:[^\W\d]|\$)[\w$]* )
+  | (?P<punct> == | != | <= | >= | && | \|\| | \+\+ | -- | \+= | -= | \*=
+             | /= | %= | &= | \|= | \^= | -> | => | :: | \?\? | \?\. | . )
+""", re.VERBOSE | re.DOTALL)
 
-
-# quote -> token kind and the name an unterminated literal is reported by
-_QUOTES = {'"': ("str", "string"), "'": ("char", "char literal")}
-
-
-def _is_name_start(c: str) -> bool:
-    return c.isalpha() or c in "_$"
-
-
-def _is_name_char(c: str) -> bool:
-    return c.isalnum() or c in "_$"
+_ERRORS = {"bad_comment": "unterminated block comment",
+           "bad_str": "unterminated string",
+           "bad_char": "unterminated char literal"}
 
 
 def lex(source: str) -> list[Tok]:
+    # -1 stands for a newline before the first line
+    newlines = [-1] + [m.start() for m in re.finditer("\n", source)]
     toks: list[Tok] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            advance(1)
+    for m in _TABLE.finditer(source):
+        kind = m.lastgroup
+        if kind == "skip":
             continue
-        if c == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        if c == "/" and i + 1 < n and source[i + 1] == "*":
-            start_line, start_col = line, col
-            advance(2)
-            while i + 1 < n and not (source[i] == "*" and source[i + 1] == "/"):
-                advance(1)
-            if i + 1 >= n:
-                raise ParseError("unterminated block comment", start_line, start_col)
-            advance(2)
-            continue
-        if c == "#":
-            # C# preprocessor directive: drop the whole line
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        start, start_line, start_col = i, line, col
-        if c == "@" and i + 1 < n and source[i + 1] == '"':
-            # verbatim string: "" is an escaped quote
-            advance(2)
-            while i < n:
-                if source[i] == '"':
-                    if i + 1 < n and source[i + 1] == '"':
-                        advance(2)
-                        continue
-                    break
-                advance(1)
-            if i >= n:
-                raise ParseError("unterminated string", start_line, start_col)
-            advance(1)
-            toks.append(Tok("str", source[start:i], start, i, start_line, start_col))
-            continue
-        if c == "$" and i + 1 < n and source[i + 1] == '"':
-            c = '"'
-            advance(1)
-            start = i
-        if c in _QUOTES:
-            kind, what = _QUOTES[c]
-            advance(1)
-            while i < n and source[i] != c:
-                if source[i] == "\\":
-                    advance(1)
-                if i == n or source[i] == "\n":
-                    break
-                advance(1)
-            if i == n or source[i] != c:
-                raise ParseError(f"unterminated {what}", start_line, start_col)
-            advance(1)
-            toks.append(Tok(kind, source[start:i], start, i, start_line, start_col))
-            continue
-        if c.isdigit():
-            advance(1)
-            if c == "0" and i < n and source[i] in "xX":
-                advance(1)
-                while i < n and (source[i] in "0123456789abcdefABCDEF_"):
-                    advance(1)
-            else:
-                while i < n and (source[i].isdigit() or source[i] == "_"):
-                    advance(1)
-                if i < n and source[i] == "." and i + 1 < n and source[i + 1].isdigit():
-                    advance(1)
-                    while i < n and source[i].isdigit():
-                        advance(1)
-                if i < n and source[i] in "eE":
-                    j = i + 1
-                    if j < n and source[j] in "+-":
-                        j += 1
-                    if j < n and source[j].isdigit():
-                        advance(j - i)
-                        while i < n and source[i].isdigit():
-                            advance(1)
-            while i < n and source[i] in "lLfFdDuUmM":
-                advance(1)
-            toks.append(Tok("num", source[start:i], start, i, start_line, start_col))
-            continue
-        if _is_name_start(c):
-            advance(1)
-            while i < n and _is_name_char(source[i]):
-                advance(1)
-            toks.append(Tok("name", source[start:i], start, i, start_line, start_col))
-            continue
-        pair = source[i : i + 2]
-        if pair in _TWO_CHAR_OPS:
-            advance(2)
-            toks.append(Tok("punct", pair, start, i, start_line, start_col))
-            continue
-        advance(1)
-        toks.append(Tok("punct", c, start, i, start_line, start_col))
+        start = m.start()
+        line = bisect_left(newlines, start)
+        col = start - newlines[line - 1]
+        if kind in _ERRORS:
+            raise ParseError(_ERRORS[kind], line, col)
+        text = m.group()
+        if kind == "str" and text[0] == "$":
+            text = text[1:]
+            start += 1
+        toks.append(Tok(kind, text, start, m.end(), line, col))
     return toks

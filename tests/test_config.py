@@ -1,9 +1,14 @@
 """Pipeline config parsing tests."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from codemap import __version__
-from codemap.config import config_hash, parse_config, provenance
+from codemap.config import _KEYS, config_hash, parse_config, provenance
+
+README = Path(__file__).parent.parent / "README.md"
 
 FULL = """\
 project.name = demo
@@ -171,3 +176,11 @@ def test_config_hash_and_provenance(project):
     assert digest != config_hash(path)
     line = provenance("abcdef012345", 7)
     assert line == f"codemap {__version__} config=abcdef012345 seed=7"
+
+
+def test_readme_configuration_lists_every_key():
+    section = README.read_text(encoding="utf-8").split(
+        "\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    named = {name for name in re.findall(r"`([^`]*)`", section)
+             if re.fullmatch(r"[a-z_]+\.[a-z0-9_]+", name)}
+    assert named == set(_KEYS)

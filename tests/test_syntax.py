@@ -15,6 +15,7 @@ from codemap.syntax import (LITERAL_KINDS, STRUCT_KEYWORDS,
                             extract_elements, normalize, parse,
                             read_elements, read_stream, write_elements,
                             write_stream)
+from codemap.syntax.lexer import lex
 from codemap.syntax.symbols import canon_primitive
 
 # ---------------------------------------------------------------------------
@@ -156,6 +157,110 @@ def test_opaque_keeps_identifiers():
     leaves = [leaf.text for node in opaques for leaf in node.children
               if leaf.kind == "name"]
     assert "g" in leaves
+
+
+# ---------------------------------------------------------------------------
+# lexer table: (kind, text, start, end, line, col) of every token, or the
+# (message, line, col) of the error
+
+LEX_ROWS = [
+    pytest.param("0x1F_aL 1_000 1e5 1e-5f 1.5E+3d 10m 3UL", [
+        ("num", "0x1F_aL", 0, 7, 1, 1), ("num", "1_000", 8, 13, 1, 9),
+        ("num", "1e5", 14, 17, 1, 15), ("num", "1e-5f", 18, 23, 1, 19),
+        ("num", "1.5E+3d", 24, 31, 1, 25), ("num", "10m", 32, 35, 1, 33),
+        ("num", "3UL", 36, 39, 1, 37)], id="numbers"),
+    pytest.param("1. .5 1e", [
+        ("num", "1", 0, 1, 1, 1), ("punct", ".", 1, 2, 1, 2),
+        ("punct", ".", 3, 4, 1, 4), ("num", "5", 4, 5, 1, 5),
+        ("num", "1", 6, 7, 1, 7), ("name", "e", 7, 8, 1, 8)],
+        id="dot_and_exponent_need_digits"),
+    pytest.param('@"a""b"', [("str", '@"a""b"', 0, 7, 1, 1)], id="verbatim"),
+    pytest.param('x $"x" y', [
+        ("name", "x", 0, 1, 1, 1), ("str", '"x"', 3, 6, 1, 3),
+        ("name", "y", 7, 8, 1, 8)], id="interpolated_placed_at_dollar"),
+    pytest.param('@$"x"', [
+        ("punct", "@", 0, 1, 1, 1), ("str", '"x"', 2, 5, 1, 2)],
+        id="at_dollar"),
+    pytest.param('$@"a{x}b" @$"x"', [
+        ("str", '@"a{x}b"', 1, 9, 1, 1), ("punct", "@", 10, 11, 1, 11),
+        ("str", '"x"', 12, 15, 1, 12)], id="dollar_at"),
+    pytest.param('"""\n  a\\"""\n  """;', [
+        ("str", '"""\n  a\\"""\n  """', 0, 17, 1, 1),
+        ("punct", ";", 17, 18, 3, 6)], id="text_block"),
+    pytest.param("a # if X\nb", [
+        ("name", "a", 0, 1, 1, 1), ("name", "b", 9, 10, 2, 1)],
+        id="directive_mid_line"),
+    pytest.param("a //", [("name", "a", 0, 1, 1, 1)], id="comment_at_end"),
+    pytest.param("/* c */x", [("name", "x", 7, 8, 1, 8)], id="block_comment"),
+    pytest.param("\ta\r\n\t\tb", [
+        ("name", "a", 1, 2, 1, 2), ("name", "b", 6, 7, 2, 3)],
+        id="crlf_and_tab_columns"),
+    pytest.param("a==b=c ->=>::??.?", [
+        ("name", "a", 0, 1, 1, 1), ("punct", "==", 1, 3, 1, 2),
+        ("name", "b", 3, 4, 1, 4), ("punct", "=", 4, 5, 1, 5),
+        ("name", "c", 5, 6, 1, 6), ("punct", "->", 7, 9, 1, 8),
+        ("punct", "=>", 9, 11, 1, 10), ("punct", "::", 11, 13, 1, 12),
+        ("punct", "??", 13, 15, 1, 14), ("punct", ".", 15, 16, 1, 16),
+        ("punct", "?", 16, 17, 1, 17)], id="operators"),
+    pytest.param("a\fb\xa0c", [
+        ("name", "a", 0, 1, 1, 1), ("punct", "\f", 1, 2, 1, 2),
+        ("name", "b", 2, 3, 1, 3), ("punct", "\xa0", 3, 4, 1, 4),
+        ("name", "c", 4, 5, 1, 5)], id="other_blanks_are_punct"),
+    pytest.param("é٣ ٣x a$b", [
+        ("name", "é٣", 0, 2, 1, 1), ("num", "٣", 3, 4, 1, 4),
+        ("name", "x", 4, 5, 1, 5), ("name", "a$b", 6, 9, 1, 7)],
+        id="unicode_names_and_digits"),
+    pytest.param("½ Ⅻ ²", [
+        ("name", "½", 0, 1, 1, 1), ("name", "Ⅻ", 2, 3, 1, 3),
+        ("name", "²", 4, 5, 1, 5)], id="non_decimal_numerics_start_names"),
+    pytest.param("x'' '\\'' \"a\\\"b\"", [
+        ("name", "x", 0, 1, 1, 1), ("char", "''", 1, 3, 1, 2),
+        ("char", "'\\''", 4, 8, 1, 5), ("str", '"a\\"b"', 9, 15, 1, 10)],
+        id="escapes"),
+    pytest.param("/* x", ("unterminated block comment", 1, 1),
+                 id="open_block_comment"),
+    pytest.param('"abc', ("unterminated string", 1, 1), id="open_string"),
+    pytest.param("'a", ("unterminated char literal", 1, 1), id="open_char"),
+    pytest.param('@"abc""', ("unterminated string", 1, 1),
+                 id="verbatim_ends_in_escaped_quote"),
+    pytest.param('"a\nb"', ("unterminated string", 1, 1),
+                 id="newline_in_string"),
+    pytest.param('"a\\', ("unterminated string", 1, 1),
+                 id="backslash_at_end"),
+    pytest.param("x\n  '\\", ("unterminated char literal", 2, 3),
+                 id="char_backslash_at_end"),
+    pytest.param('x $"abc', ("unterminated string", 1, 3),
+                 id="open_interpolated_string"),
+]
+
+
+@pytest.mark.parametrize("source, expected", LEX_ROWS)
+def test_lexer_table(source, expected):
+    if isinstance(expected, tuple):
+        with pytest.raises(ParseError) as err:
+            lex(source)
+        message = str(err.value).split(" (line")[0]
+        assert (message, err.value.line, err.value.col) == expected
+    else:
+        assert [(t.kind, t.text, t.start, t.end, t.line, t.col)
+                for t in lex(source)] == expected
+
+
+@pytest.mark.parametrize("language", ["java", "csharp"])
+def test_text_block_is_one_string_literal(language):
+    plain = 'class A { String s = "x"; }'
+    block = 'class A { String s = """\n    hello\n    """; }'
+    assert ([t.text for t in normalize(parse(block, language)).tokens]
+            == [t.text for t in normalize(parse(plain, language)).tokens])
+    assert [t.line for t in lex(block) if t.text == ";"] == [3]
+
+
+def test_dollar_at_string_is_one_literal():
+    streams = [[t.text for t in normalize(parse(
+        "class A { void f() { g(" + literal + "); } }", "csharp")).tokens]
+        for literal in ('$@"a{x}b"', '@$"a{x}b"')]
+    assert streams[0] == streams[1]
+    assert "A.g(String)" in streams[0]
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +910,8 @@ _SOUP = ["class", "package", "import", "using", "namespace", "static", "for",
          "catch", "switch", "break", "enum", "int", "var", "String", "x",
          "a.b", "(", ")", "{", "}", "[", "]", "<", ">", ";", ",", ".", ":",
          "=", "=>", "?", "@", "*", "+", "1", "'c'", '"s"', "true", "null",
-         '"abc\\', "'\\", '$"x\\', "\n"]
+         '"abc\\', "'\\", '$"x\\', "\n", '"""', '$@"x"', '@"a""b"', "0x1F",
+         "1e-5f", "#if X", "/* c */"]
 
 
 @given(st.sampled_from(["java", "csharp"]),
