@@ -14,9 +14,10 @@ keep the order of a loop over pairs, targets and sources, and
 denominators equal a dict-of-dicts E-step's left-to-right sums under
 Python 3.11 (3.12 compensates `sum`), bit for bit; per-batch sums differ.
 
-`train_model1` indexes its E-step once per training (`EStepIndex`): each
-occurrence's source id and each batch's span and segment sizes, so an
-iteration only gathers `t`, divides and adds.  The index is int32 and
+`batches()` plans the walk that indexing, `Model1Table.e_step` and
+`viterbi` share, and each reads a batch's `t[cell[lo:hi]]` the same way.
+`train_model1` builds each occurrence's source id once per training, so
+an iteration only gathers `t`, divides and adds.  That index is int32 and
 lives only for the training, so it is gone before the other direction's
 table is built: on the bitext-align workload (721,540 occurrences per
 direction), intp copies of the cells, sources and segments raised peak
@@ -193,9 +194,8 @@ class Model1Table(Mapping):
         # the temporaries small next to the keys and the argsort below
         shift = np.repeat(source_off[:-1], lengths) - self.seg_offsets[:-1]
         keys = np.empty(self.seg_offsets[-1], np.int64)
-        for first, end in self.batches():
-            lo, hi = self.seg_offsets[[first, end]]
-            seg = np.repeat(np.arange(first, end), sizes[first:end])
+        for first, lo, hi, _, seg in self.batches():
+            seg += first
             keys[lo:hi] = (sources[np.arange(lo, hi) + shift[seg]] << 32
                            | tgt_ids[seg])
         # cell ids from one argsort: np.unique's inverse holds more copies
@@ -231,25 +231,45 @@ class Model1Table(Mapping):
         return int(np.count_nonzero(np.diff(self.rows)))
 
     def batches(self):
-        """Ranges [first, end) of whole segments, in order, of at most
-        BATCH_OCCURRENCES occurrences unless one segment is longer."""
+        """Whole segments, in order, at most BATCH_OCCURRENCES occurrences
+        unless one segment is longer: per batch its first segment, its
+        occurrences [lo, hi), its segment sizes and each occurrence's
+        segment within the batch."""
         offsets, first = self.seg_offsets, 0
         while first < len(offsets) - 1:
             end = max(first + 1, int(np.searchsorted(
                 offsets, offsets[first] + BATCH_OCCURRENCES, "right")) - 1)
-            yield first, end
+            sizes = np.diff(offsets[first:end + 1])
+            yield (first, offsets[first], offsets[end], sizes,
+                   np.repeat(np.arange(end - first), sizes))
             first = end
+
+    def e_step(self, src):
+        """The expected counts per cell and totals per source under `t`,
+        and the corpus log-likelihood (the one sum taken in another
+        order); `src` is each occurrence's source id."""
+        counts, totals = np.zeros(len(self.t)), np.zeros(len(self.sources))
+        loglik = 0.0
+        for _, lo, hi, sizes, seg in self.batches():
+            cells = self.cell[lo:hi]
+            share = self.t[cells]
+            denom = np.bincount(seg, weights=share, minlength=len(sizes))
+            loglik += float(np.sum(np.log(np.maximum(denom, PROB_FLOOR))
+                                   - np.log(sizes)))
+            # a zero denominator has only zero shares
+            denom[denom == 0.0] = 1.0
+            share /= denom[seg]
+            np.add.at(counts, cells, share)
+            np.add.at(totals, src[lo:hi], share)
+        return counts, totals, loglik
 
     def viterbi(self) -> list[AlignmentLinkSet]:
         """Per pair, the links (i, j) from each target position j to the
         first maximum of its segment, none where that is NULL."""
         best = []
-        for first, end in self.batches():
-            lo, hi = self.seg_offsets[[first, end]]
+        for first, lo, hi, sizes, seg in self.batches():
             p = self.t[self.cell[lo:hi]]
-            starts = self.seg_offsets[first:end] - lo
-            seg = np.repeat(np.arange(end - first), np.diff(
-                self.seg_offsets[first:end + 1]))
+            starts = self.seg_offsets[first:first + len(sizes)] - lo
             top = np.maximum.reduceat(p, starts)[seg]
             offsets = np.arange(len(p)) - starts[seg]
             best += (np.minimum.reduceat(np.where(p == top, offsets, len(p)),
@@ -258,41 +278,6 @@ class Model1Table(Mapping):
         return [AlignmentLinkSet(pair_id, frozenset(
             (i, j) for j, i in enumerate(best[lo:hi]) if i >= 0))
             for pair_id, lo, hi in zip(self.pair_ids, bounds, bounds[1:])]
-
-
-class EStepIndex:
-    """What a table's E-step reads that `t` does not change, built once per
-    training: each occurrence's source id and per batch its occurrences
-    [lo, hi) and segment sizes.  Called, it returns the expected counts
-    per cell and totals per source under the table's current `t`, and the
-    corpus log-likelihood (the one sum taken in another order)."""
-
-    def __init__(self, table: Model1Table):
-        self.table, offsets = table, table.seg_offsets
-        self.src = np.empty(len(table.cell), np.int32)
-        self.batches = []
-        for first, end in table.batches():
-            lo, hi = offsets[[first, end]]
-            self.src[lo:hi] = table.cell_src[table.cell[lo:hi]]
-            self.batches.append((lo, hi, np.diff(offsets[first:end + 1])))
-
-    def __call__(self):
-        table = self.table
-        counts, totals = np.zeros(len(table.t)), np.zeros(len(table.sources))
-        loglik = 0.0
-        for lo, hi, sizes in self.batches:
-            cells = table.cell[lo:hi]
-            seg = np.repeat(np.arange(len(sizes)), sizes)
-            share = table.t[cells]
-            denom = np.bincount(seg, weights=share, minlength=len(sizes))
-            loglik += float(np.sum(np.log(np.maximum(denom, PROB_FLOOR))
-                                   - np.log(sizes)))
-            # a zero denominator has only zero shares
-            denom[denom == 0.0] = 1.0
-            share /= denom[seg]
-            np.add.at(counts, cells, share)
-            np.add.at(totals, self.src[lo:hi], share)
-        return counts, totals, loglik
 
 
 def train_model1(bitext: list[Pair], iterations: int = 10,
@@ -307,9 +292,12 @@ def train_model1(bitext: list[Pair], iterations: int = 10,
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     table = Model1Table(bitext)
-    e_step = EStepIndex(table)
+    # each occurrence's source id, for this training only
+    src = np.empty(len(table.cell), np.int32)
+    for _, lo, hi, _, _ in table.batches():
+        src[lo:hi] = table.cell_src[table.cell[lo:hi]]
     for _ in range(iterations):
-        counts, totals, loglik = e_step()
+        counts, totals, loglik = table.e_step(src)
         if log_likelihoods is not None:
             log_likelihoods.append(loglik)
         table.t = np.divide(counts, totals[table.cell_src],

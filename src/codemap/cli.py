@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -207,9 +206,8 @@ def stage_compose(cfg, out_dir, prov):
              f"({cfg.weighting}), {len(skipped)} skipped", t0)
 
 
-def stage_map(cfg, out_dir, prov, k=None):
+def stage_map(cfg, out_dir, prov):
     t0 = time.perf_counter()
-    k = cfg.k if k is None else k
     if cfg.granularity == "token":
         table, vocab = embed.load_embeddings(
             _require(out_dir / "embeddings.txt", "train"))
@@ -226,7 +224,7 @@ def stage_map(cfg, out_dir, prov, k=None):
                               for i in ids], dtype=bool)
     nonzero = np.any(matrix != 0, axis=1)
     queries = [retrieve.Query(ids[row], tuple(matrix[row].tolist()),
-                              cfg.side, k)
+                              cfg.side, cfg.k)
                for row in np.flatnonzero(on_query_side & nonzero).tolist()]
     zero_skipped = int(np.count_nonzero(on_query_side & ~nonzero))
     is_candidate = ~on_query_side & nonzero
@@ -238,7 +236,7 @@ def stage_map(cfg, out_dir, prov, k=None):
         if zero_skipped else ""
     _summary("map", f"{len(queries)} {cfg.granularity} queries ({cfg.side}) "
              f"against {np.count_nonzero(is_candidate)} candidates "
-             f"({distinct} distinct), top-{k}{note}", t0)
+             f"({distinct} distinct), top-{cfg.k}{note}", t0)
     return rankings
 
 
@@ -278,13 +276,13 @@ def stage_diff_ref(cfg, out_dir, prov):
     return diff
 
 
-def run_all(cfg, out_dir, prov, k=None):
+def run_all(cfg, out_dir, prov):
     stage_pair(cfg, out_dir, prov)
     stage_normalize(cfg, out_dir, prov)
     stage_align(cfg, out_dir, prov)
     stage_train(cfg, out_dir, prov)
     stage_compose(cfg, out_dir, prov)
-    stage_map(cfg, out_dir, prov, k)
+    stage_map(cfg, out_dir, prov)
     if cfg.truth is not None:
         stage_eval(cfg, out_dir, prov)
     if cfg.reference is not None:
@@ -339,21 +337,23 @@ def main(argv=None):
         prov = provenance(config_hash(args.config), cfg.train.seed)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.k is not None and args.k < 1:
-            raise ValueError("--k must be at least 1")
+        if args.k is not None:
+            if args.k < 1:
+                raise ValueError("--k must be at least 1")
+            cfg.k = args.k
         # looked up per call, so a stage wrapped after import still runs
         stages = {
             "pair": stage_pair, "normalize": stage_normalize,
             "align": stage_align, "train": stage_train,
-            "compose": stage_compose, "map": partial(stage_map, k=args.k),
+            "compose": stage_compose, "map": stage_map,
             "eval": stage_eval, "diff-ref": stage_diff_ref,
-            "run-all": partial(run_all, k=args.k),
+            "run-all": run_all,
         }
         stages[args.command](cfg, out_dir, prov)
     except (MissingArtifact, OSError) as err:
         print(f"codemap: {err}", file=sys.stderr)
         return 2
-    except (ValueError, ParseError) as err:
+    except (ValueError, ParseError, FloatingPointError) as err:
         print(f"codemap: {err}", file=sys.stderr)
         return 3
     return 0

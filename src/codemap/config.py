@@ -106,9 +106,7 @@ def parse_config(path, seed=None):
     """
     path = Path(path)
     base = path.resolve().parent
-    manifest_fields: dict = {}
-    pipeline_fields: dict = {}
-    train_fields: dict = {}
+    fields: dict = {"manifest": {}, "pipeline": {}, "train": {}}
     seen: dict[str, int] = {}
 
     with open(path, encoding="utf-8") as handle:
@@ -135,23 +133,18 @@ def parse_config(path, seed=None):
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad value for "
                                  f"{key!r}: {value!r}") from None
-            if target == "manifest":
-                manifest_fields[attr] = parsed
-            elif target == "train":
-                train_fields[attr] = parsed
-            else:
-                pipeline_fields[attr] = parsed
+            fields[target][attr] = parsed
 
     missing = [key for key in _REQUIRED
-               if _KEYS[key][1] not in manifest_fields]
+               if _KEYS[key][1] not in fields["manifest"]]
     if missing:
         raise ValueError(f"{path}: missing required keys: "
                          f"{', '.join(missing)}")
     if seed is not None:
-        train_fields["seed"] = seed
-    cfg = PipelineConfig(manifest=ProjectManifest(**manifest_fields),
-                         train=TrainConfig(**train_fields),
-                         **pipeline_fields)
+        fields["train"]["seed"] = seed
+    cfg = PipelineConfig(manifest=ProjectManifest(**fields["manifest"]),
+                         train=TrainConfig(**fields["train"]),
+                         **fields["pipeline"])
     cfg.validate()
     return cfg
 

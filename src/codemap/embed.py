@@ -4,10 +4,10 @@ One shared embedding table holds both languages, tokens tagged `a:`/`b:`;
 ids, counts, windows and link partners come from the bitext's integer
 index (`align.Bitext`).  Each center predicts its same-language window
 and, through its links, the window around each linked position on the
-other side.  One SGD step (`sgns_step`) covers the contexts and
-negatives of up to SIDE_BATCH consecutive centers of a pair side, as
-three small matrix products on their distinct centers and output rows
-(`sgns_cells`); a side of at most SIDE_BATCH tokens is one step.  Within
+other side.  One SGD step (`sgns_step`, the one kernel) covers the
+contexts and negatives of up to SIDE_BATCH consecutive centers of a pair
+side, as three small matrix products on their distinct centers and
+output rows; a side of at most SIDE_BATCH tokens is one step.  Within
 a step every update reads the table as it was before the step, and
 repeated centers and rows sum their gradients (the Hogwild-style
 trade-off).  That trade-off, and the step's cost, grow with the number
@@ -31,8 +31,8 @@ with `searchsorted` only in the buckets that hold an entry
 ids (`_numbered`), which are all below the vocabulary size.  The step
 updates the rows it gathered, in place.  `sgns_pair_loss`/
 `sgns_pair_grads`, checked against finite differences, are one-center
-views of the same kernel.  Training with a fixed seed is
-bit-reproducible.
+steps of the same kernel on a copy of the table.  Training with a fixed
+seed is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -81,14 +81,14 @@ class TrainConfig:
             raise ValueError("window must be >= 1")
         if self.negatives < 1:
             raise ValueError("negatives must be >= 1")
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
+        if not 0 < self.lr0 < np.inf:
+            raise ValueError("lr0 must be positive and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.min_count < 1:
             raise ValueError("min_count must be >= 1")
-        if self.subsample < 0:
-            raise ValueError("subsample must be >= 0")
+        if not 0 <= self.subsample < np.inf:
+            raise ValueError("subsample must be >= 0 and finite")
 
 
 class Vocabulary:
@@ -169,14 +169,14 @@ def _numbered(step, ids, steps, size):
 
 
 def _cells(steps, size, center_step, centers, center_of, rows, labels,
-           counts=None):
+           counts):
     """Occurrences counted into (center, row) cells, per step.
 
     Occurrence (i, j) pairs center `centers[center_of[i]]`, of step
     `center_step[center_of[i]]`, with row `rows[i, j]`; ids are below
     `size`.  It is a context if `labels[i, j]` is 1 and a negative if 0,
-    and counts `counts[i, j]` times (default once; a count of 0 still
-    numbers its row).  Returns, flat with per-step offsets, each step's
+    and counts `counts[i, j]` times (a count of 0 still numbers its
+    row).  Returns, flat with per-step offsets, each step's
     distinct centers C and rows R, sorted, and its |C| x |R| cell
     counts, `total` over all occurrences and `pos` over contexts: (C, C
     offsets, R, R offsets, total, pos, cell offsets).
@@ -196,26 +196,25 @@ def _cells(steps, size, center_step, centers, center_of, rows, labels,
                       width) + row_at
     size = int(cell_offsets[-1])
     return (centers, center_offsets, rows, row_offsets,
-            np.bincount(cells, None if counts is None else counts.ravel(),
-                        size),
+            np.bincount(cells, counts.ravel(), size),
             np.bincount(cells, labels.ravel(), size), cell_offsets)
 
 
-def occurrence_cells(centers, rows, labels):
-    """One step's occurrences as cells: (C, R, total, pos), the distinct
-    centers and rows and the |C| x |R| counts over all occurrences and
-    over contexts (`labels` 1; negatives are 0)."""
-    size = 1 + max(int(centers.max(initial=-1)), int(rows.max(initial=-1)))
-    C, _, R, _, total, pos, _ = _cells(
-        1, size, np.zeros(len(centers), np.intp), centers,
-        np.arange(len(centers)), rows[:, None], labels[:, None])
-    shape = len(C), len(R)
-    return C, R, total.reshape(shape), pos.reshape(shape)
+def sgns_step(C, R, total, pos, table: EmbeddingTable, lr: float) -> float:
+    """The SGNS kernel: one SGD step on a step's cells; returns the loss
+    before it.
 
-
-def _summed_errors(C, R, total, pos, table: EmbeddingTable):
-    """V = input[C], U = output[R], the summed errors E and the loss of
-    sgns_cells, each built in place."""
+    Cell (c, r) holds `total[c, r]` occurrences of input row C[c] with
+    output row R[r], `pos[c, r]` of them contexts and the rest negatives;
+    the loss is -sum log sig(+-u_r . v_c) over occurrences.  With
+    V = input[C], U = output[R] and the summed errors
+    E = total * sig(V U^T) - pos, rows C move by -lr E U and rows R by
+    -lr E^T V.  In training the step is up to SIDE_BATCH centers of one
+    pair side.  Hogwild-style, every update reads the table as it was
+    before the step, and repeated centers and rows sum their gradients.
+    C and R are distinct, so the gathered rows are updated and written
+    back, with no second gather.
+    """
     V, U = table.input_vecs[C], table.output_vecs[R]
     scores = V @ U.T
     np.maximum(scores, -SIGMOID_CLAMP, out=scores)
@@ -230,55 +229,37 @@ def _summed_errors(C, R, total, pos, table: EmbeddingTable):
     logs = np.log(sig)
     logs *= total
     terms -= logs
+    # the summed errors E, in place
     sig *= total
     sig -= pos
-    return V, U, sig, float(terms.sum())
-
-
-def sgns_cells(C, R, total, pos, table: EmbeddingTable):
-    """The SGNS kernel: loss and gradients of one step's cells.
-
-    Cell (c, r) holds `total[c, r]` occurrences of input row C[c] with
-    output row R[r], `pos[c, r]` of them contexts and the rest negatives;
-    the loss is -sum log sig(+-u_r . v_c) over occurrences.  The summed
-    errors are E = total * sig(V U^T) - pos for V = input[C] and
-    U = output[R].  Returns (E U, E^T V, loss): the gradients of rows C
-    and R.
-    """
-    V, U, errors, loss = _summed_errors(C, R, total, pos, table)
-    return errors @ U, errors.T @ V, loss
-
-
-def sgns_step(C, R, total, pos, table: EmbeddingTable, lr: float) -> float:
-    """One SGD step on sgns_cells' loss; returns the loss before it.  In
-    training the step is up to SIDE_BATCH centers of one pair side.
-    Hogwild-style, every update reads the table as it was before the
-    step, and repeated centers and rows sum their gradients.  C and R
-    are distinct, so the rows gathered for the gradients are updated
-    and written back, with no second gather."""
-    V, U, errors, loss = _summed_errors(C, R, total, pos, table)
-    grad_in, grad_out = errors @ U, errors.T @ V
+    grad_in, grad_out = sig @ U, sig.T @ V
     grad_in *= lr
     V -= grad_in
     table.input_vecs[C] = V
     grad_out *= lr
     U -= grad_out
     table.output_vecs[R] = U
-    return loss
+    return float(terms.sum())
 
 
-def _pair_cells(center: int, context: int, negatives):
-    rows = np.array([context, *negatives], dtype=np.intp)
-    labels = np.zeros(len(rows))
-    labels[0] = 1.0
-    return occurrence_cells(np.full(len(rows), center, np.intp), rows, labels)
+def _pair_step(center: int, context: int, negatives, table: EmbeddingTable):
+    """sgns_step at learning rate 1 for one center and one context on a
+    copy of the table: (loss, stepped copy, output rows)."""
+    R, row_of = np.unique(np.array([context, *negatives], np.intp),
+                          return_inverse=True)
+    total = np.bincount(row_of)[None]
+    pos = (R == context)[None].astype(np.float64)
+    stepped = EmbeddingTable(table.input_vecs.copy(),
+                             table.output_vecs.copy())
+    loss = sgns_step(np.array([center]), R, total, pos, stepped, 1.0)
+    return loss, stepped, R
 
 
 def sgns_pair_loss(center: int, context: int, negatives,
                    table: EmbeddingTable) -> float:
-    """-log sig(u_ctx . v) - sum_neg log sig(-u_neg . v): sgns_cells for
-    one center and a single context."""
-    return sgns_cells(*_pair_cells(center, context, negatives), table)[2]
+    """-log sig(u_ctx . v) - sum_neg log sig(-u_neg . v): the loss
+    sgns_step reads for one center and a single context."""
+    return _pair_step(center, context, negatives, table)[0]
 
 
 def sgns_pair_grads(center: int, context: int, negatives,
@@ -286,14 +267,14 @@ def sgns_pair_grads(center: int, context: int, negatives,
     """Analytic gradients of sgns_pair_loss per touched (matrix, id) slot.
 
     Keys are ("in", id) or ("out", id); duplicate negatives accumulate,
-    matching the loss summation.  A one-center view of sgns_cells, the
-    kernel the trainer steps along.
+    matching the loss summation.  Each is how far sgns_step, the trainer's
+    kernel, moves that row at learning rate 1: the gradient up to rounding.
     """
-    cells = _pair_cells(center, context, negatives)
-    grad_in, grad_out, _ = sgns_cells(*cells, table)
-    grads = {("in", center): grad_in[0]}
-    grads.update({("out", int(row)): grad
-                  for row, grad in zip(cells[1], grad_out)})
+    _, stepped, R = _pair_step(center, context, negatives, table)
+    grads = {("in", center): table.input_vecs[center]
+             - stepped.input_vecs[center]}
+    grads.update({("out", row): table.output_vecs[row]
+                  - stepped.output_vecs[row] for row in R.tolist()})
     return grads
 
 

@@ -132,15 +132,6 @@ def average_precision(ranked_ids, relevant, k):
     return total / min(len(relevant), k)
 
 
-def precision_at(ranked_ids, relevant, k):
-    if not relevant:
-        raise ValueError("relevant set is empty")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    hits = sum(1 for item in ranked_ids[:k] if item in relevant)
-    return hits / k
-
-
 @dataclass
 class MappingReport:
     """Aggregated retrieval quality over a query set."""
@@ -169,7 +160,8 @@ def evaluate_map(rankings, truth, ks=(1, 5, 10)):
         values = [average_precision([i for i, _ in rankings[qid]],
                                     truth[qid], k) for qid in scored]
         map_at_k[k] = sum(values) / len(values)
-    p1 = sum(precision_at([i for i, _ in rankings[qid]], truth[qid], 1)
+    # P@1 is AP@1
+    p1 = sum(average_precision([i for i, _ in rankings[qid]], truth[qid], 1)
              for qid in scored) / len(scored)
     return MappingReport(map_at_k=map_at_k, precision_at_1=p1,
                          n_queries=len(scored), skipped=skipped)

@@ -1,18 +1,22 @@
 """Shared lexer for the Java/C# grammar subset.
 
-One compiled table of named alternatives, tried in order at each offset:
+One compiled table of named alternatives per language, tried in order
+at each offset:
 blanks, `//` and `/* */` comments and `#` lines (C# preprocessor
-directives), all dropped; strings: a Java text block or C# raw string
-`\"\"\"…\"\"\"` (backslash escapes honoured), a C# verbatim `@"…"` and an
-ordinary `"…"`, each of which may follow a `$`; char literals; numbers;
-names; the two-character operators; any other character as punctuation.
-A `/*`, quote or `'` that its rule cannot close raises `ParseError` there.
+directives), all dropped; strings: a raw string, a C# verbatim `@"…"` and
+an ordinary `"…"`, each of which may follow a `$`; char literals;
+numbers; names; the two-character operators; any other character as
+punctuation.  A `/*`, quote or `'` that its rule cannot close raises
+`ParseError` there.  The two languages' tables differ only in the raw
+string: a Java text block `\"\"\"…\"\"\"` honours backslash escapes, and a
+C# raw string opens with three or more quotes after any number of `$`,
+has no escapes and closes with as many quotes.
 
 `start` and `end` are `str` offsets; `line` and `col` count from 1, and
-only `\\n` ends a line.  A `$` string's token begins after the `$` but is
-placed at it.  A name starts with `$` or a `\\w` character that is not a
-decimal digit (so `²`, `½` and `Ⅻ` start names), and a number with a
-decimal digit.
+only `\\n` ends a line.  A `$` string's token begins after its `$`s but
+is placed at the first.  A name starts with `$` or a `\\w` character that
+is not a decimal digit (so `²`, `½` and `Ⅻ` start names), and a number
+with a decimal digit.
 """
 
 import re
@@ -36,11 +40,12 @@ class Tok(NamedTuple):
     col: int
 
 
-# `"{3}`: three quotes in a row would end this string literal
-_TABLE = re.compile(r"""
+# RAW is the language's raw string; `"{3}`: three quotes in a row would
+# end the ordinary string literal
+_TEMPLATE = r"""
     (?P<skip> [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ | \#[^\n]* )
   | (?P<bad_comment> /\* )
-  | (?P<str> \$?"{3}(?:[^\\]|\\.)*?"{3}
+  | (?P<str> RAW
            | \$?@"(?:[^"]|"")*"(?!")
            | \$?"(?:[^"\\\n]|\\[^\n])*" )
   | (?P<bad_str> \$?@?" )
@@ -51,18 +56,22 @@ _TABLE = re.compile(r"""
   | (?P<name> (?:[^\W\d]|\$)[\w$]* )
   | (?P<punct> == | != | <= | >= | && | \|\| | \+\+ | -- | \+= | -= | \*=
              | /= | %= | &= | \|= | \^= | -> | => | :: | \?\? | \?\. | . )
-""", re.VERBOSE | re.DOTALL)
+"""
+_TABLES = {language: re.compile(_TEMPLATE.replace("RAW", raw),
+                                 re.VERBOSE | re.DOTALL)
+           for language, raw in (("java", r'\$?"{3}(?:[^\\]|\\.)*?"{3}'),
+                                 ("csharp", r'\$*(?P<q>"{3,}).*?(?P=q)'))}
 
 _ERRORS = {"bad_comment": "unterminated block comment",
            "bad_str": "unterminated string",
            "bad_char": "unterminated char literal"}
 
 
-def lex(source: str) -> list[Tok]:
+def lex(source: str, language: str) -> list[Tok]:
     # -1 stands for a newline before the first line
     newlines = [-1] + [m.start() for m in re.finditer("\n", source)]
     toks: list[Tok] = []
-    for m in _TABLE.finditer(source):
+    for m in _TABLES[language].finditer(source):
         kind = m.lastgroup
         if kind == "skip":
             continue
@@ -71,9 +80,6 @@ def lex(source: str) -> list[Tok]:
         col = start - newlines[line - 1]
         if kind in _ERRORS:
             raise ParseError(_ERRORS[kind], line, col)
-        text = m.group()
-        if kind == "str" and text[0] == "$":
-            text = text[1:]
-            start += 1
-        toks.append(Tok(kind, text, start, m.end(), line, col))
+        text = m.group().lstrip("$") if kind == "str" else m.group()
+        toks.append(Tok(kind, text, m.end() - len(text), m.end(), line, col))
     return toks

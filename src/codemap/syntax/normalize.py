@@ -130,15 +130,12 @@ class _Normalizer:
         for mod in node.meta["modifiers"]:
             self.tok(mod, "keyword", node)
         declared = node.meta["type"]
-        self._emit_type(declared, node)
-        base, _dims = split_dims(declared)
-        prim = canon_primitive(base)
+        resolved = self._emit_type(declared, node)
+        prim = canon_primitive(split_dims(declared)[0])
         if prim is not None:
             self.tok(f"{prim}_id", "primitive_placeholder", node)
-        else:
-            resolved = resolve_type_name(declared, self.sym)
-            if resolved != "?":
-                self.tok(resolved, "signature", node)
+        elif resolved != "?":
+            self.tok(resolved, "signature", node)
         self.sym.declare(node.meta["name"], declared)
         self._visit_children(node)
 
@@ -168,18 +165,15 @@ class _Normalizer:
 
     # helpers ----------------------------------------------------------------
 
-    def _emit_type(self, type_name: str, node: Node) -> None:
-        base, dims = split_dims(type_name)
-        if base == "void":
-            self.tok("void", "keyword", node)
-            return
-        if base in ("var", "?", ""):
-            return
-        prim = canon_primitive(base)
-        if prim is not None:
-            self.tok(prim + dims, "keyword", node)
-            return
-        self.tok(resolve_type_name(type_name, self.sym), "signature", node)
+    def _emit_type(self, type_name: str, node: Node) -> str:
+        """Emit resolve_type_name's spelling of a declared type, a keyword
+        for void and primitives, nothing for `?`; returns the spelling."""
+        text = resolve_type_name(type_name, self.sym)
+        base = split_dims(type_name)[0]
+        if text != "?":
+            self.tok(text, "keyword" if base == "void" or canon_primitive(
+                base) else "signature", node)
+        return text
 
     def _call_signature(self, node: Node) -> str:
         args = ",".join(self._arg_type(arg) for arg in node.children)

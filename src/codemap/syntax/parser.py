@@ -67,7 +67,7 @@ class Parser:
     def __init__(self, source: str, language: str):
         self.src = source
         self.lang = language
-        self.toks: list[Tok] = lex(source)
+        self.toks: list[Tok] = lex(source, language)
         self.i = 0
 
     # token cursor helpers -------------------------------------------------

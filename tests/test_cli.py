@@ -157,6 +157,29 @@ def test_bad_config_is_validation_error(tmp_path, capsys):
     assert "bogus.key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"train.lr0": "nan"}, "lr0 must be positive and finite"),
+    ({"train.lr0": "inf"}, "lr0 must be positive and finite"),
+    # finite, but training diverges
+    ({"train.lr0": "1e3", "train.epochs": "30"},
+     "non-finite values after training"),
+    ({"train.subsample": "nan"}, "subsample must be >= 0 and finite")],
+    ids=["lr0_nan", "lr0_inf", "lr0_divergent", "subsample_nan"])
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")  # NaN steps
+def test_bad_learning_setting_is_validation_error(project, tmp_path, capsys,
+                                                  settings, message):
+    text = project.read_text()
+    for key, value in settings.items():
+        text = re.sub(rf"(?m)^{re.escape(key)} = .*\n", "", text)
+        text += f"{key} = {value}\n"
+    project.write_text(text)
+    out = tmp_path / "out"
+    assert _run("run-all", "--config", str(project),
+                "--out-dir", str(out)) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == f"codemap: {message}"
+    assert not (out / "embeddings.txt").exists()
+
+
 def test_align_without_streams_says_run_normalize(project, tmp_path,
                                                   capsys):
     out = tmp_path / "out"

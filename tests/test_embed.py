@@ -11,9 +11,9 @@ from codemap import embed
 from codemap.align import AlignmentLinkSet
 from codemap.embed import (LR_FLOOR_FACTOR, EmbeddingTable, TrainConfig,
                            Vocabulary, _keep_probability, init_table,
-                           load_embeddings, occurrence_cells, save_embeddings,
-                           sgns_pair_grads, sgns_pair_loss, sgns_step,
-                           train_biskip, vocab_from_bitext)
+                           load_embeddings, save_embeddings, sgns_pair_grads,
+                           sgns_pair_loss, sgns_step, train_biskip,
+                           vocab_from_bitext)
 from conftest import make_bijective_corpus, make_toy_bitext
 
 
@@ -148,15 +148,19 @@ def test_gradient_matches_finite_differences():
 
 def _side_step(batches, table, lr):
     """One sgns_step on the cells of (center, context, negatives)
-    batches."""
+    batches, numbered by np.unique."""
     centers, rows, labels = [], [], []
     for center, context, negatives in batches:
         centers += [center] * (1 + len(negatives))
         rows += [context, *negatives]
         labels += [1.0] + [0.0] * len(negatives)
-    return sgns_step(*occurrence_cells(
-        np.array(centers, dtype=np.intp), np.array(rows, dtype=np.intp),
-        np.array(labels)), table, lr)
+    C, center_of = np.unique(np.array(centers, np.intp), return_inverse=True)
+    R, row_of = np.unique(np.array(rows, np.intp), return_inverse=True)
+    cells = center_of * len(R) + row_of
+    shape = len(C), len(R)
+    total = np.bincount(cells, minlength=len(C) * len(R)).reshape(shape)
+    pos = np.bincount(cells, np.array(labels), len(C) * len(R))
+    return sgns_step(C, R, total, pos.reshape(shape), table, lr)
 
 
 def test_side_step_is_minus_lr_times_summed_pair_grads():

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from codemap import retrieve
 from codemap.retrieve import (MappingReport, Query, average_precision,
                               diff_reference, element_side, evaluate_map,
-                              precision_at, rank_batch, read_rankings,
-                              read_reference, read_report, read_truth,
-                              run_queries, write_diff, write_rankings,
-                              write_report, write_truth)
+                              rank_batch, read_rankings, read_reference,
+                              read_report, read_truth, run_queries,
+                              write_diff, write_rankings, write_report,
+                              write_truth)
 
 
 def oracle_average_precision(ranked, relevant, k):
@@ -192,9 +192,9 @@ def test_average_precision_validation():
 
 
 def test_precision_at():
-    assert precision_at(["r", "x"], {"r"}, 1) == 1.0
-    assert precision_at(["x", "r"], {"r"}, 1) == 0.0
-    assert precision_at(["r", "x", "r"], {"r"}, 3) == pytest.approx(2 / 3)
+    # P@1 is AP@1
+    assert average_precision(["r", "x"], {"r"}, 1) == 1.0
+    assert average_precision(["x", "r"], {"r"}, 1) == 0.0
 
 
 @settings(max_examples=300, deadline=None)

@@ -236,14 +236,16 @@ LEX_ROWS = [
 
 @pytest.mark.parametrize("source, expected", LEX_ROWS)
 def test_lexer_table(source, expected):
-    if isinstance(expected, tuple):
-        with pytest.raises(ParseError) as err:
-            lex(source)
-        message = str(err.value).split(" (line")[0]
-        assert (message, err.value.line, err.value.col) == expected
-    else:
-        assert [(t.kind, t.text, t.start, t.end, t.line, t.col)
-                for t in lex(source)] == expected
+    # the two tables differ only in raw strings; rows holding one are Java's
+    for language in ("java",) if '"""' in source else ("java", "csharp"):
+        if isinstance(expected, tuple):
+            with pytest.raises(ParseError) as err:
+                lex(source, language)
+            message = str(err.value).split(" (line")[0]
+            assert (message, err.value.line, err.value.col) == expected
+        else:
+            assert [(t.kind, t.text, t.start, t.end, t.line, t.col)
+                    for t in lex(source, language)] == expected
 
 
 @pytest.mark.parametrize("language", ["java", "csharp"])
@@ -252,7 +254,23 @@ def test_text_block_is_one_string_literal(language):
     block = 'class A { String s = """\n    hello\n    """; }'
     assert ([t.text for t in normalize(parse(block, language)).tokens]
             == [t.text for t in normalize(parse(plain, language)).tokens])
-    assert [t.line for t in lex(block) if t.text == ";"] == [3]
+    assert [t.line for t in lex(block, language) if t.text == ";"] == [3]
+
+
+@pytest.mark.parametrize("literal", [
+    '"""C:\\temp\\"""',     # no escapes: the backslash ends nothing
+    '""""a"""b""""',       # four quotes close only at four
+    '$$"""{{x}}"""'],      # interpolation markers of any count
+    ids=["backslash_before_close", "four_quotes", "double_dollar"])
+def test_csharp_raw_string_is_one_literal(literal):
+    source = f"s = {literal};"
+    assert [(t.kind, t.text, t.start, t.col) for t in lex(source, "csharp")
+            if t.kind == "str"] == [("str", literal.lstrip("$"),
+                                     4 + literal.count("$"), 5)]
+    streams = [[t.text for t in normalize(parse(
+        f"class A {{ string p = {text}; }}", "csharp")).tokens]
+        for text in (literal, '"x"')]
+    assert streams[0] == streams[1]
 
 
 def test_dollar_at_string_is_one_literal():
