@@ -4,10 +4,11 @@ Rule: in each file pair, the `method` rows of `elements/a` and
 `elements/b` are matched by their case-folded label, the qualified
 signature (`demo.io.Buffer.clamp(int)` <-> `Demo.IO.Buffer.Clamp(int)`).
 A label is kept only if it is unique on both sides of its pair.  Ids
-follow `codemap compose`: `<side>:<path>:method:<ordinal>`, the ordinal
-counting a file's method rows in order.  The header says how many Java
-methods were left out.  The pairs and elements come from the `pair` and
-`normalize` stages, run on the demo config in a temporary directory.
+are `codemap compose`'s, from `syntax.element_ids`:
+`<side>:<path>:method:<ordinal>`, the ordinal counting a file's method
+rows in order.  The header says how many Java methods were left out.
+The pairs and elements come from the `pair` and `normalize` stages, run
+on the demo config in a temporary directory.
 
     PYTHONPATH=src python3 scripts/method_truth.py [--out PATH]
 """
@@ -21,19 +22,20 @@ from collections import Counter
 from pathlib import Path
 
 from codemap import artifacts, cli, corpus
-from codemap.syntax import read_elements
+from codemap.syntax import element_ids, read_elements
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "fixtures" / "demo"
 
 
-def methods(path):
-    """(ordinal, case-folded label) of each method row of an elements
-    file, in file order."""
-    labels = [element.label for element in read_elements(path)
-              if element.granularity == "method"]
-    return [(ordinal, label.casefold()) for ordinal, label in
-            enumerate(labels)]
+def methods(out_dir, side, relpath):
+    """(id, case-folded label) of each method row of a file's elements,
+    in file order."""
+    elements = read_elements(cli._elements_path(out_dir, side, relpath))
+    return [(element_id, element.label.casefold())
+            for element_id, element in zip(
+                element_ids(side, relpath, elements), elements)
+            if element.granularity == "method"]
 
 
 def match(out_dir):
@@ -42,15 +44,14 @@ def match(out_dir):
     pairs = corpus.read_pair_manifest(out_dir / "pairs.tsv")
     matched, java_methods = [], 0
     for pair in pairs:
-        sides = [methods(cli._elements_path(out_dir, side, path))
+        sides = [methods(out_dir, side, path)
                  for side, path in (("a", pair.path_a), ("b", pair.path_b))]
         java_methods += len(sides[0])
         counts = [Counter(label for _, label in side) for side in sides]
-        b_of = {label: ordinal for ordinal, label in sides[1]}
-        for ordinal, label in sides[0]:
+        b_of = {label: element_id for element_id, label in sides[1]}
+        for element_id, label in sides[0]:
             if counts[0][label] == 1 and counts[1][label] == 1:
-                matched.append((f"a:{pair.path_a}:method:{ordinal}",
-                                f"b:{pair.path_b}:method:{b_of[label]}"))
+                matched.append((element_id, b_of[label]))
     return matched, java_methods - len(matched)
 
 

@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 from codemap import cli, hier, retrieve  # noqa: E402
+from codemap.syntax import id_granularity  # noqa: E402
 from perfbench.checks import check_demo  # noqa: E402
 
 DEMO = ROOT / "fixtures" / "demo"
@@ -38,7 +39,7 @@ def method_quality(out_dir, truth):
     ids, matrix, _, _ = hier.read_element_embeddings(
         out_dir / "element_vecs.txt")
     rows = [row for row, element_id in enumerate(ids)
-            if element_id.rsplit(":", 2)[1] == "method"]
+            if id_granularity(element_id) == "method"]
     queries = [row for row in rows if ids[row].startswith("a:")
                and np.any(matrix[row] != 0)]
     candidates = [row for row in rows if ids[row].startswith("b:")]

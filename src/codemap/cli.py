@@ -18,9 +18,9 @@ import numpy as np
 
 from . import __version__, align, corpus, embed, hier, retrieve
 from .config import config_hash, parse_config, provenance
-from .syntax import (ParseError, build_symbols, extract_elements, normalize,
-                     parse, read_elements, read_stream, write_elements,
-                     write_stream)
+from .syntax import (ParseError, build_symbols, element_ids, extract_elements,
+                     id_granularity, normalize, parse, read_elements,
+                     read_stream, write_elements, write_stream)
 
 
 class MissingArtifact(Exception):
@@ -159,7 +159,7 @@ def _load_elements(out_dir, vocab):
     their tokens flat, -1 where out of vocabulary, element offsets)."""
     pairs = corpus.read_pair_manifest(_require(out_dir / "pairs.tsv",
                                                "pair"))
-    element_ids, token_ids, offsets = [], [], [0]
+    ids, token_ids, offsets = [], [], [0]
     for pair in pairs:
         for side in ("a", "b"):
             relpath = pair.path_a if side == "a" else pair.path_b
@@ -170,20 +170,17 @@ def _load_elements(out_dir, vocab):
             _, _, tokens = read_stream(stream_file)
             stream_ids = [vocab.ids.get(f"{side}:{token}", -1)
                           for token in tokens]
-            ordinals = {"expression": 0, "statement": 0, "method": 0}
-            for element in read_elements(element_file):
-                ordinal = ordinals[element.granularity]
-                ordinals[element.granularity] += 1
+            elements = read_elements(element_file)
+            for element in elements:
                 span = element.token_indices
                 if span.start < 0 or span.stop > len(stream_ids):
                     raise ValueError(f"{element_file}: tokens {span[0]}-"
                                      f"{span[-1]} are outside the "
                                      f"{len(stream_ids)}-token stream")
-                element_ids.append(f"{side}:{relpath}:"
-                                   f"{element.granularity}:{ordinal}")
                 token_ids.extend(stream_ids[span.start:span.stop])
                 offsets.append(len(token_ids))
-    return element_ids, np.array(token_ids, dtype=np.intp), offsets
+            ids.extend(element_ids(side, relpath, elements))
+    return ids, np.array(token_ids, dtype=np.intp), offsets
 
 
 def stage_compose(cfg, out_dir, prov):
@@ -217,7 +214,7 @@ def stage_map(cfg, out_dir, prov):
         all_ids, matrix, _, _ = hier.read_element_embeddings(
             _require(out_dir / "element_vecs.txt", "compose"))
         keep = [row for row, element_id in enumerate(all_ids)
-                if element_id.rsplit(":", 2)[1] == cfg.granularity]
+                if id_granularity(element_id) == cfg.granularity]
         ids = [all_ids[row] for row in keep]
         matrix = matrix[keep]
     on_query_side = np.array([retrieve.element_side(i) == cfg.side[0]

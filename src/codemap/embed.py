@@ -16,28 +16,29 @@ of centers, so the gain over per-center steps depends on side length.
 An epoch makes its random draws in three phases: with subsampling, one
 keep draw per in-vocabulary occurrence, side a's then side b's, and one
 window layout over what is kept (without subsampling the layout is built
-once); every kept center's reach, in one draw; and K uniforms per
-context, in context order.  It then plans a block of consecutive pairs
-at a time and steps along it: the plan gathers the block's contexts and
-negatives at once and counts each step's occurrences into (center, row)
+once; one stable sort on the center orders its rows); every kept
+center's reach, in one draw; and K uniforms per context, in context
+order.  It then plans a block of pairs, up to PLAN_ROWS window rows, at
+a time and steps along it: the plan gathers the block's contexts, draws
+their uniforms and counts each step's occurrences into (center, row)
 cells, and the step loop runs only the dense kernel.  Contexts and
 negatives never read the table, so planning first changes nothing but
-the time (the batching of Ji et al. 2016, arXiv 1604.04661); uniforms
-are drawn per block, and float draws concatenate, so where a block ends
-changes no draw.  The plan does not sort: a negative's id is read from
-a table of equal buckets of [0, 1), at least 16 per noise CDF entry,
-with `searchsorted` only in the buckets that hold an entry
-(`_NoiseLookup`), and the cells are numbered by masks over vocabulary
-ids (`_numbered`), which are all below the vocabulary size.  The step
-updates the rows it gathered, in place.  `sgns_pair_loss`/
-`sgns_pair_grads`, checked against finite differences, are one-center
-steps of the same kernel on a copy of the table.  Training with a fixed
-seed is bit-reproducible.
+the time (the batching of Ji et al. 2016, arXiv 1604.04661); float draws
+concatenate, so where a block ends changes no draw.  The plan does not
+sort: a negative's id is read from a table of equal buckets of [0, 1),
+at least 16 per noise CDF entry, with `searchsorted` only in the buckets
+that hold an entry (`_NoiseLookup`), and the cells are numbered by masks
+over vocabulary ids (`_numbered`), which are all below the vocabulary
+size.  The step updates the rows it gathered, in place.
+`sgns_pair_loss`/`sgns_pair_grads`, checked against finite differences,
+are one-center steps of the same kernel on a copy of the table.
+Training with a fixed seed is bit-reproducible.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,10 +55,10 @@ NOISE_POWER = 0.75
 # gradients into one update, so a step over a few hundred code tokens
 # diverges; a side of up to 32 tokens (the demo's chunks) is one step.
 SIDE_BATCH = 32
-# Most contexts planned at once: a block of pairs ends at the first pair
-# that reaches it.  A whole-epoch plan is faster but holds every draw and
-# cell of the epoch in memory.
-PLAN_CONTEXTS = 1024
+# Most window rows (about 5 contexts each) planned at once: a block of
+# pairs ends at the first pair that reaches it.  A whole-epoch plan is
+# faster but holds every draw and cell of the epoch in memory.
+PLAN_ROWS = 256
 # Fewest equal buckets of [0, 1) in the noise lookup; a power of two, so
 # a uniform's bucket is exact.
 NOISE_BUCKETS = 2 ** 12
@@ -328,66 +329,54 @@ class _Layout(NamedTuple):
 def _layout(kept, links) -> _Layout:
     """The layout of all pairs from, per side, their kept tokens'
     (positions, vocabulary ids, pair offsets) and their links' (own,
-    other) positions, sorted by (own, other)."""
+    other) positions, sorted by (own, other): own rows, then link rows,
+    ordered by one stable sort on their center."""
     (_, ids_a, offsets_a), (_, ids_b, offsets_b) = kept
     pairs = len(offsets_a) - 1
-    found = []
-    for (own_pos, _, own_offsets), (own, other) in zip(kept, links):
-        pair = np.repeat(np.arange(pairs), np.diff(own_offsets))
-        # the links whose own position is kept, and that center
-        slot = np.searchsorted(own_pos, own)
-        used = slot < len(own_pos)
-        used[used] = own_pos[slot[used]] == own[used]
-        linked = slot[used]
-        found.append((pair, linked, other[used], pair[linked]))
-    counts = np.column_stack((np.diff(offsets_a), np.diff(offsets_b)))
-    offsets = np.zeros(counts.size + 1, np.intp)
-    np.cumsum(counts + np.column_stack([
-        np.bincount(link_pair, minlength=pairs)
-        for _, _, _, link_pair in found]), out=offsets[1:])
-    center_offsets = np.zeros(counts.size + 1, np.intp)
-    np.cumsum(counts.ravel(), out=center_offsets[1:])
-    size = offsets[-1]
-    # int32 halves what a layout kept across epochs holds
-    center = np.empty(size, np.int32)
-    anchors = np.empty((size, 2), np.int32)
-    caps = np.empty((size, 2), np.int32)
+    center_offsets = np.zeros(2 * pairs + 1, np.intp)
+    np.cumsum(np.column_stack((np.diff(offsets_a), np.diff(offsets_b))),
+              out=center_offsets[1:])
     ids = np.empty(len(ids_a) + len(ids_b), np.int32)
     # side a's kept token k of pair p is ids[k + shifts[0][p]], side b's
     # ids[k + shifts[1][p]]
     shifts = offsets_b[:-1], offsets_a[1:]
-    for side, ((_, own_ids, own_offsets), (other_pos, _, other_offsets), (
-            pair, linked, other, link_pair)) in enumerate(
-                zip(kept, kept[::-1], found)):
+    own_rows, link_rows = [], []
+    for side, ((own_pos, own_ids, own_offsets), (other_pos, _, other_offsets),
+               (own, other)) in enumerate(zip(kept, kept[::-1], links)):
         centers = np.arange(len(own_ids))
+        pair = np.repeat(np.arange(pairs), np.diff(own_offsets))
         at = centers + shifts[side][pair]
         ids[at] = own_ids
         index = centers - own_offsets[pair]
-        # an entry holds each center's own row and then its links' rows,
-        # so a row follows the entry's earlier centers and their links
-        start = offsets[side:-1:2] - np.searchsorted(linked, own_offsets[:-1])
-        own_at = start[pair] + index + np.searchsorted(linked, centers)
-        link_at = start[link_pair] + index[linked] + 1 + np.arange(
-            len(linked))
+        own_rows.append((at, np.column_stack((at, at + 1)), np.column_stack(
+            (index, own_offsets[pair + 1] - 1 - centers))))
+        # the links whose own position is kept, and that center
+        slot = np.searchsorted(own_pos, own)
+        used = slot < len(own_pos)
+        used[used] = own_pos[slot[used]] == own[used]
+        linked, other = slot[used], other[used]
+        link_pair = pair[linked]
         before = np.searchsorted(other_pos, other)
         after = np.searchsorted(other_pos, other, "right")
-        center[own_at], center[link_at] = at, at[linked]
-        anchors[own_at] = np.column_stack((at, at + 1))
-        anchors[link_at] = (np.column_stack((before, after))
-                            + shifts[1 - side][link_pair, None])
-        caps[own_at] = np.column_stack(
-            (index, own_offsets[pair + 1] - 1 - centers))
-        caps[link_at] = np.column_stack(
-            (before - other_offsets[link_pair],
-             other_offsets[link_pair + 1] - after))
-    return _Layout(ids, offsets.tolist(), center_offsets, center, anchors,
-                   caps)
+        ends = other_offsets[link_pair], other_offsets[link_pair + 1]
+        shift = shifts[1 - side][link_pair]
+        link_rows.append((at[linked],
+                          np.column_stack((before + shift, after + shift)),
+                          np.column_stack((before - ends[0], ends[1] - after))))
+    center, anchors, caps = (np.concatenate(column)
+                             for column in zip(*own_rows, *link_rows))
+    order = np.argsort(center, kind="stable")
+    # int32 halves what a layout kept across epochs holds
+    center, anchors, caps = (column[order].astype(np.int32)
+                             for column in (center, anchors, caps))
+    return _Layout(ids, np.searchsorted(center, center_offsets).tolist(),
+                   center_offsets, center, anchors, caps)
 
 
 class _Trainer:
     """Makes an epoch's random draws in the three phases of the module
-    docstring, then plans a block of consecutive pairs at a time and
-    steps along it, with sgns_step once per step."""
+    docstring, then plans a block of up to PLAN_ROWS window rows at a
+    time and steps along it, with sgns_step once per step."""
 
     def __init__(self, bitext: Bitext, links, vocab: Vocabulary,
                  cfg: TrainConfig, table: EmbeddingTable):
@@ -425,26 +414,28 @@ class _Trainer:
             kept.append((positions[keep], ids[keep], before[offsets]))
         return _layout(kept, self.links)
 
-    def _plan(self, layout: _Layout, first: int, last: int, lengths,
-              uniforms):
+    def _plan(self, layout: _Layout, first: int, last: int, lengths, rng):
         """Cells of the steps of pairs first..last-1, one per SIDE_BATCH
         consecutive centers of a pair side that have contexts, and each
-        step's pair, from the layout's window lengths (rows x 2) and the
-        block's K uniforms per context.  The negatives come from the
-        bucket lookup and the cells from `_cells`: nothing is sorted,
-        and only draws in the lookup's loose buckets are searched."""
+        step's pair, from the layout's window lengths (rows x 2); None if
+        the block has no context.  It draws K uniforms per context, in
+        context order.  The negatives come from the bucket lookup and the
+        cells from `_cells`: nothing is sorted, and only draws in the
+        lookup's loose buckets are searched."""
         offsets = layout.offsets[2 * first:2 * last + 1]
         span = slice(offsets[0], offsets[-1])
         entry = np.repeat(np.arange(2 * first, 2 * last), np.diff(offsets))
         lengths = lengths[span]
+        width = lengths.sum(1)
+        live = np.flatnonzero(width)
+        if not len(live):
+            return None
         # one ragged gather: per row its left window, then its right one
         starts = layout.anchors[span] - lengths * (1, 0)
         segment = lengths.ravel()
         ends = np.cumsum(segment)
         contexts = layout.ids[np.repeat(starts.ravel() - ends + segment,
                                         segment) + np.arange(ends[-1])]
-        width = lengths.sum(1)
-        live = np.flatnonzero(width)
         entry, center = entry[live], layout.center[span][live]
         key = entry << 32 | (center - layout.center_offsets[entry]) \
             // SIDE_BATCH
@@ -455,7 +446,8 @@ class _Trainer:
         # per context its row, then its negatives'.  A negative equal to
         # its own context counts 0: it is dropped, and its row is in the
         # step's rows anyway
-        rows = np.column_stack((contexts, self.noise(uniforms)))
+        rows = np.column_stack((contexts, self.noise(
+            rng.random((len(contexts), self.cfg.negatives)))))
         counts = rows != rows[:, :1]
         counts[:, 0] = True
         labels = np.zeros(rows.shape)
@@ -464,54 +456,41 @@ class _Trainer:
                        layout.ids[center], center_of, rows, labels, counts)
         return cells, entry[new] >> 1
 
+    # a divergent step overflows; train_biskip's loss check is its report
+    @np.errstate(over="ignore", invalid="ignore")
     def train_epoch(self, rng: np.random.Generator, lrs: list[float]):
         """One pass over the pairs at their learning rates; returns the
         loss summed per pair, then over pairs, and the context count.
-        Blocks end at the first pair that brings them to PLAN_CONTEXTS
-        contexts."""
+        Blocks end at the first pair that brings them to PLAN_ROWS window
+        rows; sgns_step runs once per planned step, on flat slices of the
+        plan's cells."""
         layout = self._epoch_layout(rng)
+        # int32 keeps the epoch's arrays at 4 bytes per center and 8 per row
         reaches = rng.integers(1, self.cfg.window + 1, size=len(layout.ids),
                                dtype=np.int32)
         lengths = np.minimum(reaches[layout.center, None], layout.caps)
-        # the contexts before each pair, summed over the pairs with rows
-        # (reduceat takes each to the next one's first row); int32 keeps
-        # the epoch's arrays at 4 bytes per center and 8 per row
-        rows = np.array(layout.offsets[::2])
-        some = np.flatnonzero(rows[:-1] < rows[1:])
-        before = np.zeros(self.pairs + 1, np.int64)
-        if len(some):
-            before[some + 1] = np.add.reduceat(lengths, rows[some]).sum(1)
-        np.cumsum(before, out=before)
-        loss, first = 0.0, 0
-        while before[first] < before[-1]:
-            last = min(int(np.searchsorted(before, before[first]
-                                           + PLAN_CONTEXTS)), self.pairs)
-            uniforms = rng.random((int(before[last] - before[first]),
-                                   self.cfg.negatives))
-            for pair_loss in self._steps(*self._plan(
-                    layout, first, last, lengths, uniforms), lrs):
-                loss += pair_loss
+        rows = layout.offsets[::2]
+        loss = pair_loss = 0.0
+        first, last_pair = 0, None
+        while first < self.pairs:
+            last = min(bisect_left(rows, rows[first] + PLAN_ROWS), self.pairs)
+            plan = self._plan(layout, first, last, lengths, rng)
             first = last
-        return loss, int(before[-1])
-
-    def _steps(self, cells, step_pairs, lrs):
-        """sgns_step along a plan's steps; returns each pair's summed loss."""
-        C, c_offsets, R, r_offsets, total, pos, offsets = cells
-        c_offsets, r_offsets = c_offsets.tolist(), r_offsets.tolist()
-        offsets = offsets.tolist()
-        losses, last = [], None
-        for s, pair in enumerate(step_pairs.tolist()):
-            c_span = slice(c_offsets[s], c_offsets[s + 1])
-            r_span = slice(r_offsets[s], r_offsets[s + 1])
-            span = slice(offsets[s], offsets[s + 1])
-            shape = c_span.stop - c_span.start, r_span.stop - r_span.start
-            if pair != last:
-                losses.append(0.0)
-                last = pair
-            losses[-1] += sgns_step(
-                C[c_span], R[r_span], total[span].reshape(shape),
-                pos[span].reshape(shape), self.table, lrs[pair])
-        return losses
+            if plan is None:
+                continue
+            (C, c_at, R, r_at, total, pos, at), step_pairs = plan
+            # per step, where its centers, rows and cells start
+            bounds = np.column_stack((c_at, r_at, at)).tolist()
+            for pair, (c0, r0, t0), (c1, r1, t1) in zip(
+                    step_pairs.tolist(), bounds, bounds[1:]):
+                if pair != last_pair:
+                    loss += pair_loss
+                    pair_loss, last_pair = 0.0, pair
+                shape = c1 - c0, r1 - r0
+                pair_loss += sgns_step(
+                    C[c0:c1], R[r0:r1], total[t0:t1].reshape(shape),
+                    pos[t0:t1].reshape(shape), self.table, lrs[pair])
+        return loss + pair_loss, int(lengths.sum())
 
 
 def train_biskip(bitext, links, cfg: TrainConfig,
@@ -530,7 +509,8 @@ def train_biskip(bitext, links, cfg: TrainConfig,
     in-vocabulary occurrence, side a's then side b's; every kept center's
     reach; and the negatives, context by context.  Each epoch appends to
     `losses`, if given, its mean loss per context (the context's term and
-    its negatives', read before each step).  A fixed seed gives
+    its negatives', read before each step); the first epoch whose loss
+    is not finite raises FloatingPointError.  A fixed seed gives
     bit-identical tables.  Links must fit the chunks (`Bitext.links`).
     """
     bitext = Bitext.of(bitext)
@@ -556,6 +536,8 @@ def train_biskip(bitext, links, cfg: TrainConfig,
         loss, n_contexts = trainer.train_epoch(rng, lrs)
         if losses is not None:
             losses.append(loss / max(n_contexts, 1))
+        if not np.isfinite(loss):
+            raise FloatingPointError("non-finite values after training")
     if not (np.isfinite(table.input_vecs).all()
             and np.isfinite(table.output_vecs).all()):
         raise FloatingPointError("non-finite values after training")

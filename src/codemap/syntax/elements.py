@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .. import artifacts
 from .normalize import EnrichedTokenStream
@@ -11,6 +12,19 @@ from .tree import SyntaxTree
 STATEMENT_KINDS = {"decl_stmt", "expr_stmt", "if_stmt", "loop", "return_stmt"}
 
 GRANULARITIES = ("expression", "statement", "method")
+
+
+def element_ids(side: str, relpath: str, elements) -> list[str]:
+    """`<side>:<relpath>:<granularity>:<ordinal>` per element of a file,
+    in order, the ordinal counting the file's elements of its kind."""
+    ordinals = {granularity: count() for granularity in GRANULARITIES}
+    return [f"{side}:{relpath}:{element.granularity}:"
+            f"{next(ordinals[element.granularity])}" for element in elements]
+
+
+def id_granularity(element_id: str) -> str:
+    """The granularity an element id names."""
+    return element_id.rsplit(":", 2)[1]
 
 
 @dataclass(frozen=True)

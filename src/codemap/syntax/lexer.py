@@ -16,7 +16,9 @@ has no escapes and closes with as many quotes.
 only `\\n` ends a line.  A `$` string's token begins after its `$`s but
 is placed at the first.  A name starts with `$` or a `\\w` character that
 is not a decimal digit (so `²`, `½` and `Ⅻ` start names), and a number
-with a decimal digit.
+with a decimal digit.  A C# name may also start with `@` (a verbatim
+identifier, `@class`) and keeps it, so it matches no keyword; Java keeps
+`@` as punctuation, by which the parser skips annotations.
 """
 
 import re
@@ -40,8 +42,8 @@ class Tok(NamedTuple):
     col: int
 
 
-# RAW is the language's raw string; `"{3}`: three quotes in a row would
-# end the ordinary string literal
+# RAW is the language's raw string and VERBATIM its name prefix; `"{3}`:
+# three quotes in a row would end the ordinary string literal
 _TEMPLATE = r"""
     (?P<skip> [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ | \#[^\n]* )
   | (?P<bad_comment> /\* )
@@ -53,14 +55,16 @@ _TEMPLATE = r"""
   | (?P<bad_char> ' )
   | (?P<num> (?: 0[xX][0-9a-fA-F_]* | \d[\d_]*(?:\.\d+)?(?:[eE][+-]?\d+)? )
              [lLfFdDuUmM]* )
-  | (?P<name> (?:[^\W\d]|\$)[\w$]* )
+  | (?P<name> (?:VERBATIM[^\W\d]|\$)[\w$]* )
   | (?P<punct> == | != | <= | >= | && | \|\| | \+\+ | -- | \+= | -= | \*=
              | /= | %= | &= | \|= | \^= | -> | => | :: | \?\? | \?\. | . )
 """
-_TABLES = {language: re.compile(_TEMPLATE.replace("RAW", raw),
-                                 re.VERBOSE | re.DOTALL)
-           for language, raw in (("java", r'\$?"{3}(?:[^\\]|\\.)*?"{3}'),
-                                 ("csharp", r'\$*(?P<q>"{3,}).*?(?P=q)'))}
+_TABLES = {language: re.compile(_TEMPLATE.replace("RAW", raw)
+                                .replace("VERBATIM", verbatim),
+                                re.VERBOSE | re.DOTALL)
+           for language, raw, verbatim in (
+               ("java", r'\$?"{3}(?:[^\\]|\\.)*?"{3}', ""),
+               ("csharp", r'\$*(?P<q>"{3,}).*?(?P=q)', "@?"))}
 
 _ERRORS = {"bad_comment": "unterminated block comment",
            "bad_str": "unterminated string",

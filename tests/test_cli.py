@@ -1,7 +1,10 @@
 """End-to-end CLI tests on a two-file mini project."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -10,6 +13,8 @@ import pytest
 from codemap import align, hier, retrieve
 from codemap.cli import main
 from codemap.syntax import read_stream
+
+ROOT = Path(__file__).resolve().parent.parent
 
 JAVA_COUNTER = """\
 package mini;
@@ -177,6 +182,26 @@ def test_bad_learning_setting_is_validation_error(project, tmp_path, capsys,
     assert _run("run-all", "--config", str(project),
                 "--out-dir", str(out)) == 3
     assert capsys.readouterr().err.splitlines()[-1] == f"codemap: {message}"
+    assert not (out / "embeddings.txt").exists()
+
+
+def test_divergent_training_prints_one_line(project, tmp_path):
+    # numpy's overflow warnings used to print before the message, after
+    # every remaining epoch ran on NaN tables
+    text = re.sub(r"(?m)^train\.(lr0|epochs) = .*\n", "",
+                  project.read_text())
+    project.write_text(text + "train.lr0 = 1e3\ntrain.epochs = 30\n")
+    out = tmp_path / "out"
+    for stage in ("pair", "normalize", "align"):
+        assert _run(stage, "--config", str(project),
+                    "--out-dir", str(out)) == 0
+    done = subprocess.run(
+        [sys.executable, "-m", "codemap", "train", "--config", str(project),
+         "--out-dir", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True)
+    assert done.returncode == 3
+    assert done.stderr == "codemap: non-finite values after training\n"
     assert not (out / "embeddings.txt").exists()
 
 

@@ -504,6 +504,20 @@ def test_long_sides_train_stably():
     assert np.linalg.norm(table.input_vecs, axis=1).max() < 10.0
 
 
+def test_divergent_training_stops_at_the_first_non_finite_loss():
+    bitext, _, links = make_bijective_corpus(n_pairs=40)
+    cfg = TrainConfig(dim=8, epochs=30, lr0=1e3, subsample=0.0, seed=3)
+    losses = []
+    # the check is the one report: numpy warns of no overflow
+    with warnings.catch_warnings(), pytest.raises(
+            FloatingPointError, match="non-finite values after training"):
+        warnings.simplefilter("error")
+        train_biskip(bitext, links, cfg, losses=losses)
+    assert 0 < len(losses) < cfg.epochs
+    assert not np.isfinite(losses[-1])
+    assert np.isfinite(losses[:-1]).all()
+
+
 @pytest.mark.parametrize("subsample,side_batch",
                          [(0.0, 32), (0.05, 32), (3e-3, 32), (0.0, 2)])
 def test_plan_bound_changes_nothing(subsample, side_batch, monkeypatch):
@@ -513,8 +527,8 @@ def test_plan_bound_changes_nothing(subsample, side_batch, monkeypatch):
     bitext, _, links = make_bijective_corpus(n_pairs=120)
     cfg = TrainConfig(dim=8, epochs=3, subsample=subsample, seed=4)
     runs = []
-    for bound in (embed.PLAN_CONTEXTS, 1, 10 ** 9):
-        monkeypatch.setattr(embed, "PLAN_CONTEXTS", bound)
+    for bound in (embed.PLAN_ROWS, 1, 10 ** 9):
+        monkeypatch.setattr(embed, "PLAN_ROWS", bound)
         losses = []
         table = train_biskip(bitext, links, cfg, losses=losses)
         runs.append((table, losses))
@@ -523,6 +537,105 @@ def test_plan_bound_changes_nothing(subsample, side_batch, monkeypatch):
         assert np.array_equal(table.input_vecs, default.input_vecs)
         assert np.array_equal(table.output_vecs, default.output_vecs)
         assert np.array_equal(losses, default_losses)
+
+
+def _oracle_layout(kept, links):
+    """The layout placed row by row by offset arithmetic: an entry holds
+    each center's own row and then its links' rows, so a row's slot
+    follows the entry's earlier centers and their links."""
+    (_, ids_a, offsets_a), (_, ids_b, offsets_b) = kept
+    pairs = len(offsets_a) - 1
+    found = []
+    for (own_pos, _, own_offsets), (own, other) in zip(kept, links):
+        pair = np.repeat(np.arange(pairs), np.diff(own_offsets))
+        slot = np.searchsorted(own_pos, own)
+        used = slot < len(own_pos)
+        used[used] = own_pos[slot[used]] == own[used]
+        linked = slot[used]
+        found.append((pair, linked, other[used], pair[linked]))
+    counts = np.column_stack((np.diff(offsets_a), np.diff(offsets_b)))
+    offsets = np.zeros(counts.size + 1, np.intp)
+    np.cumsum(counts + np.column_stack([
+        np.bincount(link_pair, minlength=pairs)
+        for _, _, _, link_pair in found]), out=offsets[1:])
+    center_offsets = np.zeros(counts.size + 1, np.intp)
+    np.cumsum(counts.ravel(), out=center_offsets[1:])
+    size = offsets[-1]
+    center = np.empty(size, np.int32)
+    anchors = np.empty((size, 2), np.int32)
+    caps = np.empty((size, 2), np.int32)
+    ids = np.empty(len(ids_a) + len(ids_b), np.int32)
+    shifts = offsets_b[:-1], offsets_a[1:]
+    for side, ((_, own_ids, own_offsets), (other_pos, _, other_offsets), (
+            pair, linked, other, link_pair)) in enumerate(
+                zip(kept, kept[::-1], found)):
+        centers = np.arange(len(own_ids))
+        at = centers + shifts[side][pair]
+        ids[at] = own_ids
+        index = centers - own_offsets[pair]
+        start = offsets[side:-1:2] - np.searchsorted(linked, own_offsets[:-1])
+        own_at = start[pair] + index + np.searchsorted(linked, centers)
+        link_at = start[link_pair] + index[linked] + 1 + np.arange(
+            len(linked))
+        before = np.searchsorted(other_pos, other)
+        after = np.searchsorted(other_pos, other, "right")
+        center[own_at], center[link_at] = at, at[linked]
+        anchors[own_at] = np.column_stack((at, at + 1))
+        anchors[link_at] = (np.column_stack((before, after))
+                            + shifts[1 - side][link_pair, None])
+        caps[own_at] = np.column_stack(
+            (index, own_offsets[pair + 1] - 1 - centers))
+        caps[link_at] = np.column_stack(
+            (before - other_offsets[link_pair],
+             other_offsets[link_pair + 1] - after))
+    return embed._Layout(ids, offsets.tolist(), center_offsets, center,
+                         anchors, caps)
+
+
+def _random_links(rng, bitext):
+    """Many-to-many random links; about one pair in five has no link set."""
+    links = []
+    for tokens_a, tokens_b, pair_id in bitext:
+        if rng.random() < 0.8:
+            n = int(rng.integers(0, len(tokens_a) + len(tokens_b)))
+            links.append(AlignmentLinkSet(pair_id, frozenset(
+                (int(rng.integers(len(tokens_a))),
+                 int(rng.integers(len(tokens_b)))) for _ in range(n))))
+    return links
+
+
+@pytest.mark.parametrize("subsample", [0.0, 0.05, 0.3])
+def test_sorted_layout_equals_the_placed_one(subsample, monkeypatch):
+    built = []
+
+    def checked_layout(kept, links):
+        got, expected = layout(kept, links), _oracle_layout(kept, links)
+        assert got.offsets == expected.offsets
+        for field in ("ids", "center_offsets", "center", "anchors", "caps"):
+            got_field, expected_field = (getattr(got, field),
+                                         getattr(expected, field))
+            assert got_field.dtype == expected_field.dtype, field
+            assert np.array_equal(got_field, expected_field), field
+        built.append(len(got.center))
+        return got
+    layout = embed._layout
+    monkeypatch.setattr(embed, "_layout", checked_layout)
+
+    rng = np.random.default_rng(int(subsample * 100) + 11)
+    cfg = TrainConfig(dim=4, window=3, negatives=2, epochs=2,
+                      subsample=subsample, seed=6)
+    corpora = [make_toy_bitext(rng, max_vocab=8, max_pairs=12)
+               for _ in range(20)]
+    bijective, _, bijective_links = make_bijective_corpus(n_pairs=60)
+    for bitext in corpora:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            train_biskip(bitext, _random_links(rng, bitext), cfg)
+    train_biskip(bijective, bijective_links, cfg)
+    train_biskip(bijective, _random_links(rng, bijective), cfg)
+    # once per training without subsampling, once per epoch with it
+    assert len(built) == (len(corpora) + 2) * (1 if subsample == 0 else 2)
+    assert sum(built) > 0
 
 
 def _assert_trainer_equals_oracle(subsample, min_count, monkeypatch):
@@ -539,13 +652,7 @@ def _assert_trainer_equals_oracle(subsample, min_count, monkeypatch):
                       subsample=subsample, min_count=min_count, seed=5)
     for _ in range(15):
         bitext = make_toy_bitext(rng, max_vocab=8, max_pairs=12)
-        links = []
-        for tokens_a, tokens_b, pair_id in bitext:
-            if rng.random() < 0.8:  # some pairs have no link set
-                n = int(rng.integers(0, len(tokens_a) + len(tokens_b)))
-                links.append(AlignmentLinkSet(pair_id, frozenset(
-                    (int(rng.integers(len(tokens_a))),
-                     int(rng.integers(len(tokens_b)))) for _ in range(n))))
+        links = _random_links(rng, bitext)
         try:
             vocab = vocab_from_bitext(bitext, min_count)
         except ValueError:  # nothing survives min_count

@@ -1,5 +1,6 @@
 """The scripts in scripts/ and what they write."""
 
+import hashlib
 import os
 import runpy
 import subprocess
@@ -16,6 +17,18 @@ def test_method_truth_is_what_its_script_writes(tmp_path):
     assert script["main"](["--out", str(out)]) == 0
     assert out.read_bytes() == (
         ROOT / "fixtures" / "demo" / "method_truth.tsv").read_bytes()
+
+
+def test_digest_lists_every_demo_file_once(tmp_path):
+    script = runpy.run_path(str(ROOT / "scripts" / "digest.py"))
+    script["build_demo"](tmp_path, 7)
+    files = sorted(path.relative_to(tmp_path).as_posix()
+                   for path in tmp_path.rglob("*") if path.is_file())
+    lines = script["digests"](tmp_path)
+    assert sorted(line.split("  ", 1)[1] for line in lines) == files
+    assert "demo-7/embeddings.txt" in files
+    sha, path = lines[0].split("  ", 1)
+    assert sha == hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
 
 
 def test_panel_row_on_the_demo():

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from codemap.syntax import (LITERAL_KINDS, STRUCT_KEYWORDS,
                             EnrichedTokenStream, ParseError, SymbolTable,
-                            extract_elements, normalize, parse,
-                            read_elements, read_stream, write_elements,
-                            write_stream)
+                            element_ids, extract_elements, id_granularity,
+                            normalize, parse, read_elements, read_stream,
+                            write_elements, write_stream)
 from codemap.syntax.lexer import lex
 from codemap.syntax.symbols import canon_primitive
 
@@ -281,6 +281,28 @@ def test_dollar_at_string_is_one_literal():
     assert "A.g(String)" in streams[0]
 
 
+@pytest.mark.parametrize("body,plain", [
+    ("int @class = 1; g(@class);", "int x = 1; g(x);"),
+    ("var @x = 2; h(@x);", "var x = 2; h(x);")], ids=["class", "var"])
+def test_csharp_verbatim_identifier_is_a_name(body, plain):
+    streams = [[t.text for t in normalize(parse(
+        f"class A {{ void f() {{ {text} }} }}", "csharp")).tokens]
+        for text in (body, plain)]
+    assert streams[0] == streams[1]
+    assert [(t.kind, t.text) for t in lex("@class @if", "csharp")] == [
+        ("name", "@class"), ("name", "@if")]
+
+
+def test_java_annotation_is_skipped():
+    assert [(t.kind, t.text) for t in lex("@Override", "java")] == [
+        ("punct", "@"), ("name", "Override")]
+    streams = [[t.text for t in normalize(parse(
+        f"class A {{ {annotation}public int f() {{ return 1; }} }}",
+        "java")).tokens] for annotation in ("@Override ", "")]
+    assert streams[0] == streams[1]
+    assert "A.f()" in streams[0]
+
+
 # ---------------------------------------------------------------------------
 # resolution rules
 
@@ -405,6 +427,22 @@ def test_single_method_gives_three_granularities():
     elements = extract_elements(tree, stream)
     assert [e.granularity for e in elements] == \
         ["method", "statement", "expression"]
+
+
+def test_element_ids_count_ordinals_per_granularity():
+    tree = parse("class A { int f() { int x = 1; return x; } "
+                 "int g() { return 2; } }", "csharp")
+    elements = extract_elements(tree, normalize(tree))
+    ids = element_ids("b", "src/A.cs", elements)
+    assert len(ids) == len(set(ids)) == len(elements)
+    for granularity in ("expression", "statement", "method"):
+        ordinals = [element_id.rsplit(":", 1)[1] for element_id, element
+                    in zip(ids, elements)
+                    if element.granularity == granularity]
+        assert ordinals == [str(k) for k in range(len(ordinals))]
+    assert [id_granularity(element_id) for element_id in ids] == [
+        element.granularity for element in elements]
+    assert ids[0].startswith("b:src/A.cs:")
 
 
 def test_element_nesting():
