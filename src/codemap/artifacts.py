@@ -6,6 +6,12 @@ Writes go to a sibling temporary file that replaces the artifact only
 once every line is written, so a failed stage leaves the previous
 artifact in place and never a partial one.  A malformed record fails
 with a `path:line:` message.
+
+Vector files often repeat rows (elements with the same tokens compose
+to the same vector).  A row is formatted on writing, and its value text
+parsed on reading, at most twice: its second sight caches it, keyed
+exactly.  Only a row whose hash was seen before is cached, so a file of
+distinct rows holds no cache.
 """
 
 from __future__ import annotations
@@ -94,8 +100,17 @@ def write_vectors(path, ids, matrix, comments=(), tag=None,
     def lines():
         yield " ".join(str(x) for x in (len(ids), matrix.shape[1], tag)
                        if x is not None)
+        # a row is cached by its bytes (`%.9g` prints -0.0 as `-0`) once
+        # its hash has been seen, so only rows that repeat are held
+        formatted, seen = {}, set()
         for item, row in zip(ids, columns):
-            values = template % tuple(row.tolist())
+            key = row.tobytes()
+            values = formatted.get(key)
+            if values is None:
+                values = template % tuple(row.tolist())
+                if hash(key) in seen:
+                    formatted[key] = values
+                seen.add(hash(key))
             yield f"{check_field(path, 'id', item)} {values}"
     write_lines(path, lines(), comments)
 
@@ -104,9 +119,10 @@ def read_vectors(path, tags=None, extra=False):
     """Inverse of write_vectors: (ids, matrix, extras or None, tag).
     `tags` lists the allowed header tags, None for a header without.
 
-    The rows stream through one np.loadtxt.  If a row does not parse
-    there, or the rows have another width, the file is read again row by
-    row, which names the first malformed row's line."""
+    The value texts stream through one np.loadtxt, a repeated one at
+    most twice.  If a row does not parse there, or the rows have another
+    width, the file is read again row by row, which names the first
+    malformed row's line."""
     with open(path, encoding="utf-8") as handle:
         rows = record_lines(handle)
         lineno, header = next(rows, (None, None))
@@ -142,14 +158,23 @@ def read_vectors(path, tags=None, extra=False):
 
 def _loaded(rows, width):
     """(ids, values) of (lineno, `id v1 ... v<width>`) rows, the values
-    as one np.loadtxt matrix, or None if a row is malformed."""
-    ids = []
+    as one matrix, or None if a row is malformed.  One np.loadtxt parses
+    each value text at most twice; rows index back into file order."""
+    ids, order, seen, repeated = [], [], set(), {}
+    parsed = itertools.count()
 
     def values():
         for _, line in rows:
             item, text = line.split(None, 1)  # ValueError: no values
             ids.append(item)
-            yield text
+            row = repeated.get(text)
+            if row is None:  # parsed; cached once its hash has been seen
+                row = next(parsed)
+                if hash(text) in seen:
+                    repeated[text] = row
+                seen.add(hash(text))
+                yield text
+            order.append(row)
     texts = values()
     try:
         first = next(texts, None)
@@ -159,4 +184,4 @@ def _loaded(rows, width):
                              comments=None, ndmin=2)
     except ValueError:
         return ids, None
-    return ids, columns if columns.shape[1] == width else None
+    return ids, columns[order] if columns.shape[1] == width else None

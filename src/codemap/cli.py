@@ -10,6 +10,7 @@ artifact, 3 data or validation failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -28,9 +29,9 @@ class MissingArtifact(Exception):
 
 
 def _require(path, stage):
-    if not Path(path).exists():
+    if not os.path.exists(path):
         raise MissingArtifact(f"{path} not found; run {stage} first")
-    return Path(path)
+    return path
 
 
 def _summary(stage, text, t0):
@@ -160,12 +161,14 @@ def _load_elements(out_dir, vocab):
     pairs = corpus.read_pair_manifest(_require(out_dir / "pairs.tsv",
                                                "pair"))
     ids, token_ids, offsets = [], [], [0]
+    sides = [(side, out_dir / "streams" / side, out_dir / "elements" / side)
+             for side in ("a", "b")]
     for pair in pairs:
-        for side in ("a", "b"):
+        for side, stream_dir, element_dir in sides:
             relpath = pair.path_a if side == "a" else pair.path_b
-            stream_file = _require(_stream_path(out_dir, side, relpath),
+            stream_file = _require(stream_dir / (relpath + ".tok"),
                                    "normalize")
-            element_file = _require(_elements_path(out_dir, side, relpath),
+            element_file = _require(element_dir / (relpath + ".tsv"),
                                     "normalize")
             _, _, tokens = read_stream(stream_file)
             stream_ids = [vocab.ids.get(f"{side}:{token}", -1)

@@ -83,8 +83,12 @@ def write_elements(elements, path, comments=()) -> None:
 def read_elements(path) -> list[CodeElement]:
     elements: list[CodeElement] = []
     for lineno, (granularity, *span, label) in artifacts.records(path, 6):
-        start, end, first, last = (artifacts.field(path, lineno, int, text)
-                                   for text in span)
+        try:
+            start, end, first, last = map(int, span)
+        except ValueError:
+            for text in span:  # raises naming path:lineno
+                artifacts.field(path, lineno, int, text)
+            raise
         try:
             elements.append(CodeElement(granularity, start, end,
                                         range(first, last + 1), label))

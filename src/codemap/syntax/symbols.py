@@ -61,9 +61,12 @@ class SymbolTable:
         self.scopes.pop()
 
     def declare(self, name: str, type_name: str) -> None:
-        self.scopes[-1][name] = type_name
+        self.scopes[-1][name.removeprefix("@")] = type_name
 
     def lookup_var(self, name: str) -> str | None:
+        # C# `@x` (a verbatim identifier) and `x` name one variable; the
+        # lexer keeps the `@`, so `@if` still never reads as the keyword
+        name = name.removeprefix("@")
         for scope in reversed(self.scopes):
             if name in scope:
                 return scope[name]

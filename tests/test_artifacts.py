@@ -4,6 +4,8 @@ import re
 import stat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -128,3 +130,85 @@ def test_vector_file_of_no_rows_keeps_its_width(tmp_path):
     assert path.read_text() == "0 3\n"
     ids, matrix, _, _ = artifacts.read_vectors(path)
     assert ids == [] and matrix.shape == (0, 3)
+
+
+# a few distinct rows drawn again and again: a row repeats, or differs
+# from another only in the sign of a zero
+VALUES = st.sampled_from([0.0, -0.0, 1.0, 1 / 3, -2.5e-7, np.inf]) | \
+    st.floats(width=64)
+REPEATED_ROWS = st.integers(1, 3).flatmap(lambda dim: st.tuples(
+    st.lists(st.lists(VALUES, min_size=dim, max_size=dim), min_size=1,
+             max_size=4),
+    st.lists(st.integers(0, 3), max_size=12), st.booleans()))
+
+
+def _vector_file(directory, rows, picks, with_extras):
+    """write_vectors of the picked rows, with the last value of each row
+    as its extra when `with_extras`; returns (path, ids, matrix, extras)."""
+    columns = np.array([rows[pick % len(rows)] for pick in picks],
+                       dtype=np.float64).reshape(len(picks), len(rows[0]))
+    if with_extras and columns.shape[1] < 2:
+        with_extras = False
+    matrix, extras = (columns[:, :-1], columns[:, -1].tolist()) \
+        if with_extras else (columns, None)
+    ids = [f"e{n}" for n in range(len(picks))]
+    path = directory / "vectors.txt"
+    artifacts.write_vectors(path, ids, matrix, comments=["provenance"],
+                            tag="t", extras=extras)
+    return path, ids, matrix, extras
+
+
+@settings(max_examples=200, deadline=None)
+@given(REPEATED_ROWS)
+def test_vector_writer_equals_the_per_row_oracle(tmp_path_factory, case):
+    rows, picks, with_extras = case
+    path, ids, matrix, extras = _vector_file(
+        tmp_path_factory.mktemp("w"), rows, picks, with_extras)
+    columns = matrix if extras is None else \
+        np.column_stack((matrix, extras))
+    template = " ".join(["%.9g"] * columns.shape[1])
+    expected = ["# provenance", f"{len(ids)} {matrix.shape[1]} t"] + [
+        f"{item} {template % tuple(row)}" for item, row in zip(ids, columns)]
+    assert path.read_text().splitlines() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(REPEATED_ROWS)
+def test_vector_reader_equals_row_by_row_parsing(tmp_path_factory, case):
+    rows, picks, with_extras = case
+    path, ids, _, extras = _vector_file(
+        tmp_path_factory.mktemp("r"), rows, picks, with_extras)
+    lines = path.read_text().splitlines()[2:]
+    expected = np.array([[float(text) for text in line.split()[1:]]
+                         for line in lines]).reshape(len(lines),
+                                                     len(rows[0]))
+    got_ids, matrix, got_extras, tag = artifacts.read_vectors(
+        path, tags=("t",), extra=extras is not None)
+    assert (got_ids, tag) == ([line.split()[0] for line in lines], "t")
+    width = matrix.shape[1]
+    assert matrix.tobytes() == expected[:, :width].copy().tobytes()
+    if extras is None:
+        assert got_extras is None and width == expected.shape[1]
+    else:
+        assert np.array_equal(got_extras, expected[:, width], equal_nan=True)
+
+
+def test_vector_rows_that_differ_in_the_sign_of_zero_stay_apart(tmp_path):
+    path = tmp_path / "vectors.txt"
+    signs = [False, False, True, True, False, True]
+    matrix = np.array([[-0.0 if sign else 0.0, 1.0] for sign in signs])
+    artifacts.write_vectors(path, list("uvwxyz"), matrix)
+    assert path.read_text().splitlines()[1:] == [
+        f"{item} {'-0' if sign else '0'} 1"
+        for item, sign in zip("uvwxyz", signs)]
+    _, read, _, _ = artifacts.read_vectors(path)
+    assert np.signbit(read[:, 0]).tolist() == signs
+
+
+def test_malformed_vector_row_repeated_elsewhere_names_its_own_line(
+        tmp_path):
+    path = tmp_path / "vectors.txt"
+    path.write_text("# provenance\n5 2\nx 1 2\ny 1 2\nz 1 2\n"
+                    "u 1 two\nv 1 two\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:6: ")):
+        artifacts.read_vectors(path)

@@ -215,6 +215,21 @@ def test_align_without_streams_says_run_normalize(project, tmp_path,
     assert "run normalize first" in capsys.readouterr().err
 
 
+def test_compose_without_an_element_file_says_run_normalize(project,
+                                                           tmp_path, capsys):
+    out = tmp_path / "out"
+    for stage in ("pair", "normalize", "align", "train"):
+        assert _run(stage, "--config", str(project),
+                    "--out-dir", str(out)) == 0
+    missing = out / "elements" / "b" / "Holder.cs.tsv"
+    missing.unlink()
+    assert _run("compose", "--config", str(project),
+                "--out-dir", str(out)) == 2
+    assert f"{missing} not found; run normalize first" in \
+        capsys.readouterr().err
+    assert not (out / "element_vecs.txt").exists()
+
+
 def test_normalize_without_pairs_says_run_pair(project, tmp_path, capsys):
     out = tmp_path / "out"
     assert _run("normalize", "--config", str(project),

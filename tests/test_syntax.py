@@ -293,6 +293,16 @@ def test_csharp_verbatim_identifier_is_a_name(body, plain):
         ("name", "@class"), ("name", "@if")]
 
 
+@pytest.mark.parametrize("body", [
+    "int @x = 1; g(x);", "int x = 1; g(@x);", "int x = 1; g(x);",
+    "int @if = 1; g(@if);"],
+    ids=["declared_verbatim", "used_verbatim", "plain", "keyword"])
+def test_csharp_verbatim_and_plain_spellings_are_one_variable(body):
+    tokens = [t.text for t in normalize(parse(
+        f"class A {{ void f() {{ {body} }} }}", "csharp")).tokens]
+    assert tokens[-3:] == ["A.g(int)", "argument", "int_id"]
+
+
 def test_java_annotation_is_skipped():
     assert [(t.kind, t.text) for t in lex("@Override", "java")] == [
         ("punct", "@"), ("name", "Override")]
