@@ -2,9 +2,10 @@
 
 Paired token streams form a bitext, indexed once as integer ids
 (`Bitext`) for alignment and training alike.  EM learns a lexical
-translation table with a NULL source, Viterbi takes per-target argmaxes,
-and intersecting both directions yields high-precision links.  Model 1
-has no distortion: keywords recur in near-parallel order across languages.
+translation table with a NULL source, `viterbi_align` takes per-target
+argmaxes, and `symmetrize` intersects both directions once per bitext for
+high-precision links.  Model 1 has no distortion: keywords recur in
+near-parallel order across languages.
 
 Each direction's `Model1Table` numbers its (source, target) cells from
 those ids; EM and Viterbi run in batches of whole segments, at most
@@ -14,8 +15,8 @@ keep the order of a loop over pairs, targets and sources, and
 denominators equal a dict-of-dicts E-step's left-to-right sums under
 Python 3.11 (3.12 compensates `sum`), bit for bit; per-batch sums differ.
 
-`batches()` plans the walk that indexing, `Model1Table.e_step` and
-`viterbi` share, and each reads a batch's `t[cell[lo:hi]]` the same way.
+`batches()` plans the walk that indexing, `e_step` and `viterbi_align`
+share, and each reads a batch's `t[cell[lo:hi]]` the same way.
 `train_model1` builds each occurrence's source id once per training, so
 an iteration only gathers `t`, divides and adds.  That index is int32 and
 lives only for the training, so it is gone before the other direction's
@@ -38,8 +39,6 @@ NULL = "<NULL>"
 
 # a pair is (tokens_a, tokens_b, pair_id)
 Pair = tuple[list[str], list[str], str]
-# t[source][target] = p(target | source): a dict of dicts or a Model1Table
-TranslationTable = Mapping[str, Mapping[str, float]]
 
 PROB_FLOOR = 1e-12
 TABLE_WRITE_MIN_PROB = 1e-6
@@ -173,9 +172,9 @@ class Model1Table(Mapping):
     source 0.  Each occurrence (pair, target position, source position
     with NULL first) has an int32 `cell`, the id of a distinct
     (source, target); a target position's occurrences form a segment.  `t`
-    is each cell's probability in `table`, or uniform over a source's."""
+    is each cell's probability, uniform over a source's cells before EM."""
 
-    def __init__(self, bitext, table=None):
+    def __init__(self, bitext):
         bitext = Bitext.of(bitext)
         (src_ids, tgt_ids), (src_off, tgt_off) = bitext.ids, bitext.offsets
         self.targets = [token[2:] for token in bitext.tokens]
@@ -183,7 +182,6 @@ class Model1Table(Mapping):
         self.source_ids = {NULL: 0} | {
             name: k + 1 for k, name in enumerate(self.targets)
             if bitext.tokens[k].startswith(bitext.tags[0])}
-        self.pair_ids, self.pair_segs = bitext.pair_ids, tgt_off
         # each pair's sources, NULL first, from source_off on
         source_off = src_off + np.arange(len(src_off))
         sources = np.insert(src_ids.astype(np.int64) + 1, src_off[:-1], 0)
@@ -211,11 +209,6 @@ class Model1Table(Mapping):
         self.rows = np.searchsorted(self.cell_src,
                                     np.arange(len(self.sources) + 1))
         self.t = 1.0 / np.diff(self.rows)[self.cell_src]
-        if table is not None:
-            rows = [table.get(source, {}) for source in self.sources]
-            self.t = np.array([rows[s].get(self.targets[k], 0.0) for s, k in
-                               zip(self.cell_src.tolist(),
-                                   self.cell_tgt.tolist())])
 
     def __getitem__(self, source):
         lo, hi = self.rows[self.source_ids[source]:][:2]
@@ -263,22 +256,6 @@ class Model1Table(Mapping):
             np.add.at(totals, src[lo:hi], share)
         return counts, totals, loglik
 
-    def viterbi(self) -> list[AlignmentLinkSet]:
-        """Per pair, the links (i, j) from each target position j to the
-        first maximum of its segment, none where that is NULL."""
-        best = []
-        for first, lo, hi, sizes, seg in self.batches():
-            p = self.t[self.cell[lo:hi]]
-            starts = self.seg_offsets[first:first + len(sizes)] - lo
-            top = np.maximum.reduceat(p, starts)[seg]
-            offsets = np.arange(len(p)) - starts[seg]
-            best += (np.minimum.reduceat(np.where(p == top, offsets, len(p)),
-                                         starts) - 1).tolist()
-        bounds = self.pair_segs.tolist()
-        return [AlignmentLinkSet(pair_id, frozenset(
-            (i, j) for j, i in enumerate(best[lo:hi]) if i >= 0))
-            for pair_id, lo, hi in zip(self.pair_ids, bounds, bounds[1:])]
-
 
 def train_model1(bitext: list[Pair], iterations: int = 10,
                  log_likelihoods: list | None = None) -> Model1Table:
@@ -305,27 +282,49 @@ def train_model1(bitext: list[Pair], iterations: int = 10,
     return table
 
 
-def viterbi_align(table: TranslationTable, tokens_a: list[str],
-                  tokens_b: list[str], pair_id: str = "") -> AlignmentLinkSet:
-    """Per-target argmax links; NULL and earlier sources win ties.  Kept
-    although only tests call it: perfbench/tracing.py wraps it by name."""
-    return Model1Table([(tokens_a, tokens_b, pair_id)], table).viterbi()[0]
+def viterbi_align(table: Model1Table) -> np.ndarray:
+    """For each target position of the table's bitext, flat, the source
+    position within its pair of the first maximum of its segment, -1
+    where that is NULL: NULL and earlier sources win ties."""
+    best = np.empty(len(table.seg_offsets) - 1, np.int64)
+    for first, lo, hi, sizes, seg in table.batches():
+        p = table.t[table.cell[lo:hi]]
+        starts = table.seg_offsets[first:first + len(sizes)] - lo
+        top = np.maximum.reduceat(p, starts)[seg]
+        offsets = np.arange(len(p)) - starts[seg]
+        best[first:first + len(sizes)] = np.minimum.reduceat(
+            np.where(p == top, offsets, len(p)), starts) - 1
+    return best
 
 
-def symmetrize(forward: AlignmentLinkSet, backward: AlignmentLinkSet,
-               mode: str = "intersection") -> AlignmentLinkSet:
-    """Combine directions; backward links arrive as (j, i) and transpose."""
-    if forward.pair_id != backward.pair_id:
-        raise ValueError(f"pair-id mismatch: {forward.pair_id!r} vs "
-                         f"{backward.pair_id!r}")
-    transposed = {(i, j) for j, i in backward.links}
-    if mode == "intersection":
-        links = set(forward.links) & transposed
-    elif mode == "union":
-        links = set(forward.links) | transposed
-    else:
+def _links(best, other, own_off, other_off):
+    """A direction's links (pair, own, partner), and which `other` makes."""
+    flat = np.flatnonzero(best >= 0)
+    pair = np.searchsorted(own_off, flat, "right") - 1
+    own, partner = flat - own_off[pair], best[flat]
+    return pair, own, partner, other[other_off[pair] + partner] == own
+
+
+def symmetrize(bitext: Bitext, forward: np.ndarray, backward: np.ndarray,
+               mode: str = "intersection") -> list[AlignmentLinkSet]:
+    """Per pair of `bitext`, in order, the links (i, j) that both
+    directions make (intersection) or that either makes (union), from
+    `viterbi_align` of the a -> b and the b -> a table."""
+    if mode not in ("intersection", "union"):
         raise ValueError(f"unknown symmetrization mode: {mode}")
-    return AlignmentLinkSet(forward.pair_id, frozenset(links))
+    off_a, off_b = bitext.offsets
+    pair, j, i, mutual = _links(forward, backward, off_b, off_a)
+    if mode == "intersection":
+        pair, i, j = pair[mutual], i[mutual], j[mutual]
+    else:
+        pair_b, i_b, j_b, mutual = _links(backward, forward, off_a, off_b)
+        pair, i, j = (np.concatenate([f, b[~mutual]]) for f, b in
+                      ((pair, pair_b), (i, i_b), (j, j_b)))
+    order = np.argsort(pair, kind="stable")
+    bounds = np.searchsorted(pair[order], np.arange(len(bitext) + 1))
+    i, j, bounds = i[order].tolist(), j[order].tolist(), bounds.tolist()
+    return [AlignmentLinkSet(pair_id, frozenset(zip(i[lo:hi], j[lo:hi])))
+            for pair_id, lo, hi in zip(bitext.pair_ids, bounds, bounds[1:])]
 
 
 def align_bitext(bitext: list[Pair], iterations: int = 10,
@@ -339,8 +338,8 @@ def align_bitext(bitext: list[Pair], iterations: int = 10,
     bitext = Bitext.of(bitext)
     forward = train_model1(bitext, iterations, log_likelihoods)
     backward = train_model1(bitext.transposed(), iterations)
-    return [symmetrize(fwd, bwd, mode) for fwd, bwd
-            in zip(forward.viterbi(), backward.viterbi())], forward
+    return symmetrize(bitext, viterbi_align(forward), viterbi_align(backward),
+                      mode), forward
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +389,8 @@ def write_table(table: Model1Table, path, comments=()) -> None:
                                  for source, target, prob in rows), comments)
 
 
-def read_table(path) -> TranslationTable:
-    table: TranslationTable = {}
+def read_table(path) -> dict[str, dict[str, float]]:
+    table = {}
     for lineno, (source, target, prob) in artifacts.records(path, 3):
         table.setdefault(source, {})[target] = artifacts.field(
             path, lineno, float, prob)

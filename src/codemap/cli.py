@@ -62,12 +62,14 @@ def stage_pair(cfg, out_dir, prov):
 
 
 def stage_normalize(cfg, out_dir, prov):
+    """Every source parses before any artifact is written, so a source
+    that fails leaves the previous corpus whole."""
     t0 = time.perf_counter()
     pairs = corpus.read_pair_manifest(_require(out_dir / "pairs.tsv",
                                                "pair"))
     sides = (("a", cfg.manifest.lang_a_root, cfg.manifest.lang_a),
              ("b", cfg.manifest.lang_b_root, cfg.manifest.lang_b))
-    n_tokens = 0
+    normalized = []
     for pair in pairs:
         for side, root, lang in sides:
             relpath = pair.path_a if side == "a" else pair.path_b
@@ -80,12 +82,14 @@ def stage_normalize(cfg, out_dir, prov):
             except ParseError as err:
                 raise ValueError(f"{relpath}: {err}") from None
             stream = normalize(tree, build_symbols(tree), file=relpath)
-            write_stream(stream, _stream_path(out_dir, side, relpath),
-                         comments=(prov,))
-            write_elements(extract_elements(tree, stream),
-                           _elements_path(out_dir, side, relpath),
-                           comments=(prov,))
-            n_tokens += len(stream.tokens)
+            normalized.append((side, relpath, stream,
+                               extract_elements(tree, stream)))
+    for side, relpath, stream, elements in normalized:
+        write_stream(stream, _stream_path(out_dir, side, relpath),
+                     comments=(prov,))
+        write_elements(elements, _elements_path(out_dir, side, relpath),
+                       comments=(prov,))
+    n_tokens = sum(len(stream.tokens) for _, _, stream, _ in normalized)
     _summary("normalize", f"{2 * len(pairs)} files, {n_tokens} tokens",
              t0)
 

@@ -492,6 +492,9 @@ class Parser:
             d_start = self._next_start()
             name = self.eat().text
             dims = self._dims()
+            if self.at("=") and self.peek(1) is None:
+                raise self._end_of_input("expected an initializer, found "
+                                         "end of input")
             init = self.parse_expr_atoms({",", ";"}) if self._skip("=") else []
             decls.append(Node("decl", d_start, self._end_offset(), init,
                               meta={"name": name, "type": type_name + dims,

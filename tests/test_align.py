@@ -14,6 +14,16 @@ from codemap.align import (NULL, AlignmentLinkSet, Bitext, Model1Table,
 from conftest import make_toy_bitext
 
 
+def _table(bitext, probs):
+    """The index of `bitext` with t[source][target] read from `probs`, a
+    dict of dicts or another table, 0 where it has no such cell."""
+    table = Model1Table(bitext)
+    table.t = np.array([
+        probs.get(table.sources[s], {}).get(table.targets[k], 0.0)
+        for s, k in zip(table.cell_src.tolist(), table.cell_tgt.tolist())])
+    return table
+
+
 def test_single_pair_forces_certainty():
     table = train_model1([(["a"], ["x"], "p0")], iterations=1)
     assert table["a"]["x"] == pytest.approx(1.0)
@@ -61,7 +71,7 @@ def test_history_matches_standalone_loglik():
     history = []
     train_model1(bitext, iterations=3, log_likelihoods=history)
     # the uniform table, re-indexed from its rows like any other table
-    uniform = Model1Table(bitext, dict(Model1Table(bitext)))
+    uniform = _table(bitext, Model1Table(bitext))
     standalone = uniform.e_step(uniform.cell_src[uniform.cell])[2]
     assert history[0] == pytest.approx(standalone, abs=1e-9)
 
@@ -73,40 +83,38 @@ def test_viterbi_diagonal_on_identical_streams():
               (["w"], ["w"], "p2"),
               (["u", "v", "w"], ["u", "v", "w"], "p3")]
     table = train_model1(bitext, iterations=10)
-    links = viterbi_align(table, ["u", "v", "w"], ["u", "v", "w"], "p3")
-    assert links.links == frozenset({(0, 0), (1, 1), (2, 2)})
+    # p3's targets follow the three singleton targets
+    assert viterbi_align(table)[3:].tolist() == [0, 1, 2]
 
 
 def test_viterbi_empty_target():
-    table = {NULL: {"x": 0.5}}
-    assert viterbi_align(table, ["a"], [], "p").links == frozenset()
+    assert viterbi_align(Model1Table([(["a"], [], "p")])).tolist() == []
 
 
 def test_viterbi_unseen_token_unlinked():
-    table = train_model1([(["a"], ["x"], "p0")], iterations=2)
-    links = viterbi_align(table, ["a"], ["zzz"], "p1")
-    assert links.links == frozenset()
+    trained = train_model1([(["a"], ["x"], "p0")], iterations=2)
+    table = _table([(["a"], ["zzz"], "p1")], trained)
+    assert viterbi_align(table).tolist() == [-1]
 
 
 def test_viterbi_tie_prefers_smallest_index():
-    table = {NULL: {}, "a": {"x": 0.9}}
-    links = viterbi_align(table, ["a", "a"], ["x"], "p")
-    assert links.links == frozenset({(0, 0)})
+    table = _table([(["a", "a"], ["x"], "p")], {NULL: {}, "a": {"x": 0.9}})
+    assert viterbi_align(table).tolist() == [0]
 
 
 def test_viterbi_tie_with_null_leaves_target_unlinked():
-    table = {NULL: {"x": 0.5}, "a": {"x": 0.5}}
-    assert viterbi_align(table, ["a"], ["x"], "p").links == frozenset()
+    table = _table([(["a"], ["x"], "p")], {NULL: {"x": 0.5}, "a": {"x": 0.5}})
+    assert viterbi_align(table).tolist() == [-1]
     # one pair: NULL and "a" both reach p(x) = 1 after an iteration
     trained = train_model1([(["a"], ["x"], "p")], iterations=1)
     assert trained[NULL]["x"] == trained["a"]["x"] == 1.0
-    assert trained.viterbi() == [AlignmentLinkSet("p", frozenset())]
+    assert viterbi_align(trained).tolist() == [-1]
 
 
 def test_viterbi_all_zero_target_unlinked():
-    table = {NULL: {"x": 0.0}, "a": {"x": 0.0, "y": 1.0}}
-    links = viterbi_align(table, ["a", "a"], ["x", "y"], "p")
-    assert links.links == frozenset({(0, 1)})
+    table = _table([(["a", "a"], ["x", "y"], "p")],
+                   {NULL: {"x": 0.0}, "a": {"x": 0.0, "y": 1.0}})
+    assert viterbi_align(table).tolist() == [-1, 0]
 
 
 def _oracle_model1(bitext, iterations):
@@ -141,6 +149,13 @@ def _oracle_model1(bitext, iterations):
     return table, history
 
 
+def _pair_links(best, offsets, k):
+    """Pair k's links (partner, own) in a flat `viterbi_align` array over
+    positions with these pair offsets."""
+    lo, hi = offsets[k:k + 2]
+    return {(i, own) for own, i in enumerate(best[lo:hi].tolist()) if i >= 0}
+
+
 def _oracle_viterbi(table, tokens_a, tokens_b):
     links = set()
     for j, target in enumerate(tokens_b):
@@ -170,13 +185,21 @@ def test_index_kernels_equal_the_dict_oracle(batch, monkeypatch):
             assert len(list(table.batches())) == segments
         assert dict(table) == expected
         assert history == pytest.approx(expected_history, abs=1e-9)
-        link_sets, _ = align_bitext(bitext, 6)
-        for (tokens_a, tokens_b, pair_id), fwd, merged in zip(
-                bitext, table.viterbi(), link_sets):
-            assert fwd.links == _oracle_viterbi(expected, tokens_a, tokens_b)
-            assert viterbi_align(table, tokens_a, tokens_b, pair_id) == fwd
-            bwd = _oracle_viterbi(backward, tokens_b, tokens_a)
-            assert merged.links == fwd.links & {(i, j) for j, i in bwd}
+        index = Bitext(bitext)
+        forward = viterbi_align(table)
+        reverse = viterbi_align(train_model1(index.transposed(), 6))
+        merged = {"intersection": [], "union": []}
+        for k, (tokens_a, tokens_b, pair_id) in enumerate(bitext):
+            fwd = _oracle_viterbi(expected, tokens_a, tokens_b)
+            assert _pair_links(forward, index.offsets[1], k) == fwd
+            bwd = {(i, j) for j, i in
+                   _oracle_viterbi(backward, tokens_b, tokens_a)}
+            merged["intersection"].append(AlignmentLinkSet(pair_id,
+                                                           fwd & bwd))
+            merged["union"].append(AlignmentLinkSet(pair_id, fwd | bwd))
+        for mode, link_sets in merged.items():
+            assert symmetrize(index, forward, reverse, mode) == link_sets
+        assert align_bitext(bitext, 6)[0] == merged["intersection"]
 
 
 def test_batches_change_no_cell_ids_or_sums(monkeypatch):
@@ -222,42 +245,49 @@ def test_bitext_index_decodes_to_its_pairs():
 
 
 def test_symmetrize_idempotent_and_set_ops():
-    fwd = AlignmentLinkSet("p", frozenset({(0, 0), (1, 1)}))
-    bwd_same = AlignmentLinkSet("p", frozenset({(0, 0), (1, 1)}))
-    assert symmetrize(fwd, bwd_same, "intersection").links == fwd.links
+    bitext = Bitext([(["a", "b", "c"], ["x", "y", "z"], "p")])
+    fwd = np.array([0, 1, -1])  # per target: links (0, 0) and (1, 1)
+    links = frozenset({(0, 0), (1, 1)})
+    bwd_same = np.array([0, 1, -1])  # per source
+    for mode in ("intersection", "union"):
+        assert symmetrize(bitext, fwd, bwd_same, mode) == \
+            [AlignmentLinkSet("p", links)]
 
-    bwd_disjoint = AlignmentLinkSet("p", frozenset({(2, 2)}))
-    assert symmetrize(fwd, bwd_disjoint, "intersection").links == frozenset()
-    assert symmetrize(fwd, bwd_disjoint, "union").links == \
+    bwd_disjoint = np.array([-1, -1, 2])
+    assert symmetrize(bitext, fwd, bwd_disjoint,
+                      "intersection")[0].links == frozenset()
+    assert symmetrize(bitext, fwd, bwd_disjoint, "union")[0].links == \
         frozenset({(0, 0), (1, 1), (2, 2)})
 
 
 def test_symmetrize_transposes_backward():
-    fwd = AlignmentLinkSet("p", frozenset({(3, 1)}))
-    bwd = AlignmentLinkSet("p", frozenset({(1, 3)}))  # (j, i) orientation
-    assert symmetrize(fwd, bwd, "intersection").links == frozenset({(3, 1)})
+    bitext = Bitext([(["a"], ["x"], "p0"),
+                     (["a", "b", "c", "d"], ["x", "y"], "p1")])
+    fwd = np.array([0, -1, 3])  # p1's target 1 -> source 3
+    bwd = np.array([-1, -1, -1, -1, 1])  # (j, i) orientation
+    assert symmetrize(bitext, fwd, bwd, "intersection") == [
+        AlignmentLinkSet("p0", frozenset()),
+        AlignmentLinkSet("p1", frozenset({(3, 1)}))]
+    assert symmetrize(bitext, fwd, bwd, "union")[0].links == \
+        frozenset({(0, 0)})
 
 
-def test_symmetrize_rejects_mismatched_pairs():
-    fwd = AlignmentLinkSet("p1", frozenset())
-    bwd = AlignmentLinkSet("p2", frozenset())
+def test_symmetrize_rejects_an_unknown_mode():
+    bitext = Bitext([(["a"], ["x"], "p1")])
     with pytest.raises(ValueError):
-        symmetrize(fwd, bwd)
-    with pytest.raises(ValueError):
-        symmetrize(fwd, AlignmentLinkSet("p1", frozenset()), "xor")
+        symmetrize(bitext, np.array([0]), np.array([0]), "xor")
 
 
 def test_intersection_is_subset_of_both():
     rng = np.random.default_rng(17)
-    bitext = make_toy_bitext(rng)
+    bitext = Bitext(make_toy_bitext(rng))
     link_sets, _ = align_bitext(bitext, iterations=5)
-    fwd_table = train_model1(bitext, 5)
-    bwd_table = train_model1([(b, a, p) for a, b, p in bitext], 5)
-    for (tokens_a, tokens_b, pair_id), merged in zip(bitext, link_sets):
-        fwd = viterbi_align(fwd_table, tokens_a, tokens_b, pair_id)
-        bwd = viterbi_align(bwd_table, tokens_b, tokens_a, pair_id)
-        assert merged.links <= fwd.links
-        assert merged.links <= {(i, j) for j, i in bwd.links}
+    forward = viterbi_align(train_model1(bitext, 5))
+    backward = viterbi_align(train_model1(bitext.transposed(), 5))
+    for k, merged in enumerate(link_sets):
+        assert merged.links <= _pair_links(forward, bitext.offsets[1], k)
+        assert merged.links <= {(i, j) for j, i in
+                                _pair_links(backward, bitext.offsets[0], k)}
 
 
 def test_build_bitext_drops_empty_sides():
@@ -303,7 +333,7 @@ def test_alignment_file_round_trip(tmp_path):
 def test_table_file_round_trip(tmp_path):
     table = {"a": {"x": 0.75, "y": 0.25}, NULL: {"x": 1.0}}
     out = tmp_path / "ttable.tsv"
-    write_table(Model1Table([(["a"], ["x", "y"], "p")], table), out,
+    write_table(_table([(["a"], ["x", "y"], "p")], table), out,
                 comments=["tool test"])
     loaded = read_table(out)
     assert loaded["a"]["x"] == 0.75
@@ -313,7 +343,7 @@ def test_table_file_round_trip(tmp_path):
 def test_table_write_omits_negligible_rows(tmp_path):
     table = {"a": {"x": 1.0 - 1e-9, "y": 1e-9}}
     out = tmp_path / "ttable.tsv"
-    write_table(Model1Table([(["a"], ["x", "y"], "p")], table), out)
+    write_table(_table([(["a"], ["x", "y"], "p")], table), out)
     loaded = read_table(out)
     assert "y" not in loaded["a"]
 

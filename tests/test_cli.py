@@ -253,14 +253,16 @@ def test_eval_without_truth_configured(project, tmp_path, capsys):
     assert "retrieve.truth" in capsys.readouterr().err
 
 
-# the last three end inside a construct, which once crashed the parser
+# the last four end inside a construct: the parser once crashed on three
+# of them and built a decl with no initializer from the last
 @pytest.mark.parametrize("source", [
     'class Broken { String s = "unterminated; }\n',
     "class",
     "for (",
     'String s = "abc\\',
+    "class A { int x = ",
 ], ids=["unterminated_string", "ends_after_class", "ends_inside_for",
-        "ends_after_escape"])
+        "ends_after_escape", "ends_after_initializer_equals"])
 def test_unparseable_source_is_validation_error(project, tmp_path,
                                                 capsys, source):
     (project.parent / "ja" / "Broken.java").write_text(source)
@@ -273,6 +275,31 @@ def test_unparseable_source_is_validation_error(project, tmp_path,
                 "--out-dir", str(out)) == 3
     assert re.search(r"Broken\.java: .+ \(line \d+, column \d+\)",
                      capsys.readouterr().err)
+
+
+def _corpus_bytes(out):
+    return {path: path.read_bytes() for side in ("streams", "elements")
+            for path in (out / side).rglob("*") if path.is_file()}
+
+
+def test_failed_normalize_leaves_the_previous_corpus_whole(project,
+                                                           tmp_path, capsys):
+    out = tmp_path / "out"
+    for stage in ("pair", "normalize"):
+        assert _run(stage, "--config", str(project),
+                    "--out-dir", str(out)) == 0
+    corpus = _corpus_bytes(out)
+    assert len(corpus) == 8
+    # the first source changes, and a later one no longer parses
+    counter = project.parent / "ja" / "Counter.java"
+    counter.write_text(JAVA_COUNTER.replace("private int total;",
+                                            "private int total, spare;"))
+    (project.parent / "cs" / "Holder.cs").write_text(
+        CSHARP_HOLDER + 'class Broken { string s = "unterminated; }\n')
+    assert _run("normalize", "--config", str(project),
+                "--out-dir", str(out)) == 3
+    assert "Holder.cs:" in capsys.readouterr().err
+    assert _corpus_bytes(out) == corpus
 
 
 def test_source_that_is_not_utf8_names_file_and_line(project, tmp_path,
@@ -634,11 +661,16 @@ def test_tracer_sees_every_artifact_function(project, tmp_path):
                                      read_streams)
 
     class Recorder(Tracer):
-        """Notes which function each io span wrapped."""
+        """Notes every span name it wraps, and which function each io span
+        wrapped."""
 
         def __init__(self):
             super().__init__("test")
-            self.io_functions = set()
+            self.names, self.io_functions = set(), set()
+
+        def wrap(self, module, attr, name, before=None, after=None):
+            self.names.add(name)
+            super().wrap(module, attr, name, before, after)
 
         def call(self, name, fn, args, kwargs):
             if name.startswith("io."):
@@ -669,6 +701,11 @@ def test_tracer_sees_every_artifact_function(project, tmp_path):
                                    for name in names}
     spans = {span[0] for span in tracer.spans}
     assert {"io.read", "io.write"} <= spans
+    # a traced name that never opens reads 0 in every per-layer metric
+    assert {"align.viterbi", "align.symmetrize", "retrieve.rank"} <= \
+        tracer.names
+    assert {name for name in tracer.names
+            if not name.startswith("io.")} <= spans
     # every artifact of the run went through a traced writer
     assert written == sum(p.stat().st_size for p in out.rglob("*")
                           if p.is_file()) > 0
