@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, align, corpus, embed, hier, retrieve
+from . import __version__, align, artifacts, corpus, embed, hier, retrieve
 from .config import config_hash, parse_config, provenance
 from .syntax import (ParseError, build_symbols, element_ids, extract_elements,
                      id_granularity, normalize, parse, read_elements,
@@ -73,10 +73,7 @@ def stage_normalize(cfg, out_dir, prov):
     for pair in pairs:
         for side, root, lang in sides:
             relpath = pair.path_a if side == "a" else pair.path_b
-            try:
-                source = Path(root, relpath).read_text(encoding="utf-8")
-            except UnicodeDecodeError as err:
-                raise ValueError(_not_utf8(relpath, err)) from None
+            source = artifacts.read_text(Path(root, relpath), relpath)
             try:
                 tree = parse(source, lang)
             except ParseError as err:
@@ -92,15 +89,6 @@ def stage_normalize(cfg, out_dir, prov):
     n_tokens = sum(len(stream.tokens) for _, _, stream, _ in normalized)
     _summary("normalize", f"{2 * len(pairs)} files, {n_tokens} tokens",
              t0)
-
-
-def _not_utf8(relpath, err):
-    """`relpath:line:col:` of a source's first byte that is not UTF-8; the
-    column counts the characters before it on its line."""
-    data, bad = err.object, err.start
-    line = data.count(b"\n", 0, bad) + 1
-    col = len(data[data.rfind(b"\n", 0, bad) + 1:bad].decode("utf-8")) + 1
-    return f"{relpath}:{line}:{col}: not UTF-8 (byte 0x{data[bad]:02x})"
 
 
 def _read_bitext(cfg, out_dir):

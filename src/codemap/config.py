@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import __version__, syntax
+from . import __version__, artifacts, syntax
 from .corpus import ProjectManifest
 from .embed import TrainConfig
 from .hier import WEIGHTINGS
@@ -109,31 +109,28 @@ def parse_config(path, seed=None):
     fields: dict = {"manifest": {}, "pipeline": {}, "train": {}}
     seen: dict[str, int] = {}
 
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = (part.strip() for part in
-                               line.partition("="))
-            if not sep or not key or not value:
-                raise ValueError(f"{path}:{lineno}: expected `key = "
-                                 f"value`, got {raw.strip()!r}")
-            if key not in _KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate key "
-                                 f"{key!r} (first set on line "
-                                 f"{seen[key]})")
-            seen[key] = lineno
-            target, attr, convert = _KEYS[key]
-            try:
-                parsed = (base / value if convert == "path"
-                          else convert(value))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad value for "
-                                 f"{key!r}: {value!r}") from None
-            fields[target][attr] = parsed
+    lines = artifacts.read_text(path).split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep or not key or not value:
+            raise ValueError(f"{path}:{lineno}: expected `key = "
+                             f"value`, got {raw.strip()!r}")
+        if key not in _KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
+                             f"(first set on line {seen[key]})")
+        seen[key] = lineno
+        target, attr, convert = _KEYS[key]
+        try:
+            parsed = base / value if convert == "path" else convert(value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad value for "
+                             f"{key!r}: {value!r}") from None
+        fields[target][attr] = parsed
 
     missing = [key for key in _REQUIRED
                if _KEYS[key][1] not in fields["manifest"]]

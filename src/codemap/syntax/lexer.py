@@ -3,14 +3,15 @@
 One compiled table of named alternatives per language, tried in order
 at each offset:
 blanks, `//` and `/* */` comments and `#` lines (C# preprocessor
-directives), all dropped; strings: a raw string, a C# verbatim `@"…"` and
-an ordinary `"…"`, each of which may follow a `$`; char literals;
-numbers; names; the two-character operators; any other character as
-punctuation.  A `/*`, quote or `'` that its rule cannot close raises
-`ParseError` there.  The two languages' tables differ only in the raw
-string: a Java text block `\"\"\"…\"\"\"` honours backslash escapes, and a
-C# raw string opens with three or more quotes after any number of `$`,
-has no escapes and closes with as many quotes.
+directives), all dropped; strings: a raw string, a C# verbatim `@"…"`, a
+`$"…"` whose `{…}` holes (one level deep) may hold ordinary strings, and
+an ordinary `"…"`, the first two and the last of which may follow a `$`;
+char literals; numbers; names; the two-character operators; any other
+character as punctuation.  A `/*`, quote or `'` that its rule cannot
+close raises `ParseError` there.  The two languages' tables differ only
+in the raw string: a Java text block `\"\"\"…\"\"\"` honours backslash
+escapes, and a C# raw string opens with three or more quotes after any
+number of `$`, has no escapes and closes with as many quotes.
 
 `start` and `end` are `str` offsets; `line` and `col` count from 1, and
 only `\\n` ends a line.  A `$` string's token begins after its `$`s but
@@ -43,12 +44,15 @@ class Tok(NamedTuple):
 
 
 # RAW is the language's raw string and VERBATIM its name prefix; `"{3}`:
-# three quotes in a row would end the ordinary string literal
+# three quotes in a row would end the ordinary string literal.  A `$"…"`
+# whose holes the interpolated rule cannot close falls to the ordinary one
 _TEMPLATE = r"""
     (?P<skip> [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ | \#[^\n]* )
   | (?P<bad_comment> /\* )
   | (?P<str> RAW
            | \$?@"(?:[^"]|"")*"(?!")
+           | \$"(?: \{\{ | \{(?:[^"{}\n]|"(?:[^"\\\n]|\\[^\n])*")*\}
+                 | [^"\\\n{] | \\[^\n] )*"
            | \$?"(?:[^"\\\n]|\\[^\n])*" )
   | (?P<bad_str> \$?@?" )
   | (?P<char> '(?:[^'\\\n]|\\[^\n])*' )

@@ -1,10 +1,11 @@
 """Token normalization: syntax trees to enriched token streams.
 
-Every surviving token is either a structural keyword naming its node kind,
-a resolved signature, a primitive placeholder, a literal-kind marker or a
-plain keyword.  Punctuation and operators never survive.  With
-`structure=False` the walk performs signature substitution only, which is
-the form the listing-style examples are written in.
+A token is its text, in memory as in the stream file, and the enrichment
+is all in that text: every surviving token is either a structural keyword
+naming its node kind, a resolved signature, a primitive placeholder, a
+literal-kind marker or a plain keyword.  Punctuation and operators never
+survive.  With `structure=False` the walk performs signature substitution
+only, which is the form the listing-style examples are written in.
 
 One rule places the structural keywords: a node whose kind is in
 `STRUCT_KEYWORDS` opens its token range with that keyword, before anything
@@ -34,23 +35,11 @@ STRUCT_KEYWORDS = {
 LITERAL_KINDS = {"string", "char", "number", "boolean", "null"}
 
 
-@dataclass(frozen=True)
-class EnrichedToken:
-    text: str
-    kind: str  # struct_kw | signature | primitive_placeholder | keyword | literal_kind
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not self.text:
-            raise ValueError("empty token text")
-
-
 @dataclass
 class EnrichedTokenStream:
     file: str
     language: str
-    tokens: list[EnrichedToken]
+    tokens: list[str]
     # id(node) -> [lo, hi) token range, attached by normalize() so element
     # extraction can find each node's tokens; not serialized
     node_ranges: dict[int, tuple[int, int]] = field(
@@ -61,21 +50,17 @@ class _Normalizer:
     def __init__(self, symbols: SymbolTable, structure: bool):
         self.sym = symbols
         self.structure = structure
-        self.tokens: list[EnrichedToken] = []
+        self.tokens: list[str] = []
         self.ranges: dict[int, tuple[int, int]] = {}
 
-    def kw(self, text: str, node: Node) -> None:
+    def kw(self, text: str) -> None:
         if self.structure:
-            self.tokens.append(EnrichedToken(text, "struct_kw",
-                                             node.start, node.start))
-
-    def tok(self, text: str, kind: str, node: Node) -> None:
-        self.tokens.append(EnrichedToken(text, kind, node.start, node.end))
+            self.tokens.append(text)
 
     def visit(self, node: Node) -> None:
         lo = len(self.tokens)
         if node.kind in STRUCT_KEYWORDS:
-            self.kw(node.kind, node)
+            self.kw(node.kind)
         handler = getattr(self, f"_visit_{node.kind}", None)
         if handler is not None:
             handler(node)
@@ -90,11 +75,10 @@ class _Normalizer:
     # structure ------------------------------------------------------------
 
     def _visit_class(self, node: Node) -> None:
-        for mod in node.meta["modifiers"]:
-            self.tok(mod, "keyword", node)
+        self.tokens += node.meta["modifiers"]
         qualified = self.sym.qualify_declared(node.meta["name"])
-        self.tok(qualified, "signature", node)
-        self.kw("block", node)
+        self.tokens.append(qualified)
+        self.kw("block")
         self.sym.class_stack.append(qualified)
         self.sym.push_scope()
         # fields resolve for every method regardless of declaration order
@@ -107,17 +91,16 @@ class _Normalizer:
         self.sym.class_stack.pop()
 
     def _visit_func_decl(self, node: Node) -> None:
-        for mod in node.meta["modifiers"]:
-            self.tok(mod, "keyword", node)
+        self.tokens += node.meta["modifiers"]
         return_type = node.meta["return_type"]
         if return_type is not None:
-            self._emit_type(return_type, node)
+            self._emit_type(return_type)
         owner = self.sym.class_stack[-1] if self.sym.class_stack else "unk"
         args = ",".join(simple_arg_name(ptype)
                         for ptype, _ in node.meta["params"])
         signature = f"{owner}.{node.meta['name']}({args})"
         node.meta["signature"] = signature
-        self.tok(signature, "signature", node)
+        self.tokens.append(signature)
         self.sym.push_scope()
         for ptype, pname in node.meta["params"]:
             self.sym.declare(pname, ptype)
@@ -127,15 +110,14 @@ class _Normalizer:
     # statements -----------------------------------------------------------
 
     def _visit_decl(self, node: Node) -> None:
-        for mod in node.meta["modifiers"]:
-            self.tok(mod, "keyword", node)
+        self.tokens += node.meta["modifiers"]
         declared = node.meta["type"]
-        resolved = self._emit_type(declared, node)
+        resolved = self._emit_type(declared)
         prim = canon_primitive(split_dims(declared)[0])
         if prim is not None:
-            self.tok(f"{prim}_id", "primitive_placeholder", node)
+            self.tokens.append(f"{prim}_id")
         elif resolved != "?":
-            self.tok(resolved, "signature", node)
+            self.tokens.append(resolved)
         self.sym.declare(node.meta["name"], declared)
         self._visit_children(node)
 
@@ -147,47 +129,44 @@ class _Normalizer:
     # expressions ----------------------------------------------------------
 
     def _visit_func_call(self, node: Node) -> None:
-        self.tok(self._call_signature(node), "signature", node)
+        self.tokens.append(self._call_signature(node))
         self._visit_children(node)
 
     def _visit_literal(self, node: Node) -> None:
-        self.kw("literal_type", node)
-        self.tok(node.meta["kind"], "literal_kind", node)
+        self.kw("literal_type")
+        self.tokens.append(node.meta["kind"])
 
     def _visit_nameref(self, node: Node) -> None:
-        segs = node.meta["segs"]
-        text, kind = resolve_chain(
-            segs, self.sym, var_lookup=not node.meta.get("is_type", False))
-        self.tok(text, kind, node)
+        self.tokens.append(resolve_chain(
+            node.meta["segs"], self.sym,
+            var_lookup=not node.meta.get("is_type", False)))
 
     def _visit_name(self, node: Node) -> None:
-        self.tok(node.text, "keyword", node)
+        self.tokens.append(node.text)
 
     # helpers ----------------------------------------------------------------
 
-    def _emit_type(self, type_name: str, node: Node) -> str:
-        """Emit resolve_type_name's spelling of a declared type, a keyword
-        for void and primitives, nothing for `?`; returns the spelling."""
+    def _emit_type(self, type_name: str) -> str:
+        """Emit resolve_type_name's spelling of a declared type, nothing
+        for `?`; returns the spelling."""
         text = resolve_type_name(type_name, self.sym)
-        base = split_dims(type_name)[0]
         if text != "?":
-            self.tok(text, "keyword" if base == "void" or canon_primitive(
-                base) else "signature", node)
+            self.tokens.append(text)
         return text
 
     def _call_signature(self, node: Node) -> str:
         args = ",".join(self._arg_type(arg) for arg in node.children)
         segs = node.meta["segs"]
         if node.meta.get("new"):
-            base, _ = resolve_chain(segs, self.sym, var_lookup=False)
+            base = resolve_chain(segs, self.sym, var_lookup=False)
             return f"{base}({args})"
         if node.meta.get("owner_unknown"):
             return f"?.{segs[-1]}({args})"
         if len(segs) == 1:
             owner = self.sym.class_stack[-1] if self.sym.class_stack else "unk"
             return f"{owner}.{segs[0]}({args})"
-        owner, _ = resolve_chain(segs[:-1], self.sym,
-                                 bare_primitive_as_type=True)
+        owner = resolve_chain(segs[:-1], self.sym,
+                              bare_primitive_as_type=True)
         return f"{owner}.{segs[-1]}({args})"
 
     def _arg_type(self, arg: Node) -> str:
@@ -250,8 +229,8 @@ def write_stream(stream: EnrichedTokenStream, path, comments=()) -> None:
     artifacts.write_lines(path, (
         f"#{stream.language} {stream.file}",
         *(f"# {c}" for c in comments),
-        " ".join(artifacts.check_field(path, "token", t.text)
-                 for t in stream.tokens)))
+        " ".join(artifacts.check_field(path, "token", token)
+                 for token in stream.tokens)))
 
 
 def read_stream(path) -> tuple[str, str, list[str]]:

@@ -8,9 +8,10 @@ construct has one production.
 Contract: an unsupported construct becomes an `opaque` node that keeps
 its identifier and literal tokens, so no input is rejected for using
 one.  Input that ends where a construct still needs a token (after
-`class`, inside `for (`, in an unterminated literal) raises `ParseError`
-with the line and column, never another exception.  A missing closing
-brace or `;` at the end of input is tolerated.
+`class`, inside `for (`, in an unterminated literal), or that holds
+anything but a name where a declared or imported name goes, raises
+`ParseError` with the line and column, never another exception.  A
+missing closing brace or `;` at the end of input is tolerated.
 """
 
 from __future__ import annotations
@@ -91,6 +92,17 @@ class Parser:
         self.i += 1
         return t
 
+    def _name(self) -> str:
+        """Eat the next token, which must be a name, and return its text."""
+        t = self.peek()
+        if t is None:
+            raise self._end_of_input("expected a name, found end of input")
+        if t.kind != "name":
+            raise ParseError(f"expected a name, found {t.text!r}",
+                             t.line, t.col)
+        self.i += 1
+        return t.text
+
     def expect(self, text: str) -> Tok:
         t = self.peek()
         if t is None:
@@ -153,7 +165,8 @@ class Parser:
         if t is None:
             return None
         header = _HEADERS[self.lang].get(t.text)
-        if header is not None:
+        # a C# `using (…)` is a statement, not a header
+        if header is not None and not self.at("(", 1):
             return getattr(self, header)()
         saved = self.i
         mods = self._collect_modifiers()
@@ -172,13 +185,10 @@ class Parser:
     def parse_java_import(self) -> Node:
         start = self.expect("import").start
         self._skip("static")
-        segs = [self.eat().text]
-        wildcard = False
-        while self._skip("."):
-            if self._skip("*"):
-                wildcard = True
-                break
-            segs.append(self.eat().text)
+        segs = self._dotted()
+        wildcard = self._skip(".")
+        if wildcard:
+            self.expect("*")
         self._skip(";")
         meta = {"qualified": ".".join(segs), "wildcard": wildcard}
         if not wildcard:
@@ -210,7 +220,7 @@ class Parser:
         return Node("namespace", start, self._end_offset(), children, meta={"name": name})
 
     def _dotted(self) -> list[str]:
-        segs = [self.eat().text]
+        segs = [self._name()]
         while self.at(".") and self.at_name(1):
             self.i += 1
             segs.append(self.eat().text)
@@ -245,7 +255,7 @@ class Parser:
 
     def parse_class(self, mods: list[str], start: int) -> Node:
         self.expect("class")
-        name = self.eat().text
+        name = self._name()
         self._skip_generic_args()
         while self.peek() is not None and not self.at("{"):
             self.eat()  # extends/implements/base list, where clauses

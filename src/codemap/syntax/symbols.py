@@ -87,17 +87,16 @@ def _join(base: str, rest: list[str]) -> str:
 
 def resolve_chain(segs: list[str], symbols: SymbolTable, *,
                   var_lookup: bool = True,
-                  bare_primitive_as_type: bool = False) -> tuple[str, str]:
-    """Resolve a dotted name chain to (token text, token kind).
+                  bare_primitive_as_type: bool = False) -> str:
+    """Resolve a dotted name chain to its token text.
 
-    Kind is `primitive_placeholder` for a bare primitive-typed variable and
-    `signature` otherwise.  Resolution order: this/variables, exact imports,
-    file-declared classes, keyword aliases, wildcard-imported namespaces,
+    Resolution order: this/variables, exact imports, file-declared
+    classes, keyword aliases, wildcard-imported namespaces,
     already-qualified names, then the `unk.` fallback.
     """
     head, rest = segs[0], list(segs[1:])
     if head == "this" and symbols.class_stack:
-        return _join(symbols.class_stack[-1], rest), "signature"
+        return _join(symbols.class_stack[-1], rest)
     if var_lookup:
         declared = symbols.lookup_var(head)
         if declared is not None:
@@ -105,19 +104,19 @@ def resolve_chain(segs: list[str], symbols: SymbolTable, *,
             prim = canon_primitive(base)
             if prim is not None:
                 if rest or bare_primitive_as_type:
-                    return _join(prim, rest), "signature"
-                return f"{prim}_id", "primitive_placeholder"
-            return _join(resolve_type_name(declared, symbols), rest), "signature"
+                    return _join(prim, rest)
+                return f"{prim}_id"
+            return _join(resolve_type_name(declared, symbols), rest)
     if head in symbols.imports:
-        return _join(symbols.imports[head], rest), "signature"
+        return _join(symbols.imports[head], rest)
     if head in symbols.classes:
-        return _join(symbols.classes[head], rest), "signature"
+        return _join(symbols.classes[head], rest)
     if head in CLASS_ALIASES:
         return resolve_chain([CLASS_ALIASES[head]] + rest, symbols,
                              var_lookup=False)
     prim = canon_primitive(head)
     if prim is not None:
-        return _join(prim, rest), "signature"
+        return _join(prim, rest)
     if rest:
         # a chain that already starts inside a known namespace or the
         # file's own package is taken as fully qualified
@@ -125,12 +124,12 @@ def resolve_chain(segs: list[str], symbols: SymbolTable, *,
         if symbols.package:
             roots.add(symbols.package.split(".")[0])
         if head in roots:
-            return ".".join(segs), "signature"
+            return ".".join(segs)
     if symbols.namespaces:
-        return f"{symbols.namespaces[0]}.{'.'.join(segs)}", "signature"
+        return f"{symbols.namespaces[0]}.{'.'.join(segs)}"
     if len(segs) >= 3:
-        return ".".join(segs), "signature"
-    return f"unk.{'.'.join(segs)}", "signature"
+        return ".".join(segs)
+    return f"unk.{'.'.join(segs)}"
 
 
 def resolve_type_name(type_name: str, symbols: SymbolTable) -> str:
@@ -144,8 +143,7 @@ def resolve_type_name(type_name: str, symbols: SymbolTable) -> str:
     if prim is not None:
         return prim + dims
     base = CLASS_ALIASES.get(base, base)
-    text, _ = resolve_chain(base.split("."), symbols, var_lookup=False)
-    return text + dims
+    return resolve_chain(base.split("."), symbols, var_lookup=False) + dims
 
 
 def simple_arg_name(type_name: str) -> str:

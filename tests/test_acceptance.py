@@ -49,22 +49,20 @@ def test_criterion_1_golden_normalization(capsys):
     with criterion(capsys, 1, "golden-normalization", 1.0):
         tree = parse("int i;", "java")
         stream = normalize(tree, build_symbols(tree), structure=False)
-        assert [t.text for t in stream.tokens] == ["int", "int_id"]
+        assert stream.tokens == ["int", "int_id"]
 
         symbols = SymbolTable(
             imports={"CommonTree": "Antlr.Runtime.Tree.CommonTree"})
         stream = normalize(parse("CommonTree;", "csharp"), symbols,
                            structure=False)
-        assert [t.text for t in stream.tokens] == \
-            ["Antlr.Runtime.Tree.CommonTree"]
+        assert stream.tokens == ["Antlr.Runtime.Tree.CommonTree"]
 
         symbols = SymbolTable()
         symbols.push_scope()
         symbols.declare("lexer", "Antlr.Runtime.SlimLexer")
         stream = normalize(parse("lexer.Emit();", "csharp"), symbols,
                            structure=False)
-        assert [t.text for t in stream.tokens] == \
-            ["Antlr.Runtime.SlimLexer.Emit()"]
+        assert stream.tokens == ["Antlr.Runtime.SlimLexer.Emit()"]
 
         source = ('using System;\n\nclass Program {\n'
                   '    static void Main() {\n'
@@ -74,7 +72,7 @@ def test_criterion_1_golden_normalization(capsys):
         elements = extract_elements(tree, stream)
         statement = [e for e in elements if e.granularity == "statement"]
         assert len(statement) == 1
-        tokens = [stream.tokens[k].text for k in statement[0].token_indices]
+        tokens = [stream.tokens[k] for k in statement[0].token_indices]
         assert tokens == ["expr_stmt", "expr", "func_call",
                           "System.Console.WriteLine(String)", "argument",
                           "literal_type", "string"]

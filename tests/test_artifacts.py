@@ -17,7 +17,7 @@ from codemap.embed import (EmbeddingTable, Vocabulary, load_embeddings,
 from codemap.hier import read_element_embeddings, read_skips, write_skips
 from codemap.retrieve import read_rankings, read_report
 from codemap.syntax import read_elements, write_stream
-from codemap.syntax.normalize import EnrichedToken, EnrichedTokenStream
+from codemap.syntax.normalize import EnrichedTokenStream
 
 # each file has one non-numeric field, on line 3
 BAD_NUMBERS = {
@@ -74,11 +74,10 @@ def test_whitespace_in_a_space_delimited_field_is_refused(tmp_path):
                         Vocabulary(["a:one", "a:two words"]),
                         vectors)
     stream = tmp_path / "x.tok"
-    tokens = [EnrichedToken("int", "primitive", 0, 3),
-              EnrichedToken("a\tb", "literal_kind", 4, 7)]
     with pytest.raises(ValueError, match=re.escape(
             f"{stream}: token 'a\\tb'")):
-        write_stream(EnrichedTokenStream("x.java", "java", tokens), stream)
+        write_stream(EnrichedTokenStream("x.java", "java", ["int", "a\tb"]),
+                     stream)
     assert list(tmp_path.iterdir()) == []
 
 

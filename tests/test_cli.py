@@ -162,6 +162,13 @@ def test_bad_config_is_validation_error(tmp_path, capsys):
     assert "bogus.key" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_names_file_and_line(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"# project\r\nproject.name = caf\xe9\n")
+    assert _run("pair", "--config", str(config)) == 3
+    assert f"{config}:2:19: not UTF-8 (byte 0xe9)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("settings, message", [
     ({"train.lr0": "nan"}, "lr0 must be positive and finite"),
     ({"train.lr0": "inf"}, "lr0 must be positive and finite"),
@@ -253,16 +260,19 @@ def test_eval_without_truth_configured(project, tmp_path, capsys):
     assert "retrieve.truth" in capsys.readouterr().err
 
 
-# the last four end inside a construct: the parser once crashed on three
-# of them and built a decl with no initializer from the last
+# the next four end inside a construct: the parser once crashed on three
+# of them and built a decl with no initializer from the fourth; the last
+# once put a string literal into the stream as a class name
 @pytest.mark.parametrize("source", [
     'class Broken { String s = "unterminated; }\n',
     "class",
     "for (",
     'String s = "abc\\',
     "class A { int x = ",
+    'class "a b" { }',
 ], ids=["unterminated_string", "ends_after_class", "ends_inside_for",
-        "ends_after_escape", "ends_after_initializer_equals"])
+        "ends_after_escape", "ends_after_initializer_equals",
+        "string_as_class_name"])
 def test_unparseable_source_is_validation_error(project, tmp_path,
                                                 capsys, source):
     (project.parent / "ja" / "Broken.java").write_text(source)
@@ -290,16 +300,19 @@ def test_failed_normalize_leaves_the_previous_corpus_whole(project,
                     "--out-dir", str(out)) == 0
     corpus = _corpus_bytes(out)
     assert len(corpus) == 8
-    # the first source changes, and a later one no longer parses
+    # the first source changes, and a later one no longer parses: it ends
+    # in an open string, or names a class with a string
     counter = project.parent / "ja" / "Counter.java"
     counter.write_text(JAVA_COUNTER.replace("private int total;",
                                             "private int total, spare;"))
-    (project.parent / "cs" / "Holder.cs").write_text(
-        CSHARP_HOLDER + 'class Broken { string s = "unterminated; }\n')
-    assert _run("normalize", "--config", str(project),
-                "--out-dir", str(out)) == 3
-    assert "Holder.cs:" in capsys.readouterr().err
-    assert _corpus_bytes(out) == corpus
+    for broken in ('class Broken { string s = "unterminated; }\n',
+                   'class "a b" { }\n'):
+        (project.parent / "cs" / "Holder.cs").write_text(CSHARP_HOLDER
+                                                         + broken)
+        assert _run("normalize", "--config", str(project),
+                    "--out-dir", str(out)) == 3
+        assert "Holder.cs:" in capsys.readouterr().err
+        assert _corpus_bytes(out) == corpus
 
 
 def test_source_that_is_not_utf8_names_file_and_line(project, tmp_path,

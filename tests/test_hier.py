@@ -12,8 +12,7 @@ from codemap.embed import Vocabulary
 from codemap.hier import (WEIGHTINGS, build_idf, compose_corpus,
                           read_element_embeddings, read_skips,
                           write_element_embeddings, write_skips)
-from codemap.syntax import EnrichedToken, EnrichedTokenStream, parse, \
-    build_symbols, normalize, extract_elements
+from codemap.syntax import build_symbols, extract_elements, normalize, parse
 
 VOCAB = Vocabulary(["a:x", "a:y", "a:z", "b:x"])
 VECS = np.array([[1.0, 0.0],
@@ -159,7 +158,7 @@ def test_method_embeds_flat_not_statement_means():
     statements = [e for e in elements if e.granularity == "statement"]
     assert len(statements) == 2
 
-    texts = [f"a:{token.text}" for token in stream.tokens]
+    texts = [f"a:{token}" for token in stream.tokens]
     vocab = Vocabulary(sorted(set(texts)))
     rng = np.random.default_rng(3)
     vecs = rng.normal(size=(len(vocab), 4))

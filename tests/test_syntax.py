@@ -7,7 +7,7 @@ qualified-name resolution and the enriched stream format exactly.
 import textwrap
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codemap.syntax import (LITERAL_KINDS, STRUCT_KEYWORDS,
@@ -25,13 +25,13 @@ from codemap.syntax.symbols import canon_primitive
 def test_golden_primitive_decl():
     tree = parse("int i;", "java")
     stream = normalize(tree, structure=False)
-    assert [t.text for t in stream.tokens] == ["int", "int_id"]
+    assert stream.tokens == ["int", "int_id"]
 
 
 def test_golden_imported_type_name_in_stream():
     source = "using Antlr.Runtime.Tree;\nCommonTree tree;"
     stream = normalize(parse(source, "csharp"), structure=False)
-    assert stream.tokens[0].text == "Antlr.Runtime.Tree.CommonTree"
+    assert stream.tokens[0] == "Antlr.Runtime.Tree.CommonTree"
 
 
 def test_golden_method_call_on_local():
@@ -39,12 +39,12 @@ def test_golden_method_call_on_local():
     sym.declare("lexer", "Antlr.Runtime.SlimLexer")
     tree = parse("lexer.Emit();", "csharp")
     stream = normalize(tree, sym, structure=False)
-    assert [t.text for t in stream.tokens] == ["Antlr.Runtime.SlimLexer.Emit()"]
+    assert stream.tokens == ["Antlr.Runtime.SlimLexer.Emit()"]
 
 
 def test_golden_call_on_primitive_local_names_the_type():
     stream = normalize(parse("int x; x.Foo();", "java"), structure=False)
-    assert [t.text for t in stream.tokens] == ["int", "int_id", "int.Foo()"]
+    assert stream.tokens == ["int", "int_id", "int.Foo()"]
 
 
 GOLDEN_CS = """using System;
@@ -67,7 +67,7 @@ def test_golden_console_statement_element():
     elements = extract_elements(tree, stream)
     statements = [e for e in elements if e.granularity == "statement"]
     assert len(statements) == 1
-    owned = [stream.tokens[i].text for i in statements[0].token_indices]
+    owned = [stream.tokens[i] for i in statements[0].token_indices]
     assert owned == GOLDEN_STMT_TOKENS
 
 
@@ -231,6 +231,18 @@ LEX_ROWS = [
                  id="char_backslash_at_end"),
     pytest.param('x $"abc', ("unterminated string", 1, 3),
                  id="open_interpolated_string"),
+    pytest.param('$"a{(b ? "x" : "y")}c"', [
+        ("str", '"a{(b ? "x" : "y")}c"', 1, 22, 1, 1)],
+        id="string_in_interpolation_hole"),
+    pytest.param('$"a{f("(")}"', [("str", '"a{f("(")}"', 1, 12, 1, 1)],
+                 id="paren_string_in_interpolation_hole"),
+    pytest.param('$"{{x}}"', [("str", '"{{x}}"', 1, 8, 1, 1)],
+                 id="interpolation_escaped_braces"),
+    # a hole the interpolated rule cannot close lexes as an ordinary string
+    pytest.param('$"a{b"', [("str", '"a{b"', 1, 6, 1, 1)],
+                 id="unclosed_interpolation_hole"),
+    pytest.param('$"a}b"', [("str", '"a}b"', 1, 6, 1, 1)],
+                 id="unopened_interpolation_hole"),
 ]
 
 
@@ -252,8 +264,8 @@ def test_lexer_table(source, expected):
 def test_text_block_is_one_string_literal(language):
     plain = 'class A { String s = "x"; }'
     block = 'class A { String s = """\n    hello\n    """; }'
-    assert ([t.text for t in normalize(parse(block, language)).tokens]
-            == [t.text for t in normalize(parse(plain, language)).tokens])
+    assert (normalize(parse(block, language)).tokens
+            == normalize(parse(plain, language)).tokens)
     assert [t.line for t in lex(block, language) if t.text == ";"] == [3]
 
 
@@ -267,15 +279,24 @@ def test_csharp_raw_string_is_one_literal(literal):
     assert [(t.kind, t.text, t.start, t.col) for t in lex(source, "csharp")
             if t.kind == "str"] == [("str", literal.lstrip("$"),
                                      4 + literal.count("$"), 5)]
-    streams = [[t.text for t in normalize(parse(
-        f"class A {{ string p = {text}; }}", "csharp")).tokens]
+    streams = [normalize(parse(
+        f"class A {{ string p = {text}; }}", "csharp")).tokens
+        for text in (literal, '"x"')]
+    assert streams[0] == streams[1]
+
+
+@pytest.mark.parametrize("literal", [
+    '$"a{(b ? "x" : "y")}c"', '$"a{f("(")}"'], ids=["ternary", "paren"])
+def test_string_in_an_interpolation_hole_stays_in_its_literal(literal):
+    streams = [normalize(parse(
+        f"class A {{ string p = {text}; }}", "csharp")).tokens
         for text in (literal, '"x"')]
     assert streams[0] == streams[1]
 
 
 def test_dollar_at_string_is_one_literal():
-    streams = [[t.text for t in normalize(parse(
-        "class A { void f() { g(" + literal + "); } }", "csharp")).tokens]
+    streams = [normalize(parse(
+        "class A { void f() { g(" + literal + "); } }", "csharp")).tokens
         for literal in ('$@"a{x}b"', '@$"a{x}b"')]
     assert streams[0] == streams[1]
     assert "A.g(String)" in streams[0]
@@ -285,8 +306,8 @@ def test_dollar_at_string_is_one_literal():
     ("int @class = 1; g(@class);", "int x = 1; g(x);"),
     ("var @x = 2; h(@x);", "var x = 2; h(x);")], ids=["class", "var"])
 def test_csharp_verbatim_identifier_is_a_name(body, plain):
-    streams = [[t.text for t in normalize(parse(
-        f"class A {{ void f() {{ {text} }} }}", "csharp")).tokens]
+    streams = [normalize(parse(
+        f"class A {{ void f() {{ {text} }} }}", "csharp")).tokens
         for text in (body, plain)]
     assert streams[0] == streams[1]
     assert [(t.kind, t.text) for t in lex("@class @if", "csharp")] == [
@@ -298,17 +319,17 @@ def test_csharp_verbatim_identifier_is_a_name(body, plain):
     "int @if = 1; g(@if);"],
     ids=["declared_verbatim", "used_verbatim", "plain", "keyword"])
 def test_csharp_verbatim_and_plain_spellings_are_one_variable(body):
-    tokens = [t.text for t in normalize(parse(
-        f"class A {{ void f() {{ {body} }} }}", "csharp")).tokens]
+    tokens = normalize(parse(
+        f"class A {{ void f() {{ {body} }} }}", "csharp")).tokens
     assert tokens[-3:] == ["A.g(int)", "argument", "int_id"]
 
 
 def test_java_annotation_is_skipped():
     assert [(t.kind, t.text) for t in lex("@Override", "java")] == [
         ("punct", "@"), ("name", "Override")]
-    streams = [[t.text for t in normalize(parse(
+    streams = [normalize(parse(
         f"class A {{ {annotation}public int f() {{ return 1; }} }}",
-        "java")).tokens] for annotation in ("@Override ", "")]
+        "java")).tokens for annotation in ("@Override ", "")]
     assert streams[0] == streams[1]
     assert "A.f()" in streams[0]
 
@@ -320,20 +341,19 @@ def test_java_annotation_is_skipped():
 def test_unknown_name_falls_back():
     stream = normalize(parse("Foo;", "csharp"), SymbolTable(),
                        structure=False)
-    assert [t.text for t in stream.tokens] == ["unk.Foo"]
+    assert stream.tokens == ["unk.Foo"]
 
 
 def test_qualified_name_resolves_to_itself():
     stream = normalize(parse("Antlr.Runtime.Tree.CommonTree;", "csharp"),
                        SymbolTable(), structure=False)
-    assert [t.text for t in stream.tokens] == ["Antlr.Runtime.Tree.CommonTree"]
+    assert stream.tokens == ["Antlr.Runtime.Tree.CommonTree"]
 
 
 def test_wildcard_import_qualifies():
     source = "import java.util.*;\nclass A { void f() { List x; } }"
     stream = normalize(parse(source, "java"))
-    texts = [t.text for t in stream.tokens]
-    assert "java.util.List" in texts
+    assert "java.util.List" in stream.tokens
 
 
 def test_field_resolves_inside_method():
@@ -345,22 +365,20 @@ class A {
 }
 """
     stream = normalize(parse(source, "java"))
-    texts = [t.text for t in stream.tokens]
-    assert "demo.io.Writer.flush()" in texts
+    assert "demo.io.Writer.flush()" in stream.tokens
 
 
 def test_bare_call_owner_is_enclosing_class():
     source = "package demo;\nclass A { void f() { g(); } void g() { } }"
     stream = normalize(parse(source, "java"))
-    texts = [t.text for t in stream.tokens]
-    assert "demo.A.g()" in texts
+    assert "demo.A.g()" in stream.tokens
 
 
 def test_boolean_spellings_share_one_placeholder():
     java = normalize(parse("boolean flag;", "java"), structure=False)
     cs = normalize(parse("bool flag;", "csharp"), structure=False)
-    assert [t.text for t in java.tokens] == ["bool", "bool_id"]
-    assert [t.text for t in cs.tokens] == ["bool", "bool_id"]
+    assert java.tokens == ["bool", "bool_id"]
+    assert cs.tokens == ["bool", "bool_id"]
 
 
 def test_method_signature_arg_types():
@@ -370,14 +388,13 @@ class A {
 }
 """
     stream = normalize(parse(source, "java"))
-    texts = [t.text for t in stream.tokens]
-    assert "demo.A.add(int,String)" in texts
+    assert "demo.A.add(int,String)" in stream.tokens
 
 
 def test_literal_argument_kinds():
     source = "class A { void f() { g(1, 2.5, 'c', true, null); } }"
     stream = normalize(parse(source, "java"))
-    sigs = [t.text for t in stream.tokens if "g(" in t.text]
+    sigs = [token for token in stream.tokens if "g(" in token]
     assert sigs == ["A.g(int,double,char,bool,?)"]
 
 
@@ -409,25 +426,14 @@ class Sample {
 def test_no_punctuation_tokens():
     stream = normalize(parse(SAMPLE, "java"))
     for token in stream.tokens:
-        assert token.text not in PUNCT
-        assert " " not in token.text
-
-
-def test_struct_keyword_spans_empty_others_not():
-    stream = normalize(parse(SAMPLE, "java"))
-    for token in stream.tokens:
-        if token.kind == "struct_kw":
-            assert token.start == token.end
-        else:
-            assert token.start < token.end
-            assert 0 <= token.start <= token.end <= len(SAMPLE)
+        assert token not in PUNCT
+        assert " " not in token
 
 
 def test_determinism():
     first = normalize(parse(SAMPLE, "java"))
     second = normalize(parse(SAMPLE, "java"))
-    assert [(t.text, t.kind) for t in first.tokens] == \
-        [(t.text, t.kind) for t in second.tokens]
+    assert first.tokens == second.tokens
 
 
 def test_single_method_gives_three_granularities():
@@ -502,7 +508,7 @@ def test_stream_file_round_trip(tmp_path):
     language, source, tokens = read_stream(out)
     assert language == "java"
     assert source == "demo/Sample.java"
-    assert tokens == [t.text for t in stream.tokens]
+    assert tokens == stream.tokens
 
 
 def test_stream_file_header_required(tmp_path):
@@ -897,6 +903,18 @@ CONSTRUCTS = [
             name 60-64 void
             name 65-66 M
 """, id="opaque_members"),
+    pytest.param(
+        "csharp",
+        'using (var r = f()) { g(r); }',
+        """
+        opaque 0-29
+          name 0-5 using
+          name 7-10 var
+          name 11-12 r
+          name 15-16 f
+          name 22-23 g
+          name 24-25 r
+""", id="top_level_using_statement"),
 
 ]
 
@@ -950,26 +968,24 @@ def test_generated_sources_normalize(case):
     tree = parse(source, lang)
     stream = normalize(tree)
     for token in stream.tokens:
-        assert token.text
-        assert token.text not in PUNCT
-        assert " " not in token.text
-        if token.kind == "struct_kw":
-            assert token.text in STRUCT_KEYWORDS
-        elif token.kind == "literal_kind":
-            assert token.text in LITERAL_KINDS
+        assert token.split() == [token]
+        assert token not in PUNCT
     for node in tree.root.walk():
         lo, hi = stream.node_ranges[id(node)]
         if node.kind in STRUCT_KEYWORDS and hi > lo:
-            assert stream.tokens[lo].kind == "struct_kw"
-            assert stream.tokens[lo].text == node.kind
+            assert stream.tokens[lo] == node.kind
+        if node.kind == "literal":
+            assert node.meta["kind"] in LITERAL_KINDS
+            assert stream.tokens[lo:hi] == ["literal_type", node.meta["kind"]]
     elements = extract_elements(tree, stream)
     for element in elements:
         assert element.token_indices[-1] < len(stream.tokens)
 
 
-# token soup: whatever the tokens, parse returns a tree or raises ParseError;
-# the pool holds every keyword a production starts with and literals cut
-# off inside their escape
+# token soup: whatever the tokens, parse returns a tree or raises ParseError,
+# and a tree normalizes to tokens without whitespace; the pool holds every
+# keyword a production starts with, literals cut off inside their escape and
+# literals with a blank inside
 
 _SOUP = ["class", "package", "import", "using", "namespace", "static", "for",
          "foreach", "in", "while", "do", "if", "else", "return", "new", "try",
@@ -977,19 +993,24 @@ _SOUP = ["class", "package", "import", "using", "namespace", "static", "for",
          "a.b", "(", ")", "{", "}", "[", "]", "<", ">", ";", ",", ".", ":",
          "=", "=>", "?", "@", "*", "+", "1", "'c'", '"s"', "true", "null",
          '"abc\\', "'\\", '$"x\\', "\n", '"""', '$@"x"', '@"a""b"', "0x1F",
-         "1e-5f", "#if X", "/* c */"]
+         "1e-5f", "#if X", "/* c */", '"a b"', "' '"]
 
 
 @given(st.sampled_from(["java", "csharp"]),
        st.lists(st.sampled_from(_SOUP), max_size=30))
 @settings(max_examples=300, deadline=None)
+@example("csharp", ["using", '"a b"', ";"])
 def test_token_soup_parses_or_raises_parse_error(language, tokens):
     try:
         tree = parse(" ".join(tokens), language)
     except ParseError as err:
         assert err.line >= 1 and err.col >= 1
-    else:
-        assert tree.root.kind == "unit"
+        return
+    assert tree.root.kind == "unit"
+    stream = normalize(tree)
+    extract_elements(tree, stream)
+    for token in stream.tokens:
+        assert token.split() == [token]
 
 # ---------------------------------------------------------------------------
 # primitive array creation: the element type is a primitive whatever the
@@ -1025,7 +1046,10 @@ def _array_creation(draw):
 @settings(max_examples=60, deadline=None)
 def test_primitive_array_creation_never_qualified(case):
     source, lang, prim, new_at = case
-    stream = normalize(parse(source, lang))
-    created = [t.text for t in stream.tokens if t.start == new_at]
+    tree = parse(source, lang)
+    stream = normalize(tree)
+    (created,) = [stream.tokens[slice(*stream.node_ranges[id(node)])]
+                  for node in tree.root.walk()
+                  if node.kind == "nameref" and node.start == new_at]
     assert created == [canon_primitive(prim)]
     assert not any(ch.isspace() for ch in created[0])
