@@ -5,9 +5,9 @@ temporary directory, then:
 - token precision, recall@10, MAP@1/5/10 and the rank of `b:readonly`
   for `a:final`, as `perfbench/checks.py::check_demo` defines them, on
   `fixtures/demo/truth.tsv`;
-- method p@1 and MAP@1/5/10 on `fixtures/demo/method_truth.tsv`: each
-  Java method's composed vector ranked by cosine against every C#
-  method's.
+- method p@1 and MAP@1/5/10 on `fixtures/demo/method_truth.tsv`: the
+  `map` stage at method granularity, which ranks each Java method's
+  composed vector by cosine against every C# method's.
 
     PYTHONPATH=src python3 scripts/panel.py
 """
@@ -20,13 +20,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
-from codemap import cli, hier, retrieve  # noqa: E402
-from codemap.syntax import id_granularity  # noqa: E402
+from codemap import cli, retrieve  # noqa: E402
+from codemap.config import config_hash, parse_config, provenance  # noqa: E402
 from perfbench.checks import check_demo  # noqa: E402
 
 DEMO = ROOT / "fixtures" / "demo"
@@ -34,31 +32,28 @@ KS = (1, 5, 10)
 SEEDS = (7, 8, 9, 10, 11)
 
 
-def method_quality(out_dir, truth):
-    """p@1 and MAP@k of Java methods ranked against C# methods."""
-    ids, matrix, _, _ = hier.read_element_embeddings(
-        out_dir / "element_vecs.txt")
-    rows = [row for row, element_id in enumerate(ids)
-            if id_granularity(element_id) == "method"]
-    queries = [row for row in rows if ids[row].startswith("a:")
-               and np.any(matrix[row] != 0)]
-    candidates = [row for row in rows if ids[row].startswith("b:")]
-    rankings = dict(zip([ids[row] for row in queries], retrieve.rank_batch(
-        matrix[queries], [ids[row] for row in candidates],
-        matrix[candidates], max(KS))))
+def method_quality(config, seed, out_dir, truth):
+    """p@1 and MAP@k of Java methods ranked against C# methods by the
+    map stage, on the run's own config and seed."""
+    cfg = parse_config(config, seed=seed)
+    cfg.granularity, cfg.k = "method", max(KS)
+    rankings = cli.stage_map(cfg, out_dir,
+                             provenance(config_hash(config), seed))
     report = retrieve.evaluate_map(rankings, truth, KS)
     return report.precision_at_1, [report.map_at_k[k] for k in KS]
 
 
 def panel_row(seed, method_truth):
+    config = DEMO / "config.txt"
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stderr(io.StringIO()):
-        status = cli.main(["run-all", "--config", str(DEMO / "config.txt"),
+        status = cli.main(["run-all", "--config", str(config),
                            "--out-dir", tmp, "--seed", str(seed)])
         failures, token = check_demo(tmp, DEMO / "truth.tsv", status)
         if not token:
             raise SystemExit(f"seed {seed}: {'; '.join(failures)}")
-        method_p1, method_maps = method_quality(Path(tmp), method_truth)
+        method_p1, method_maps = method_quality(config, seed, Path(tmp),
+                                                method_truth)
     return (token["precision"], token["recall"],
             [token[f"map_at_{k}"] for k in KS], method_p1, method_maps,
             token["final_readonly_rank"])
@@ -76,7 +71,7 @@ def main():
         print(f"{seed}\t{precision:.3f}\t{recall:.3f}\t"
               f"{'/'.join(f'{m:.3f}' for m in maps)}\t{method_p1:.3f}\t"
               f"{'/'.join(f'{m:.3f}' for m in method_maps)}\t{rank}")
-    print(f"mean method p@1 {np.mean(method_p1s):.3f}")
+    print(f"mean method p@1 {sum(method_p1s) / len(method_p1s):.3f}")
     return 0
 
 

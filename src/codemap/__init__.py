@@ -6,4 +6,9 @@ embeddings, compose element-level vectors, and retrieve cross-language
 mappings.
 """
 
+import os
+
+# before numpy loads: more BLAS threads slow training and move its last bits
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"

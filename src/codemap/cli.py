@@ -91,20 +91,23 @@ def stage_normalize(cfg, out_dir, prov):
              t0)
 
 
+def _streams(out_dir):
+    """(side, source path, tokens) per stream file, a then b of each pair."""
+    pairs = corpus.read_pair_manifest(_require(out_dir / "pairs.tsv",
+                                               "pair"))
+    for pair in pairs:
+        for side, relpath in (("a", pair.path_a), ("b", pair.path_b)):
+            path = _require(_stream_path(out_dir, side, relpath),
+                            "normalize")
+            yield side, relpath, read_stream(path)[2]
+
+
 def _read_bitext(cfg, out_dir):
     """The stream files' token pairs, chunked to the configured maximum
     length, as one integer index."""
-    pairs = corpus.read_pair_manifest(_require(out_dir / "pairs.tsv",
-                                               "pair"))
-    raw = []
-    for pair in pairs:
-        path_a = _require(_stream_path(out_dir, "a", pair.path_a),
-                          "normalize")
-        path_b = _require(_stream_path(out_dir, "b", pair.path_b),
-                          "normalize")
-        _, _, tokens_a = read_stream(path_a)
-        _, _, tokens_b = read_stream(path_b)
-        raw.append((tokens_a, tokens_b, pair.path_a))
+    streams = _streams(out_dir)  # side a, then side b, of each pair
+    raw = [(tokens_a, tokens_b, path_a) for (_, path_a, tokens_a),
+           (_, _, tokens_b) in zip(streams, streams)]
     return align.Bitext(align.build_bitext(raw, max_len=cfg.align_max_len))
 
 
@@ -150,31 +153,22 @@ def stage_train(cfg, out_dir, prov):
 def _load_elements(out_dir, vocab):
     """Every extracted element as (element ids, the vocabulary ids of
     their tokens flat, -1 where out of vocabulary, element offsets)."""
-    pairs = corpus.read_pair_manifest(_require(out_dir / "pairs.tsv",
-                                               "pair"))
     ids, token_ids, offsets = [], [], [0]
-    sides = [(side, out_dir / "streams" / side, out_dir / "elements" / side)
-             for side in ("a", "b")]
-    for pair in pairs:
-        for side, stream_dir, element_dir in sides:
-            relpath = pair.path_a if side == "a" else pair.path_b
-            stream_file = _require(stream_dir / (relpath + ".tok"),
-                                   "normalize")
-            element_file = _require(element_dir / (relpath + ".tsv"),
-                                    "normalize")
-            _, _, tokens = read_stream(stream_file)
-            stream_ids = [vocab.ids.get(f"{side}:{token}", -1)
-                          for token in tokens]
-            elements = read_elements(element_file)
-            for element in elements:
-                span = element.token_indices
-                if span.start < 0 or span.stop > len(stream_ids):
-                    raise ValueError(f"{element_file}: tokens {span[0]}-"
-                                     f"{span[-1]} are outside the "
-                                     f"{len(stream_ids)}-token stream")
-                token_ids.extend(stream_ids[span.start:span.stop])
-                offsets.append(len(token_ids))
-            ids.extend(element_ids(side, relpath, elements))
+    for side, relpath, tokens in _streams(out_dir):
+        element_file = _require(_elements_path(out_dir, side, relpath),
+                                "normalize")
+        stream_ids = [vocab.ids.get(f"{side}:{token}", -1)
+                      for token in tokens]
+        elements = read_elements(element_file)
+        for element in elements:
+            span = element.token_indices
+            if span.start < 0 or span.stop > len(stream_ids):
+                raise ValueError(f"{element_file}: tokens {span[0]}-"
+                                 f"{span[-1]} are outside the "
+                                 f"{len(stream_ids)}-token stream")
+            token_ids.extend(stream_ids[span.start:span.stop])
+            offsets.append(len(token_ids))
+        ids.extend(element_ids(side, relpath, elements))
     return ids, np.array(token_ids, dtype=np.intp), offsets
 
 
@@ -215,13 +209,13 @@ def stage_map(cfg, out_dir, prov):
     on_query_side = np.array([retrieve.element_side(i) == cfg.side[0]
                               for i in ids], dtype=bool)
     nonzero = np.any(matrix != 0, axis=1)
-    queries = [retrieve.Query(ids[row], tuple(matrix[row].tolist()),
-                              cfg.side, cfg.k)
+    queries = [retrieve.Query(ids[row], matrix[row], cfg.side, cfg.k)
                for row in np.flatnonzero(on_query_side & nonzero).tolist()]
     zero_skipped = int(np.count_nonzero(on_query_side & ~nonzero))
     is_candidate = ~on_query_side & nonzero
-    distinct = len(retrieve.distinct_rows(matrix[is_candidate])[0])
-    rankings = retrieve.run_queries(queries, ids, matrix)
+    rankings, distinct = retrieve.run_queries(queries, ids, matrix)
+    if not queries:  # nothing ranked, but the summary counts candidates
+        distinct = len(retrieve.distinct_rows(matrix[is_candidate])[0])
     retrieve.write_rankings(out_dir / "mappings" / f"{cfg.granularity}.tsv",
                             rankings, comments=(prov,))
     note = f", {zero_skipped} zero-vector queries skipped" \

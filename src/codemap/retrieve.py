@@ -10,6 +10,7 @@ scores 1.0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,21 +20,11 @@ SIDES = ("a2b", "b2a")
 SCORE_BLOCK = 1 << 16  # floats in one block of query-candidate scores
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     id: str
-    vector: tuple
+    vector: np.ndarray
     side: str
-    k: int = 10
-
-    def __post_init__(self):
-        if self.side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}, "
-                             f"got {self.side!r}")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if not any(x != 0.0 for x in self.vector):
-            raise ValueError(f"query {self.id!r} has a zero vector")
+    k: int
 
 
 def element_side(element_id):
@@ -46,13 +37,14 @@ def element_side(element_id):
 
 def distinct_rows(matrix):
     """(unique rows, index of each row's unique row): the one notion of
-    identical vectors that ranking and the map summary share.  Asking for
+    identical vectors, for queries and candidates alike.  Asking for
     the inverse also keeps np.unique from importing numpy.ma (≈1 MB)."""
     return np.unique(matrix, axis=0, return_inverse=True)
 
 
 def rank_batch(query_vecs, ids, matrix, k):
-    """Top-k candidates by cosine for every query row, ties broken by id.
+    """Top-k candidates by cosine for every query row, ties broken by id,
+    and the number of distinct candidate vectors they were ranked against.
 
     Zero-norm candidate rows have no cosine and are left out.  Identical
     candidate vectors, and identical queries, share one computed score, so
@@ -74,7 +66,7 @@ def rank_batch(query_vecs, ids, matrix, k):
     kept_ids = [ids[row] for row in keep.tolist()]
     n = len(kept_ids)
     if n == 0:
-        return [[] for _ in query_of]
+        return [[] for _ in query_of], 0
     id_rank = np.empty(n, dtype=np.intp)
     id_rank[sorted(range(n), key=kept_ids.__getitem__)] = np.arange(n)
     vectors, vector_of = distinct_rows(matrix[keep])
@@ -95,25 +87,26 @@ def rank_batch(query_vecs, ids, matrix, k):
             best = order[first:first + top]
             ranked.append(list(zip([kept_ids[j] for j in hit[best].tolist()],
                                    hit_sims[best].tolist())))
-    return [list(ranked[q]) for q in query_of.tolist()]
+    return [list(ranked[q]) for q in query_of.tolist()], len(vectors)
 
 
 def run_queries(queries, ids, matrix):
-    """Rank each query against the candidates on its target side, with
-    one rank_batch call per side and k."""
-    by_side = {"a": [], "b": []}
-    for row, element_id in enumerate(ids):
-        by_side[element_side(element_id)].append(row)
-    groups: dict[tuple, list] = {}
-    for query in queries:
-        groups.setdefault((query.side, query.k), []).append(query)
-    rankings = {}
-    for (side, k), group in groups.items():
-        rows = by_side["b" if side == "a2b" else "a"]
-        rankings.update(zip([query.id for query in group], rank_batch(
-            [query.vector for query in group], [ids[r] for r in rows],
-            matrix[rows], k)))
-    return rankings
+    """Rank queries that share one side and one k against the candidates
+    on the other side, in one rank_batch call; returns the rankings by
+    query id and the number of distinct candidate vectors."""
+    groups = {(query.side, query.k) for query in queries}
+    if not groups:
+        return {}, 0
+    if len(groups) > 1:
+        raise ValueError(f"queries mix sides or k: {sorted(groups)}")
+    (side, k), = groups
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    rows = [row for row, element_id in enumerate(ids)
+            if element_side(element_id) != side[0]]
+    ranked, distinct = rank_batch([query.vector for query in queries],
+                                  [ids[row] for row in rows], matrix[rows], k)
+    return dict(zip([query.id for query in queries], ranked)), distinct
 
 
 def average_precision(ranked_ids, relevant, k):

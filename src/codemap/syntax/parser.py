@@ -165,9 +165,9 @@ class Parser:
         if t is None:
             return None
         header = _HEADERS[self.lang].get(t.text)
-        # a C# `using (…)` is a statement, not a header
+        # a C# `using (…)` or `using var r = …;` is a statement, not a header
         if header is not None and not self.at("(", 1):
-            return getattr(self, header)()
+            return self._try_local_decl("using") or getattr(self, header)()
         saved = self.i
         mods = self._collect_modifiers()
         if self.at("class"):
@@ -273,6 +273,7 @@ class Parser:
         entry = self.i
         mods = self._collect_modifiers()
         start = self.toks[entry].start
+        self._skip_generic_args()  # a generic method's type parameters
         if self.at("class"):
             return self.parse_class(mods, start)
         if self.at("{") or (self.at_name() and self.peek().text in _TYPE_DECL_KW):
@@ -383,11 +384,14 @@ class Parser:
         t = self.peek()
         if t is None or self._skip(";"):
             return None
+        if t.kind == "name" and self.at(":", 1):
+            self.i += 2  # a label names the statement after it
+            return self.parse_statement()
         if t.text in _STATEMENTS:
             return getattr(self, _STATEMENTS[t.text])()
         if t.kind == "name" and t.text in _OPAQUE_STATEMENT_KW:
             # `using (...)` as a statement, try/switch/lock blocks, ...
-            return self.parse_opaque_member()
+            return self._try_local_decl("using") or self.parse_opaque_member()
         decl = self._try_local_decl()
         if decl is not None:
             return decl
@@ -484,8 +488,11 @@ class Parser:
         children = [expr] if expr.children else []
         return Node("return_stmt", start, self._end_offset(), children)
 
-    def _try_local_decl(self) -> Node | None:
+    def _try_local_decl(self, keyword: str | None = None) -> Node | None:
+        """A local declaration, after `keyword` if given, or None."""
         saved = self.i
+        if keyword is not None and not self._skip(keyword):
+            return None
         mods = self._collect_modifiers()
         type_name = self._try_type()
         nxt = self.peek(1)

@@ -147,6 +147,20 @@ def test_version_exits_zero(capsys):
     assert "codemap" in capsys.readouterr().out
 
 
+def test_importing_codemap_pins_openblas_to_one_thread():
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join((str(ROOT / "src"), str(ROOT)))
+    done = subprocess.run(
+        [sys.executable, "-c", "import codemap.cli\n"
+         "from perfbench.worker import blas_threads\n"
+         "print(blas_threads())"],
+        env=env, capture_output=True, text=True, check=True)
+    if done.stdout.strip() == "None":
+        pytest.skip("OpenBLAS cannot be asked for its thread count")
+    assert done.stdout.strip() == "1"
+
+
 # ---------------------------------------------------------------------------
 # I/O and validation errors
 

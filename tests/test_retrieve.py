@@ -31,7 +31,7 @@ def oracle_average_precision(ranked, relevant, k):
 def test_rank_neighbors_orders_by_similarity():
     ids = ["b:far", "b:near", "b:mid"]
     matrix = np.array([[-1.0, 0.0], [1.0, 0.1], [0.5, 0.8]])
-    ranked = rank_batch([[1.0, 0.0]], ids, matrix, k=3)[0]
+    ranked = rank_batch([[1.0, 0.0]], ids, matrix, k=3)[0][0]
     assert [i for i, _ in ranked] == ["b:near", "b:mid", "b:far"]
     assert ranked[0][1] > ranked[1][1] > ranked[2][1]
 
@@ -39,17 +39,18 @@ def test_rank_neighbors_orders_by_similarity():
 def test_rank_neighbors_tie_breaks_lexicographically():
     ids = ["b:z", "b:a"]
     matrix = np.array([[2.0, 0.0], [1.0, 0.0]])  # same direction
-    ranked = rank_batch([[1.0, 0.0]], ids, matrix, k=2)[0]
-    assert [i for i, _ in ranked] == ["b:a", "b:z"]
+    ranked, distinct = rank_batch([[1.0, 0.0]], ids, matrix, k=2)
+    assert [i for i, _ in ranked[0]] == ["b:a", "b:z"]
+    assert distinct == 2
 
 
 def test_rank_neighbors_truncates_and_skips_zero_rows():
     ids = ["b:x", "b:zero", "b:y"]
     matrix = np.array([[1.0, 0.0], [0.0, 0.0], [0.9, 0.1]])
-    ranked = rank_batch([[1.0, 0.0]], ids, matrix, k=2)[0]
+    ranked = rank_batch([[1.0, 0.0]], ids, matrix, k=2)[0][0]
     assert len(ranked) == 2
     assert "b:zero" not in [i for i, _ in ranked]
-    assert rank_batch([[1.0, 0.0]], [], np.zeros((0, 2)), k=5) == [[]]
+    assert rank_batch([[1.0, 0.0]], [], np.zeros((0, 2)), k=5) == ([[]], 0)
 
 
 def test_rank_neighbors_validation():
@@ -62,13 +63,24 @@ def test_rank_neighbors_validation():
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        Query("a:q", (1.0,), "sideways")
-    with pytest.raises(ValueError):
-        Query("a:q", (1.0,), "a2b", k=0)
-    with pytest.raises(ValueError):
-        Query("a:q", (0.0, 0.0), "a2b")
-    assert Query("a:q", (1.0,), "b2a").k == 10
+    ids, matrix = ["a:q", "b:x"], np.ones((2, 2))
+    with pytest.raises(ValueError, match="side must be one of"):
+        run_queries([Query("a:q", (1.0, 0.0), "sideways", 1)], ids, matrix)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        run_queries([Query("a:q", (1.0, 0.0), "a2b", 0)], ids, matrix)
+    with pytest.raises(ValueError, match="zero vector"):
+        run_queries([Query("a:q", (0.0, 0.0), "a2b", 1)], ids, matrix)
+
+
+def test_run_queries_refuses_a_mix_of_sides_or_k():
+    ids = ["a:one", "b:one"]
+    matrix = np.array([[1.0, 0.0], [0.0, 1.0]])
+    for other in (Query("b:one", (0.0, 1.0), "b2a", 1),
+                  Query("a:one", (1.0, 0.0), "a2b", 2)):
+        with pytest.raises(ValueError, match="queries mix sides or k"):
+            run_queries([Query("a:one", (1.0, 0.0), "a2b", 1), other],
+                        ids, matrix)
+    assert run_queries([], ids, matrix) == ({}, 0)
 
 
 def test_element_side():
@@ -83,13 +95,15 @@ def test_element_side():
 def test_run_queries_filters_by_side():
     ids = ["a:one", "b:one", "b:two"]
     matrix = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    rankings = run_queries([Query("a:one", (1.0, 0.0), "a2b", k=5)],
-                           ids, matrix)
+    rankings, distinct = run_queries([Query("a:one", (1.0, 0.0), "a2b", 5)],
+                                     ids, matrix)
     names = [i for i, _ in rankings["a:one"]]
     assert names == ["b:one", "b:two"]
-    rankings = run_queries([Query("b:two", (0.0, 1.0), "b2a", k=5)],
-                           ids, matrix)
+    assert distinct == 2
+    rankings, distinct = run_queries([Query("b:two", (0.0, 1.0), "b2a", 5)],
+                                     ids, matrix)
     assert [i for i, _ in rankings["b:two"]] == ["a:one"]
+    assert distinct == 1
 
 
 def oracle_rank_neighbors(query_vec, ids, matrix, k):
@@ -151,10 +165,15 @@ def test_batched_ranking_equals_per_query_oracle(block, monkeypatch):
     rng = np.random.default_rng(5)
     for _ in range(300):
         ids, matrix, queries = random_retrieval_case(rng)
-        assert run_queries(queries, ids, matrix) == \
-            oracle_run_queries(queries, ids, matrix)
+        groups = {}
+        for query in queries:
+            groups.setdefault((query.side, query.k), []).append(query)
+        for group in groups.values():
+            assert run_queries(group, ids, matrix)[0] == \
+                oracle_run_queries(group, ids, matrix)
         for query in queries[:3]:
-            assert rank_batch([query.vector], ids, matrix, query.k)[0] == \
+            assert rank_batch([query.vector], ids, matrix,
+                              query.k)[0][0] == \
                 oracle_rank_neighbors(query.vector, ids, matrix, query.k)
 
 
@@ -162,7 +181,7 @@ def test_tie_group_straddling_k_is_ordered_by_id():
     ids = ["b:d", "b:a", "b:c", "b:e", "b:b"]
     matrix = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 0.0],
                        [3.0, 0.0]])
-    ranked = rank_batch([[1.0, 0.0]], ids, matrix, k=3)[0]
+    ranked = rank_batch([[1.0, 0.0]], ids, matrix, k=3)[0][0]
     assert ranked == [("b:a", 1.0), ("b:b", 1.0), ("b:d", 1.0)]
     assert ranked == oracle_rank_neighbors([1.0, 0.0], ids, matrix, k=3)
 

@@ -445,6 +445,25 @@ def test_single_method_gives_three_granularities():
         ["method", "statement", "expression"]
 
 
+def test_generic_method_is_a_method_element():
+    tree = parse("class A { public static <T extends Comparable<T>> T "
+                 "max(T a, T b) { return a; } }", "java")
+    elements = extract_elements(tree, normalize(tree))
+    assert [(e.granularity, e.label) for e in elements] == [
+        ("method", "A.max(T,T)"), ("statement", "return_stmt"),
+        ("expression", "expr")]
+
+
+@pytest.mark.parametrize("wrap", ["{}", "class A {{ void f() {{ {} }} }}"],
+                         ids=["top_level", "in_a_block"])
+def test_csharp_using_declaration_declares_its_local(wrap):
+    streams = [normalize(parse(wrap.format(body), "csharp")).tokens
+               for body in ("using var r = Open(); r.Close();",
+                            "var r = Open(); r.Close();")]
+    assert streams[0] == streams[1]
+    assert streams[0][-1] == "?.Close()"
+
+
 def test_element_ids_count_ordinals_per_granularity():
     tree = parse("class A { int f() { int x = 1; return x; } "
                  "int g() { return 2; } }", "csharp")
@@ -915,6 +934,42 @@ CONSTRUCTS = [
           name 22-23 g
           name 24-25 r
 """, id="top_level_using_statement"),
+    pytest.param(
+        "java",
+        'class A { public static <T extends Comparable<T>> T max(T a, T b) '
+        '{ return a; } }',
+        """
+        class 0-81 modifiers= name=A
+          func_decl 10-79 modifiers=public,static name=max params=T:a,T:b return_type=T
+            block 66-79
+              return_stmt 68-77
+                expr 75-76
+                  nameref 75-76 segs=a
+""", id="java_generic_method"),
+    pytest.param(
+        "java",
+        'lbl: while (x) { continue lbl; }',
+        """
+        loop 5-32
+          expr 12-14
+            nameref 12-13 segs=x
+          block 15-32
+            opaque 17-30
+              name 17-25 continue
+              name 26-29 lbl
+""", id="java_labelled_loop"),
+    pytest.param(
+        "csharp",
+        'outer: while (true) { break outer; }',
+        """
+        loop 7-36
+          expr 14-19
+            literal 14-18 true kind=boolean
+          block 20-36
+            opaque 22-34
+              name 22-27 break
+              name 28-33 outer
+""", id="csharp_labelled_loop"),
 
 ]
 
