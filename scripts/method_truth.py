@@ -1,7 +1,7 @@
 """Write the demo's method-level ground truth, fixtures/demo/method_truth.tsv.
 
-Rule: in each file pair, the `method` rows of `elements/a` and
-`elements/b` are matched by their case-folded label, the qualified
+Rule: in each file pair, the `method` rows of its two files in
+`elements.tsv` are matched by their case-folded label, the qualified
 signature (`demo.io.Buffer.clamp(int)` <-> `Demo.IO.Buffer.Clamp(int)`).
 A label is kept only if it is unique on both sides of its pair.  Ids
 are `codemap compose`'s, from `syntax.element_ids`:
@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 from codemap import artifacts, cli, corpus
@@ -28,23 +28,27 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "fixtures" / "demo"
 
 
-def methods(out_dir, side, relpath):
-    """(id, case-folded label) of each method row of a file's elements,
-    in file order."""
-    elements = read_elements(cli._elements_path(out_dir, side, relpath))
-    return [(element_id, element.label.casefold())
-            for element_id, element in zip(
-                element_ids(side, relpath, elements), elements)
-            if element.granularity == "method"]
+def methods(out_dir):
+    """(id, case-folded label) of each method row of the element table,
+    in file order, per (side, path)."""
+    table = read_elements(out_dir / "elements.tsv")
+    found = defaultdict(list)
+    for element_id, side, path, granularity, label in zip(
+            element_ids(table.side, table.path, table.granularity),
+            table.side, table.path, table.granularity, table.label):
+        if granularity == "method":
+            found[side, path].append((element_id, label.casefold()))
+    return found
 
 
 def match(out_dir):
     """The matched (a id, b id) pairs and the number of Java methods
     that none matched."""
     pairs = corpus.read_pair_manifest(out_dir / "pairs.tsv")
+    found = methods(out_dir)
     matched, java_methods = [], 0
     for pair in pairs:
-        sides = [methods(out_dir, side, path)
+        sides = [found[side, path]
                  for side, path in (("a", pair.path_a), ("b", pair.path_b))]
         java_methods += len(sides[0])
         counts = [Counter(label for _, label in side) for side in sides]

@@ -43,10 +43,6 @@ def _stream_path(out_dir, side, relpath):
     return out_dir / "streams" / side / (relpath + ".tok")
 
 
-def _elements_path(out_dir, side, relpath):
-    return out_dir / "elements" / side / (relpath + ".tsv")
-
-
 # ---------------------------------------------------------------------------
 # stages
 
@@ -81,11 +77,12 @@ def stage_normalize(cfg, out_dir, prov):
             stream = normalize(tree, build_symbols(tree), file=relpath)
             normalized.append((side, relpath, stream,
                                extract_elements(tree, stream)))
-    for side, relpath, stream, elements in normalized:
+    for side, relpath, stream, _ in normalized:
         write_stream(stream, _stream_path(out_dir, side, relpath),
                      comments=(prov,))
-        write_elements(elements, _elements_path(out_dir, side, relpath),
-                       comments=(prov,))
+    write_elements(((side, relpath, *row) for side, relpath, _, rows
+                    in normalized for row in rows),
+                   out_dir / "elements.tsv", comments=(prov,))
     n_tokens = sum(len(stream.tokens) for _, _, stream, _ in normalized)
     _summary("normalize", f"{2 * len(pairs)} files, {n_tokens} tokens",
              t0)
@@ -151,25 +148,36 @@ def stage_train(cfg, out_dir, prov):
 
 
 def _load_elements(out_dir, vocab):
-    """Every extracted element as (element ids, the vocabulary ids of
-    their tokens flat, -1 where out of vocabulary, element offsets)."""
-    ids, token_ids, offsets = [], [], [0]
+    """Every row of the element table as (element ids, the vocabulary
+    ids of their tokens flat, -1 where out of vocabulary, element
+    offsets).  Each stream's rows must be one run, in stream order."""
+    path = _require(out_dir / "elements.tsv", "normalize")
+    table = read_elements(path)
+    streams, stream_ids = {}, []  # (side, path) -> (offset, size)
     for side, relpath, tokens in _streams(out_dir):
-        element_file = _require(_elements_path(out_dir, side, relpath),
-                                "normalize")
-        stream_ids = [vocab.ids.get(f"{side}:{token}", -1)
-                      for token in tokens]
-        elements = read_elements(element_file)
-        for element in elements:
-            span = element.token_indices
-            if span.start < 0 or span.stop > len(stream_ids):
-                raise ValueError(f"{element_file}: tokens {span[0]}-"
-                                 f"{span[-1]} are outside the "
-                                 f"{len(stream_ids)}-token stream")
-            token_ids.extend(stream_ids[span.start:span.stop])
-            offsets.append(len(token_ids))
-        ids.extend(element_ids(side, relpath, elements))
-    return ids, np.array(token_ids, dtype=np.intp), offsets
+        streams[side, relpath] = len(stream_ids), len(tokens)
+        stream_ids += [vocab.ids.get(f"{side}:{token}", -1)
+                       for token in tokens]
+    base, size = np.array([streams.get(key, (-1, 0)) for key in zip(
+        table.side, table.path)], dtype=np.intp).reshape(-1, 2).T
+    first, last = table.first, table.last
+    for failing, problem in (  # rows in stream order never go back
+            (base < 0, "{file} is not a stream of pairs.tsv; rerun normalize"),
+            (np.diff(base, prepend=0) < 0, "the rows of {file} are out of "
+             "place; rerun normalize"),
+            ((first < 0) | (last >= size), "tokens {first}-{last} are "
+             "outside the {size}-token stream")):
+        if failing.any():
+            row = int(np.argmax(failing))  # the first failing row
+            raise ValueError(f"{path}:{table.line[row]}: " + problem.format(
+                file=f"{table.side[row]}:{table.path[row]}", size=size[row],
+                first=first[row], last=last[row]))
+    lengths = last - first + 1
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    gather = np.repeat(base + first - offsets[:-1], lengths)
+    gather += np.arange(len(gather))  # in place: one array fewer at peak
+    return (element_ids(table.side, table.path, table.granularity),
+            np.array(stream_ids, dtype=np.intp)[gather], offsets)
 
 
 def stage_compose(cfg, out_dir, prov):

@@ -1,7 +1,7 @@
 """Parsing, token normalization and code-element extraction."""
 
-from .elements import (CodeElement, element_ids, extract_elements,
-                       id_granularity, read_elements, write_elements)
+from .elements import (element_ids, extract_elements, id_granularity,
+                       read_elements, write_elements)
 from .lexer import ParseError
 from .normalize import (LITERAL_KINDS, STRUCT_KEYWORDS, EnrichedTokenStream,
                         normalize, read_stream, write_stream)
@@ -10,9 +10,9 @@ from .symbols import SymbolTable, build_symbols
 from .tree import Node, SyntaxTree
 
 __all__ = [
-    "CodeElement", "EnrichedTokenStream", "LITERAL_KINDS",
-    "Node", "ParseError", "STRUCT_KEYWORDS", "SymbolTable", "SyntaxTree",
-    "build_symbols", "element_ids", "extract_elements", "id_granularity",
-    "normalize", "parse",
-    "read_elements", "read_stream", "write_elements", "write_stream",
+    "EnrichedTokenStream", "LITERAL_KINDS", "Node", "ParseError",
+    "STRUCT_KEYWORDS", "SymbolTable", "SyntaxTree", "build_symbols",
+    "element_ids", "extract_elements", "id_granularity", "normalize",
+    "parse", "read_elements", "read_stream", "write_elements",
+    "write_stream",
 ]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from itertools import count
+
+import numpy as np
 
 from .. import artifacts
 from .normalize import EnrichedTokenStream
@@ -14,12 +16,13 @@ STATEMENT_KINDS = {"decl_stmt", "expr_stmt", "if_stmt", "loop", "return_stmt"}
 GRANULARITIES = ("expression", "statement", "method")
 
 
-def element_ids(side: str, relpath: str, elements) -> list[str]:
-    """`<side>:<relpath>:<granularity>:<ordinal>` per element of a file,
-    in order, the ordinal counting the file's elements of its kind."""
-    ordinals = {granularity: count() for granularity in GRANULARITIES}
-    return [f"{side}:{relpath}:{element.granularity}:"
-            f"{next(ordinals[element.granularity])}" for element in elements]
+def element_ids(sides, paths, granularities) -> list[str]:
+    """`<side>:<path>:<granularity>:<ordinal>` per element table row, the
+    ordinal counting the rows of its file and granularity before it."""
+    ordinals = defaultdict(count)
+    return [f"{side}:{path}:{granularity}:"
+            f"{next(ordinals[side, path, granularity])}"
+            for side, path, granularity in zip(sides, paths, granularities)]
 
 
 def id_granularity(element_id: str) -> str:
@@ -27,34 +30,19 @@ def id_granularity(element_id: str) -> str:
     return element_id.rsplit(":", 2)[1]
 
 
-@dataclass(frozen=True)
-class CodeElement:
-    granularity: str  # expression | statement | method
-    start: int
-    end: int
-    token_indices: range  # the contiguous stream tokens it owns
-    label: str
-
-    def __post_init__(self):
-        if self.granularity not in GRANULARITIES:
-            raise ValueError(f"bad granularity: {self.granularity}")
-        if not self.token_indices:
-            raise ValueError(f"token range {self.token_indices.start}-"
-                             f"{self.token_indices.stop - 1} is empty")
-
-
 def extract_elements(tree: SyntaxTree,
-                     stream: EnrichedTokenStream) -> list[CodeElement]:
-    """One element per expr, statement and method node, in pre-order.
+                     stream: EnrichedTokenStream) -> list[tuple]:
+    """One (granularity, start, end, first, last, label) row per expr,
+    statement and method node, in pre-order.
 
-    Each element owns the contiguous token range its node produced,
-    including the node's own structural keywords.  Nodes that produced no
-    tokens are skipped.
+    Each element owns the contiguous tokens first..last its node
+    produced, including the node's own structural keywords.  Nodes that
+    produced no tokens are skipped.
     """
     if stream.tokens and not stream.node_ranges:
         raise ValueError("stream carries no node ranges; it was not "
                          "produced by normalize() on this tree")
-    elements: list[CodeElement] = []
+    rows = []
     for node in tree.root.walk():
         if node.kind == "expr":
             granularity, label = "expression", "expr"
@@ -66,32 +54,45 @@ def extract_elements(tree: SyntaxTree,
         else:
             continue
         lo, hi = stream.node_ranges.get(id(node), (0, 0))
-        if hi <= lo:
-            continue
-        elements.append(CodeElement(granularity, node.start, node.end,
-                                    range(lo, hi), label))
-    return elements
+        if hi > lo:
+            rows.append((granularity, node.start, node.end, lo, hi - 1,
+                         label))
+    return rows
 
 
-def write_elements(elements, path, comments=()) -> None:
-    """Element TSV: granularity, span, inclusive token range, label."""
-    artifacts.write_lines(path, ("\t".join((
-        e.granularity, str(e.start), str(e.end), str(e.token_indices[0]),
-        str(e.token_indices[-1]), e.label)) for e in elements), comments)
+# an element table as columns, the ints as arrays: each row's line in its
+# file, then the file's eight fields
+ElementTable = namedtuple("ElementTable", "line side path granularity "
+                          "start end first last label")
 
 
-def read_elements(path) -> list[CodeElement]:
-    elements: list[CodeElement] = []
-    for lineno, (granularity, *span, label) in artifacts.records(path, 6):
-        try:
-            start, end, first, last = map(int, span)
-        except ValueError:
-            for text in span:  # raises naming path:lineno
+def write_elements(rows, path, comments=()) -> None:
+    """Element table: side, path, then an extracted row, tab-separated."""
+    artifacts.write_lines(path, ("\t".join(map(str, row)) for row in rows),
+                          comments)
+
+
+def read_elements(path) -> ElementTable:
+    """Inverse of write_elements; a malformed row fails naming its line."""
+    lines, fields, texts = [], [], {}
+    for lineno, parts in artifacts.records(path, 8):
+        lines.append(lineno)
+        fields += map(texts.setdefault, parts, parts)  # repeats share one
+    columns = [lines] + [fields[k::8] for k in range(8)]
+    try:
+        columns[4:8] = [np.array(c, dtype=np.int64) for c in columns[4:8]]
+    except (ValueError, OverflowError):
+        for lineno, ints in zip(lines, zip(*columns[4:8])):
+            for text in ints:  # raises naming path:lineno
                 artifacts.field(path, lineno, int, text)
-            raise
-        try:
-            elements.append(CodeElement(granularity, start, end,
-                                        range(first, last + 1), label))
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {err}") from None
-    return elements
+        raise ValueError(f"{path}: a token index is out of range") from None
+    table = ElementTable(*columns)
+    bad = ~np.isin(table.granularity, GRANULARITIES) \
+        | (table.first > table.last)
+    if bad.any():
+        row = int(np.argmax(bad))  # the first bad row
+        problem = f"bad granularity: {table.granularity[row]}" \
+            if table.granularity[row] not in GRANULARITIES else \
+            f"token range {table.first[row]}-{table.last[row]} is empty"
+        raise ValueError(f"{path}:{table.line[row]}: {problem}")
+    return table

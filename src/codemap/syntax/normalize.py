@@ -4,8 +4,7 @@ A token is its text, in memory as in the stream file, and the enrichment
 is all in that text: every surviving token is either a structural keyword
 naming its node kind, a resolved signature, a primitive placeholder, a
 literal-kind marker or a plain keyword.  Punctuation and operators never
-survive.  With `structure=False` the walk performs signature substitution
-only, which is the form the listing-style examples are written in.
+survive.
 
 One rule places the structural keywords: a node whose kind is in
 `STRUCT_KEYWORDS` opens its token range with that keyword, before anything
@@ -47,20 +46,15 @@ class EnrichedTokenStream:
 
 
 class _Normalizer:
-    def __init__(self, symbols: SymbolTable, structure: bool):
+    def __init__(self, symbols: SymbolTable):
         self.sym = symbols
-        self.structure = structure
         self.tokens: list[str] = []
         self.ranges: dict[int, tuple[int, int]] = {}
-
-    def kw(self, text: str) -> None:
-        if self.structure:
-            self.tokens.append(text)
 
     def visit(self, node: Node) -> None:
         lo = len(self.tokens)
         if node.kind in STRUCT_KEYWORDS:
-            self.kw(node.kind)
+            self.tokens.append(node.kind)
         handler = getattr(self, f"_visit_{node.kind}", None)
         if handler is not None:
             handler(node)
@@ -77,8 +71,7 @@ class _Normalizer:
     def _visit_class(self, node: Node) -> None:
         self.tokens += node.meta["modifiers"]
         qualified = self.sym.qualify_declared(node.meta["name"])
-        self.tokens.append(qualified)
-        self.kw("block")
+        self.tokens += (qualified, "block")
         self.sym.class_stack.append(qualified)
         self.sym.push_scope()
         # fields resolve for every method regardless of declaration order
@@ -133,8 +126,7 @@ class _Normalizer:
         self._visit_children(node)
 
     def _visit_literal(self, node: Node) -> None:
-        self.kw("literal_type")
-        self.tokens.append(node.meta["kind"])
+        self.tokens += ("literal_type", node.meta["kind"])
 
     def _visit_nameref(self, node: Node) -> None:
         self.tokens.append(resolve_chain(
@@ -207,16 +199,14 @@ def _number_arg_type(text: str) -> str:
 
 
 def normalize(tree: SyntaxTree, symbols: SymbolTable | None = None,
-              file: str = "", structure: bool = True) -> EnrichedTokenStream:
+              file: str = "") -> EnrichedTokenStream:
     """Normalize a parsed file into its enriched token stream.
 
     `symbols` defaults to the table built from the tree itself; passing one
-    lets callers seed variable types for fragments.  `structure=False`
-    yields only the signature-substituted tokens, without the structural
-    keywords.
+    lets callers seed variable types for fragments.
     """
     sym = symbols if symbols is not None else build_symbols(tree)
-    walker = _Normalizer(sym, structure)
+    walker = _Normalizer(sym)
     walker.visit(tree.root)
     stream = EnrichedTokenStream(file=file, language=tree.language,
                                  tokens=walker.tokens)

@@ -162,7 +162,7 @@ class Parser:
     def parse_top_level(self) -> Node | None:
         self._skip_annotations()
         t = self.peek()
-        if t is None:
+        if t is None or self._skip("}"):  # nothing encloses a stray `}`
             return None
         header = _HEADERS[self.lang].get(t.text)
         # a C# `using (…)` or `using var r = …;` is a statement, not a header
@@ -516,7 +516,7 @@ class Parser:
             decls.append(Node("decl", d_start, self._end_offset(), init,
                               meta={"name": name, "type": type_name + dims,
                                     "modifiers": mods}))
-            if not self._skip(","):
+            if not (self._skip(",") and self.at_name()):
                 break
         self._skip(";")
         return Node("decl_stmt", start, self._end_offset(), decls,
@@ -601,8 +601,8 @@ class Parser:
         atoms: list[Node] = []
         while True:
             t = self.peek()
-            if t is None or t.text in stop:
-                break
+            if t is None or t.text in stop or t.text == "}":
+                break  # an unmatched `}` ends the expression
             literal = _literal(t)
             if literal is not None:
                 self.eat()
@@ -668,7 +668,8 @@ class Parser:
             atoms = self.parse_expr_atoms({",", ")"})
             if atoms:
                 args.append(Node("argument", a_start, self._end_offset(), atoms))
-            self._skip(",")
+            if not self._skip(","):
+                break  # at `)`, an unmatched `}` or the end of input
         self._skip(")")
         return Node("func_call", start, self._end_offset(), args,
                     meta={"segs": segs, "new": new,

@@ -17,8 +17,8 @@ from codemap.embed import (EmbeddingTable, TrainConfig, sgns_pair_grads,
                            sgns_pair_loss, train_biskip, vocab_from_bitext)
 from codemap.hier import compose_corpus
 from codemap.retrieve import evaluate_map
-from codemap.syntax import (SymbolTable, build_symbols, extract_elements,
-                            normalize, parse)
+from codemap.syntax import (STRUCT_KEYWORDS, SymbolTable, build_symbols,
+                            extract_elements, normalize, parse)
 
 FIXTURE_CONFIG = Path(__file__).parent.parent / "fixtures" / "demo" / \
     "config.txt"
@@ -47,33 +47,35 @@ def criterion(capsys, number, name, budget_s):
 
 def test_criterion_1_golden_normalization(capsys):
     with criterion(capsys, 1, "golden-normalization", 1.0):
+        def listing(stream):  # the listings omit structural keywords
+            return [token for token in stream.tokens
+                    if token not in STRUCT_KEYWORDS]
+
         tree = parse("int i;", "java")
-        stream = normalize(tree, build_symbols(tree), structure=False)
-        assert stream.tokens == ["int", "int_id"]
+        stream = normalize(tree, build_symbols(tree))
+        assert listing(stream) == ["int", "int_id"]
 
         symbols = SymbolTable(
             imports={"CommonTree": "Antlr.Runtime.Tree.CommonTree"})
-        stream = normalize(parse("CommonTree;", "csharp"), symbols,
-                           structure=False)
-        assert stream.tokens == ["Antlr.Runtime.Tree.CommonTree"]
+        stream = normalize(parse("CommonTree;", "csharp"), symbols)
+        assert listing(stream) == ["Antlr.Runtime.Tree.CommonTree"]
 
         symbols = SymbolTable()
         symbols.push_scope()
         symbols.declare("lexer", "Antlr.Runtime.SlimLexer")
-        stream = normalize(parse("lexer.Emit();", "csharp"), symbols,
-                           structure=False)
-        assert stream.tokens == ["Antlr.Runtime.SlimLexer.Emit()"]
+        stream = normalize(parse("lexer.Emit();", "csharp"), symbols)
+        assert listing(stream) == ["Antlr.Runtime.SlimLexer.Emit()"]
 
         source = ('using System;\n\nclass Program {\n'
                   '    static void Main() {\n'
                   '        Console.WriteLine("out");\n    }\n}\n')
         tree = parse(source, "csharp")
         stream = normalize(tree, build_symbols(tree))
-        elements = extract_elements(tree, stream)
-        statement = [e for e in elements if e.granularity == "statement"]
+        statement = [row for row in extract_elements(tree, stream)
+                     if row[0] == "statement"]
         assert len(statement) == 1
-        tokens = [stream.tokens[k] for k in statement[0].token_indices]
-        assert tokens == ["expr_stmt", "expr", "func_call",
+        first, last = statement[0][3:5]
+        assert stream.tokens[first:last + 1] == ["expr_stmt", "expr", "func_call",
                           "System.Console.WriteLine(String)", "argument",
                           "literal_type", "string"]
 

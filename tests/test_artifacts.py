@@ -25,8 +25,9 @@ BAD_NUMBERS = {
     "probability": (read_table, "a\tb\t0.5\na\tc\thalf\n"),
     "similarity": (read_pair_manifest,
                    "x\tx.java\tx.cs\t1.0\ny\ty.java\ty.cs\thigh\n"),
-    "element index": (read_elements, "statement\t0\t5\t0\t2\tdecl_stmt\n"
-                                     "statement\t6\t9\t3\tx\tdecl_stmt\n"),
+    "element index": (read_elements,
+                      "a\tA.java\tstatement\t0\t5\t0\t2\tdecl_stmt\n"
+                      "a\tA.java\tstatement\t6\t9\t3\tx\tdecl_stmt\n"),
     "rank": (read_rankings, "a:q\t1\tb:x\t0.5\na:q\tsecond\tb:y\t0.4\n"),
     "report value": (read_report, "map@1\t0.5\np@1\tgood\n"),
     "embedding value": (load_embeddings, "1 2\na:y 1 y\n"),

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from codemap import align, hier, retrieve
+from codemap import align, cli, embed, hier, retrieve
 from codemap.cli import main
-from codemap.syntax import read_stream
+from codemap.syntax import read_elements, read_stream
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -242,7 +242,7 @@ def test_compose_without_an_element_file_says_run_normalize(project,
     for stage in ("pair", "normalize", "align", "train"):
         assert _run(stage, "--config", str(project),
                     "--out-dir", str(out)) == 0
-    missing = out / "elements" / "b" / "Holder.cs.tsv"
+    missing = out / "elements.tsv"
     missing.unlink()
     assert _run("compose", "--config", str(project),
                 "--out-dir", str(out)) == 2
@@ -302,8 +302,9 @@ def test_unparseable_source_is_validation_error(project, tmp_path,
 
 
 def _corpus_bytes(out):
-    return {path: path.read_bytes() for side in ("streams", "elements")
-            for path in (out / side).rglob("*") if path.is_file()}
+    """The bytes of each stream file and of the element table."""
+    paths = [*(out / "streams").rglob("*.tok"), out / "elements.tsv"]
+    return {path: path.read_bytes() for path in paths}
 
 
 def test_failed_normalize_leaves_the_previous_corpus_whole(project,
@@ -313,7 +314,8 @@ def test_failed_normalize_leaves_the_previous_corpus_whole(project,
         assert _run(stage, "--config", str(project),
                     "--out-dir", str(out)) == 0
     corpus = _corpus_bytes(out)
-    assert len(corpus) == 8
+    assert len(corpus) == 5  # four streams and the element table
+    table = (out / "elements.tsv").read_bytes()
     # the first source changes, and a later one no longer parses: it ends
     # in an open string, or names a class with a string
     counter = project.parent / "ja" / "Counter.java"
@@ -327,6 +329,7 @@ def test_failed_normalize_leaves_the_previous_corpus_whole(project,
                     "--out-dir", str(out)) == 3
         assert "Holder.cs:" in capsys.readouterr().err
         assert _corpus_bytes(out) == corpus
+        assert (out / "elements.tsv").read_bytes() == table
 
 
 def test_source_that_is_not_utf8_names_file_and_line(project, tmp_path,
@@ -393,44 +396,109 @@ def test_repeated_alignment_pair_is_refused(project, tmp_path, capsys):
         capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [(4, "99999"), (3, "-1")],
+@pytest.mark.parametrize("field, value", [(6, "99999"), (5, "-1")],
                          ids=["last_past_the_end", "negative_first"])
 def test_element_range_outside_its_stream_is_refused(project, tmp_path,
                                                      capsys, field, value):
     out = tmp_path / "out"
-    _edit_first_element(project, out, {field: value})
+    lineno = _edit_first_element(project, out, {field: value})
     assert _run("compose", "--config", str(project),
                 "--out-dir", str(out)) == 3
-    assert "Counter.java.tsv: " in capsys.readouterr().err
+    assert re.search(rf"elements\.tsv:{lineno}: tokens -?\d+-\d+ are "
+                     r"outside the \d+-token stream",
+                     capsys.readouterr().err)
     assert not (out / "element_vecs.txt").exists()
 
 
 def test_reversed_element_range_names_its_line(project, tmp_path, capsys):
     out = tmp_path / "out"
-    lineno = _edit_first_element(project, out, {3: "9", 4: "5"})
+    lineno = _edit_first_element(project, out, {5: "9", 6: "5"})
     assert _run("compose", "--config", str(project),
                 "--out-dir", str(out)) == 3
-    assert f"Counter.java.tsv:{lineno}: token range 9-5 is empty" in \
+    assert f"elements.tsv:{lineno}: token range 9-5 is empty" in \
         capsys.readouterr().err
     assert not (out / "element_vecs.txt").exists()
 
 
-def _edit_first_element(project, out, changes):
-    """Run the stages up to train, then overwrite fields of the first
-    element row of `Counter.java`; returns that row's line number."""
+def test_element_row_of_an_unpaired_file_is_refused(project, tmp_path,
+                                                    capsys):
+    out = tmp_path / "out"
+    lines = _edit_element_table(project, out, lambda lines: lines.append(
+        "a\tGhost.java\tstatement\t0\t9\t0\t1\texpr_stmt"))
+    assert _run("compose", "--config", str(project),
+                "--out-dir", str(out)) == 3
+    assert f"elements.tsv:{len(lines)}: a:Ghost.java is not a stream of " \
+        "pairs.tsv; rerun normalize" in capsys.readouterr().err
+    assert not (out / "element_vecs.txt").exists()
+
+
+def test_element_rows_of_a_file_split_apart_are_refused(project, tmp_path,
+                                                        capsys):
+    out = tmp_path / "out"
+    lines = _edit_element_table(project, out, lambda lines: lines.append(
+        lines.pop(_first_counter_row(lines))))
+    assert _run("compose", "--config", str(project),
+                "--out-dir", str(out)) == 3
+    assert f"elements.tsv:{len(lines)}: the rows of a:Counter.java are " \
+        "out of place; rerun normalize" in capsys.readouterr().err
+    assert not (out / "element_vecs.txt").exists()
+
+
+def test_element_tokens_gather_as_a_loop_over_rows_would(project,
+                                                          tmp_path):
+    out = tmp_path / "out"
+    _run_up_to_train(project, out)
+    _, vocab = embed.load_embeddings(out / "embeddings.txt")
+    ids, token_ids, offsets = cli._load_elements(out, vocab)
+    table = read_elements(out / "elements.tsv")
+    want_ids, want_tokens, want_offsets = [], [], [0]
+    ordinals = Counter()
+    for side, path, granularity, first, last in zip(
+            table.side, table.path, table.granularity, table.first,
+            table.last):
+        tokens = read_stream(out / "streams" / side / f"{path}.tok")[2]
+        want_tokens += [vocab.ids.get(f"{side}:{token}", -1)
+                        for token in tokens[first:last + 1]]
+        want_offsets.append(len(want_tokens))
+        want_ids.append(f"{side}:{path}:{granularity}:"
+                        f"{ordinals[side, path, granularity]}")
+        ordinals[side, path, granularity] += 1
+    assert ids == want_ids
+    assert token_ids.tolist() == want_tokens
+    assert offsets.tolist() == want_offsets
+
+
+def _run_up_to_train(project, out):
     for stage in ("pair", "normalize", "align", "train"):
         assert _run(stage, "--config", str(project),
                     "--out-dir", str(out)) == 0
-    path = out / "elements" / "a" / "Counter.java.tsv"
+
+
+def _edit_element_table(project, out, edit):
+    """Run the stages up to train, then `edit` the lines of the element
+    table in place; returns the edited lines."""
+    _run_up_to_train(project, out)
+    path = out / "elements.tsv"
     lines = path.read_text().splitlines()
-    index = next(n for n, line in enumerate(lines)
-                 if not line.startswith("#"))
-    fields = lines[index].split("\t")
-    for position, value in changes.items():
-        fields[position] = value
-    lines[index] = "\t".join(fields)
+    edit(lines)
     path.write_text("\n".join(lines) + "\n")
-    return index + 1
+    return lines
+
+
+def _first_counter_row(lines):
+    return next(n for n, line in enumerate(lines)
+                if line.startswith("a\tCounter.java\t"))
+
+
+def _edit_first_element(project, out, changes):
+    """Run the stages up to train, then overwrite fields of the first
+    element table row of `Counter.java`; returns that row's line number."""
+    def edit(lines):
+        fields = lines[_first_counter_row(lines)].split("\t")
+        for position, value in changes.items():
+            fields[position] = value
+        lines[_first_counter_row(lines)] = "\t".join(fields)
+    return _first_counter_row(_edit_element_table(project, out, edit)) + 1
 
 
 def test_alignments_from_another_chunking_are_refused(project, tmp_path,
@@ -548,7 +616,7 @@ def test_run_all_writes_every_artifact(project, tmp_path, capsys):
                  "report.tsv"):
         assert (out / name).exists(), name
     assert (out / "streams" / "a" / "Counter.java.tok").exists()
-    assert (out / "elements" / "b" / "Holder.cs.tsv").exists()
+    assert (out / "elements.tsv").exists()
     err = capsys.readouterr().err
     for stage in ("pair", "normalize", "align", "train", "compose",
                   "map", "eval"):

@@ -153,9 +153,10 @@ def test_method_embeds_flat_not_statement_means():
     """
     tree = parse(source, "java")
     stream = normalize(tree, build_symbols(tree), file="A.java")
-    elements = extract_elements(tree, stream)
-    method = [e for e in elements if e.granularity == "method"][0]
-    statements = [e for e in elements if e.granularity == "statement"]
+    spans = {}  # granularity -> the (first, last) token range of each
+    for granularity, _, _, first, last, _ in extract_elements(tree, stream):
+        spans.setdefault(granularity, []).append(range(first, last + 1))
+    (method,), statements = spans["method"], spans["statement"]
     assert len(statements) == 2
 
     texts = [f"a:{token}" for token in stream.tokens]
@@ -164,12 +165,11 @@ def test_method_embeds_flat_not_statement_means():
     vecs = rng.normal(size=(len(vocab), 4))
 
     _, matrix, _, _ = compose_corpus(*flatten(
-        [(e.granularity, [texts[k] for k in e.token_indices])
-         for e in [method] + statements], vocab), vecs)
+        [(f"e{n}", [texts[k] for k in span])
+         for n, span in enumerate([method] + statements)], vocab), vecs)
     flat, stmt_means = matrix[0], matrix[1:]
     assert not np.allclose(flat, np.mean(stmt_means, axis=0), atol=1e-6)
-    manual = vecs[[vocab.ids[texts[k]]
-                   for k in method.token_indices]].mean(axis=0)
+    manual = vecs[[vocab.ids[texts[k]] for k in method]].mean(axis=0)
     assert np.allclose(flat, manual)
 
 

@@ -4,6 +4,7 @@ The four golden listings are the anchor: they pin signature substitution,
 qualified-name resolution and the enriched stream format exactly.
 """
 
+import re
 import textwrap
 
 import pytest
@@ -22,29 +23,34 @@ from codemap.syntax.symbols import canon_primitive
 # golden listings
 
 
+def listing(stream):
+    """A stream in the listings' form: its tokens without the structural
+    keywords."""
+    return [token for token in stream.tokens if token not in STRUCT_KEYWORDS]
+
+
 def test_golden_primitive_decl():
     tree = parse("int i;", "java")
-    stream = normalize(tree, structure=False)
-    assert stream.tokens == ["int", "int_id"]
+    assert listing(normalize(tree)) == ["int", "int_id"]
 
 
 def test_golden_imported_type_name_in_stream():
     source = "using Antlr.Runtime.Tree;\nCommonTree tree;"
-    stream = normalize(parse(source, "csharp"), structure=False)
-    assert stream.tokens[0] == "Antlr.Runtime.Tree.CommonTree"
+    stream = normalize(parse(source, "csharp"))
+    assert listing(stream)[0] == "Antlr.Runtime.Tree.CommonTree"
 
 
 def test_golden_method_call_on_local():
     sym = SymbolTable()
     sym.declare("lexer", "Antlr.Runtime.SlimLexer")
     tree = parse("lexer.Emit();", "csharp")
-    stream = normalize(tree, sym, structure=False)
-    assert stream.tokens == ["Antlr.Runtime.SlimLexer.Emit()"]
+    assert listing(normalize(tree, sym)) == \
+        ["Antlr.Runtime.SlimLexer.Emit()"]
 
 
 def test_golden_call_on_primitive_local_names_the_type():
-    stream = normalize(parse("int x; x.Foo();", "java"), structure=False)
-    assert stream.tokens == ["int", "int_id", "int.Foo()"]
+    stream = normalize(parse("int x; x.Foo();", "java"))
+    assert listing(stream) == ["int", "int_id", "int.Foo()"]
 
 
 GOLDEN_CS = """using System;
@@ -64,11 +70,11 @@ GOLDEN_STMT_TOKENS = ["expr_stmt", "expr", "func_call",
 def test_golden_console_statement_element():
     tree = parse(GOLDEN_CS, "csharp")
     stream = normalize(tree)
-    elements = extract_elements(tree, stream)
-    statements = [e for e in elements if e.granularity == "statement"]
+    statements = [row for row in extract_elements(tree, stream)
+                  if row[0] == "statement"]
     assert len(statements) == 1
-    owned = [stream.tokens[i] for i in statements[0].token_indices]
-    assert owned == GOLDEN_STMT_TOKENS
+    first, last = statements[0][3:5]
+    assert stream.tokens[first:last + 1] == GOLDEN_STMT_TOKENS
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +163,31 @@ def test_opaque_keeps_identifiers():
     leaves = [leaf.text for node in opaques for leaf in node.children
               if leaf.kind == "name"]
     assert "g" in leaves
+
+
+@pytest.mark.parametrize("language", ["java", "csharp"])
+@pytest.mark.parametrize("body", ["x = 1 }", "lbl: }"],
+                         ids=["statement_without_semicolon", "bare_label"])
+def test_closing_brace_after_an_open_statement_ends_its_block(language,
+                                                             body):
+    source = f"class A {{ void f() {{ {body} int g() {{ return 1; }} }}"
+    tokens = normalize(parse(source, language)).tokens
+    assert tokens.count("func_decl") == 2
+    at = tokens.index("A.g()")
+    assert tokens[at - 2:at + 1] == ["func_decl", "int", "A.g()"]
+
+
+# a `}` that closes nothing ends what is open, and at the top level is
+# skipped, so no parser loop waits on it
+@pytest.mark.parametrize("source, kinds", [
+    ("f(a }", ["expr_stmt"]),
+    ("f(a } g();", ["expr_stmt", "expr_stmt"]),
+    ("} } int x;", ["decl_stmt"]),
+    ("class A { int a, } int y;", ["class", "decl_stmt"]),
+], ids=["call", "call_then_statement", "top_level", "declarators"])
+def test_unmatched_closing_brace_does_not_stall(source, kinds):
+    tree = parse(source, "java")
+    assert [node.kind for node in tree.root.children] == kinds
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +370,14 @@ def test_java_annotation_is_skipped():
 
 
 def test_unknown_name_falls_back():
-    stream = normalize(parse("Foo;", "csharp"), SymbolTable(),
-                       structure=False)
-    assert stream.tokens == ["unk.Foo"]
+    stream = normalize(parse("Foo;", "csharp"), SymbolTable())
+    assert listing(stream) == ["unk.Foo"]
 
 
 def test_qualified_name_resolves_to_itself():
     stream = normalize(parse("Antlr.Runtime.Tree.CommonTree;", "csharp"),
-                       SymbolTable(), structure=False)
-    assert stream.tokens == ["Antlr.Runtime.Tree.CommonTree"]
+                       SymbolTable())
+    assert listing(stream) == ["Antlr.Runtime.Tree.CommonTree"]
 
 
 def test_wildcard_import_qualifies():
@@ -375,10 +405,10 @@ def test_bare_call_owner_is_enclosing_class():
 
 
 def test_boolean_spellings_share_one_placeholder():
-    java = normalize(parse("boolean flag;", "java"), structure=False)
-    cs = normalize(parse("bool flag;", "csharp"), structure=False)
-    assert java.tokens == ["bool", "bool_id"]
-    assert cs.tokens == ["bool", "bool_id"]
+    java = normalize(parse("boolean flag;", "java"))
+    cs = normalize(parse("bool flag;", "csharp"))
+    assert listing(java) == ["bool", "bool_id"]
+    assert listing(cs) == ["bool", "bool_id"]
 
 
 def test_method_signature_arg_types():
@@ -441,7 +471,7 @@ def test_single_method_gives_three_granularities():
     tree = parse(source, "java")
     stream = normalize(tree)
     elements = extract_elements(tree, stream)
-    assert [e.granularity for e in elements] == \
+    assert [row[0] for row in elements] == \
         ["method", "statement", "expression"]
 
 
@@ -449,7 +479,7 @@ def test_generic_method_is_a_method_element():
     tree = parse("class A { public static <T extends Comparable<T>> T "
                  "max(T a, T b) { return a; } }", "java")
     elements = extract_elements(tree, normalize(tree))
-    assert [(e.granularity, e.label) for e in elements] == [
+    assert [(row[0], row[5]) for row in elements] == [
         ("method", "A.max(T,T)"), ("statement", "return_stmt"),
         ("expression", "expr")]
 
@@ -467,44 +497,45 @@ def test_csharp_using_declaration_declares_its_local(wrap):
 def test_element_ids_count_ordinals_per_granularity():
     tree = parse("class A { int f() { int x = 1; return x; } "
                  "int g() { return 2; } }", "csharp")
-    elements = extract_elements(tree, normalize(tree))
-    ids = element_ids("b", "src/A.cs", elements)
-    assert len(ids) == len(set(ids)) == len(elements)
+    granularities = [row[0] for row in extract_elements(tree,
+                                                        normalize(tree))]
+    n = len(granularities)
+    # a second file's rows restart the ordinals
+    ids = element_ids(["b"] * 2 * n, ["src/A.cs"] * n + ["src/B.cs"] * n,
+                      granularities * 2)
+    assert len(ids) == len(set(ids)) == 2 * n
+    assert [element_id.split(":", 2)[2] for element_id in ids[:n]] == \
+        [element_id.split(":", 2)[2] for element_id in ids[n:]]
     for granularity in ("expression", "statement", "method"):
-        ordinals = [element_id.rsplit(":", 1)[1] for element_id, element
-                    in zip(ids, elements)
-                    if element.granularity == granularity]
+        ordinals = [element_id.rsplit(":", 1)[1] for element_id, kind
+                    in zip(ids[:n], granularities) if kind == granularity]
         assert ordinals == [str(k) for k in range(len(ordinals))]
-    assert [id_granularity(element_id) for element_id in ids] == [
-        element.granularity for element in elements]
+    assert [id_granularity(element_id) for element_id in ids] == \
+        granularities * 2
     assert ids[0].startswith("b:src/A.cs:")
 
 
 def test_element_nesting():
     tree = parse(SAMPLE, "java")
     stream = normalize(tree)
-    elements = extract_elements(tree, stream)
-    methods = [e for e in elements if e.granularity == "method"]
-    statements = [e for e in elements if e.granularity == "statement"]
-    expressions = [e for e in elements if e.granularity == "expression"]
+    spans = {granularity: [] for granularity in
+             ("method", "statement", "expression")}
+    for granularity, start, end, *_ in extract_elements(tree, stream):
+        spans[granularity].append((start, end))
+    methods, statements, expressions = spans.values()
     assert methods and statements and expressions
-    for expr in expressions:
-        assert any(s.start <= expr.start and expr.end <= s.end
-                   for s in statements)
-    for stmt in statements:
-        if stmt.start >= methods[0].start:
-            assert any(m.start <= stmt.start and stmt.end <= m.end
-                       for m in methods)
+    for start, end in expressions:
+        assert any(lo <= start and end <= hi for lo, hi in statements)
+    for start, end in statements:
+        if start >= methods[0][0]:
+            assert any(lo <= start and end <= hi for lo, hi in methods)
 
 
 def test_element_tokens_within_stream():
     tree = parse(SAMPLE, "java")
     stream = normalize(tree)
-    for element in extract_elements(tree, stream):
-        assert element.token_indices[-1] < len(stream.tokens)
-        assert list(element.token_indices) == \
-            list(range(element.token_indices[0],
-                       element.token_indices[-1] + 1))
+    for _, _, _, first, last, _ in extract_elements(tree, stream):
+        assert 0 <= first <= last < len(stream.tokens)
 
 
 def test_extract_requires_matching_stream():
@@ -540,10 +571,41 @@ def test_stream_file_header_required(tmp_path):
 def test_element_file_round_trip(tmp_path):
     tree = parse(SAMPLE, "java")
     stream = normalize(tree)
-    elements = extract_elements(tree, stream)
-    out = tmp_path / "Sample.elements"
-    write_elements(elements, out, comments=["tool test"])
-    assert read_elements(out) == elements
+    rows = [(side, path, *row) for side, path in
+            (("a", "demo/Sample.java"), ("b", "demo/Sample.cs"))
+            for row in extract_elements(tree, stream)]
+    out = tmp_path / "elements.tsv"
+    write_elements(rows, out, comments=["tool test"])
+    table = read_elements(out)
+    assert list(zip(*table[1:])) == rows
+    assert table.line == list(range(2, len(rows) + 2))
+
+
+def test_empty_element_table_reads_as_empty_columns(tmp_path):
+    out = tmp_path / "elements.tsv"
+    write_elements([], out, comments=["tool test"])
+    table = read_elements(out)
+    assert all(len(column) == 0 for column in table)
+    assert table.first.dtype.kind == "i"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("a\tA.java\tstatement\t0\t5\t3\t2\tdecl_stmt",
+     "token range 3-2 is empty"),
+    ("a\tA.java\tclause\t0\t5\t0\t2\tdecl_stmt",
+     "bad granularity: clause"),
+    ("a\tA.java\tstatement\t0\t5\t0\t2", "expected 8 fields, got 7"),
+    ("a\tA.java\tstatement\t0\t5\t0\t99999999999999999999\tdecl_stmt",
+     "out of range"),
+], ids=["reversed_range", "bad_granularity", "short_row", "huge_index"])
+def test_malformed_element_row_names_its_line(tmp_path, row, message):
+    out = tmp_path / "elements.tsv"
+    good = "a\tA.java\tmethod\t0\t9\t0\t4\tA.f()"
+    out.write_text(f"# provenance\n{good}\n{row}\n")
+    with pytest.raises(ValueError, match=re.escape(message)) as raised:
+        read_elements(out)
+    line = "" if message == "out of range" else ":3"
+    assert str(raised.value).startswith(f"{out}{line}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -1032,9 +1094,8 @@ def test_generated_sources_normalize(case):
         if node.kind == "literal":
             assert node.meta["kind"] in LITERAL_KINDS
             assert stream.tokens[lo:hi] == ["literal_type", node.meta["kind"]]
-    elements = extract_elements(tree, stream)
-    for element in elements:
-        assert element.token_indices[-1] < len(stream.tokens)
+    for _, _, _, first, last, _ in extract_elements(tree, stream):
+        assert 0 <= first <= last < len(stream.tokens)
 
 
 # token soup: whatever the tokens, parse returns a tree or raises ParseError,
