@@ -71,12 +71,12 @@ def stage_normalize(cfg, out_dir, prov):
             relpath = pair.path_a if side == "a" else pair.path_b
             source = artifacts.read_text(Path(root, relpath), relpath)
             try:
-                tree = parse(source, lang)
+                unit = parse(source, lang)
             except ParseError as err:
                 raise ValueError(f"{relpath}: {err}") from None
-            stream = normalize(tree, build_symbols(tree), file=relpath)
+            stream = normalize(unit, build_symbols(unit))
             normalized.append((side, relpath, stream,
-                               extract_elements(tree, stream)))
+                               extract_elements(unit, stream)))
     for side, relpath, stream, _ in normalized:
         write_stream(stream, _stream_path(out_dir, side, relpath),
                      comments=(prov,))
@@ -96,7 +96,7 @@ def _streams(out_dir):
         for side, relpath in (("a", pair.path_a), ("b", pair.path_b)):
             path = _require(_stream_path(out_dir, side, relpath),
                             "normalize")
-            yield side, relpath, read_stream(path)[2]
+            yield side, relpath, read_stream(path)
 
 
 def _read_bitext(cfg, out_dir):

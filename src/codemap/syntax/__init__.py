@@ -7,12 +7,11 @@ from .normalize import (LITERAL_KINDS, STRUCT_KEYWORDS, EnrichedTokenStream,
                         normalize, read_stream, write_stream)
 from .parser import parse
 from .symbols import SymbolTable, build_symbols
-from .tree import Node, SyntaxTree
+from .tree import Node
 
 __all__ = [
     "EnrichedTokenStream", "LITERAL_KINDS", "Node", "ParseError",
-    "STRUCT_KEYWORDS", "SymbolTable", "SyntaxTree", "build_symbols",
-    "element_ids", "extract_elements", "id_granularity", "normalize",
-    "parse", "read_elements", "read_stream", "write_elements",
-    "write_stream",
+    "STRUCT_KEYWORDS", "SymbolTable", "build_symbols", "element_ids",
+    "extract_elements", "id_granularity", "normalize", "parse",
+    "read_elements", "read_stream", "write_elements", "write_stream",
 ]

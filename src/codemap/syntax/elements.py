@@ -9,7 +9,7 @@ import numpy as np
 
 from .. import artifacts
 from .normalize import EnrichedTokenStream
-from .tree import SyntaxTree
+from .tree import Node
 
 STATEMENT_KINDS = {"decl_stmt", "expr_stmt", "if_stmt", "loop", "return_stmt"}
 
@@ -30,7 +30,7 @@ def id_granularity(element_id: str) -> str:
     return element_id.rsplit(":", 2)[1]
 
 
-def extract_elements(tree: SyntaxTree,
+def extract_elements(unit: Node,
                      stream: EnrichedTokenStream) -> list[tuple]:
     """One (granularity, start, end, first, last, label) row per expr,
     statement and method node, in pre-order.
@@ -41,9 +41,9 @@ def extract_elements(tree: SyntaxTree,
     """
     if stream.tokens and not stream.node_ranges:
         raise ValueError("stream carries no node ranges; it was not "
-                         "produced by normalize() on this tree")
+                         "produced by normalize() on this unit")
     rows = []
-    for node in tree.root.walk():
+    for node in unit.walk():
         if node.kind == "expr":
             granularity, label = "expression", "expr"
         elif node.kind in STATEMENT_KINDS:

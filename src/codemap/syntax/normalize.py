@@ -23,7 +23,7 @@ from .. import artifacts
 from .symbols import (SymbolTable, build_symbols, canon_primitive,
                       resolve_chain, resolve_type_name, simple_arg_name,
                       split_dims)
-from .tree import Node, SyntaxTree
+from .tree import Node
 
 STRUCT_KEYWORDS = {
     "unit", "class", "func_decl", "decl_stmt", "decl", "expr_stmt", "expr",
@@ -36,8 +36,6 @@ LITERAL_KINDS = {"string", "char", "number", "boolean", "null"}
 
 @dataclass
 class EnrichedTokenStream:
-    file: str
-    language: str
     tokens: list[str]
     # id(node) -> [lo, hi) token range, attached by normalize() so element
     # extraction can find each node's tokens; not serialized
@@ -70,7 +68,7 @@ class _Normalizer:
 
     def _visit_class(self, node: Node) -> None:
         self.tokens += node.meta["modifiers"]
-        qualified = self.sym.qualify_declared(node.meta["name"])
+        qualified = node.meta["qualified"]
         self.tokens += (qualified, "block")
         self.sym.class_stack.append(qualified)
         self.sym.push_scope()
@@ -198,40 +196,28 @@ def _number_arg_type(text: str) -> str:
     return "int"
 
 
-def normalize(tree: SyntaxTree, symbols: SymbolTable | None = None,
-              file: str = "") -> EnrichedTokenStream:
-    """Normalize a parsed file into its enriched token stream.
+def normalize(unit: Node, symbols: SymbolTable | None = None
+              ) -> EnrichedTokenStream:
+    """Normalize a parsed file's `unit` node into its enriched token stream.
 
-    `symbols` defaults to the table built from the tree itself; passing one
-    lets callers seed variable types for fragments.
+    `symbols` defaults to the table built from the unit itself, which also
+    names its classes; passing one lets callers seed variable types for
+    fragments that declare no class.
     """
-    sym = symbols if symbols is not None else build_symbols(tree)
+    sym = symbols if symbols is not None else build_symbols(unit)
     walker = _Normalizer(sym)
-    walker.visit(tree.root)
-    stream = EnrichedTokenStream(file=file, language=tree.language,
-                                 tokens=walker.tokens)
-    stream.node_ranges = walker.ranges
-    return stream
+    walker.visit(unit)
+    return EnrichedTokenStream(walker.tokens, walker.ranges)
 
 
 def write_stream(stream: EnrichedTokenStream, path, comments=()) -> None:
-    """Stream file: `#<language> <path>` header, then one line of tokens."""
-    artifacts.write_lines(path, (
-        f"#{stream.language} {stream.file}",
-        *(f"# {c}" for c in comments),
-        " ".join(artifacts.check_field(path, "token", token)
-                 for token in stream.tokens)))
+    """Stream file: provenance comments, then one line of tokens."""
+    artifacts.write_lines(path, [" ".join(
+        artifacts.check_field(path, "token", token)
+        for token in stream.tokens)], comments)
 
 
-def read_stream(path) -> tuple[str, str, list[str]]:
-    """Read a stream file back as (language, source path, tokens)."""
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        tokens = next((line.split() for _, line in
-                       artifacts.record_lines(handle)), [])
-    if not header.startswith("#"):
-        raise ValueError(f"{path}:1: missing `#<language> <path>` header")
-    language, _, source = header[1:].partition(" ")
-    if not language:
-        raise ValueError(f"{path}:1: missing language in header")
-    return language, source, tokens
+def read_stream(path) -> list[str]:
+    """The tokens of a stream file."""
+    return next((tokens for _, tokens in artifacts.records(path, sep=None)),
+                [])

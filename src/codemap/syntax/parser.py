@@ -17,7 +17,7 @@ missing closing brace or `;` at the end of input is tolerated.
 from __future__ import annotations
 
 from .lexer import ParseError, Tok, lex
-from .tree import Node, SyntaxTree
+from .tree import Node
 
 MODIFIERS = {
     # java
@@ -154,10 +154,8 @@ class Parser:
 
     # compilation unit -----------------------------------------------------
 
-    def parse_unit(self) -> SyntaxTree:
-        children = self._items(self.parse_top_level)
-        root = Node("unit", 0, len(self.src), children, meta={"language": self.lang})
-        return SyntaxTree(root, self.lang)
+    def parse_unit(self) -> Node:
+        return Node("unit", 0, len(self.src), self._items(self.parse_top_level))
 
     def parse_top_level(self) -> Node | None:
         self._skip_annotations()
@@ -355,8 +353,8 @@ class Parser:
             if depth == 0 and t.text == ";":
                 self.eat()
                 break
-            if depth == 0 and t.text == "}" and not saw_brace:
-                break  # do not eat the enclosing class brace
+            if depth == 0 and t.text in ")]}":
+                break  # it closes something outside: do not eat it
             self.eat()
             if t.text in "{([":
                 depth += 1
@@ -368,7 +366,7 @@ class Parser:
                 leaves.append(Node("name", t.start, t.end, text=t.text))
             elif (literal := _literal(t)) is not None:
                 leaves.append(literal)
-        if self.i == entry:  # never stall on a stray closing brace
+        if self.i == entry:  # never stall on a stray closer
             self.eat()
         return Node("opaque", start, self._end_offset(), leaves)
 
@@ -687,8 +685,9 @@ def _literal(t: Tok) -> Node | None:
     return Node("literal", t.start, t.end, text=t.text, meta={"kind": kind})
 
 
-def parse(source: str, language: str) -> SyntaxTree:
-    """Parse one source file; see the module docstring for the contract."""
+def parse(source: str, language: str) -> Node:
+    """Parse one source file into its `unit` node; see the module
+    docstring for the contract."""
     if language not in ("java", "csharp"):
         raise ValueError(f"unsupported language: {language}")
     return Parser(source, language).parse_unit()

@@ -72,14 +72,6 @@ class SymbolTable:
                 return scope[name]
         return None
 
-    def qualify_declared(self, simple: str) -> str:
-        """Qualified name for a class declared here, honoring nesting."""
-        if self.class_stack:
-            return f"{self.class_stack[-1]}.{simple}"
-        if self.package:
-            return f"{self.package}.{simple}"
-        return simple
-
 
 def _join(base: str, rest: list[str]) -> str:
     return ".".join([base] + rest) if rest else base
@@ -158,30 +150,37 @@ def simple_arg_name(type_name: str) -> str:
     return base.split(".")[-1] + dims
 
 
-def build_symbols(tree) -> SymbolTable:
-    """Collect package, imports and declared classes from a parsed unit."""
+def build_symbols(unit) -> SymbolTable:
+    """Collect package, imports and declared classes from a parsed unit.
+
+    Each class node gets its qualified name as `meta["qualified"]`: the
+    names of the namespaces and classes around it, or else the java
+    package, joined in front of its own.
+    """
     sym = SymbolTable()
     # the java package header sits beside the classes it qualifies, so it
     # must be known before class names are collected
-    for child in tree.root.children:
+    for child in unit.children:
         if child.kind in ("package", "namespace"):
             sym.package = child.meta["name"]
             break
 
     def scan(children, prefix: str) -> None:
         for child in children:
-            if child.kind == "namespace":
-                scan(child.children, child.meta["name"])
+            if child.kind in ("namespace", "class"):
+                name = child.meta["name"]
+                qualified = f"{prefix}.{name}" if prefix else name
+                if child.kind == "class":
+                    child.meta["qualified"] = qualified
+                    sym.classes.setdefault(name, qualified)
+                scan(child.children, qualified)
             elif child.kind == "import":
                 if child.meta.get("wildcard"):
                     sym.namespaces.append(child.meta["qualified"])
                 else:
                     sym.imports[child.meta["simple"]] = child.meta["qualified"]
-            elif child.kind == "class":
-                name = child.meta["name"]
-                qualified = f"{prefix}.{name}" if prefix else name
-                sym.classes.setdefault(name, qualified)
-                scan(child.children, qualified)
 
-    scan(tree.root.children, sym.package)
+    # outside every namespace a class takes the java package, if any
+    java = any(child.kind == "package" for child in unit.children)
+    scan(unit.children, sym.package if java else "")
     return sym

@@ -1,4 +1,4 @@
-"""Syntax tree node types shared by the parser and the normalizer."""
+"""The syntax tree node shared by the parser and the normalizer."""
 
 from __future__ import annotations
 
@@ -26,13 +26,3 @@ class Node:
         yield self
         for child in self.children:
             yield from child.walk()
-
-
-@dataclass
-class SyntaxTree:
-    root: Node
-    language: str
-
-    def __post_init__(self):
-        if self.root.kind != "unit":
-            raise ValueError("tree root must be a unit node")

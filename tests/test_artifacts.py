@@ -77,8 +77,7 @@ def test_whitespace_in_a_space_delimited_field_is_refused(tmp_path):
     stream = tmp_path / "x.tok"
     with pytest.raises(ValueError, match=re.escape(
             f"{stream}: token 'a\\tb'")):
-        write_stream(EnrichedTokenStream("x.java", "java", ["int", "a\tb"]),
-                     stream)
+        write_stream(EnrichedTokenStream(["int", "a\tb"]), stream)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -456,7 +456,7 @@ def test_element_tokens_gather_as_a_loop_over_rows_would(project,
     for side, path, granularity, first, last in zip(
             table.side, table.path, table.granularity, table.first,
             table.last):
-        tokens = read_stream(out / "streams" / side / f"{path}.tok")[2]
+        tokens = read_stream(out / "streams" / side / f"{path}.tok")
         want_tokens += [vocab.ids.get(f"{side}:{token}", -1)
                         for token in tokens[first:last + 1]]
         want_offsets.append(len(want_tokens))
@@ -624,7 +624,7 @@ def test_run_all_writes_every_artifact(project, tmp_path, capsys):
     links, density = re.search(r"\[align\] \d+ aligned chunks, (\d+) links "
                                r"\((\d\.\d\d) per target token\), ",
                                err).groups()
-    targets = sum(len(read_stream(path)[2])
+    targets = sum(len(read_stream(path))
                   for path in (out / "streams" / "b").glob("*.tok"))
     assert density == f"{int(links) / targets:.2f}" and int(links) > 0
 

@@ -152,7 +152,7 @@ def test_method_embeds_flat_not_statement_means():
     }
     """
     tree = parse(source, "java")
-    stream = normalize(tree, build_symbols(tree), file="A.java")
+    stream = normalize(tree, build_symbols(tree))
     spans = {}  # granularity -> the (first, last) token range of each
     for granularity, _, _, first, last, _ in extract_elements(tree, stream):
         spans.setdefault(granularity, []).append(range(first, last + 1))

@@ -83,8 +83,8 @@ def test_golden_console_statement_element():
 
 def test_parse_primitive_decl_shape():
     tree = parse("int i;", "java")
-    assert tree.root.kind == "unit"
-    (stmt,) = tree.root.children
+    assert tree.kind == "unit"
+    (stmt,) = tree.children
     assert stmt.kind == "decl_stmt"
     (decl,) = stmt.children
     assert decl.kind == "decl"
@@ -94,13 +94,13 @@ def test_parse_primitive_decl_shape():
 
 def test_parse_empty_file():
     tree = parse("", "java")
-    assert tree.root.kind == "unit"
-    assert tree.root.children == []
+    assert tree.kind == "unit"
+    assert tree.children == []
 
 
 def test_parse_call_shape():
     tree = parse('Console.WriteLine("out");', "csharp")
-    (stmt,) = tree.root.children
+    (stmt,) = tree.children
     assert stmt.kind == "expr_stmt"
     (expr,) = stmt.children
     assert expr.kind == "expr"
@@ -140,12 +140,12 @@ class A {
             assert node.start <= child.start <= child.end <= node.end
             check(child)
 
-    check(tree.root)
+    check(tree)
 
 
 def test_for_with_declared_init_and_empty_condition():
     tree = parse("for (int i = 0; ; i++) { } x();", "java")
-    loop, after = tree.root.children
+    loop, after = tree.children
     assert loop.kind == "loop"
     assert [n.kind for n in loop.children] == ["decl_stmt", "expr", "block"]
     decl_stmt, update, _ = loop.children
@@ -158,16 +158,19 @@ def test_for_with_declared_init_and_empty_condition():
 def test_opaque_keeps_identifiers():
     source = "class A { void f() { try { g(); } catch (E e) { } } }"
     tree = parse(source, "java")
-    opaques = [n for n in tree.root.walk() if n.kind == "opaque"]
+    opaques = [n for n in tree.walk() if n.kind == "opaque"]
     assert opaques
     leaves = [leaf.text for node in opaques for leaf in node.children
               if leaf.kind == "name"]
     assert "g" in leaves
 
 
+# an opaque statement ends at a `)` or `]` that closes nothing, too
 @pytest.mark.parametrize("language", ["java", "csharp"])
-@pytest.mark.parametrize("body", ["x = 1 }", "lbl: }"],
-                         ids=["statement_without_semicolon", "bare_label"])
+@pytest.mark.parametrize("body", ["x = 1 }", "lbl: }", "break); }",
+                                  "throw x]; }"],
+                         ids=["statement_without_semicolon", "bare_label",
+                              "opaque_then_paren", "opaque_then_bracket"])
 def test_closing_brace_after_an_open_statement_ends_its_block(language,
                                                              body):
     source = f"class A {{ void f() {{ {body} int g() {{ return 1; }} }}"
@@ -187,7 +190,7 @@ def test_closing_brace_after_an_open_statement_ends_its_block(language,
 ], ids=["call", "call_then_statement", "top_level", "declarators"])
 def test_unmatched_closing_brace_does_not_stall(source, kinds):
     tree = parse(source, "java")
-    assert [node.kind for node in tree.root.children] == kinds
+    assert [node.kind for node in tree.children] == kinds
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +407,67 @@ def test_bare_call_owner_is_enclosing_class():
     assert "demo.A.g()" in stream.tokens
 
 
+# each namespace qualifies its own classes, nested ones joined; a class
+# outside every namespace gets no prefix
+@pytest.mark.parametrize("source, expected", [
+    ("namespace N { namespace M { class A { A make() { return new A(); } } } }",
+     ["class", "N.M.A", "block", "func_decl", "N.M.A", "N.M.A.make()",
+      "block", "return_stmt", "expr", "func_call", "N.M.A()"]),
+    ("namespace N1 { class X {} } "
+     "namespace N2 { class A { A make() { return new A(); } } }",
+     ["class", "N1.X", "block", "class", "N2.A", "block", "func_decl", "N2.A",
+      "N2.A.make()", "block", "return_stmt", "expr", "func_call", "N2.A()"]),
+    ("class Top {} namespace N { class A { Top t; } }",
+     ["class", "Top", "block", "class", "N.A", "block", "decl_stmt", "decl",
+      "Top", "Top"]),
+], ids=["nested_namespaces", "second_namespace", "outside_every_namespace"])
+def test_declared_class_is_named_by_its_namespaces(source, expected):
+    assert normalize(parse(source, "csharp")).tokens == ["unit", *expected]
+
+
+@st.composite
+def _class_nesting(draw):
+    """A source of random namespace and class nestings, each class `C<n>`
+    holding `C<n> make() { return new C<n>(); }` before its nested
+    classes, and the qualified name of each class in source order."""
+    lang = draw(st.sampled_from(["java", "csharp"]))
+    qualified = []
+
+    def items(prefix, depth, namespaces):
+        parts = []
+        for _ in range(draw(st.integers(0, 2 if depth < 3 else 0))):
+            if namespaces and draw(st.booleans()):
+                space = draw(st.sampled_from(["N", "M", "Outer.Inner"]))
+                inner = items(f"{prefix}.{space}".lstrip("."), depth + 1, True)
+                parts.append(f"namespace {space} {{ {inner} }}")
+            else:
+                name = f"C{len(qualified)}"
+                qualified.append(f"{prefix}.{name}".lstrip("."))
+                inner = items(qualified[-1], depth + 1, False)
+                parts.append(f"class {name} {{ {name} make() "
+                             f"{{ return new {name}(); }} {inner} }}")
+        return " ".join(parts)
+
+    package = ""
+    if lang == "java" and draw(st.booleans()):
+        package = draw(st.sampled_from(["p", "demo.io"]))
+    body = items(package, 0, lang == "csharp")
+    header = f"package {package};\n" if package else ""
+    return header + body, lang, qualified
+
+
+@given(_class_nesting())
+@settings(max_examples=60, deadline=None)
+def test_class_declaration_names_what_new_resolves_to(case):
+    source, lang, qualified = case
+    tokens = normalize(parse(source, lang)).tokens
+    declared = [tokens[at + 1] for at, token in enumerate(tokens)
+                if token == "class"]
+    created = [tokens[at + 1].removesuffix("()")
+               for at, token in enumerate(tokens) if token == "func_call"]
+    assert declared == created == qualified
+
+
 def test_boolean_spellings_share_one_placeholder():
     java = normalize(parse("boolean flag;", "java"))
     cs = normalize(parse("bool flag;", "csharp"))
@@ -540,8 +604,7 @@ def test_element_tokens_within_stream():
 
 def test_extract_requires_matching_stream():
     tree = parse(SAMPLE, "java")
-    foreign = EnrichedTokenStream(file="", language="java",
-                                  tokens=normalize(tree).tokens)
+    foreign = EnrichedTokenStream(tokens=normalize(tree).tokens)
     with pytest.raises(ValueError):
         extract_elements(tree, foreign)
 
@@ -551,21 +614,34 @@ def test_extract_requires_matching_stream():
 
 
 def test_stream_file_round_trip(tmp_path):
-    tree = parse(SAMPLE, "java")
-    stream = normalize(tree, file="demo/Sample.java")
+    stream = normalize(parse(SAMPLE, "java"))
     out = tmp_path / "Sample.stream"
-    write_stream(stream, out, comments=["tool test"])
-    language, source, tokens = read_stream(out)
-    assert language == "java"
-    assert source == "demo/Sample.java"
-    assert tokens == stream.tokens
+    write_stream(stream, out)
+    assert out.read_text() == " ".join(stream.tokens) + "\n"
+    assert read_stream(out) == stream.tokens
 
 
-def test_stream_file_header_required(tmp_path):
-    out = tmp_path / "bad.stream"
-    out.write_text("no header\n")
-    with pytest.raises(ValueError):
-        read_stream(out)
+def test_stream_file_round_trip_with_provenance(tmp_path):
+    stream = normalize(parse(SAMPLE, "java"))
+    out = tmp_path / "Sample.stream"
+    write_stream(stream, out, comments=["tool test", "seed 7"])
+    assert out.read_text().splitlines()[:2] == ["# tool test", "# seed 7"]
+    assert read_stream(out) == stream.tokens
+
+
+def test_empty_stream_reads_back_empty(tmp_path):
+    out = tmp_path / "Empty.stream"
+    write_stream(EnrichedTokenStream([]), out, comments=["tool test"])
+    assert out.read_text() == "# tool test\n\n"
+    assert read_stream(out) == []
+
+
+def test_stream_file_with_a_language_and_path_header_reads_its_tokens(
+        tmp_path):
+    # the earlier format's `#<language> <path>` header is a comment
+    out = tmp_path / "A.java.tok"
+    out.write_text("#java A.java\n# tool test\nclass A block\n")
+    assert read_stream(out) == ["class", "A", "block"]
 
 
 def test_element_file_round_trip(tmp_path):
@@ -1039,7 +1115,7 @@ CONSTRUCTS = [
 @pytest.mark.parametrize("language, source, expected", CONSTRUCTS)
 def test_construct_table(language, source, expected):
     tree = parse(source, language)
-    rendered = [line for node in tree.root.children for line in _render(node)]
+    rendered = [line for node in tree.children for line in _render(node)]
     assert rendered == textwrap.dedent(expected).strip("\n").splitlines()
 
 
@@ -1087,7 +1163,7 @@ def test_generated_sources_normalize(case):
     for token in stream.tokens:
         assert token.split() == [token]
         assert token not in PUNCT
-    for node in tree.root.walk():
+    for node in tree.walk():
         lo, hi = stream.node_ranges[id(node)]
         if node.kind in STRUCT_KEYWORDS and hi > lo:
             assert stream.tokens[lo] == node.kind
@@ -1122,7 +1198,7 @@ def test_token_soup_parses_or_raises_parse_error(language, tokens):
     except ParseError as err:
         assert err.line >= 1 and err.col >= 1
         return
-    assert tree.root.kind == "unit"
+    assert tree.kind == "unit"
     stream = normalize(tree)
     extract_elements(tree, stream)
     for token in stream.tokens:
@@ -1165,7 +1241,7 @@ def test_primitive_array_creation_never_qualified(case):
     tree = parse(source, lang)
     stream = normalize(tree)
     (created,) = [stream.tokens[slice(*stream.node_ranges[id(node)])]
-                  for node in tree.root.walk()
+                  for node in tree.walk()
                   if node.kind == "nameref" and node.start == new_at]
     assert created == [canon_primitive(prim)]
     assert not any(ch.isspace() for ch in created[0])
