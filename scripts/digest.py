@@ -8,11 +8,13 @@ In a temporary directory it builds:
   seed 7 and 8 bitext-align workload bitexts, as `perfbench/worker.py`
   writes them.
 
-It prints `sha256  <tree>/<path>` per file, sorted by path.  Run it on
-two checkouts and diff the outputs to check that a change is
-byte-identical; the stages' summary lines go to stderr.  OpenBLAS is
-pinned to one thread for this process, since tables differ in the last
-bits across thread counts.
+It prints `sha256  <tree>/<path>` per file, sorted by path, and then
+`sha256  parse-trees`, one hash over the parse trees (kind, span, meta,
+text and children of every node) of the 20 demo sources and the 400
+scaled-map sources.  Run it on two checkouts and diff the outputs to
+check that a change is byte-identical; the stages' summary lines go to
+stderr.  OpenBLAS is pinned to one thread for this process, since
+tables differ in the last bits across thread counts.
 
     PYTHONPATH=src python3 scripts/digest.py
 """
@@ -32,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 from codemap import align, cli  # noqa: E402
+from codemap.syntax import parse  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 DEMO = ROOT / "fixtures" / "demo"
@@ -70,6 +73,23 @@ def build_bitext_align(out, seed):
     align.write_table(table, tree / "ttable.tsv")
 
 
+def _tree(node):
+    return (node.kind, node.start, node.end, sorted(node.meta.items()),
+            node.text, [_tree(child) for child in node.children])
+
+
+def tree_digest(roots):
+    """sha256 over the parse trees of the `java/*.java` and `csharp/*.cs`
+    sources under each of `roots`, in that order."""
+    sha = hashlib.sha256()
+    for root in roots:
+        for language, ext in (("java", ".java"), ("csharp", ".cs")):
+            for path in sorted((root / language).glob("*" + ext)):
+                unit = parse(path.read_text(encoding="utf-8"), language)
+                sha.update(repr(_tree(unit)).encode("utf-8"))
+    return sha.hexdigest()
+
+
 def digests(out):
     """`sha256  <path>` of every file under `out`, sorted by path."""
     return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
@@ -86,6 +106,7 @@ def main():
         for seed in BITEXT_SEEDS:
             build_bitext_align(out, seed)
         print("\n".join(digests(out)))
+        print(f"{tree_digest((DEMO, work / 'project'))}  parse-trees")
     return 0
 
 

@@ -12,6 +12,15 @@ one.  Input that ends where a construct still needs a token (after
 anything but a name where a declared or imported name goes, raises
 `ParseError` with the line and column, never another exception.  A
 missing closing brace or `;` at the end of input is tolerated.
+
+Recovery has one rule, kept by `_skip_to` for every loop that skips
+tokens, the opaque scanner's too: a skip walks balanced groups and
+stops, without eating it, at a `)`, `]` or `}` it did not open.  A
+parameter list and a call's arguments also stop at a `;` of their own,
+and a parameter list also at a `{`.  The loop around moves past what
+stopped it, so a damaged member never takes the members after it.  A
+skipped group ends at a closer alone: `try (A a = f(); B b = g())` is
+legal.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ _OPAQUE_CONTINUATION_KW = {"catch", "finally", "else"}
 _TYPE_DECL_KW = {"interface", "enum", "struct", "record", "delegate", "event"}
 
 _GROUP_CLOSE = {"(": ")", "[": "]", "{": "}"}
+_CLOSERS = set(_GROUP_CLOSE.values())
 
 _TOKEN_LITERALS = {"str": "string", "char": "char", "num": "number"}
 _KEYWORD_LITERALS = {"true": "boolean", "false": "boolean", "null": "null"}
@@ -130,16 +140,20 @@ class Parser:
     def _end_offset(self) -> int:
         return self.toks[self.i - 1].end if self.i > 0 else 0
 
-    def _skip_balanced(self, open_ch: str, close_ch: str) -> None:
-        """Consume from the opening delimiter through its match."""
-        self.expect(open_ch)
-        depth = 1
-        while depth and self.peek() is not None:
-            t = self.eat()
-            if t.text == open_ch:
-                depth += 1
-            elif t.text == close_ch:
-                depth -= 1
+    def _skip_to(self, *stops: str) -> None:
+        """The one recovery rule: eat tokens, each group whole, up to one
+        of `stops` or a closer this skip did not open, and eat neither."""
+        while ((t := self.peek()) is not None and t.text not in stops
+               and t.text not in _CLOSERS):
+            self._skip_item()
+
+    def _skip_item(self) -> None:
+        """Eat one token and, if it opens a group, the group: through its
+        own closer, or up to another one, which it leaves."""
+        opener = self.eat().text
+        if opener in _GROUP_CLOSE:
+            self._skip_to()
+            self._skip(_GROUP_CLOSE[opener])
 
     def _items(self, parse_item, close: str | None = None) -> list[Node]:
         """Items up to `close`, which is eaten, or else to the end of input."""
@@ -233,13 +247,12 @@ class Parser:
                 self.eat()
                 self._dotted_name()
                 if self.at("("):
-                    self._skip_balanced("(", ")")
-                continue
-            if self.lang == "csharp" and self.at("["):
+                    self._skip_item()
+            elif self.lang == "csharp" and self.at("["):
                 # attribute lists only appear where a member may start
-                self._skip_balanced("[", "]")
-                continue
-            return
+                self._skip_item()
+            else:
+                return
 
     def _collect_modifiers(self) -> list[str]:
         mods = []
@@ -255,8 +268,7 @@ class Parser:
         self.expect("class")
         name = self._name()
         self._skip_generic_args()
-        while self.peek() is not None and not self.at("{"):
-            self.eat()  # extends/implements/base list, where clauses
+        self._skip_to("{")  # extends/implements/base list, where clauses
         self.expect("{")
         members = self._items(lambda: self.parse_member(name), "}")
         return Node("class", start, self._end_offset(), members,
@@ -297,34 +309,27 @@ class Parser:
                      name: str, start: int) -> Node:
         self.expect("(")
         params: list[tuple[str, str]] = []
-        while self.peek() is not None and not self.at(")"):
+        while True:
             self._skip_annotations()
             while self.at_name() and self.peek().text in (
                     "final", "ref", "out", "in", "params", "this"):
                 self.eat()
             p_type = self._try_type()
-            if p_type is None:
-                self.eat()
-                continue
-            if self.at(".") and self.at(".", 1):  # varargs `...`
-                while self.at("."):
+            if p_type is not None and self.at(".") and self.at(".", 1):
+                while self.at("."):  # varargs `...`
                     self.eat()
                 p_type += "[]"
-            if self.at_name():
+            if p_type is not None and self.at_name():
                 p_name = self.eat().text
                 p_type += self._dims()
                 if self._skip("="):  # default value
-                    self.parse_expr_atoms({",", ")"})
+                    self.parse_expr_atoms({",", ")", ";", "{"})
                 params.append((p_type, p_name))
-            self._skip(",")
+            self._skip_to(",", ";", "{")  # what a damaged parameter leaves
+            if not self._skip(","):
+                break
         self._skip(")")
-        # throws clause / base-ctor call / where clauses
-        while self.peek() is not None and not (
-                self.at("{") or self.at(";") or self.at("=>")):
-            if self.at("("):
-                self._skip_balanced("(", ")")
-            else:
-                self.eat()
+        self._skip_to("{", ";", "=>")  # throws, base-ctor call, where clauses
         body: list[Node] = []
         if self.at("{"):
             body = [self.parse_block()]
@@ -338,37 +343,25 @@ class Parser:
                           "return_type": return_type, "params": params})
 
     def parse_opaque_member(self) -> Node:
-        """Swallow one unsupported construct, keeping name/literal leaves."""
-        start = self.peek().start
+        """Swallow one unsupported construct, keeping name/literal leaves:
+        through its `;`, or through its block and the catch, finally or
+        else clauses after it."""
         entry = self.i
-        leaves: list[Node] = []
-        depth = 0
-        saw_brace = False
-        while self.peek() is not None:
+        while True:
+            self._skip_to(";", "{")
+            if not self.at("{"):
+                self._skip(";")
+                break
+            self._skip_item()  # the block
             t = self.peek()
-            if depth == 0 and t.text in _OPAQUE_CONTINUATION_KW:
-                saw_brace = False  # the clause runs to the end of its block
-            elif depth == 0 and saw_brace:
+            if t is None or t.text not in _OPAQUE_CONTINUATION_KW:
                 break
-            if depth == 0 and t.text == ";":
-                self.eat()
-                break
-            if depth == 0 and t.text in ")]}":
-                break  # it closes something outside: do not eat it
-            self.eat()
-            if t.text in "{([":
-                depth += 1
-                if t.text == "{":
-                    saw_brace = True
-            elif t.text in "})]":
-                depth -= 1
-            elif t.kind == "name":
-                leaves.append(Node("name", t.start, t.end, text=t.text))
-            elif (literal := _literal(t)) is not None:
-                leaves.append(literal)
-        if self.i == entry:  # never stall on a stray closer
-            self.eat()
-        return Node("opaque", start, self._end_offset(), leaves)
+        self.i = max(self.i, entry + 1)  # never stall on a stray closer
+        eaten = self.toks[entry:self.i]
+        leaves = [Node("name", t.start, t.end, text=t.text)
+                  if t.kind == "name" else _literal(t) for t in eaten]
+        return Node("opaque", eaten[0].start, self._end_offset(),
+                    [leaf for leaf in leaves if leaf is not None])
 
     # statements -----------------------------------------------------------
 
@@ -524,7 +517,7 @@ class Parser:
         """Skip the brackets after a declarator name, one `[]` for each."""
         dims = ""
         while self.at("["):
-            self._skip_balanced("[", "]")
+            self._skip_item()
             dims += "[]"
         return dims
 
@@ -663,11 +656,11 @@ class Parser:
         args: list[Node] = []
         while self.peek() is not None and not self.at(")"):
             a_start = self.peek().start
-            atoms = self.parse_expr_atoms({",", ")"})
+            atoms = self.parse_expr_atoms({",", ")", ";"})
             if atoms:
                 args.append(Node("argument", a_start, self._end_offset(), atoms))
             if not self._skip(","):
-                break  # at `)`, an unmatched `}` or the end of input
+                break  # at `)`, `;`, an unmatched `}` or the end of input
         self._skip(")")
         return Node("func_call", start, self._end_offset(), args,
                     meta={"segs": segs, "new": new,

@@ -6,6 +6,8 @@ qualified-name resolution and the enriched stream format exactly.
 
 import re
 import textwrap
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -178,6 +180,53 @@ def test_closing_brace_after_an_open_statement_ends_its_block(language,
     assert tokens.count("func_decl") == 2
     at = tokens.index("A.g()")
     assert tokens[at - 2:at + 1] == ["func_decl", "int", "A.g()"]
+
+
+def _methods(source, language):
+    """(label, tokens) of each method of a source, in source order."""
+    tree = parse(source, language)
+    stream = normalize(tree)
+    return [(label, tuple(stream.tokens[first:last + 1]))
+            for granularity, _, _, first, last, label
+            in extract_elements(tree, stream) if granularity == "method"]
+
+
+# a damaged member leaves the method after it as it was undamaged, or the
+# file is refused; C# spells the base list with `:`
+@pytest.mark.parametrize("language", ["java", "csharp"])
+@pytest.mark.parametrize("damaged, intact", [
+    ("class A { A(int c { x = c; } int g() { return 1; } }",
+     "class A { A(int c) { x = c; } int g() { return 1; } }"),
+    ("class A { int x = foo(1, 2; int g() { return 1; } }",
+     "class A { int x = foo(1, 2); int g() { return 1; } }"),
+    ("class A extends B } class C { int g() { return 1; } }", None),
+], ids=["constructor_parameters", "field_call_arguments", "base_list"])
+def test_damaged_member_keeps_the_next_method(language, damaged, intact):
+    if language == "csharp":
+        damaged = damaged.replace(" extends ", " : ")
+    if intact is None:
+        with pytest.raises(ParseError):
+            parse(damaged, language)
+        return
+    g = dict(_methods(intact, language))["A.g()"]
+    assert dict(_methods(damaged, language))["A.g()"] == g
+
+
+@pytest.mark.parametrize("language", ["java", "csharp"])
+def test_method_without_body_before_closing_brace_gets_none(language):
+    source = "class A { void f() } int g() { return 1; } }"
+    assert dict(_methods(source, language))["A.f()"] == (
+        "func_decl", "void", "A.f()")
+
+
+# a `;` inside a skipped or opaque group is legal, so it ends nothing
+@pytest.mark.parametrize("language, member", [
+    ("java", "void f() { try (A a = f(); B b = g()) { h(); } }"),
+    ("csharp", "A() : base(() => { for (int i = 0; i < n; i++) { } }) { }"),
+], ids=["try_with_two_resources", "for_in_base_call_lambda"])
+def test_semicolon_in_parentheses_keeps_the_next_method(language, member):
+    source = f"class A {{ {member} int g() {{ return 1; }} }}"
+    assert "A.g()" in dict(_methods(source, language))
 
 
 # a `}` that closes nothing ends what is open, and at the top level is
@@ -1125,32 +1174,56 @@ def test_construct_table(language, source, expected):
 
 _NAMES = ("alpha", "beta", "gamma", "delta")
 _TYPES = ("int", "long", "double", "bool", "String")
+_METHODS = ("run", "step", "load")
+
+
+def _draw_type(draw, lang):
+    t = draw(st.sampled_from(_TYPES))
+    return "boolean" if t == "bool" and lang == "java" else t
+
+
+def _draw_call(draw):
+    """`helper(…)` with up to three arguments, each a number or a name."""
+    args = draw(st.lists(st.one_of(st.integers(0, 9).map(str),
+                                   st.sampled_from(_NAMES)), max_size=3))
+    return f"helper({', '.join(args)})"
+
+
+def _draw_method(draw, lang, name):
+    params = ", ".join(f"{_draw_type(draw, lang)} {p}" for p in draw(
+        st.lists(st.sampled_from(_NAMES), max_size=3, unique=True)))
+    throws = " throws IOException" if lang == "java" and draw(
+        st.booleans()) else ""
+    stmts = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.integers(0, 3))
+        var = draw(st.sampled_from(_NAMES))
+        if kind == 0:
+            stmts.append(f"        int {var} = {draw(st.integers(0, 99))};")
+        elif kind == 1:
+            stmts.append(f"        {_draw_call(draw)};")
+        elif kind == 2:
+            stmts.append(f"        if ({var} > 0) {{ return; }}")
+        else:
+            call = _draw_call(draw)
+            stmts.append(f"        while ({var} > 0) {{ {call}; }}")
+    return (f"    void {name}({params}){throws} {{\n" + "\n".join(stmts)
+            + "\n    }")
 
 
 @st.composite
 def _random_class(draw):
+    """A class of fields and one to three methods, each with parameters,
+    a Java `throws` clause or not, and calls with arguments."""
     lang = draw(st.sampled_from(["java", "csharp"]))
     body = []
     for _ in range(draw(st.integers(0, 3))):
-        t = draw(st.sampled_from(_TYPES))
-        if t == "bool" and lang == "java":
-            t = "boolean"
-        name = draw(st.sampled_from(_NAMES))
-        body.append(f"    {t} {name};")
-    stmts = []
-    for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.integers(0, 3))
-        name = draw(st.sampled_from(_NAMES))
-        if kind == 0:
-            stmts.append(f"        int {name} = {draw(st.integers(0, 99))};")
-        elif kind == 1:
-            stmts.append(f"        helper({draw(st.integers(0, 9))});")
-        elif kind == 2:
-            stmts.append(f"        if ({name} > 0) {{ return; }}")
-        else:
-            stmts.append(f"        while ({name} > 0) {{ helper(1); }}")
-    method = "    void run() {\n" + "\n".join(stmts) + "\n    }"
-    source = "class Fuzz {\n" + "\n".join(body) + "\n" + method + "\n}"
+        t = _draw_type(draw, lang)
+        body.append(f"    {t} {draw(st.sampled_from(_NAMES))};")
+    for name in draw(st.lists(st.sampled_from(_METHODS), min_size=1,
+                              max_size=3, unique=True)):
+        body.append(_draw_method(draw, lang, name))
+    source = "class Fuzz {\n" + "\n".join(body) + "\n}"
     return source, lang
 
 
@@ -1172,6 +1245,49 @@ def test_generated_sources_normalize(case):
             assert stream.tokens[lo:hi] == ["literal_type", node.meta["kind"]]
     for _, _, _, first, last, _ in extract_elements(tree, stream):
         assert 0 <= first <= last < len(stream.tokens)
+
+
+# locality: deleting or duplicating one token (not a brace) inside method k
+# leaves every other method's label and tokens as they were, or the file
+# is refused.  Annotation and attribute arguments and C# `: base(…)`
+# arguments stay out: a `{` is legal inside them (array initializers,
+# lambdas), so no local rule can tell where a damaged one ends.
+
+DEMO = Path(__file__).parent.parent / "fixtures" / "demo"
+_DEMO_SOURCES = [(path.read_text(encoding="utf-8"), lang)
+                 for lang, ext in (("java", ".java"), ("csharp", ".cs"))
+                 for path in sorted((DEMO / lang).glob("*" + ext))]
+
+
+@st.composite
+def _damaged_method(draw):
+    source, lang = draw(st.one_of(st.sampled_from(_DEMO_SOURCES),
+                                  _random_class()))
+    methods = [node for node in parse(source, lang).walk()
+               if node.kind == "func_decl"]
+    k = draw(st.integers(0, len(methods) - 1))
+    inside = [t for t in lex(source, lang)
+              if methods[k].start <= t.start and t.end <= methods[k].end
+              and t.text not in ("{", "}")]
+    t = draw(st.sampled_from(inside))
+    if draw(st.booleans()):
+        damaged = source[:t.start] + source[t.end:]
+    else:
+        damaged = source[:t.end] + " " + source[t.start:]
+    return source, damaged, lang, k
+
+
+@given(_damaged_method())
+@settings(max_examples=200, deadline=None)
+def test_damaged_method_leaves_the_others(case):
+    source, damaged, lang, k = case
+    others = _methods(source, lang)
+    del others[k]
+    try:
+        kept = _methods(damaged, lang)
+    except ParseError:
+        return
+    assert not Counter(others) - Counter(kept)
 
 
 # token soup: whatever the tokens, parse returns a tree or raises ParseError,
