@@ -19,17 +19,27 @@ window layout over what is kept (without subsampling the layout is built
 once; one stable sort on the center orders its rows); every kept
 center's reach, in one draw; and K uniforms per context, in context
 order.  It then plans a block of pairs, up to PLAN_ROWS window rows, at
-a time and steps along it: the plan gathers the block's contexts, draws
-their uniforms and counts each step's occurrences into (center, row)
-cells, and the step loop runs only the dense kernel.  Contexts and
-negatives never read the table, so planning first changes nothing but
-the time (the batching of Ji et al. 2016, arXiv 1604.04661); float draws
-concatenate, so where a block ends changes no draw.  The plan does not
-sort: a negative's id is read from a table of equal buckets of [0, 1),
-at least 16 per noise CDF entry, with `searchsorted` only in the buckets
-that hold an entry (`_NoiseLookup`), and the cells are numbered by masks
-over vocabulary ids (`_numbered`), which are all below the vocabulary
-size.  The step updates the rows it gathered, in place.
+a time: the plan gathers the block's contexts, draws their uniforms and
+counts each step's occurrences into (center, row) cells; the rows with
+room for a context, the steps and their numbered centers, which no draw
+changes, are planned once per layout.  Contexts and negatives never read
+the table, so planning first changes nothing but the time (the batching
+of Ji et al. 2016, arXiv 1604.04661); float draws concatenate, so where
+a block ends changes no draw.  The plan does not sort: a negative's id
+is read from a table of equal buckets of [0, 1), at least 16 per noise
+CDF entry, with `searchsorted` only in the buckets that hold an entry
+(`_NoiseLookup`), and the cells are numbered by masks over vocabulary
+ids (`_numbered`), which are all below the vocabulary size.
+
+Who draws and who steps: after `init_table`, a forked child owns the
+generator, makes every draw in the order above and writes each block's
+plan, as int32 arrays, to a pipe; the training process reads the plans
+in order and runs only the step loop, one dense kernel call per step,
+which updates the rows it gathered in place.  The two overlap on two
+CPUs, and the plans are the same as when drawn in one process.  Forking,
+the pipe and reaping cost about as much as planning ten blocks, so a
+training of fewer than FORK_BLOCKS blocks, or one without `os.fork` or
+a second CPU, draws its plans in the training process.
 `sgns_pair_loss`/`sgns_pair_grads`, checked against finite differences,
 are one-center steps of the same kernel on a copy of the table.
 Training with a fixed seed is bit-reproducible.
@@ -37,9 +47,15 @@ Training with a fixed seed is bit-reproducible.
 
 from __future__ import annotations
 
+import gc
+import os
+import pickle
+import signal
 import warnings
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +75,17 @@ SIDE_BATCH = 32
 # pairs ends at the first pair that reaches it.  A whole-epoch plan is
 # faster but holds every draw and cell of the epoch in memory.
 PLAN_ROWS = 256
+# Fewest blocks a training plans (epochs x blocks, estimated from its
+# in-vocabulary occurrences) for which a forked child plans them while
+# the training process steps.  Fork, pipe and reap cost about 2 ms on a
+# 2-vCPU host, and a demo block planned there saves the training process
+# about 0.35 ms, less for small blocks: forking paid from about ten
+# blocks, and trainings of a few small blocks, tests' toy corpora among
+# them, stay in one process.
+FORK_BLOCKS = 32
+# Bytes asked for the plan pipe, about 13 demo blocks: with the default
+# 64 KB the child waits on every block and the fork gains nothing.
+PIPE_BYTES = 1 << 20
 # Fewest equal buckets of [0, 1) in the noise lookup; a power of two, so
 # a uniform's bucket is exact.
 NOISE_BUCKETS = 2 ** 12
@@ -169,22 +196,22 @@ def _numbered(step, ids, steps, size):
     return distinct[flat % len(distinct)], offsets, rank[cell]
 
 
-def _cells(steps, size, center_step, centers, center_of, rows, labels,
-           counts):
+def _cells(size, center_step, centers, center_of, rows, counts):
     """Occurrences counted into (center, row) cells, per step.
 
-    Occurrence (i, j) pairs center `centers[center_of[i]]`, of step
-    `center_step[center_of[i]]`, with row `rows[i, j]`; ids are below
-    `size`.  It is a context if `labels[i, j]` is 1 and a negative if 0,
-    and counts `counts[i, j]` times (a count of 0 still numbers its
-    row).  Returns, flat with per-step offsets, each step's
-    distinct centers C and rows R, sorted, and its |C| x |R| cell
-    counts, `total` over all occurrences and `pos` over contexts: (C, C
-    offsets, R, R offsets, total, pos, cell offsets).
+    `centers` is `_numbered(center_step, ids, steps, size)` over the
+    centers' vocabulary ids, below `size`; center k is of step
+    `center_step[k]`.  Occurrence (i, j) pairs center `center_of[i]`
+    with row `rows[i, j]`: a context if j is 0 and a negative otherwise,
+    counted `counts[i, j]` times (a count of 0 still numbers its row).
+    Returns, flat with per-step offsets, each step's distinct centers C
+    and rows R, sorted, and its |C| x |R| integer cell counts, `total`
+    over all occurrences and `pos` over contexts: (C, C offsets, R, R
+    offsets, total, pos, cell offsets).
     """
+    centers, center_offsets, center_at = centers
+    steps = len(center_offsets) - 1
     step, width = center_step[center_of], rows.shape[1]
-    centers, center_offsets, center_at = _numbered(center_step, centers,
-                                                   steps, size)
     rows, row_offsets, row_at = _numbered(np.repeat(step, width),
                                           rows.ravel(), steps, size)
     widths = np.diff(row_offsets)
@@ -197,8 +224,8 @@ def _cells(steps, size, center_step, centers, center_of, rows, labels,
                       width) + row_at
     size = int(cell_offsets[-1])
     return (centers, center_offsets, rows, row_offsets,
-            np.bincount(cells, counts.ravel(), size),
-            np.bincount(cells, labels.ravel(), size), cell_offsets)
+            np.bincount(cells[counts.ravel()], minlength=size),
+            np.bincount(cells[::width], minlength=size), cell_offsets)
 
 
 def sgns_step(C, R, total, pos, table: EmbeddingTable, lr: float) -> float:
@@ -373,14 +400,31 @@ def _layout(kept, links) -> _Layout:
                    center_offsets, center, anchors, caps)
 
 
-class _Trainer:
-    """Makes an epoch's random draws in the three phases of the module
-    docstring, then plans a block of up to PLAN_ROWS window rows at a
-    time and steps along it, with sgns_step once per step."""
+class _Block(NamedTuple):
+    """What the plans of a block of pairs share while the layout stays:
+    its window rows with room for a context (a reach is at least 1, so
+    exactly those rows get contexts), their anchors and steps, the
+    steps' centers numbered by `_numbered`, and each step's pair."""
+    rows: np.ndarray     # into the layout
+    anchors: np.ndarray  # per row, 2 each
+    step: np.ndarray     # per row
+    centers: tuple       # (C, C offsets, per row its index into C)
+    pairs: np.ndarray    # per step
+
+
+class _Planner:
+    """Makes every random draw of training after `init_table`, in the
+    three phases of the module docstring, and plans a block of up to
+    PLAN_ROWS window rows at a time into one message for `_step_epoch`.
+
+    A block's message is ((steps, |C|, |R|, cells), body), its body the
+    int32 C, R, total, pos, C offsets, R offsets, cell offsets and each
+    step's pair, as `_cells` gives them; an epoch ends with
+    ((0, contexts, 0, 0), empty body)."""
 
     def __init__(self, bitext: Bitext, links, vocab: Vocabulary,
-                 cfg: TrainConfig, table: EmbeddingTable):
-        self.vocab, self.cfg, self.table = vocab, cfg, table
+                 cfg: TrainConfig):
+        self.vocab, self.cfg = vocab, cfg
         self.noise = _NoiseLookup(vocab.noise_cdf)
         self.keep_probability = None if cfg.subsample == 0 else np.array([
             _keep_probability(count, vocab.total_count, cfg.subsample)
@@ -414,35 +458,40 @@ class _Trainer:
             kept.append((positions[keep], ids[keep], before[offsets]))
         return _layout(kept, self.links)
 
-    def _plan(self, layout: _Layout, first: int, last: int, lengths, rng):
-        """Cells of the steps of pairs first..last-1, one per SIDE_BATCH
-        consecutive centers of a pair side that have contexts, and each
-        step's pair, from the layout's window lengths (rows x 2); None if
-        the block has no context.  It draws K uniforms per context, in
-        context order.  The negatives come from the bucket lookup and the
-        cells from `_cells`: nothing is sorted, and only draws in the
-        lookup's loose buckets are searched."""
+    def _block(self, layout: _Layout, first: int, last: int):
+        """The part of the plans of pairs first..last-1 that no draw
+        changes, one step per SIDE_BATCH consecutive centers of a pair
+        side that have contexts; None if no row has room for a context."""
         offsets = layout.offsets[2 * first:2 * last + 1]
-        span = slice(offsets[0], offsets[-1])
         entry = np.repeat(np.arange(2 * first, 2 * last), np.diff(offsets))
-        lengths = lengths[span]
-        width = lengths.sum(1)
-        live = np.flatnonzero(width)
+        live = np.flatnonzero(layout.caps[offsets[0]:offsets[-1]].any(1))
         if not len(live):
             return None
+        rows, entry = live + offsets[0], entry[live]
+        center = layout.center[rows]
+        key = entry << 32 | (center - layout.center_offsets[entry]) \
+            // SIDE_BATCH
+        new = np.ones(len(rows), bool)
+        new[1:] = key[1:] != key[:-1]
+        step = np.cumsum(new) - 1
+        return _Block(rows, layout.anchors[rows], step,
+                      _numbered(step, layout.ids[center], int(step[-1]) + 1,
+                                len(self.vocab)), entry[new] >> 1)
+
+    def _plan(self, layout: _Layout, block: _Block, lengths, rng):
+        """The block's message, from the layout's window lengths (rows x
+        2).  It draws K uniforms per context, in context order.  The
+        negatives come from the bucket lookup and the cells from
+        `_cells`: nothing is sorted, and only draws in the lookup's loose
+        buckets are searched."""
+        lengths = lengths[block.rows]
         # one ragged gather: per row its left window, then its right one
-        starts = layout.anchors[span] - lengths * (1, 0)
+        starts = block.anchors - lengths * (1, 0)
         segment = lengths.ravel()
         ends = np.cumsum(segment)
         contexts = layout.ids[np.repeat(starts.ravel() - ends + segment,
                                         segment) + np.arange(ends[-1])]
-        entry, center = entry[live], layout.center[span][live]
-        key = entry << 32 | (center - layout.center_offsets[entry]) \
-            // SIDE_BATCH
-        new = np.ones(len(live), bool)
-        new[1:] = key[1:] != key[:-1]
-        step = np.cumsum(new) - 1
-        center_of = np.repeat(np.arange(len(live)), width[live])
+        center_of = np.repeat(np.arange(len(block.rows)), lengths.sum(1))
         # per context its row, then its negatives'.  A negative equal to
         # its own context counts 0: it is dropped, and its row is in the
         # step's rows anyway
@@ -450,47 +499,139 @@ class _Trainer:
             rng.random((len(contexts), self.cfg.negatives)))))
         counts = rows != rows[:, :1]
         counts[:, 0] = True
-        labels = np.zeros(rows.shape)
-        labels[:, 0] = 1.0
-        cells = _cells(int(step[-1]) + 1, len(self.vocab), step,
-                       layout.ids[center], center_of, rows, labels, counts)
-        return cells, entry[new] >> 1
+        C, c_at, R, r_at, total, pos, at = _cells(
+            len(self.vocab), block.step, block.centers, center_of, rows,
+            counts)
+        return ((len(block.pairs), len(C), len(R), len(total)),
+                np.concatenate((C, R, total, pos, c_at, r_at, at,
+                                block.pairs), dtype=np.int32))
 
-    # a divergent step overflows; train_biskip's loss check is its report
-    @np.errstate(over="ignore", invalid="ignore")
-    def train_epoch(self, rng: np.random.Generator, lrs: list[float]):
-        """One pass over the pairs at their learning rates; returns the
-        loss summed per pair, then over pairs, and the context count.
-        Blocks end at the first pair that brings them to PLAN_ROWS window
-        rows; sgns_step runs once per planned step, on flat slices of the
-        plan's cells."""
-        layout = self._epoch_layout(rng)
-        # int32 keeps the epoch's arrays at 4 bytes per center and 8 per row
-        reaches = rng.integers(1, self.cfg.window + 1, size=len(layout.ids),
-                               dtype=np.int32)
-        lengths = np.minimum(reaches[layout.center, None], layout.caps)
-        rows = layout.offsets[::2]
-        loss = pair_loss = 0.0
-        first, last_pair = 0, None
-        while first < self.pairs:
-            last = min(bisect_left(rows, rows[first] + PLAN_ROWS), self.pairs)
-            plan = self._plan(layout, first, last, lengths, rng)
-            first = last
-            if plan is None:
-                continue
-            (C, c_at, R, r_at, total, pos, at), step_pairs = plan
-            # per step, where its centers, rows and cells start
-            bounds = np.column_stack((c_at, r_at, at)).tolist()
-            for pair, (c0, r0, t0), (c1, r1, t1) in zip(
-                    step_pairs.tolist(), bounds, bounds[1:]):
-                if pair != last_pair:
-                    loss += pair_loss
-                    pair_loss, last_pair = 0.0, pair
-                shape = c1 - c0, r1 - r0
-                pair_loss += sgns_step(
-                    C[c0:c1], R[r0:r1], total[t0:t1].reshape(shape),
-                    pos[t0:t1].reshape(shape), self.table, lrs[pair])
-        return loss + pair_loss, int(lengths.sum())
+    def messages(self, rng: np.random.Generator):
+        """Every epoch's block messages, then its end.  Blocks end at the
+        first pair that brings them to PLAN_ROWS window rows; a block's
+        fixed part (`_block`) is planned when it is first needed, once
+        per layout."""
+        planned = None
+        for _ in range(self.cfg.epochs):
+            layout = self._epoch_layout(rng)
+            if layout is not planned:
+                planned, blocks = layout, {}
+            # int32 keeps the epoch's arrays at 4 bytes per center and 8
+            # per row
+            reaches = rng.integers(1, self.cfg.window + 1,
+                                   size=len(layout.ids), dtype=np.int32)
+            lengths = np.minimum(reaches[layout.center, None], layout.caps)
+            rows = layout.offsets[::2]
+            first = 0
+            while first < self.pairs:
+                last = min(bisect_left(rows, rows[first] + PLAN_ROWS),
+                           self.pairs)
+                if first not in blocks:
+                    blocks[first] = self._block(layout, first, last)
+                if blocks[first] is not None:
+                    yield self._plan(layout, blocks[first], lengths, rng)
+                first = last
+            yield (0, int(lengths.sum()), 0, 0), np.empty(0, np.int32)
+
+
+# a divergent step overflows; train_biskip's loss check is its report
+@np.errstate(over="ignore", invalid="ignore")
+def _step_epoch(messages, table: EmbeddingTable, lrs: list[float]):
+    """Steps along one epoch's block messages (`_Planner`) at their
+    pairs' learning rates, up to the epoch's end; returns the loss summed
+    per pair, then over pairs, and the epoch's context count.  sgns_step
+    runs once per planned step, on flat slices of the block's cells."""
+    loss = pair_loss = 0.0
+    last_pair = None
+    for (steps, centers, rows, cells), body in messages:
+        if not steps:
+            return loss + pair_loss, centers
+        cuts = [0, *accumulate((centers, rows, cells, cells,
+                                3 * steps + 3)), len(body)]
+        C, R, total, pos, bounds, step_pairs = (
+            body[start:end] for start, end in zip(cuts, cuts[1:]))
+        # per step, where its centers, rows and cells start
+        bounds = bounds.reshape(3, -1).T.tolist()
+        for pair, (c0, r0, t0), (c1, r1, t1) in zip(
+                step_pairs.tolist(), bounds, bounds[1:]):
+            if pair != last_pair:
+                loss += pair_loss
+                pair_loss, last_pair = 0.0, pair
+            shape = c1 - c0, r1 - r0
+            pair_loss += sgns_step(
+                C[c0:c1], R[r0:r1], total[t0:t1].reshape(shape),
+                pos[t0:t1].reshape(shape), table, lrs[pair])
+
+
+@contextmanager
+def _planned(planner: _Planner, rng: np.random.Generator, blocks: int):
+    """The planner's messages: from a forked child that owns `rng` and
+    plans while this process steps, or, without os.fork or a second CPU
+    or below FORK_BLOCKS blocks, drawn in this process.  On every way
+    out the pipe is closed and the child killed and reaped."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1 and blocks >= FORK_BLOCKS):
+        yield planner.messages(rng)
+        return
+    import fcntl  # F_SETPIPE_SZ is Linux's, like os.sched_getaffinity
+    read, write = os.pipe()
+    try:
+        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+    except OSError:  # above the system's pipe-max-size: the default stays
+        pass
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if not pid:
+        os.close(read)
+        _plan_into(planner, rng, write)
+    os.close(write)
+    try:
+        with open(read, "rb") as stream:
+            yield _received(stream)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.wait4(pid, 0)
+
+
+def _plan_into(planner: _Planner, rng: np.random.Generator, fd: int):
+    """The planner child: writes every message to the pipe `fd`, or the
+    exception it raised, and ends with os._exit, so that none of the
+    frames, buffers and exit handlers it shares with its parent runs."""
+    try:
+        # the parent's garbage, a buffered file say, is its own to collect
+        gc.disable()
+        with open(fd, "wb") as out:
+            try:
+                for head, body in planner.messages(rng):
+                    out.write(np.array(head, np.int64))
+                    out.write(body)
+                    out.flush()
+            except BaseException as err:  # the parent raises it
+                blob = pickle.dumps(err)
+                out.write(np.array((-1, len(blob), 0, 0), np.int64))
+                out.write(blob)
+    finally:
+        os._exit(0)
+
+
+def _received(stream):
+    """The messages a planner child writes to `stream`, as `_Planner`
+    yields them; an exception the child sent is raised here."""
+    head = np.empty(4, np.int64)
+    while stream.readinto(head) == head.nbytes:
+        steps, centers, rows, cells = head.tolist()
+        if steps < 0:
+            raise pickle.loads(stream.read(centers))
+        body = np.empty(centers + rows + 2 * cells + 4 * steps + 3 if steps
+                        else 0, np.int32)
+        if stream.readinto(body) != body.nbytes:
+            break
+        yield (steps, centers, rows, cells), body
+    raise RuntimeError("the block planner ended before its last plan")
 
 
 def train_biskip(bitext, links, cfg: TrainConfig,
@@ -511,7 +652,8 @@ def train_biskip(bitext, links, cfg: TrainConfig,
     `losses`, if given, its mean loss per context (the context's term and
     its negatives', read before each step); the first epoch whose loss
     is not finite raises FloatingPointError.  A fixed seed gives
-    bit-identical tables.  Links must fit the chunks (`Bitext.links`).
+    bit-identical tables, whether the plans are drawn in a forked child
+    or here.  Links must fit the chunks (`Bitext.links`).
     """
     bitext = Bitext.of(bitext)
     if vocab is None:
@@ -523,21 +665,27 @@ def train_biskip(bitext, links, cfg: TrainConfig,
     if not any(link_set.links for link_set in links):
         warnings.warn("no alignment links; training monolingually",
                       stacklevel=2)
-    trainer = _Trainer(bitext, links, vocab, cfg, table)
-    sizes = sum(np.diff(offsets) for _, _, offsets in trainer.sides)
+    planner = _Planner(bitext, links, vocab, cfg)
+    sizes = sum(np.diff(offsets) for _, _, offsets in planner.sides)
     total = int(sizes.sum())
     if total == 0:
         return table
     schedule_span = cfg.epochs * total
     starts = (np.cumsum(sizes) - sizes).tolist()
-    for epoch in range(cfg.epochs):
-        lrs = [max(cfg.lr0 * (1.0 - (epoch * total + start) / schedule_span),
-                   cfg.lr0 * LR_FLOOR_FACTOR) for start in starts]
-        loss, n_contexts = trainer.train_epoch(rng, lrs)
-        if losses is not None:
-            losses.append(loss / max(n_contexts, 1))
-        if not np.isfinite(loss):
-            raise FloatingPointError("non-finite values after training")
+    # a block holds PLAN_ROWS window rows or more, and each kept
+    # in-vocabulary occurrence has a row of its own (links add rows,
+    # subsampling keeps fewer occurrences)
+    blocks = cfg.epochs * min(len(bitext), total // PLAN_ROWS + 1)
+    with _planned(planner, rng, blocks) as messages:
+        for epoch in range(cfg.epochs):
+            lrs = [max(cfg.lr0 * (1.0 - (epoch * total + start)
+                                  / schedule_span),
+                       cfg.lr0 * LR_FLOOR_FACTOR) for start in starts]
+            loss, n_contexts = _step_epoch(messages, table, lrs)
+            if losses is not None:
+                losses.append(loss / max(n_contexts, 1))
+            if not np.isfinite(loss):
+                raise FloatingPointError("non-finite values after training")
     if not (np.isfinite(table.input_vecs).all()
             and np.isfinite(table.output_vecs).all()):
         raise FloatingPointError("non-finite values after training")

@@ -8,8 +8,9 @@ construct has one production.
 Contract: an unsupported construct becomes an `opaque` node that keeps
 its identifier and literal tokens, so no input is rejected for using
 one.  Input that ends where a construct still needs a token (after
-`class`, inside `for (`, in an unterminated literal), or that holds
-anything but a name where a declared or imported name goes, raises
+`class`, inside `for (`, in an unterminated literal), that holds
+anything but a name where a declared or imported name goes, or that
+nests too deep for the interpreter's recursion limit, raises
 `ParseError` with the line and column, never another exception.  A
 missing closing brace or `;` at the end of input is tolerated.
 
@@ -36,6 +37,8 @@ MODIFIERS = {
     "internal", "readonly", "const", "sealed", "virtual", "override",
     "async", "partial", "extern", "unsafe", "required",
 }
+
+_PARAMETER_MODIFIERS = {"final", "ref", "out", "in", "params", "this"}
 
 PRIMITIVES = {
     "int", "long", "float", "double", "boolean", "bool", "char", "byte",
@@ -254,13 +257,16 @@ class Parser:
             else:
                 return
 
-    def _collect_modifiers(self) -> list[str]:
+    def _collect_modifiers(self, names: set[str] = MODIFIERS) -> list[str]:
+        """Eat the modifiers in `names` and the annotations among them."""
         mods = []
-        while self.at_name() and self.peek().text in MODIFIERS:
+        while True:
+            self._skip_annotations()
             # `new` expressions never occur in modifier position; C# `new`
             # as a hiding modifier is rare enough to omit from the set
+            if not (self.at_name() and self.peek().text in names):
+                return mods
             mods.append(self.eat().text)
-        return mods
 
     # class bodies ---------------------------------------------------------
 
@@ -310,10 +316,7 @@ class Parser:
         self.expect("(")
         params: list[tuple[str, str]] = []
         while True:
-            self._skip_annotations()
-            while self.at_name() and self.peek().text in (
-                    "final", "ref", "out", "in", "params", "this"):
-                self.eat()
+            self._collect_modifiers(_PARAMETER_MODIFIERS)
             p_type = self._try_type()
             if p_type is not None and self.at(".") and self.at(".", 1):
                 while self.at("."):  # varargs `...`
@@ -683,4 +686,10 @@ def parse(source: str, language: str) -> Node:
     docstring for the contract."""
     if language not in ("java", "csharp"):
         raise ValueError(f"unsupported language: {language}")
-    return Parser(source, language).parse_unit()
+    parser = Parser(source, language)
+    try:
+        return parser.parse_unit()
+    except RecursionError:
+        # the productions recurse once per nested block, group or clause
+        t = parser.peek() or parser.toks[-1]
+        raise ParseError("nesting too deep", t.line, t.col) from None

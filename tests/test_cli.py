@@ -301,6 +301,21 @@ def test_unparseable_source_is_validation_error(project, tmp_path,
                      capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("nested", ["{", "(", "try {"])
+def test_deep_nesting_is_validation_error(project, tmp_path, capsys, nested):
+    body = {"{": "{" * 400 + "}" * 400,
+            "(": "{ return " + "(" * 600 + "1" + ")" * 600 + "; }",
+            "try {": "{ try " + "{" * 600 + "}" * 600 + " catch (E e) { } }"}
+    (project.parent / "ja" / "Deep.java").write_text(
+        f"class Deep {{ int f() {body[nested]} }}\n")
+    (project.parent / "cs" / "Deep.cs").write_text(
+        "namespace Mini { class Deep { } }\n")
+    assert _run("run-all", "--config", str(project),
+                "--out-dir", str(tmp_path / "out")) == 3
+    assert re.search(r"Deep\.java: nesting too deep \(line 1, column \d+\)",
+                     capsys.readouterr().err)
+
+
 def _corpus_bytes(out):
     """The bytes of each stream file and of the element table."""
     paths = [*(out / "streams").rglob("*.tok"), out / "elements.tsv"]

@@ -1,6 +1,7 @@
 """Vocabulary, SGNS objective and BiSkip trainer tests."""
 
 import math
+import os
 import warnings
 from bisect import bisect_left
 
@@ -539,6 +540,90 @@ def test_plan_bound_changes_nothing(subsample, side_batch, monkeypatch):
         assert np.array_equal(losses, default_losses)
 
 
+def _fork_every_training(monkeypatch):
+    """Plans every training in a forked child, whatever the CPU count;
+    returns the list that each fork appends this process's pid to."""
+    monkeypatch.setattr(embed, "FORK_BLOCKS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("subsample,side_batch",
+                         [(0.0, 32), (0.05, 32), (0.0, 2), (0.05, 2)])
+def test_forked_planner_changes_nothing(subsample, side_batch, monkeypatch):
+    monkeypatch.setattr(embed, "SIDE_BATCH", side_batch)
+    forks = _fork_every_training(monkeypatch)
+    bitext, _, links = make_bijective_corpus(n_pairs=120)
+    cfg = TrainConfig(dim=8, epochs=3, subsample=subsample, seed=4)
+    runs = []
+    # bound 10**9 draws in this process, 0 forks
+    for bound in (10 ** 9, 0):
+        monkeypatch.setattr(embed, "FORK_BLOCKS", bound)
+        losses = []
+        table = train_biskip(bitext, links, cfg, losses=losses)
+        runs.append((table, losses))
+    assert forks == [os.getpid()]
+    (here, here_losses), (forked, forked_losses) = runs
+    assert np.array_equal(forked.input_vecs, here.input_vecs)
+    assert np.array_equal(forked.output_vecs, here.output_vecs)
+    assert forked_losses == here_losses
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["raise", "exit"])
+def test_planner_child_failure_surfaces(failure, monkeypatch):
+    # the fourth block's plan fails in the child, after the parent has
+    # stepped along the first three
+    def failing_plan(self, *args):
+        planned.append(1)
+        if len(planned) == 4:
+            if failure == "exit":
+                os._exit(0)
+            raise ValueError("plan 4 failed")
+        return plan(self, *args)
+    plan, planned = embed._Planner._plan, []
+    monkeypatch.setattr(embed._Planner, "_plan", failing_plan)
+    forks = _fork_every_training(monkeypatch)
+    bitext, _, links = make_bijective_corpus(n_pairs=120)
+    cfg = TrainConfig(dim=8, epochs=3, subsample=0.0, seed=4)
+    expected = ((ValueError, "plan 4 failed") if failure == "raise" else
+                (RuntimeError, "the block planner ended before its last"))
+    with pytest.raises(expected[0], match=expected[1]):
+        train_biskip(bitext, links, cfg)
+    assert forks == [os.getpid()] and planned == []
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["diverge", "interrupt"])
+def test_forked_training_that_fails_leaves_no_child(failure, monkeypatch):
+    forks = _fork_every_training(monkeypatch)
+    bitext, _, links = make_bijective_corpus(n_pairs=40)
+    cfg = TrainConfig(dim=8, epochs=30, lr0=1e3, subsample=0.0, seed=3)
+    if failure == "interrupt":
+        def interrupted_step(*args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(embed, "sgns_step", interrupted_step)
+    expected = (FloatingPointError if failure == "diverge"
+                else KeyboardInterrupt)
+    with warnings.catch_warnings(), pytest.raises(expected):
+        warnings.simplefilter("error")
+        train_biskip(bitext, links, cfg)
+    assert forks == [os.getpid()]
+    _assert_no_child_left()
+
+
 def _oracle_layout(kept, links):
     """The layout placed row by row by offset arithmetic: an entry holds
     each center's own row and then its links' rows, so a row's slot
@@ -760,8 +845,8 @@ def test_cells_equal_the_sorted_oracle():
         labels[:, 0] = 1.0
         counts = rng.random(rows.shape) < 0.7  # some rows count 0
         counts[:, 0] = True
-        got = embed._cells(steps, size, center_step, centers, center_of,
-                           rows, labels, counts)
+        got = embed._cells(size, center_step, embed._numbered(
+            center_step, centers, steps, size), center_of, rows, counts)
         expected = _oracle_cells(steps, center_step << 32 | centers,
                                  center_of, center_step[center_of, None]
                                  << 32 | rows, labels, counts)

@@ -126,6 +126,26 @@ def test_parse_unterminated_string_names_position():
     assert err.value.line == 1
 
 
+DEEP_SOURCES = {
+    "blocks": "class A { void f() " + "{" * 400 + "}" * 400 + " }",
+    "parentheses": "class A { int f() { return " + "(" * 600 + "1"
+                   + ")" * 600 + "; } }",
+    "try_blocks": "class A { void f() { try " + "{" * 600 + "}" * 600
+                  + " catch (E e) { } } }",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_SOURCES))
+def test_deep_nesting_is_a_parse_error(name):
+    # the productions recurse once per level: too deep a source raises
+    # ParseError at the token the parser had reached
+    source = DEEP_SOURCES[name]
+    with pytest.raises(ParseError, match="nesting too deep") as err:
+        parse(source, "java")
+    assert err.value.line == 1
+    assert source[err.value.col - 1] in "{("
+
+
 def test_spans_nest():
     source = """package demo;
 class A {
@@ -1133,6 +1153,27 @@ CONSTRUCTS = [
                 expr 75-76
                   nameref 75-76 segs=a
 """, id="java_generic_method"),
+    pytest.param(
+        "java",
+        'class A { public @Deprecated void f() {} int g() { return 1; } }',
+        """
+        class 0-64 modifiers= name=A
+          func_decl 10-40 modifiers=public name=f params= return_type=void
+            block 38-40
+          func_decl 41-62 modifiers= name=g params= return_type=int
+            block 49-62
+              return_stmt 51-60
+                expr 58-59
+                  literal 58-59 1 kind=number
+""", id="java_annotation_between_modifiers"),
+    pytest.param(
+        "java",
+        'class A { void f(final @Nullable String s) { } }',
+        """
+        class 0-48 modifiers= name=A
+          func_decl 10-46 modifiers= name=f params=String:s return_type=void
+            block 43-46
+""", id="java_annotation_after_parameter_modifier"),
     pytest.param(
         "java",
         'lbl: while (x) { continue lbl; }',
