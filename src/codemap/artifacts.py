@@ -42,17 +42,19 @@ def write_lines(path, lines, comments=()) -> None:
 
 
 def read_text(path, name=None) -> str:
-    """`path`'s UTF-8 text, as `open` reads it.
+    """`path`'s UTF-8 text, as `open` reads it, without a leading byte-order
+    mark: editors write one, and it is not text.
 
     A byte that is not UTF-8 fails as `name:line:col:` (`name` defaults
     to `path`), the column counting the characters before it on its line.
     """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as err:  # read whole, so `object` is the file
         data, bad = err.object, err.start
         line = data.count(b"\n", 0, bad) + 1
-        col = len(data[data.rfind(b"\n", 0, bad) + 1:bad].decode("utf-8")) + 1
+        before = data[data.rfind(b"\n", 0, bad) + 1:bad]
+        col = len(before.decode("utf-8-sig" if line == 1 else "utf-8")) + 1
         raise ValueError(f"{name or path}:{line}:{col}: not UTF-8 "
                          f"(byte 0x{data[bad]:02x})") from None
 

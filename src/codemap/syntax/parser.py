@@ -3,7 +3,10 @@
 The subset covers what the downstream token normalizer can exploit:
 package/namespace headers, imports, class declarations, fields, methods,
 local declarations, calls, literals, if/loops/return and blocks.  Each
-construct has one production.
+construct has one production.  One rule reads a declaration in a file,
+a namespace and a class body, where an interface, enum, struct, record,
+delegate, event or Java `@interface` is one opaque node; what it does
+not explain is a statement outside a class and an opaque member in one.
 
 Contract: an unsupported construct becomes an `opaque` node that keeps
 its identifier and literal tokens, so no input is rejected for using
@@ -46,9 +49,6 @@ PRIMITIVES = {
     "string", "object", "var",
 }
 
-# keywords that never start a type reference
-_NOT_TYPES = {"new", "return", "if", "while", "for", "foreach", "do", "else"}
-
 _HEADERS = {
     "java": {"package": "parse_package", "import": "parse_java_import"},
     "csharp": {"using": "parse_csharp_using", "namespace": "parse_namespace"},
@@ -67,6 +67,10 @@ _OPAQUE_STATEMENT_KW = {
     "unchecked", "break", "continue", "throw", "goto", "yield",
 }
 _OPAQUE_CONTINUATION_KW = {"catch", "finally", "else"}
+
+# keywords that never start a type, so no statement reads as a declaration
+_NOT_TYPES = {"new", "return", "if", "while", "for", "foreach", "do", "else",
+              "assert", "await", "case", *_OPAQUE_STATEMENT_KW}
 
 _TYPE_DECL_KW = {"interface", "enum", "struct", "record", "delegate", "event"}
 
@@ -161,9 +165,14 @@ class Parser:
     def _items(self, parse_item, close: str | None = None) -> list[Node]:
         """Items up to `close`, which is eaten, or else to the end of input."""
         items: list[Node] = []
-        while self.peek() is not None and not (close and self.at(close)):
-            item = parse_item()
-            if item is not None:
+        while True:
+            self._skip_annotations()
+            t = self.peek()
+            if t is None or t.text == close:
+                break
+            if t.text in (";", "}"):  # a bare `;`, a `}` closing nothing
+                self.i += 1
+            elif (item := parse_item()) is not None:
                 items.append(item)
         if close:
             self._skip(close)
@@ -175,21 +184,12 @@ class Parser:
         return Node("unit", 0, len(self.src), self._items(self.parse_top_level))
 
     def parse_top_level(self) -> Node | None:
-        self._skip_annotations()
-        t = self.peek()
-        if t is None or self._skip("}"):  # nothing encloses a stray `}`
-            return None
-        header = _HEADERS[self.lang].get(t.text)
+        """A header, a declaration or a statement (a listing fragment)."""
+        header = _HEADERS[self.lang].get(self.peek().text)
         # a C# `using (…)` or `using var r = …;` is a statement, not a header
         if header is not None and not self.at("(", 1):
             return self._try_local_decl("using") or getattr(self, header)()
-        saved = self.i
-        mods = self._collect_modifiers()
-        if self.at("class"):
-            return self.parse_class(mods, self.toks[saved].start)
-        self.i = saved
-        # bare statements parse too, so listing-sized fragments round-trip
-        return self.parse_statement()
+        return self.parse_declaration(self.parse_statement)
 
     def parse_package(self) -> Node:
         start = self.expect("package").start
@@ -246,7 +246,8 @@ class Parser:
 
     def _skip_annotations(self) -> None:
         while True:
-            if self.lang == "java" and self.at("@") and self.at_name(1):
+            if (self.lang == "java" and self.at("@") and self.at_name(1)
+                    and not self.at("interface", 1)):
                 self.eat()
                 self._dotted_name()
                 if self.at("("):
@@ -268,35 +269,24 @@ class Parser:
                 return mods
             mods.append(self.eat().text)
 
-    # class bodies ---------------------------------------------------------
+    # declarations ---------------------------------------------------------
 
-    def parse_class(self, mods: list[str], start: int) -> Node:
-        self.expect("class")
-        name = self._name()
-        self._skip_generic_args()
-        self._skip_to("{")  # extends/implements/base list, where clauses
-        self.expect("{")
-        members = self._items(lambda: self.parse_member(name), "}")
-        return Node("class", start, self._end_offset(), members,
-                    meta={"name": name, "modifiers": mods})
-
-    def parse_member(self, class_name: str) -> Node | None:
-        self._skip_annotations()
-        if self.peek() is None or self.at("}"):
-            return None
-        if self._skip(";"):
-            return None
+    def parse_declaration(self, otherwise, class_name: str | None = None
+                          ) -> Node | None:
+        """Modifiers, then a class, another type as one opaque node, a
+        constructor of `class_name`, a method or a field; or else, from
+        where it began, `otherwise`: the scope's own production."""
         entry = self.i
-        mods = self._collect_modifiers()
         start = self.toks[entry].start
+        mods = self._collect_modifiers()
         self._skip_generic_args()  # a generic method's type parameters
         if self.at("class"):
             return self.parse_class(mods, start)
-        if self.at("{") or (self.at_name() and self.peek().text in _TYPE_DECL_KW):
+        k = 1 if self.at("@") and self.at("interface", 1) else 0
+        if self.at_name(k + 1) and self.peek(k).text in _TYPE_DECL_KW:
             self.i = entry
             return self.parse_opaque_member()
-        # constructor: class name followed directly by an argument list
-        if self.at(class_name) and self.at("(", 1):
+        if class_name is not None and self.at(class_name) and self.at("(", 1):
             return self.parse_method(mods, None, self.eat().text, start)
         type_name = self._try_type()
         if type_name is not None and self.at_name():
@@ -307,9 +297,19 @@ class Parser:
             if self.at("=") or self.at(",") or self.at(";") or self.at("["):
                 self.i -= 1  # re-read the declarator name
                 return self._declarators(mods, type_name, start)
-        # anything else, a C# property's accessor block included
-        self.i = entry
-        return self.parse_opaque_member()
+        self.i = entry  # a statement, a C# property, any other member
+        return otherwise()
+
+    def parse_class(self, mods: list[str], start: int) -> Node:
+        self.expect("class")
+        name = self._name()
+        self._skip_generic_args()
+        self._skip_to("{")  # extends/implements/base list, where clauses
+        self.expect("{")
+        members = self._items(
+            lambda: self.parse_declaration(self.parse_opaque_member, name), "}")
+        return Node("class", start, self._end_offset(), members,
+                    meta={"name": name, "modifiers": mods})
 
     def parse_method(self, mods: list[str], return_type: str | None,
                      name: str, start: int) -> Node:
@@ -374,9 +374,8 @@ class Parser:
         return Node("block", start, self._end_offset(), stmts)
 
     def parse_statement(self) -> Node | None:
-        self._skip_annotations()
         t = self.peek()
-        if t is None or self._skip(";"):
+        if t is None:
             return None
         if t.kind == "name" and self.at(":", 1):
             self.i += 2  # a label names the statement after it

@@ -51,6 +51,7 @@ class SymbolTable:
         self.imports = dict(imports or {})      # simple name -> qualified
         self.namespaces = list(namespaces or [])  # wildcard imports, in order
         self.classes = dict(classes or {})      # declared simple -> qualified
+        self.declared: set[str] = set(self.classes.values())  # qualified
         self.scopes: list[dict[str, str]] = [{}]
         self.class_stack: list[str] = []
 
@@ -82,9 +83,10 @@ def resolve_chain(segs: list[str], symbols: SymbolTable, *,
                   bare_primitive_as_type: bool = False) -> str:
     """Resolve a dotted name chain to its token text.
 
-    Resolution order: this/variables, exact imports, file-declared
-    classes, keyword aliases, wildcard-imported namespaces,
-    already-qualified names, then the `unk.` fallback.
+    Resolution order: this/variables, exact imports, a class declared in
+    the innermost enclosing class or a scope around it (innermost first),
+    any file-declared class, keyword aliases, wildcard-imported
+    namespaces, already-qualified names, then the `unk.` fallback.
     """
     head, rest = segs[0], list(segs[1:])
     if head == "this" and symbols.class_stack:
@@ -101,6 +103,11 @@ def resolve_chain(segs: list[str], symbols: SymbolTable, *,
             return _join(resolve_type_name(declared, symbols), rest)
     if head in symbols.imports:
         return _join(symbols.imports[head], rest)
+    scope = symbols.class_stack[-1].split(".") if symbols.class_stack else []
+    for depth in range(len(scope), -1, -1):
+        qualified = ".".join([*scope[:depth], head])
+        if qualified in symbols.declared:
+            return _join(qualified, rest)
     if head in symbols.classes:
         return _join(symbols.classes[head], rest)
     if head in CLASS_ALIASES:
@@ -153,6 +160,9 @@ def simple_arg_name(type_name: str) -> str:
 def build_symbols(unit) -> SymbolTable:
     """Collect package, imports and declared classes from a parsed unit.
 
+    A simple class name maps to its first declaration in the file; the
+    set of every qualified declaration lets a name resolve by scope.
+
     Each class node gets its qualified name as `meta["qualified"]`: the
     names of the namespaces and classes around it, or else the java
     package, joined in front of its own.
@@ -173,6 +183,7 @@ def build_symbols(unit) -> SymbolTable:
                 if child.kind == "class":
                     child.meta["qualified"] = qualified
                     sym.classes.setdefault(name, qualified)
+                    sym.declared.add(qualified)
                 scan(child.children, qualified)
             elif child.kind == "import":
                 if child.meta.get("wildcard"):

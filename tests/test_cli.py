@@ -358,6 +358,33 @@ def test_source_that_is_not_utf8_names_file_and_line(project, tmp_path,
     assert "Latin.java:1:30: not UTF-8 (byte 0xe9)" in capsys.readouterr().err
 
 
+def test_source_with_a_byte_order_mark_normalizes_as_without(project,
+                                                          tmp_path):
+    def tokens(out):
+        assert _run("pair", "--config", str(project),
+                    "--out-dir", str(out)) == 0
+        assert _run("normalize", "--config", str(project),
+                    "--out-dir", str(out)) == 0
+        return {path.relative_to(out): read_stream(path)
+                for path in (out / "streams").rglob("*.tok")}
+
+    plain = tokens(tmp_path / "plain")
+    for path in [*project.parent.glob("ja/*"), *project.parent.glob("cs/*")]:
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert len(plain) == 4 and tokens(tmp_path / "bom") == plain
+
+
+def test_byte_after_a_byte_order_mark_that_is_not_utf8_names_its_column(
+        project, tmp_path, capsys):
+    (project.parent / "ja" / "Latin.java").write_bytes(
+        b'\xef\xbb\xbfclass Latin { String s = "caf\xe9"; }\n')
+    (project.parent / "cs" / "Latin.cs").write_text(
+        "namespace Mini { class Latin { } }\n")
+    assert _run("run-all", "--config", str(project),
+                "--out-dir", str(tmp_path / "out")) == 3
+    assert "Latin.java:1:30: not UTF-8 (byte 0xe9)" in capsys.readouterr().err
+
+
 def test_bad_alignment_link_names_file_and_line(project, tmp_path,
                                                 capsys):
     out = tmp_path / "out"

@@ -104,6 +104,14 @@ def test_comments_and_blank_lines(project):
     assert parse_config(path).threshold == 0.9
 
 
+def test_byte_order_mark_is_not_text(project):
+    path = project / "pipeline.cfg"
+    path.write_text("\ufeff# header\n" + FULL, encoding="utf-8")
+    plain = project / "plain.cfg"
+    plain.write_text("# header\n" + FULL, encoding="utf-8")
+    assert parse_config(path) == parse_config(plain)
+
+
 def test_unknown_key_reports_line(project):
     path = project / "pipeline.cfg"
     path.write_text(MINIMAL + "train.dimension = 4\n")

@@ -494,6 +494,27 @@ def test_declared_class_is_named_by_its_namespaces(source, expected):
     assert normalize(parse(source, "csharp")).tokens == ["unit", *expected]
 
 
+# a class name declared twice resolves by scope: the innermost enclosing
+# class and the scopes around it first, then the file's first declaration
+@pytest.mark.parametrize("language, source, expected", [
+    ("csharp", "namespace N1 { class A {} } "
+     "namespace N2 { class A { A make() { return new A(); } } }",
+     ["class", "N1.A", "block", "class", "N2.A", "block", "func_decl", "N2.A",
+      "N2.A.make()", "block", "return_stmt", "expr", "func_call", "N2.A()"]),
+    ("java", "class A { class B {} } "
+     "class C { class B { B make() { return new B(); } } }",
+     ["class", "A", "block", "class", "A.B", "block", "class", "C", "block",
+      "class", "C.B", "block", "func_decl", "C.B", "C.B.make()", "block",
+      "return_stmt", "expr", "func_call", "C.B()"]),
+    ("java", "package p; class A { class In {} } class B { In x; }",
+     ["class", "p.A", "block", "class", "p.A.In", "block", "class", "p.B",
+      "block", "decl_stmt", "decl", "p.A.In", "p.A.In"]),
+], ids=["namespaces", "nested_classes", "nested_class_from_outside"])
+def test_class_name_declared_twice_resolves_by_scope(language, source,
+                                                     expected):
+    assert normalize(parse(source, language)).tokens == ["unit", *expected]
+
+
 @st.composite
 def _class_nesting(draw):
     """A source of random namespace and class nestings, each class `C<n>`
@@ -1198,7 +1219,295 @@ CONSTRUCTS = [
               name 22-27 break
               name 28-33 outer
 """, id="csharp_labelled_loop"),
-
+    # a type the parser does not model is one opaque node at every
+    # scope, and the class after it keeps its method
+    pytest.param(
+        "java",
+        'public interface I { void m(); } enum E { X, Y; } @interface T { '
+        'int v(); } record R(int a) { } class A { void f() { } }',
+        """
+        opaque 0-32
+          name 0-6 public
+          name 7-16 interface
+          name 17-18 I
+          name 21-25 void
+          name 26-27 m
+        opaque 33-49
+          name 33-37 enum
+          name 38-39 E
+          name 42-43 X
+          name 45-46 Y
+        opaque 50-75
+          name 51-60 interface
+          name 61-62 T
+          name 65-68 int
+          name 69-70 v
+        opaque 76-95
+          name 76-82 record
+          name 83-84 R
+          name 85-88 int
+          name 89-90 a
+        class 96-120 modifiers= name=A
+          func_decl 106-118 modifiers= name=f params= return_type=void
+            block 115-118
+""", id="java_types_at_file_scope"),
+    pytest.param(
+        "java",
+        'package p; public interface I { void m(); } enum E { X, Y; } '
+        '@interface T { int v(); } record R(int a) { } class A { void f() { '
+        '} }',
+        """
+        package 0-10 name=p
+        opaque 11-43
+          name 11-17 public
+          name 18-27 interface
+          name 28-29 I
+          name 32-36 void
+          name 37-38 m
+        opaque 44-60
+          name 44-48 enum
+          name 49-50 E
+          name 53-54 X
+          name 56-57 Y
+        opaque 61-86
+          name 62-71 interface
+          name 72-73 T
+          name 76-79 int
+          name 80-81 v
+        opaque 87-106
+          name 87-93 record
+          name 94-95 R
+          name 96-99 int
+          name 100-101 a
+        class 107-131 modifiers= name=A
+          func_decl 117-129 modifiers= name=f params= return_type=void
+            block 126-129
+""", id="java_types_in_a_package"),
+    pytest.param(
+        "java",
+        'class O { public interface I { void m(); } enum E { X, Y; } '
+        '@interface T { int v(); } record R(int a) { } class A { void f() { '
+        '} } }',
+        """
+        class 0-132 modifiers= name=O
+          opaque 10-42
+            name 10-16 public
+            name 17-26 interface
+            name 27-28 I
+            name 31-35 void
+            name 36-37 m
+          opaque 43-59
+            name 43-47 enum
+            name 48-49 E
+            name 52-53 X
+            name 55-56 Y
+          opaque 60-85
+            name 61-70 interface
+            name 71-72 T
+            name 75-78 int
+            name 79-80 v
+          opaque 86-105
+            name 86-92 record
+            name 93-94 R
+            name 95-98 int
+            name 99-100 a
+          class 106-130 modifiers= name=A
+            func_decl 116-128 modifiers= name=f params= return_type=void
+              block 125-128
+""", id="java_types_in_a_class"),
+    pytest.param(
+        "csharp",
+        'interface I { void M(); } enum E { X, Y } struct S { int x; } '
+        'record R(int A); delegate void D(int x); class A { void F() { } }',
+        """
+        opaque 0-25
+          name 0-9 interface
+          name 10-11 I
+          name 14-18 void
+          name 19-20 M
+        opaque 26-41
+          name 26-30 enum
+          name 31-32 E
+          name 35-36 X
+          name 38-39 Y
+        opaque 42-61
+          name 42-48 struct
+          name 49-50 S
+          name 53-56 int
+          name 57-58 x
+        opaque 62-78
+          name 62-68 record
+          name 69-70 R
+          name 71-74 int
+          name 75-76 A
+        opaque 79-102
+          name 79-87 delegate
+          name 88-92 void
+          name 93-94 D
+          name 95-98 int
+          name 99-100 x
+        class 103-127 modifiers= name=A
+          func_decl 113-125 modifiers= name=F params= return_type=void
+            block 122-125
+""", id="csharp_types_at_file_scope"),
+    pytest.param(
+        "csharp",
+        'namespace N { interface I { void M(); } enum E { X, Y } struct S { '
+        'int x; } record R(int A); delegate void D(int x); class A { void '
+        'F() { } } }',
+        """
+        namespace 0-143 name=N
+          opaque 14-39
+            name 14-23 interface
+            name 24-25 I
+            name 28-32 void
+            name 33-34 M
+          opaque 40-55
+            name 40-44 enum
+            name 45-46 E
+            name 49-50 X
+            name 52-53 Y
+          opaque 56-75
+            name 56-62 struct
+            name 63-64 S
+            name 67-70 int
+            name 71-72 x
+          opaque 76-92
+            name 76-82 record
+            name 83-84 R
+            name 85-88 int
+            name 89-90 A
+          opaque 93-116
+            name 93-101 delegate
+            name 102-106 void
+            name 107-108 D
+            name 109-112 int
+            name 113-114 x
+          class 117-141 modifiers= name=A
+            func_decl 127-139 modifiers= name=F params= return_type=void
+              block 136-139
+""", id="csharp_types_in_a_namespace"),
+    pytest.param(
+        "csharp",
+        'namespace N; interface I { void M(); } enum E { X, Y } struct S { '
+        'int x; } record R(int A); delegate void D(int x); class A { void '
+        'F() { } }',
+        """
+        namespace 0-140 name=N
+          opaque 13-38
+            name 13-22 interface
+            name 23-24 I
+            name 27-31 void
+            name 32-33 M
+          opaque 39-54
+            name 39-43 enum
+            name 44-45 E
+            name 48-49 X
+            name 51-52 Y
+          opaque 55-74
+            name 55-61 struct
+            name 62-63 S
+            name 66-69 int
+            name 70-71 x
+          opaque 75-91
+            name 75-81 record
+            name 82-83 R
+            name 84-87 int
+            name 88-89 A
+          opaque 92-115
+            name 92-100 delegate
+            name 101-105 void
+            name 106-107 D
+            name 108-111 int
+            name 112-113 x
+          class 116-140 modifiers= name=A
+            func_decl 126-138 modifiers= name=F params= return_type=void
+              block 135-138
+""", id="csharp_types_in_a_file_scoped_namespace"),
+    pytest.param(
+        "csharp",
+        'class O { interface I { void M(); } enum E { X, Y } struct S { int '
+        'x; } record R(int A); delegate void D(int x); event H E; class A { '
+        'void F() { } } }',
+        """
+        class 0-150 modifiers= name=O
+          opaque 10-35
+            name 10-19 interface
+            name 20-21 I
+            name 24-28 void
+            name 29-30 M
+          opaque 36-51
+            name 36-40 enum
+            name 41-42 E
+            name 45-46 X
+            name 48-49 Y
+          opaque 52-71
+            name 52-58 struct
+            name 59-60 S
+            name 63-66 int
+            name 67-68 x
+          opaque 72-88
+            name 72-78 record
+            name 79-80 R
+            name 81-84 int
+            name 85-86 A
+          opaque 89-112
+            name 89-97 delegate
+            name 98-102 void
+            name 103-104 D
+            name 105-108 int
+            name 109-110 x
+          opaque 113-123
+            name 113-118 event
+            name 119-120 H
+            name 121-122 E
+          class 124-148 modifiers= name=A
+            func_decl 134-146 modifiers= name=F params= return_type=void
+              block 143-146
+""", id="csharp_types_in_a_class"),
+    # a statement keyword never reads as a type, so these stay statements
+    pytest.param(
+        "java",
+        'throw e; assert check(x);',
+        """
+        opaque 0-8
+          name 0-5 throw
+          name 6-7 e
+        expr_stmt 9-25
+          expr 9-25
+            nameref 9-15 segs=assert
+            func_call 16-24 new=False owner_unknown=False segs=check
+              argument 22-23
+                nameref 22-23 segs=x
+""", id="java_statement_keywords_at_file_scope"),
+    pytest.param(
+        "csharp",
+        'goto L; await F();',
+        """
+        opaque 0-7
+          name 0-4 goto
+          name 5-6 L
+        expr_stmt 8-18
+          expr 8-18
+            nameref 8-13 segs=await
+            func_call 14-17 new=False owner_unknown=False segs=F
+""", id="csharp_statement_keywords_at_file_scope"),
+    # a field or method outside every class reads as one
+    pytest.param(
+        "java",
+        'int n = 1; void f() { g(n); }',
+        """
+        decl_stmt 0-10 modifiers= type=int
+          decl 4-9 modifiers= name=n type=int
+            literal 8-9 1 kind=number
+        func_decl 11-29 modifiers= name=f params= return_type=void
+          block 20-29
+            expr_stmt 22-27
+              expr 22-27
+                func_call 22-26 new=False owner_unknown=False segs=g
+                  argument 24-25
+                    nameref 24-25 segs=n
+""", id="field_and_method_at_file_scope"),
 ]
 
 
@@ -1253,10 +1562,11 @@ def _draw_method(draw, lang, name):
 
 
 @st.composite
-def _random_class(draw):
+def _random_class(draw, lang=None):
     """A class of fields and one to three methods, each with parameters,
-    a Java `throws` clause or not, and calls with arguments."""
-    lang = draw(st.sampled_from(["java", "csharp"]))
+    a Java `throws` clause or not, and calls with arguments; in `lang`,
+    or a drawn language."""
+    lang = lang or draw(st.sampled_from(["java", "csharp"]))
     body = []
     for _ in range(draw(st.integers(0, 3))):
         t = _draw_type(draw, lang)
@@ -1286,6 +1596,56 @@ def test_generated_sources_normalize(case):
             assert stream.tokens[lo:hi] == ["literal_type", node.meta["kind"]]
     for _, _, _, first, last, _ in extract_elements(tree, stream):
         assert 0 <= first <= last < len(stream.tokens)
+
+
+# declarations at file scope and in a namespace or package: a type the
+# parser does not model is one opaque node, so every class keeps the
+# methods it has when it is parsed alone
+
+_TYPE_DECLARATIONS = {
+    "java": ["interface Shape {{ int area(); }}",
+             "public enum Color{n} {{ RED, GREEN; int f() {{ return 1; }} }}",
+             "@interface Tag{n} {{ int value() default 1; }}",
+             "@Deprecated public @interface Old{n} {{ }}",
+             "record Pair{n}(int a, String b) {{ }}"],
+    "csharp": ["public interface IShape{n} {{ int Area(); }}",
+               "enum Color{n} {{ Red, Green }}",
+               "struct Point{n} {{ public int X; void F() {{ }} }}",
+               "record Pair{n}(int A, string B);",
+               "public record struct Cell{n}(int X) {{ }}",
+               "[Serializable] delegate void Handler{n}(int x);"],
+}
+_WRAPPERS = {
+    "java": ["{}", "package p.q;\n{}"],
+    "csharp": ["{}", "namespace N {{\n{}\n}}", "namespace N.M;\n{}"],
+}
+
+
+@st.composite
+def _declarations(draw):
+    """A file of classes from `_random_class` and unmodelled type
+    declarations in any order, with the source of each class."""
+    lang = draw(st.sampled_from(["java", "csharp"]))
+    wrapper = draw(st.sampled_from(_WRAPPERS[lang]))
+    items, classes = [], []
+    for n in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            source, _ = draw(_random_class(lang))
+            classes.append(source.replace("class Fuzz", f"class Fuzz{n}", 1))
+            items.append(classes[-1])
+        else:
+            decl = draw(st.sampled_from(_TYPE_DECLARATIONS[lang]))
+            items.append(decl.format(n=n))
+    return wrapper.format("\n".join(items)), lang, wrapper, classes
+
+
+@given(_declarations())
+@settings(max_examples=100, deadline=None)
+def test_unmodelled_types_leave_every_class_whole(case):
+    source, lang, wrapper, classes = case
+    alone = Counter(method for cls in classes
+                    for method in _methods(wrapper.format(cls), lang))
+    assert Counter(_methods(source, lang)) == alone
 
 
 # locality: deleting or duplicating one token (not a brace) inside method k
