@@ -24,6 +24,18 @@ table is built: on the bitext-align workload (721,540 occurrences per
 direction), intp copies of the cells, sources and segments raised peak
 RSS from 73 to 82 MB held for the training and to 99 MB kept on the
 table.  `write_table` selects, sorts and formats only the cells it keeps.
+
+The two directions share nothing until `symmetrize`, which reads only
+each one's Viterbi links, so `align_bitext` trains them at once, as
+fast_align (Dyer et al. 2013) runs its two directions apart: a child
+forked by `codemap.forked` trains b -> a, runs its Viterbi and sends
+back that array alone (8 bytes per a-side token), while this process
+trains a -> b, whose table it returns.  On two CPUs that takes the
+shorter direction off the run, and the b -> a index and table are never
+built here.  Below FORK_OCCURRENCES b -> a E-step occurrences times
+iterations, or where no child can run beside this process
+(`forked.available`), both directions train here, a -> b first.  The
+links are the same either way.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import artifacts
+from . import artifacts, forked
 
 NULL = "<NULL>"
 
@@ -45,6 +57,13 @@ TABLE_WRITE_MIN_PROB = 1e-6
 # build_bitext splits an over-long side before this token, a method's start
 BOUNDARY_TOKEN = "func_decl"
 BATCH_OCCURRENCES = 1 << 16
+# Fewest b -> a E-step occurrences times iterations for which a forked
+# child trains that direction while this process trains a -> b.  On a
+# 2-vCPU host a fork broke even at about 150,000 (10 ms of aligning) when
+# aligning alone, but in a demo run-all the demo's 358,560 gained nothing
+# measurable, so it stays in process with tests' toy bitexts; the
+# bitext-align and scaled-map bitexts, about 7.2 million, fork.
+FORK_OCCURRENCES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -334,12 +353,24 @@ def align_bitext(bitext: list[Pair], iterations: int = 10,
 
     Returns the link sets (in bitext order) and the forward (a -> b)
     translation table; `log_likelihoods` receives the forward EM history.
+    From FORK_OCCURRENCES on, b -> a trains in a forked child meanwhile.
     """
     bitext = Bitext.of(bitext)
-    forward = train_model1(bitext, iterations, log_likelihoods)
-    backward = train_model1(bitext.transposed(), iterations)
-    return symmetrize(bitext, viterbi_align(forward), viterbi_align(backward),
-                      mode), forward
+    len_a, len_b = (np.diff(offsets) for offsets in bitext.offsets)
+
+    def backward():
+        return viterbi_align(train_model1(bitext.transposed(), iterations))
+    if (iterations * int(np.dot(len_b + 1, len_a)) < FORK_OCCURRENCES
+            or not forked.available()):
+        forward = train_model1(bitext, iterations, log_likelihoods)
+        return symmetrize(bitext, viterbi_align(forward), backward(),
+                          mode), forward
+    with forked.child(lambda send: send(backward()),
+                      "the b -> a training") as receive:
+        forward = train_model1(bitext, iterations, log_likelihoods)
+        best = viterbi_align(forward)
+        return symmetrize(bitext, best, receive().view(np.int64),
+                          mode), forward
 
 
 # ---------------------------------------------------------------------------

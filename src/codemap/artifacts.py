@@ -1,7 +1,9 @@
 """The text framing shared by every pipeline artifact.
 
-An artifact is UTF-8 text, one record per line.  Lines starting with `#`
-are comments (the provenance header) and blank lines carry nothing.
+An artifact is UTF-8 text, one record per line; reading drops a leading
+byte-order mark, which editors write into the TSVs a user supplies (a
+truth or reference file).  Lines starting with `#` are comments (the
+provenance header) and blank lines carry nothing.
 Writes go to a sibling temporary file that replaces the artifact only
 once every line is written, so a failed stage leaves the previous
 artifact in place and never a partial one.  A malformed record fails
@@ -74,7 +76,7 @@ def records(path, fields=None, sep="\t"):
 
     With `fields` set, a line with another number of parts raises.
     """
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in record_lines(handle):
             parts = line.split(sep)
             if fields is not None:
@@ -141,7 +143,7 @@ def read_vectors(path, tags=None, extra=False):
     most twice.  If a row does not parse there, or the rows have another
     width, the file is read again row by row, which names the first
     malformed row's line."""
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         rows = record_lines(handle)
         lineno, header = next(rows, (None, None))
         if header is None:

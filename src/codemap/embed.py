@@ -31,15 +31,18 @@ CDF entry, with `searchsorted` only in the buckets that hold an entry
 (`_NoiseLookup`), and the cells are numbered by masks over vocabulary
 ids (`_numbered`), which are all below the vocabulary size.
 
-Who draws and who steps: after `init_table`, a forked child owns the
-generator, makes every draw in the order above and writes each block's
-plan, as int32 arrays, to a pipe; the training process reads the plans
-in order and runs only the step loop, one dense kernel call per step,
+Who draws and who steps: after `init_table`, a child forked by
+`codemap.forked` owns the generator, makes every draw in the order above
+and sends each block's plan; the training process reads the plans in
+order and runs only the step loop, one dense kernel call per step,
 which updates the rows it gathered in place.  The two overlap on two
-CPUs, and the plans are the same as when drawn in one process.  Forking,
-the pipe and reaping cost about as much as planning ten blocks, so a
-training of fewer than FORK_BLOCKS blocks, or one without `os.fork` or
-a second CPU, draws its plans in the training process.
+CPUs, and the plans are the same as when drawn in one process.  A
+plan's cell counts go in the narrowest unsigned type that holds its
+largest: uint8 on the demo, whose largest is 35.  Forking, the
+pipe and reaping cost about as much as planning ten blocks, so a
+training of fewer than FORK_BLOCKS blocks, or one where a child cannot
+run beside it (`forked.available`), draws its plans in the training
+process.
 `sgns_pair_loss`/`sgns_pair_grads`, checked against finite differences,
 are one-center steps of the same kernel on a copy of the table.
 Training with a fixed seed is bit-reproducible.
@@ -47,10 +50,6 @@ Training with a fixed seed is bit-reproducible.
 
 from __future__ import annotations
 
-import gc
-import os
-import pickle
-import signal
 import warnings
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -60,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import artifacts
+from . import artifacts, forked
 from .align import Bitext
 
 LR_FLOOR_FACTOR = 1e-4
@@ -83,9 +82,6 @@ PLAN_ROWS = 256
 # blocks, and trainings of a few small blocks, tests' toy corpora among
 # them, stay in one process.
 FORK_BLOCKS = 32
-# Bytes asked for the plan pipe, about 13 demo blocks: with the default
-# 64 KB the child waits on every block and the fork gains nothing.
-PIPE_BYTES = 1 << 20
 # Fewest equal buckets of [0, 1) in the noise lookup; a power of two, so
 # a uniform's bucket is exact.
 NOISE_BUCKETS = 2 ** 12
@@ -417,10 +413,12 @@ class _Planner:
     three phases of the module docstring, and plans a block of up to
     PLAN_ROWS window rows at a time into one message for `_step_epoch`.
 
-    A block's message is ((steps, |C|, |R|, cells), body), its body the
-    int32 C, R, total, pos, C offsets, R offsets, cell offsets and each
-    step's pair, as `_cells` gives them; an epoch ends with
-    ((0, contexts, 0, 0), empty body)."""
+    A block's message is ((steps, |C|, |R|, cells, count bytes), ints,
+    counts), as `_cells` gives them: `ints` the int32 C, R, C offsets,
+    R offsets, cell offsets and each step's pair, `counts` total then pos
+    as unsigned integers of the count bytes, the fewest that hold the
+    block's largest count.  An epoch ends with ((0, contexts, 0, 0, 1),
+    empty ints, empty counts)."""
 
     def __init__(self, bitext: Bitext, links, vocab: Vocabulary,
                  cfg: TrainConfig):
@@ -502,9 +500,12 @@ class _Planner:
         C, c_at, R, r_at, total, pos, at = _cells(
             len(self.vocab), block.step, block.centers, center_of, rows,
             counts)
-        return ((len(block.pairs), len(C), len(R), len(total)),
-                np.concatenate((C, R, total, pos, c_at, r_at, at,
-                                block.pairs), dtype=np.int32))
+        counts = np.min_scalar_type(int(total.max()))
+        return ((len(block.pairs), len(C), len(R), len(total),
+                 counts.itemsize),
+                np.concatenate((C, R, c_at, r_at, at, block.pairs),
+                               dtype=np.int32),
+                np.concatenate((total, pos), dtype=counts, casting="unsafe"))
 
     def messages(self, rng: np.random.Generator):
         """Every epoch's block messages, then its end.  Blocks end at the
@@ -531,7 +532,8 @@ class _Planner:
                 if blocks[first] is not None:
                     yield self._plan(layout, blocks[first], lengths, rng)
                 first = last
-            yield (0, int(lengths.sum()), 0, 0), np.empty(0, np.int32)
+            yield ((0, int(lengths.sum()), 0, 0, 1), np.empty(0, np.int32),
+                   np.empty(0, np.uint8))
 
 
 # a divergent step overflows; train_biskip's loss check is its report
@@ -543,13 +545,13 @@ def _step_epoch(messages, table: EmbeddingTable, lrs: list[float]):
     runs once per planned step, on flat slices of the block's cells."""
     loss = pair_loss = 0.0
     last_pair = None
-    for (steps, centers, rows, cells), body in messages:
+    for (steps, centers, rows, cells, _), ints, counts in messages:
         if not steps:
             return loss + pair_loss, centers
-        cuts = [0, *accumulate((centers, rows, cells, cells,
-                                3 * steps + 3)), len(body)]
-        C, R, total, pos, bounds, step_pairs = (
-            body[start:end] for start, end in zip(cuts, cuts[1:]))
+        cuts = [0, *accumulate((centers, rows, 3 * steps + 3)), len(ints)]
+        C, R, bounds, step_pairs = (
+            ints[start:end] for start, end in zip(cuts, cuts[1:]))
+        total, pos = counts[:cells], counts[cells:]
         # per step, where its centers, rows and cells start
         bounds = bounds.reshape(3, -1).T.tolist()
         for pair, (c0, r0, t0), (c1, r1, t1) in zip(
@@ -566,72 +568,29 @@ def _step_epoch(messages, table: EmbeddingTable, lrs: list[float]):
 @contextmanager
 def _planned(planner: _Planner, rng: np.random.Generator, blocks: int):
     """The planner's messages: from a forked child that owns `rng` and
-    plans while this process steps, or, without os.fork or a second CPU
-    or below FORK_BLOCKS blocks, drawn in this process.  On every way
-    out the pipe is closed and the child killed and reaped."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1 and blocks >= FORK_BLOCKS):
+    plans while this process steps, or, below FORK_BLOCKS blocks or
+    where no child can run beside this process, drawn here."""
+    if blocks < FORK_BLOCKS or not forked.available():
         yield planner.messages(rng)
         return
-    import fcntl  # F_SETPIPE_SZ is Linux's, like os.sched_getaffinity
-    read, write = os.pipe()
-    try:
-        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-    except OSError:  # above the system's pipe-max-size: the default stays
-        pass
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if not pid:
-        os.close(read)
-        _plan_into(planner, rng, write)
-    os.close(write)
-    try:
-        with open(read, "rb") as stream:
-            yield _received(stream)
-    finally:
-        os.kill(pid, signal.SIGKILL)
-        os.wait4(pid, 0)
+
+    def plan_into(send):
+        for head, ints, counts in planner.messages(rng):
+            send(np.array(head, np.int64), ints, counts)
+    with forked.child(plan_into, "the block planner") as receive:
+        yield _received(receive)
 
 
-def _plan_into(planner: _Planner, rng: np.random.Generator, fd: int):
-    """The planner child: writes every message to the pipe `fd`, or the
-    exception it raised, and ends with os._exit, so that none of the
-    frames, buffers and exit handlers it shares with its parent runs."""
-    try:
-        # the parent's garbage, a buffered file say, is its own to collect
-        gc.disable()
-        with open(fd, "wb") as out:
-            try:
-                for head, body in planner.messages(rng):
-                    out.write(np.array(head, np.int64))
-                    out.write(body)
-                    out.flush()
-            except BaseException as err:  # the parent raises it
-                blob = pickle.dumps(err)
-                out.write(np.array((-1, len(blob), 0, 0), np.int64))
-                out.write(blob)
-    finally:
-        os._exit(0)
-
-
-def _received(stream):
-    """The messages a planner child writes to `stream`, as `_Planner`
-    yields them; an exception the child sent is raised here."""
-    head = np.empty(4, np.int64)
-    while stream.readinto(head) == head.nbytes:
-        steps, centers, rows, cells = head.tolist()
-        if steps < 0:
-            raise pickle.loads(stream.read(centers))
-        body = np.empty(centers + rows + 2 * cells + 4 * steps + 3 if steps
-                        else 0, np.int32)
-        if stream.readinto(body) != body.nbytes:
-            break
-        yield (steps, centers, rows, cells), body
-    raise RuntimeError("the block planner ended before its last plan")
+def _received(receive):
+    """The messages a planner child sends, as `_Planner` yields them:
+    each a chunk of its head's five int64, its ints, then its counts."""
+    while True:
+        chunk = receive()
+        head = chunk[:40].view(np.int64).tolist()
+        steps, centers, rows, _, count_bytes = head
+        end = 40 + 4 * (centers + rows + 4 * steps + 3 if steps else 0)
+        yield (head, chunk[40:end].view(np.int32),
+               chunk[end:].view(f"u{count_bytes}"))
 
 
 def train_biskip(bitext, links, cfg: TrainConfig,

@@ -7,6 +7,8 @@ construct has one production.  One rule reads a declaration in a file,
 a namespace and a class body, where an interface, enum, struct, record,
 delegate, event or Java `@interface` is one opaque node; what it does
 not explain is a statement outside a class and an opaque member in one.
+In a method body, a local type or C# local function is one opaque
+statement.
 
 Contract: an unsupported construct becomes an `opaque` node that keeps
 its identifier and literal tokens, so no input is rejected for using
@@ -73,6 +75,7 @@ _NOT_TYPES = {"new", "return", "if", "while", "for", "foreach", "do", "else",
               "assert", "await", "case", *_OPAQUE_STATEMENT_KW}
 
 _TYPE_DECL_KW = {"interface", "enum", "struct", "record", "delegate", "event"}
+_LOCAL_TYPE_KW = {"class", *_TYPE_DECL_KW}
 
 _GROUP_CLOSE = {"(": ")", "[": "]", "{": "}"}
 _CLOSERS = set(_GROUP_CLOSE.values())
@@ -482,18 +485,27 @@ class Parser:
         return Node("return_stmt", start, self._end_offset(), children)
 
     def _try_local_decl(self, keyword: str | None = None) -> Node | None:
-        """A local declaration, after `keyword` if given, or None."""
+        """A local declaration, after `keyword` if given, or None.  A local
+        type (`class`, `record`, `interface`, `enum`, ...) or C# local
+        function is one opaque statement, through its block or `;`."""
         saved = self.i
         if keyword is not None and not self._skip(keyword):
             return None
         mods = self._collect_modifiers()
+        if self.at_name(1) and self.peek().text in _LOCAL_TYPE_KW:
+            self.i = saved
+            return self.parse_opaque_member()
         type_name = self._try_type()
         nxt = self.peek(1)
-        if (type_name is None or not self.at_name() or nxt is None
-                or nxt.text not in ("=", ",", ";", "[")):
-            self.i = saved
-            return None
-        return self._declarators(mods, type_name, self.toks[saved].start)
+        if type_name is not None and self.at_name() and nxt is not None:
+            if nxt.text in ("=", ",", ";", "["):
+                return self._declarators(mods, type_name,
+                                         self.toks[saved].start)
+            if nxt.text in ("(", "<"):  # a C# local function
+                self.i = saved
+                return self.parse_opaque_member()
+        self.i = saved
+        return None
 
     def _declarators(self, mods: list[str], type_name: str, start: int) -> Node:
         """`name[] = init, name2, ...;` of a field or local declaration."""

@@ -1,4 +1,7 @@
-"""Shared synthetic corpora for alignment and embedding tests."""
+"""Shared synthetic corpora for alignment and embedding tests, and the
+helpers of their forked-child tests."""
+
+import os
 
 import numpy as np
 import pytest
@@ -51,3 +54,24 @@ def make_bijective_corpus(seed=7, vocab=50, n_pairs=500, window=3,
 @pytest.fixture(scope="session")
 def bijective_corpus():
     return make_bijective_corpus()
+
+
+def fork_every_time(monkeypatch, module, bound):
+    """Makes `module` fork wherever it may, whatever the CPU count: its
+    work bound named `bound` goes to 0 and two CPUs are reported.
+    Returns the list that each fork appends this process's pid to."""
+    monkeypatch.setattr(module, bound, 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

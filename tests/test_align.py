@@ -1,6 +1,8 @@
 """Model 1 EM, Viterbi linking and symmetrization tests."""
 
 import math
+import os
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -11,7 +13,8 @@ from codemap.align import (NULL, AlignmentLinkSet, Bitext, Model1Table,
                            align_bitext, build_bitext, read_alignments,
                            read_table, symmetrize, train_model1,
                            viterbi_align, write_alignments, write_table)
-from conftest import make_toy_bitext
+from conftest import (assert_no_child_left, fork_every_time,
+                      make_bijective_corpus, make_toy_bitext)
 
 
 def _table(bitext, probs):
@@ -382,3 +385,72 @@ def test_table_writer_equals_the_mapping_walk(tmp_path):
         loaded = read_table(got)
         assert loaded["s0"]["t0"] == edge and "t1" not in loaded["s0"]
         assert "s1" not in loaded and NULL in loaded
+
+
+def _failing_direction(monkeypatch, tag, failure):
+    """Makes the training of the direction whose sources are tagged `tag`
+    fail: `failure` is raised, or "exit" ends the process at once."""
+    train = align.train_model1
+
+    def failing(bitext, iterations=10, log_likelihoods=None):
+        if bitext.tags[0] == tag:
+            if failure == "exit":
+                os._exit(0)
+            raise failure
+        return train(bitext, iterations, log_likelihoods)
+    monkeypatch.setattr(align, "train_model1", failing)
+
+
+@pytest.mark.parametrize("mode", ["intersection", "union"])
+def test_forked_backward_direction_changes_nothing(mode, monkeypatch):
+    forks = fork_every_time(monkeypatch, align, "FORK_OCCURRENCES")
+    bitext, _, _ = make_bijective_corpus(n_pairs=120)
+    runs = []
+    # bound 10**18 trains both directions in this process, 0 forks
+    for bound in (10 ** 18, 0):
+        monkeypatch.setattr(align, "FORK_OCCURRENCES", bound)
+        history = []
+        links, table = align_bitext(bitext, 5, mode, history)
+        runs.append((links, table, history))
+    assert forks == [os.getpid()]
+    (links, table, history), (forked, forked_table, forked_history) = runs
+    assert forked == links
+    assert np.array_equal(forked_table.t, table.t)
+    assert forked_history == history and len(history) == 5
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", [ValueError("b -> a failed"), "exit"])
+def test_backward_training_failure_surfaces(failure, monkeypatch):
+    forks = fork_every_time(monkeypatch, align, "FORK_OCCURRENCES")
+    _failing_direction(monkeypatch, "b:", failure)
+    bitext, _, _ = make_bijective_corpus(n_pairs=40)
+    expected = ((RuntimeError, "the b -> a training ended before its last")
+                if failure == "exit" else (ValueError, "b -> a failed"))
+    with pytest.raises(expected[0], match=expected[1]) as raised:
+        align_bitext(bitext, 3)
+    assert type(raised.value) is expected[0]
+    assert forks == [os.getpid()]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", [ValueError("a -> b failed"),
+                                     KeyboardInterrupt()])
+def test_failed_forward_training_leaves_no_child(failure, monkeypatch):
+    forks = fork_every_time(monkeypatch, align, "FORK_OCCURRENCES")
+    _failing_direction(monkeypatch, "a:", failure)
+    bitext, _, _ = make_bijective_corpus(n_pairs=40)
+    with warnings.catch_warnings(), pytest.raises(type(failure)):
+        warnings.simplefilter("error")
+        align_bitext(bitext, 3)
+    assert forks == [os.getpid()]
+    assert_no_child_left()
+
+
+def test_toy_bitexts_align_in_one_process(monkeypatch):
+    bound = align.FORK_OCCURRENCES
+    forks = fork_every_time(monkeypatch, align, "FORK_OCCURRENCES")
+    monkeypatch.setattr(align, "FORK_OCCURRENCES", bound)
+    for seed in range(5):
+        align_bitext(make_toy_bitext(np.random.default_rng(seed)), 10)
+    assert forks == []

@@ -783,6 +783,55 @@ def test_diff_ref_flow(project, tmp_path, capsys):
     assert "conflicting" not in diff_text
 
 
+def _with_byte_order_mark(path):
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+
+def test_truth_with_a_byte_order_mark_reads_as_without(tmp_path):
+    truth = tmp_path / "truth.tsv"
+    truth.write_bytes((DEMO / "truth.tsv").read_bytes())
+    lines = []
+    for line in (DEMO / "config.txt").read_text().splitlines():
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in ("project.root_a", "project.root_b"):
+            line = f"{key} = {DEMO / value}"
+        elif key == "retrieve.truth":
+            line = f"{key} = {truth}"
+        lines.append(line)
+    config = tmp_path / "demo.cfg"
+    config.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert _run("run-all", "--config", str(config),
+                "--out-dir", str(out)) == 0
+    plain = (out / "report.tsv").read_text().splitlines()
+    _with_byte_order_mark(truth)
+    assert _run("eval", "--config", str(config), "--out-dir", str(out)) == 0
+    assert (out / "report.tsv").read_text().splitlines() == plain
+    assert "map@1\t" in "\n".join(plain)
+
+
+def test_reference_with_a_byte_order_mark_reads_as_without(project,
+                                                           tmp_path):
+    out = tmp_path / "out"
+    assert _run("run-all", "--config", str(project),
+                "--out-dir", str(out)) == 0
+    query, ranked = next(iter(retrieve.read_rankings(
+        out / "mappings" / "token.tsv").items()))
+    reference = project.parent / "reference.tsv"
+    reference.write_text(f"{query}\t{ranked[0][0]}\n"
+                         "a:never-seen\tb:whatever\n")
+    config = project.parent / "with_ref.cfg"
+    config.write_text(CONFIG + "retrieve.reference = reference.tsv\n")
+    diffs = []
+    for _ in range(2):
+        assert _run("diff-ref", "--config", str(config),
+                    "--out-dir", str(out)) == 0
+        diffs.append((out / "diff.tsv").read_text().splitlines())
+        _with_byte_order_mark(reference)
+    assert diffs[1] == diffs[0]
+    assert any(line.startswith("agreeing\t") for line in diffs[0])
+
+
 def test_eval_report_scores_identity_tokens(project, tmp_path):
     out = tmp_path / "out"
     assert _run("run-all", "--config", str(project),

@@ -15,7 +15,8 @@ from codemap.embed import (LR_FLOOR_FACTOR, EmbeddingTable, TrainConfig,
                            load_embeddings, save_embeddings, sgns_pair_grads,
                            sgns_pair_loss, sgns_step, train_biskip,
                            vocab_from_bitext)
-from conftest import make_bijective_corpus, make_toy_bitext
+from conftest import (assert_no_child_left, fork_every_time,
+                      make_bijective_corpus, make_toy_bitext)
 
 
 # ---------------------------------------------------------------------------
@@ -540,31 +541,11 @@ def test_plan_bound_changes_nothing(subsample, side_batch, monkeypatch):
         assert np.array_equal(losses, default_losses)
 
 
-def _fork_every_training(monkeypatch):
-    """Plans every training in a forked child, whatever the CPU count;
-    returns the list that each fork appends this process's pid to."""
-    monkeypatch.setattr(embed, "FORK_BLOCKS", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    forks, fork = [], os.fork
-
-    def counted_fork():
-        forks.append(os.getpid())
-        return fork()
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return forks
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("subsample,side_batch",
                          [(0.0, 32), (0.05, 32), (0.0, 2), (0.05, 2)])
 def test_forked_planner_changes_nothing(subsample, side_batch, monkeypatch):
     monkeypatch.setattr(embed, "SIDE_BATCH", side_batch)
-    forks = _fork_every_training(monkeypatch)
+    forks = fork_every_time(monkeypatch, embed, "FORK_BLOCKS")
     bitext, _, links = make_bijective_corpus(n_pairs=120)
     cfg = TrainConfig(dim=8, epochs=3, subsample=subsample, seed=4)
     runs = []
@@ -579,7 +560,7 @@ def test_forked_planner_changes_nothing(subsample, side_batch, monkeypatch):
     assert np.array_equal(forked.input_vecs, here.input_vecs)
     assert np.array_equal(forked.output_vecs, here.output_vecs)
     assert forked_losses == here_losses
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("failure", ["raise", "exit"])
@@ -595,7 +576,7 @@ def test_planner_child_failure_surfaces(failure, monkeypatch):
         return plan(self, *args)
     plan, planned = embed._Planner._plan, []
     monkeypatch.setattr(embed._Planner, "_plan", failing_plan)
-    forks = _fork_every_training(monkeypatch)
+    forks = fork_every_time(monkeypatch, embed, "FORK_BLOCKS")
     bitext, _, links = make_bijective_corpus(n_pairs=120)
     cfg = TrainConfig(dim=8, epochs=3, subsample=0.0, seed=4)
     expected = ((ValueError, "plan 4 failed") if failure == "raise" else
@@ -603,12 +584,12 @@ def test_planner_child_failure_surfaces(failure, monkeypatch):
     with pytest.raises(expected[0], match=expected[1]):
         train_biskip(bitext, links, cfg)
     assert forks == [os.getpid()] and planned == []
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("failure", ["diverge", "interrupt"])
 def test_forked_training_that_fails_leaves_no_child(failure, monkeypatch):
-    forks = _fork_every_training(monkeypatch)
+    forks = fork_every_time(monkeypatch, embed, "FORK_BLOCKS")
     bitext, _, links = make_bijective_corpus(n_pairs=40)
     cfg = TrainConfig(dim=8, epochs=30, lr0=1e3, subsample=0.0, seed=3)
     if failure == "interrupt":
@@ -621,7 +602,41 @@ def test_forked_training_that_fails_leaves_no_child(failure, monkeypatch):
         warnings.simplefilter("error")
         train_biskip(bitext, links, cfg)
     assert forks == [os.getpid()]
-    _assert_no_child_left()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fork", [False, True])
+def test_narrowed_plan_counts_step_as_int32_would(fork, monkeypatch):
+    # with two tokens, a side of up to 32 puts a few hundred occurrences
+    # in a cell and one of 2 a few dozen; with one pair a block, blocks go
+    # out in uint8 and in uint16
+    monkeypatch.setattr(embed, "PLAN_ROWS", 1)
+    monkeypatch.setattr(embed, "FORK_BLOCKS", 10 ** 9)
+    if fork:
+        fork_every_time(monkeypatch, embed, "FORK_BLOCKS")
+    plan, types = embed._Planner._plan, set()
+
+    def widened(self, *args):
+        head, ints, counts = plan(self, *args)
+        assert counts.dtype == np.dtype(f"u{head[4]}") == \
+            np.min_scalar_type(int(counts.max()))
+        types.add(counts.dtype)
+        return (*head[:4], 4), ints, counts.astype(np.uint32)
+    bitext, _, links = make_bijective_corpus(vocab=2, n_pairs=20,
+                                             min_len=2, max_len=32)
+    cfg = TrainConfig(dim=8, window=5, epochs=2, subsample=0.0, seed=4)
+    runs = []
+    for plan_as in (plan, widened):
+        monkeypatch.setattr(embed._Planner, "_plan", plan_as)
+        losses = []
+        table = train_biskip(bitext, links, cfg, losses=losses)
+        runs.append((table, losses))
+    if not fork:
+        assert types == {np.dtype(np.uint8), np.dtype(np.uint16)}
+    (narrow, narrow_losses), (wide, wide_losses) = runs
+    assert np.array_equal(narrow.input_vecs, wide.input_vecs)
+    assert np.array_equal(narrow.output_vecs, wide.output_vecs)
+    assert narrow_losses == wide_losses
 
 
 def _oracle_layout(kept, links):

@@ -1492,6 +1492,71 @@ CONSTRUCTS = [
             nameref 8-13 segs=await
             func_call 14-17 new=False owner_unknown=False segs=F
 """, id="csharp_statement_keywords_at_file_scope"),
+    # a local type or C# local function is one statement, through its
+    # block, and never takes the statement after it
+    pytest.param(
+        "java",
+        'class A { void f() { record P(int x) { } g(); } }',
+        """
+        class 0-49 modifiers= name=A
+          func_decl 10-47 modifiers= name=f params= return_type=void
+            block 19-47
+              opaque 21-40
+                name 21-27 record
+                name 28-29 P
+                name 30-33 int
+                name 34-35 x
+              expr_stmt 41-45
+                expr 41-45
+                  func_call 41-44 new=False owner_unknown=False segs=g
+""", id="java_local_record"),
+    pytest.param(
+        "java",
+        'class A { void f() { interface I { } g(); } }',
+        """
+        class 0-45 modifiers= name=A
+          func_decl 10-43 modifiers= name=f params= return_type=void
+            block 19-43
+              opaque 21-36
+                name 21-30 interface
+                name 31-32 I
+              expr_stmt 37-41
+                expr 37-41
+                  func_call 37-40 new=False owner_unknown=False segs=g
+""", id="java_local_interface"),
+    pytest.param(
+        "csharp",
+        'class A { void f() { int Add(int a) { return a; } g(); } }',
+        """
+        class 0-58 modifiers= name=A
+          func_decl 10-56 modifiers= name=f params= return_type=void
+            block 19-56
+              opaque 21-49
+                name 21-24 int
+                name 25-28 Add
+                name 29-32 int
+                name 33-34 a
+                name 38-44 return
+                name 45-46 a
+              expr_stmt 50-54
+                expr 50-54
+                  func_call 50-53 new=False owner_unknown=False segs=g
+""", id="csharp_local_function"),
+    pytest.param(
+        "csharp",
+        'class A { void f() { enum E { X } g(); } }',
+        """
+        class 0-42 modifiers= name=A
+          func_decl 10-40 modifiers= name=f params= return_type=void
+            block 19-40
+              opaque 21-33
+                name 21-25 enum
+                name 26-27 E
+                name 30-31 X
+              expr_stmt 34-38
+                expr 34-38
+                  func_call 34-37 new=False owner_unknown=False segs=g
+""", id="csharp_local_enum"),
     # a field or method outside every class reads as one
     pytest.param(
         "java",
