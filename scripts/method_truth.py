@@ -6,7 +6,9 @@ signature (`demo.io.Buffer.clamp(int)` <-> `Demo.IO.Buffer.Clamp(int)`).
 A label is kept only if it is unique on both sides of its pair.  Ids
 are `codemap compose`'s, from `syntax.element_ids`:
 `<side>:<path>:method:<ordinal>`, the ordinal counting a file's method
-rows in order.  The header says how many Java methods were left out.
+rows in order.  The header says how many Java methods were left out,
+and that this truth is spelling by construction: ranking C# methods by
+the similarity of their case-folded labels alone finds every match.
 The pairs and elements come from the `pair` and `normalize` stages, run
 on the demo config in a temporary directory.
 
@@ -76,6 +78,8 @@ def main(argv=None):
         "Rule: per file pair, Java and C# method rows matched by "
         "case-folded qualified signature, kept only if unique on both "
         "sides.",
+        "So this truth is spelling by construction: ranking by case-folded "
+        "label similarity alone scores p@1 1.000 on it.",
         f"{len(matched)} of {len(matched) + left_out} Java methods "
         f"matched; {left_out} left out."))
     print(f"{args.out}: {len(matched)} methods matched, {left_out} left out",

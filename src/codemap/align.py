@@ -27,15 +27,13 @@ table.  `write_table` selects, sorts and formats only the cells it keeps.
 
 The two directions share nothing until `symmetrize`, which reads only
 each one's Viterbi links, so `align_bitext` trains them at once, as
-fast_align (Dyer et al. 2013) runs its two directions apart: a child
-forked by `codemap.forked` trains b -> a, runs its Viterbi and sends
-back that array alone (8 bytes per a-side token), while this process
-trains a -> b, whose table it returns.  On two CPUs that takes the
-shorter direction off the run, and the b -> a index and table are never
-built here.  Below FORK_OCCURRENCES b -> a E-step occurrences times
-iterations, or where no child can run beside this process
-(`forked.available`), both directions train here, a -> b first.  The
-links are the same either way.
+fast_align (Dyer et al. 2013) runs its two directions apart: b -> a and
+its Viterbi are the one item of `forked.results`.  From FORK_OCCURRENCES
+b -> a E-step occurrences times iterations on, a forked child makes it
+and sends back that array alone (8 bytes per a-side token) while this
+process trains a -> b, whose table it returns: on two CPUs the shorter
+direction leaves the run, and its index and table are never built here.
+Otherwise the item is made here, after a -> b.  The links are the same.
 """
 
 from __future__ import annotations
@@ -359,18 +357,12 @@ def align_bitext(bitext: list[Pair], iterations: int = 10,
     len_a, len_b = (np.diff(offsets) for offsets in bitext.offsets)
 
     def backward():
-        return viterbi_align(train_model1(bitext.transposed(), iterations))
-    if (iterations * int(np.dot(len_b + 1, len_a)) < FORK_OCCURRENCES
-            or not forked.available()):
-        forward = train_model1(bitext, iterations, log_likelihoods)
-        return symmetrize(bitext, viterbi_align(forward), backward(),
-                          mode), forward
-    with forked.child(lambda send: send(backward()),
-                      "the b -> a training") as receive:
+        yield viterbi_align(train_model1(bitext.transposed(), iterations))
+    fork = iterations * int(np.dot(len_b + 1, len_a)) >= FORK_OCCURRENCES
+    with forked.results(backward, "the b -> a training", fork) as results:
         forward = train_model1(bitext, iterations, log_likelihoods)
         best = viterbi_align(forward)
-        return symmetrize(bitext, best, receive().view(np.int64),
-                          mode), forward
+        return symmetrize(bitext, best, next(results), mode), forward
 
 
 # ---------------------------------------------------------------------------

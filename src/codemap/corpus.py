@@ -103,8 +103,10 @@ def match_stems(
         for pb, sb in stems_b:
             if threshold >= 1.0 and sa != sb:
                 continue
-            # cheap lower bound on distance prunes the DP
-            if abs(len(sa) - len(sb)) > (1.0 - threshold) * max(len(sa), len(sb)):
+            # the length difference bounds the distance below; taken as
+            # stem_similarity takes it, a pair at the threshold stays
+            longest = max(len(sa), len(sb), 1)
+            if 1.0 - abs(len(sa) - len(sb)) / longest < threshold:
                 continue
             sim = stem_similarity(sa, sb)
             if sim >= threshold:

@@ -31,18 +31,16 @@ CDF entry, with `searchsorted` only in the buckets that hold an entry
 (`_NoiseLookup`), and the cells are numbered by masks over vocabulary
 ids (`_numbered`), which are all below the vocabulary size.
 
-Who draws and who steps: after `init_table`, a child forked by
-`codemap.forked` owns the generator, makes every draw in the order above
-and sends each block's plan; the training process reads the plans in
-order and runs only the step loop, one dense kernel call per step,
-which updates the rows it gathered in place.  The two overlap on two
-CPUs, and the plans are the same as when drawn in one process.  A
-plan's cell counts go in the narrowest unsigned type that holds its
-largest: uint8 on the demo, whose largest is 35.  Forking, the
-pipe and reaping cost about as much as planning ten blocks, so a
-training of fewer than FORK_BLOCKS blocks, or one where a child cannot
-run beside it (`forked.available`), draws its plans in the training
-process.
+Who draws and who steps: after `init_table`, `_Planner.messages` makes
+every draw in the order above, one plan per block, and the step loop
+reads the plans through `forked.results`.  From FORK_BLOCKS blocks on, a
+forked child owns the generator and plans while this process runs only
+the step loop, one dense kernel call per step that updates the rows it
+gathered in place; the two overlap on two CPUs.  Below the bound (a fork
+costs about as much as planning ten blocks), or where no child can run
+beside this process, each plan is drawn here as it is read.  The plans
+are the same either way.  A plan's cell counts go in the narrowest
+unsigned type that holds its largest: uint8 on the demo (35).
 `sgns_pair_loss`/`sgns_pair_grads`, checked against finite differences,
 are one-center steps of the same kernel on a copy of the table.
 Training with a fixed seed is bit-reproducible.
@@ -52,7 +50,6 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -113,6 +110,8 @@ class TrainConfig:
             raise ValueError("min_count must be >= 1")
         if not 0 <= self.subsample < np.inf:
             raise ValueError("subsample must be >= 0 and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 class Vocabulary:
@@ -413,12 +412,11 @@ class _Planner:
     three phases of the module docstring, and plans a block of up to
     PLAN_ROWS window rows at a time into one message for `_step_epoch`.
 
-    A block's message is ((steps, |C|, |R|, cells, count bytes), ints,
-    counts), as `_cells` gives them: `ints` the int32 C, R, C offsets,
-    R offsets, cell offsets and each step's pair, `counts` total then pos
-    as unsigned integers of the count bytes, the fewest that hold the
-    block's largest count.  An epoch ends with ((0, contexts, 0, 0, 1),
-    empty ints, empty counts)."""
+    A block's message is ((steps, |C|, |R|, cells), ints, counts), as
+    `_cells` gives them: `ints` the int32 C, R, C offsets, R offsets,
+    cell offsets and each step's pair, `counts` total then pos in the
+    narrowest unsigned type that holds the block's largest count.  An
+    epoch ends with ((0, contexts, 0, 0), empty ints, empty counts)."""
 
     def __init__(self, bitext: Bitext, links, vocab: Vocabulary,
                  cfg: TrainConfig):
@@ -501,8 +499,7 @@ class _Planner:
             len(self.vocab), block.step, block.centers, center_of, rows,
             counts)
         counts = np.min_scalar_type(int(total.max()))
-        return ((len(block.pairs), len(C), len(R), len(total),
-                 counts.itemsize),
+        return ((len(block.pairs), len(C), len(R), len(total)),
                 np.concatenate((C, R, c_at, r_at, at, block.pairs),
                                dtype=np.int32),
                 np.concatenate((total, pos), dtype=counts, casting="unsafe"))
@@ -532,7 +529,7 @@ class _Planner:
                 if blocks[first] is not None:
                     yield self._plan(layout, blocks[first], lengths, rng)
                 first = last
-            yield ((0, int(lengths.sum()), 0, 0, 1), np.empty(0, np.int32),
+            yield ((0, int(lengths.sum()), 0, 0), np.empty(0, np.int32),
                    np.empty(0, np.uint8))
 
 
@@ -545,7 +542,7 @@ def _step_epoch(messages, table: EmbeddingTable, lrs: list[float]):
     runs once per planned step, on flat slices of the block's cells."""
     loss = pair_loss = 0.0
     last_pair = None
-    for (steps, centers, rows, cells, _), ints, counts in messages:
+    for (steps, centers, rows, cells), ints, counts in messages:
         if not steps:
             return loss + pair_loss, centers
         cuts = [0, *accumulate((centers, rows, 3 * steps + 3)), len(ints)]
@@ -563,34 +560,6 @@ def _step_epoch(messages, table: EmbeddingTable, lrs: list[float]):
             pair_loss += sgns_step(
                 C[c0:c1], R[r0:r1], total[t0:t1].reshape(shape),
                 pos[t0:t1].reshape(shape), table, lrs[pair])
-
-
-@contextmanager
-def _planned(planner: _Planner, rng: np.random.Generator, blocks: int):
-    """The planner's messages: from a forked child that owns `rng` and
-    plans while this process steps, or, below FORK_BLOCKS blocks or
-    where no child can run beside this process, drawn here."""
-    if blocks < FORK_BLOCKS or not forked.available():
-        yield planner.messages(rng)
-        return
-
-    def plan_into(send):
-        for head, ints, counts in planner.messages(rng):
-            send(np.array(head, np.int64), ints, counts)
-    with forked.child(plan_into, "the block planner") as receive:
-        yield _received(receive)
-
-
-def _received(receive):
-    """The messages a planner child sends, as `_Planner` yields them:
-    each a chunk of its head's five int64, its ints, then its counts."""
-    while True:
-        chunk = receive()
-        head = chunk[:40].view(np.int64).tolist()
-        steps, centers, rows, _, count_bytes = head
-        end = 40 + 4 * (centers + rows + 4 * steps + 3 if steps else 0)
-        yield (head, chunk[40:end].view(np.int32),
-               chunk[end:].view(f"u{count_bytes}"))
 
 
 def train_biskip(bitext, links, cfg: TrainConfig,
@@ -635,7 +604,8 @@ def train_biskip(bitext, links, cfg: TrainConfig,
     # in-vocabulary occurrence has a row of its own (links add rows,
     # subsampling keeps fewer occurrences)
     blocks = cfg.epochs * min(len(bitext), total // PLAN_ROWS + 1)
-    with _planned(planner, rng, blocks) as messages:
+    with forked.results(lambda: planner.messages(rng), "the block planner",
+                        blocks >= FORK_BLOCKS) as messages:
         for epoch in range(cfg.epochs):
             lrs = [max(cfg.lr0 * (1.0 - (epoch * total + start)
                                   / schedule_span),

@@ -1,28 +1,29 @@
-"""Work handed to one forked child that runs beside this process.
+"""Items made in one forked child that runs beside this process, or here.
 
-`child(task, name)` forks once; the child runs `task(send)` and the
-parent, meanwhile, goes on with its own work and reads what the task
-sent with `receive()`.  `send(*buffers)` writes one chunk, the buffers
-back to back, to a pipe asked for PIPE_BYTES, and `receive()` returns
-the next chunk as a uint8 array for the caller to frame.  The child's
-results are the same as when computed in one process: it starts from a
-copy of its parent, and only what it sends comes back.
+`results(produce, name, fork)` is the one place where work forks or
+not; it yields an iterator over the items of `produce()`.  Where `fork`
+and `available()`, a child forked on entry pickles each item into a pipe
+asked for PIPE_BYTES, and the parent, going on with its own work,
+unpickles them in order.  Otherwise each item is made here as it is
+read, and nothing runs before the first read.  The items are the same
+either way: the child starts from a copy of its parent.  The pipe is
+opened before the fork and read only by the parent, so pickle reads no
+outside input.
 
 The child runs with the garbage collector off, since the parent's
-garbage (a buffered file, say) is the parent's to collect, and it ends
-with `os._exit`, so none of the frames, buffers and exit handlers it
-shares with its parent runs twice.  An exception the task raises is
-pickled and sent in place of its next chunk, and `receive` raises it
-again with its type and message; a child that ends before the chunk
-asked for makes `receive` raise RuntimeError.  On every way out of
-`child`, the parent's own exceptions and interrupts included, the
-parent closes the pipe, kills the child with SIGKILL and reaps it with
-`os.wait4`, so no child outlives it.
+garbage (a buffered file, say) is the parent's to collect, and ends with
+`os._exit`, so no frame, buffer or exit handler it shares with its
+parent runs twice.  After its items it pickles an end marker, carrying
+the exception `produce` raised, if any, which the iterator raises in
+place of the next item; a child that ends without one (an end of file,
+or a truncated pickle) makes it raise RuntimeError.  On every way out of
+`results`, the parent's exceptions and interrupts included, the parent
+closes the pipe, kills the child with SIGKILL and reaps it (`os.wait4`).
 
 Forking, the pipe and reaping cost about 2 ms on a 2-vCPU host, so a
-caller forks only above a work bound of its own, and only where
-`available()`: with `os.fork`, and with at least two CPUs in this
-process's affinity set, without which the two would only take turns.
+caller asks to fork only above a work bound of its own; `available()`
+needs `os.fork` and two CPUs in this process's affinity set, without
+which the two would only take turns.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ import os
 import pickle
 import signal
 from contextlib import contextmanager
-
-import numpy as np
+from typing import NamedTuple
 
 # Bytes asked for the pipe, about 13 demo planner blocks: with the
 # default 64 KB the BiSkip planner child waits on every block and the
@@ -47,10 +47,19 @@ def available() -> bool:
             and len(os.sched_getaffinity(0)) > 1)
 
 
+class _End(NamedTuple):
+    """What a child pickles after its items."""
+    error: BaseException | None  # raised by `produce`
+
+
 @contextmanager
-def child(task, name: str):
-    """Runs `task(send)` in a forked child and yields `receive`; `name`
-    names the child in the error of a child that ended too soon."""
+def results(produce, name: str, fork: bool):
+    """Yields an iterator over the items of `produce()`: made in a forked
+    child where `fork` and `available()`, else here as they are read.
+    `name` names the child in the error of one that ended too soon."""
+    if not (fork and available()):
+        yield _here(produce)
+        return
     import fcntl  # F_SETPIPE_SZ is Linux's, like os.sched_getaffinity
     read, write = os.pipe()
     try:
@@ -65,51 +74,49 @@ def child(task, name: str):
         raise
     if not pid:
         os.close(read)
-        _run(task, write)
+        _run(produce, write)
     os.close(write)
     try:
         with open(read, "rb") as stream:
-            yield _receiver(stream, name)
+            yield _received(stream, name)
     finally:
         os.kill(pid, signal.SIGKILL)
         os.wait4(pid, 0)
 
 
-def _run(task, fd: int):
-    """The child: runs `task` with a `send` over the pipe `fd`, sends the
-    exception it raised, if any, and ends with os._exit."""
+def _here(produce):
+    yield from produce()
+
+
+def _run(produce, fd: int):
+    """The child: pickles each item of `produce()` into the pipe `fd`,
+    then the end marker, and ends with os._exit."""
     try:
         gc.disable()
         with open(fd, "wb") as out:
-            def send(*buffers):
-                out.write(np.array([sum(memoryview(buffer).nbytes
-                                        for buffer in buffers)], np.int64))
-                for buffer in buffers:
-                    out.write(buffer)
-                out.flush()
-
+            end = _End(None)
             try:
-                task(send)
+                for item in produce():
+                    pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
+                    out.flush()
             except BaseException as err:  # the parent raises it
-                blob = pickle.dumps(err)
-                out.write(np.array([-len(blob)], np.int64))
-                out.write(blob)
+                end = _End(err)
+            pickle.dump(end, out, pickle.HIGHEST_PROTOCOL)
     finally:
         os._exit(0)
 
 
-def _receiver(stream, name: str):
-    """`receive()` over the parent's end of the pipe: the next chunk, or
-    the exception the child sent in its place."""
-    size = np.empty(1, np.int64)
-
-    def receive() -> np.ndarray:
-        if stream.readinto(size) == size.nbytes:
-            length = int(size[0])
-            chunk = np.empty(abs(length), np.uint8)
-            if stream.readinto(chunk) == chunk.nbytes:
-                if length < 0:
-                    raise pickle.loads(chunk)
-                return chunk
-        raise RuntimeError(f"{name} ended before its last message")
-    return receive
+def _received(stream, name: str):
+    """The items unpickled from the parent's end of the pipe, up to the
+    end marker, whose exception, if any, is raised here."""
+    while True:
+        try:
+            item = pickle.load(stream)
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError(
+                f"{name} ended before its last message") from None
+        if type(item) is _End:
+            if item.error is not None:
+                raise item.error
+            return
+        yield item

@@ -189,8 +189,10 @@ def test_config_that_is_not_utf8_names_file_and_line(tmp_path, capsys):
     # finite, but training diverges
     ({"train.lr0": "1e3", "train.epochs": "30"},
      "non-finite values after training"),
-    ({"train.subsample": "nan"}, "subsample must be >= 0 and finite")],
-    ids=["lr0_nan", "lr0_inf", "lr0_divergent", "subsample_nan"])
+    ({"train.subsample": "nan"}, "subsample must be >= 0 and finite"),
+    ({"train.seed": "-1"}, "seed must be >= 0")],
+    ids=["lr0_nan", "lr0_inf", "lr0_divergent", "subsample_nan",
+         "seed_negative"])
 @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")  # NaN steps
 def test_bad_learning_setting_is_validation_error(project, tmp_path, capsys,
                                                   settings, message):
@@ -204,6 +206,16 @@ def test_bad_learning_setting_is_validation_error(project, tmp_path, capsys,
                 "--out-dir", str(out)) == 3
     assert capsys.readouterr().err.splitlines()[-1] == f"codemap: {message}"
     assert not (out / "embeddings.txt").exists()
+
+
+def test_negative_seed_flag_is_refused_before_any_stage(project, tmp_path,
+                                                        capsys):
+    # it used to run pair, normalize and align before numpy refused it
+    out = tmp_path / "out"
+    assert _run("run-all", "--config", str(project), "--out-dir", str(out),
+                "--seed", "-1") == 3
+    assert capsys.readouterr().err == "codemap: seed must be >= 0\n"
+    assert not (out / "pairs.tsv").exists()
 
 
 def test_divergent_training_prints_one_line(project, tmp_path):

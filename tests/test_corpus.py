@@ -60,6 +60,29 @@ def test_threshold_filters():
     assert pairs == []
 
 
+@pytest.mark.parametrize("stem_a, stem_b, threshold", [
+    ("abcde", "abcd", 0.8), ("abcdefghij", "abcdefghi", 0.9)])
+def test_pair_at_the_threshold_is_kept(stem_a, stem_b, threshold):
+    # (1 - threshold) * longest rounds below the length difference here
+    assert stem_similarity(stem_a, stem_b) == threshold
+    pairs = match_stems([f"{stem_a}.java"], [f"{stem_b}.cs"], threshold)
+    assert [(p.stem, p.similarity) for p in pairs] == [(stem_a, threshold)]
+
+
+@given(st.text("ab", min_size=1, max_size=12), st.integers(0, 12),
+       st.text("ab", max_size=3),
+       st.sampled_from([0.5, 0.6, 0.7, 0.75, 0.8, 0.9, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_one_file_a_side_pairs_iff_similar_enough(stem_a, cut, tail,
+                                                   threshold):
+    # stem_b is a prefix of stem_a, or one with a few letters after it
+    stem_b = stem_a[:cut] + tail or "b"
+    sim = stem_similarity(stem_a, stem_b)
+    pairs = match_stems([f"a/{stem_a}.java"], [f"b/{stem_b}.cs"], threshold)
+    assert [p.similarity for p in pairs] == ([sim] if sim >= threshold
+                                             else [])
+
+
 def test_threshold_validated():
     with pytest.raises(ValueError):
         match_stems([], [], threshold=0.0)

@@ -31,14 +31,22 @@ def test_digest_lists_every_demo_file_once(tmp_path):
     assert sha == hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
 
 
-def test_panel_row_on_the_demo():
+def test_panel_row_on_the_demo(tmp_path):
     script = runpy.run_path(str(ROOT / "scripts" / "panel.py"))
     truth = script["retrieve"].read_truth(
         ROOT / "fixtures" / "demo" / "method_truth.tsv")
-    precision, _, _, method_p1, _, rank = script["panel_row"](7, truth)
+    precision, _, _, method_p1, _, rank = script["panel_row"](7, truth,
+                                                              tmp_path)
     assert precision == pytest.approx(0.95)
     assert rank <= 5
     assert 0.0 <= method_p1 <= 1.0
+    # spelling alone: 19 of the 20 token queries, every one of the 37
+    # methods, whose truth is spelling by construction
+    token_truth = script["retrieve"].read_truth(
+        ROOT / "fixtures" / "demo" / "truth.tsv")
+    precision, _, _, method_p1, _, _ = script["spelling_row"](
+        tmp_path, token_truth, truth)
+    assert (precision, method_p1) == (pytest.approx(0.95), 1.0)
 
 
 def test_run_demo_shows_readonly_first_for_final(tmp_path):
