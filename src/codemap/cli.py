@@ -153,11 +153,15 @@ def _load_elements(out_dir, vocab):
     offsets).  Each stream's rows must be one run, in stream order."""
     path = _require(out_dir / "elements.tsv", "normalize")
     table = read_elements(path)
+    side_ids = {"a": {}, "b": {}}  # side -> {untagged token: id}
+    for token, token_id in vocab.ids.items():
+        side, _, text = token.partition(":")
+        side_ids.setdefault(side, {})[text] = token_id
     streams, stream_ids = {}, []  # (side, path) -> (offset, size)
     for side, relpath, tokens in _streams(out_dir):
         streams[side, relpath] = len(stream_ids), len(tokens)
-        stream_ids += [vocab.ids.get(f"{side}:{token}", -1)
-                       for token in tokens]
+        ids = side_ids[side]
+        stream_ids += [ids.get(token, -1) for token in tokens]
     base, size = np.array([streams.get(key, (-1, 0)) for key in zip(
         table.side, table.path)], dtype=np.intp).reshape(-1, 2).T
     first, last = table.first, table.last

@@ -15,8 +15,11 @@ garbage (a buffered file, say) is the parent's to collect, and ends with
 `os._exit`, so no frame, buffer or exit handler it shares with its
 parent runs twice.  After its items it pickles an end marker, carrying
 the exception `produce` raised, if any, which the iterator raises in
-place of the next item; a child that ends without one (an end of file,
-or a truncated pickle) makes it raise RuntimeError.  On every way out of
+place of the next item.  An exception that does not unpickle as itself
+(one holding a lock, say) travels as a RuntimeError naming the child and
+its type and message.  A child that ends without an end marker (an end
+of file, or a truncated pickle) makes the iterator raise RuntimeError,
+and so does a message that fails to unpickle.  On every way out of
 `results`, the parent's exceptions and interrupts included, the parent
 closes the pipe, kills the child with SIGKILL and reaps it (`os.wait4`).
 
@@ -74,7 +77,7 @@ def results(produce, name: str, fork: bool):
         raise
     if not pid:
         os.close(read)
-        _run(produce, write)
+        _run(produce, write, name)
     os.close(write)
     try:
         with open(read, "rb") as stream:
@@ -88,7 +91,7 @@ def _here(produce):
     yield from produce()
 
 
-def _run(produce, fd: int):
+def _run(produce, fd: int, name: str):
     """The child: pickles each item of `produce()` into the pipe `fd`,
     then the end marker, and ends with os._exit."""
     try:
@@ -101,9 +104,24 @@ def _run(produce, fd: int):
                     out.flush()
             except BaseException as err:  # the parent raises it
                 end = _End(err)
-            pickle.dump(end, out, pickle.HIGHEST_PROTOCOL)
+            out.write(_pickled(end, name))
     finally:
         os._exit(0)
+
+
+def _pickled(end: _End, name: str) -> bytes:
+    """`end` pickled, or, if it does not unpickle as itself, an end
+    marker whose RuntimeError names the child and the exception's type
+    and message."""
+    try:
+        data = pickle.dumps(end, pickle.HIGHEST_PROTOCOL)
+        pickle.loads(data)
+        return data
+    except Exception:
+        error = end.error
+        return pickle.dumps(_End(RuntimeError(
+            f"{name} raised {type(error).__name__}: {error}")),
+            pickle.HIGHEST_PROTOCOL)
 
 
 def _received(stream, name: str):
@@ -115,6 +133,10 @@ def _received(stream, name: str):
         except (EOFError, pickle.UnpicklingError):
             raise RuntimeError(
                 f"{name} ended before its last message") from None
+        except Exception as err:
+            raise RuntimeError(f"{name} sent a message that does not "
+                               f"unpickle: {type(err).__name__}: {err}"
+                               ) from None
         if type(item) is _End:
             if item.error is not None:
                 raise item.error

@@ -4,7 +4,9 @@ An element (expression, statement or method) is embedded as a weighted
 mean over its flat token multiset: either uniform, or tf-idf where each
 occurrence weighs its token's inverse document frequency.  Tokens
 missing from the vocabulary are skipped; an element whose tokens are all
-missing has no embedding.
+missing has no embedding.  The whole corpus is summed by token
+position: one vectorized addition per position and block of elements,
+so the Python loop runs once per position of the longest element.
 """
 
 from __future__ import annotations
@@ -51,12 +53,15 @@ def compose_corpus(element_ids, token_ids, offsets, vectors,
 
     An occurrence weighs 1 (uniform) or idf[id] (tfidf), and 1 again in
     an element whose weights sum to zero, so coverage alone decides
-    whether an element is representable.  Weighted rows are added in
-    token order, as many at a time as fit in BLOCK floats (one at
-    least), so a uniform row equals `mean(axis=0)` of its token vectors
-    bit for bit and the memory used stays bounded.  Returns (ids,
-    matrix, coverages, skipped_ids), rows in input order minus the
-    skipped elements, those of coverage zero.
+    whether an element is representable.  Elements are summed by token
+    position: with the elements laid out longest first, the p-th
+    weighted in-vocabulary token row of every element that has one is
+    added at once, as many rows at a time as fit in BLOCK floats (one
+    at least).  Each element still adds its rows in token order from
+    0.0, so a uniform row equals `mean(axis=0)` of its token vectors bit
+    for bit, and the memory used stays bounded.  Returns (ids, matrix,
+    coverages, skipped_ids), rows in input order minus the skipped
+    elements, those of coverage zero.
     """
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}")
@@ -70,13 +75,23 @@ def compose_corpus(element_ids, token_ids, offsets, vectors,
     unweighted = totals <= 0.0
     weights[unweighted[owners]] = 1.0
     totals[unweighted] = present[unweighted]
+    # row r of sums is element order[r]; the first reaching[p] rows are
+    # the elements with a token at position p
+    order = np.argsort(-present, kind="stable")
+    firsts = (np.cumsum(present) - present)[order]
+    reaching = np.cumsum(np.bincount(present)[:0:-1])[::-1].tolist()
     sums = np.zeros((len(lengths), vectors.shape[1]))
     step = max(1, BLOCK // vectors.shape[1])
-    for lo in range(0, len(token_ids), step):
-        np.add.at(sums, owners[lo:lo + step], weights[lo:lo + step, None]
-                  * vectors[token_ids[lo:lo + step]])
+    for position, live in enumerate(reaching):
+        for lo in range(0, live, step):
+            at = firsts[lo:min(lo + step, live)] + position
+            sums[lo:lo + len(at)] += weights[at, None] \
+                * vectors[token_ids[at]]
     covered = present > 0
-    matrix = sums[covered] / totals[covered][:, None]
+    sorted_row = np.empty_like(order)
+    sorted_row[order] = np.arange(len(order))
+    matrix = sums[sorted_row[covered]]
+    matrix /= totals[covered][:, None]
     coverages = (present[covered] / lengths[covered]).tolist()
     ids = [element_ids[k] for k in np.flatnonzero(covered).tolist()]
     skipped = [element_ids[k] for k in np.flatnonzero(~covered).tolist()]

@@ -1,10 +1,12 @@
 """Cross-language nearest-neighbour retrieval and ranking metrics.
 
 Queries carry a side ("a2b" maps a-side elements onto b-side candidates,
-"b2a" the reverse); candidates are filtered by their id prefix.  Ranked
-lists are scored with average precision truncated at k, where the
-denominator is min(|relevant|, k) so a fully retrieved short truth set
-scores 1.0.
+"b2a" the reverse); candidates are filtered by their id prefix.  Ranking
+works on distinct vectors: identical queries and identical candidates
+share one score, and a candidate list is expanded from its distinct
+vectors only where a score reaches a query's top k.  Ranked lists are
+scored with average precision truncated at k, where the denominator is
+min(|relevant|, k) so a fully retrieved short truth set scores 1.0.
 """
 
 from __future__ import annotations
@@ -36,10 +38,19 @@ def element_side(element_id):
 
 
 def distinct_rows(matrix):
-    """(unique rows, index of each row's unique row): the one notion of
-    identical vectors, for queries and candidates alike.  Asking for
-    the inverse also keeps np.unique from importing numpy.ma (≈1 MB)."""
-    return np.unique(matrix, axis=0, return_inverse=True)
+    """(distinct rows in ascending order, index of each row's distinct
+    row): the one notion of identical vectors, for queries and
+    candidates alike.  One stable lexsort puts equal rows next to each
+    other, and the first row of each run of equal rows (compared by
+    value, so -0.0 equals 0.0) is its distinct row; both results equal
+    `np.unique(matrix, axis=0, return_inverse=True)`'s."""
+    order = np.lexsort(matrix.T[::-1])
+    ordered = matrix[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 def rank_batch(query_vecs, ids, matrix, k):
@@ -50,8 +61,12 @@ def rank_batch(query_vecs, ids, matrix, k):
     candidate vectors, and identical queries, share one computed score, so
     their order never depends on where BLAS put them.  Scores are
     computed for as many query rows at a time as fit in SCORE_BLOCK
-    floats (one row at least); every score equal to the k-th is kept for
-    the tie-break.
+    floats of n candidates (one row at least), one per distinct vector.
+    The k-th best score of a row, counting each distinct vector as many
+    times as it has candidates, is found among its top min(k, distinct)
+    distinct scores; only the distinct vectors scoring at least that are
+    expanded to their candidates, and every score equal to the k-th is
+    kept for the tie-break.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -71,16 +86,27 @@ def rank_batch(query_vecs, ids, matrix, k):
     id_rank[sorted(range(n), key=kept_ids.__getitem__)] = np.arange(n)
     vectors, vector_of = distinct_rows(matrix[keep])
     vector_norms = np.linalg.norm(vectors, axis=1)
+    # the candidates of distinct vector v: members[starts[v]:][:sizes[v]]
+    sizes = np.bincount(vector_of, minlength=len(vectors))
+    starts = np.cumsum(sizes) - sizes
+    members = np.argsort(vector_of, kind="stable")
     top = min(k, n)
     ranked = []
     block_rows = max(1, SCORE_BLOCK // n)
     for start in range(0, len(queries), block_rows):
         block = slice(start, start + block_rows)
-        sims = ((queries[block] @ vectors.T)
-                / (vector_norms * query_norms[block, None]))[:, vector_of]
-        kth = np.partition(sims, n - top, axis=1)[:, n - top]
-        hit_row, hit = np.nonzero(sims >= kth[:, None])
-        hit_sims = sims[hit_row, hit]
+        sims = (queries[block] @ vectors.T) \
+            / (vector_norms * query_norms[block, None])
+        kth = _kth_best(sims, sizes, top)
+        hit_row, hit_vector = np.nonzero(sims >= kth[:, None])
+        hit_sims = sims[hit_row, hit_vector]
+        hit_sizes = sizes[hit_vector]
+        hit_row = np.repeat(hit_row, hit_sizes)
+        hit_sims = np.repeat(hit_sims, hit_sizes)
+        # the j-th candidate of a hit vector v is members[starts[v] + j]
+        hit = members[np.arange(len(hit_row)) + np.repeat(
+            starts[hit_vector] - (np.cumsum(hit_sizes) - hit_sizes),
+            hit_sizes)]
         order = np.lexsort((id_rank[hit], -hit_sims, hit_row))
         counts = np.bincount(hit_row, minlength=len(sims))
         for first in (np.cumsum(counts) - counts).tolist():
@@ -88,6 +114,22 @@ def rank_batch(query_vecs, ids, matrix, k):
             ranked.append(list(zip([kept_ids[j] for j in hit[best].tolist()],
                                    hit_sims[best].tolist())))
     return [list(ranked[q]) for q in query_of.tolist()], len(vectors)
+
+
+def _kth_best(sims, sizes, top):
+    """Per row of `sims`, scores of distinct vectors, the top-th best
+    score when vector v counts sizes[v] times (top <= sizes.sum()).
+    Every vector counts at least once, so that score is among the row's
+    best min(top, len(sizes)): those few are sorted, best first, and
+    their sizes added up until they reach `top`."""
+    tops = min(top, len(sizes))
+    rows = np.arange(len(sims))[:, None]
+    lead = np.argpartition(sims, len(sizes) - tops,
+                           axis=1)[:, len(sizes) - tops:]
+    lead = lead[rows, np.argsort(-sims[rows, lead], axis=1)]
+    reached = np.cumsum(sizes[lead], axis=1)
+    return sims[rows, lead][rows[:, 0],
+                            np.count_nonzero(reached < top, axis=1)]
 
 
 def run_queries(queries, ids, matrix):

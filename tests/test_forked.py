@@ -2,6 +2,8 @@
 in process, and what a failing child leaves."""
 
 import os
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -45,6 +47,59 @@ def test_exception_surfaces_after_the_items_before_it(fork, monkeypatch):
         with pytest.raises(KeyError, match="item 3 failed") as raised:
             next(results)
     assert type(raised.value) is KeyError
+    assert_no_child_left()
+
+
+class Locked(Exception):
+    """Does not pickle: it holds a lock."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class Two(Exception):
+    """Pickles, but does not unpickle: its arguments are not its args."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+@pytest.mark.parametrize("fork", [False, True])
+@pytest.mark.parametrize("error, text", [
+    (lambda: Locked("the lock failed"), "Locked: the lock failed"),
+    (lambda: Two("this", "that"), "Two: this and that")],
+    ids=["unpicklable_attribute", "other_init_arguments"])
+def test_exception_that_does_not_unpickle_names_child_type_and_message(
+        fork, error, text, monkeypatch):
+    fork_every_time(monkeypatch, forked, "PIPE_BYTES")
+
+    def produce():
+        yield 0
+        raise error()
+    with forked.results(produce, "the test child", fork) as results:
+        assert next(results) == 0
+        with pytest.raises(Exception) as raised:
+            next(results)
+    if fork:
+        assert type(raised.value) is RuntimeError
+        assert str(raised.value) == f"the test child raised {text}"
+    else:
+        assert type(raised.value) is type(error())
+        assert f"{type(raised.value).__name__}: {raised.value}" == text
+    assert_no_child_left()
+
+
+def test_message_that_does_not_unpickle_names_the_child(monkeypatch):
+    fork_every_time(monkeypatch, forked, "PIPE_BYTES")
+
+    def produce():
+        yield Two("this", "that")
+    with forked.results(produce, "the test child", True) as results:
+        with pytest.raises(RuntimeError, match=re.escape(
+                "the test child sent a message that does not unpickle: "
+                "TypeError: ")):
+            next(results)
     assert_no_child_left()
 
 

@@ -255,6 +255,53 @@ def test_corpus_kernel_equals_the_per_element_oracle(block, monkeypatch):
                                        atol=0.0)
 
 
+def add_at_compose(token_ids, offsets, vectors, weighting, idf):
+    """The matrix of the composition that summation by token position
+    replaced: every weighted token row scattered onto its element with
+    np.add.at, in token order, BLOCK floats at a time."""
+    lengths, owners, token_ids = hier._in_vocabulary(token_ids, offsets)
+    present = np.bincount(owners, minlength=len(lengths))
+    weights = np.asarray(idf, dtype=np.float64)[token_ids] \
+        if weighting == "tfidf" else np.ones(len(token_ids))
+    totals = np.bincount(owners, weights, minlength=len(lengths))
+    unweighted = totals <= 0.0
+    weights[unweighted[owners]] = 1.0
+    totals[unweighted] = present[unweighted]
+    sums = np.zeros((len(lengths), vectors.shape[1]))
+    step = max(1, hier.BLOCK // vectors.shape[1])
+    for lo in range(0, len(token_ids), step):
+        np.add.at(sums, owners[lo:lo + step], weights[lo:lo + step, None]
+                  * vectors[token_ids[lo:lo + step]])
+    covered = present > 0
+    return sums[covered] / totals[covered][:, None]
+
+
+# BLOCK 1 adds one element's row at a time; 21 floats are three rows of
+# width 7, so most elements reach past the first block of every position
+@pytest.mark.parametrize("block", [None, 1, 21])
+def test_summing_by_position_equals_add_at_bit_for_bit(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(hier, "BLOCK", block)
+    rng = np.random.default_rng(12)
+    tokens = [f"a:t{k}" for k in range(40)]
+    vocab = Vocabulary(tokens)
+    vectors = rng.normal(size=(len(vocab), 7))
+    vectors[rng.random(vectors.shape) < 0.05] = -0.0
+    universe = tokens + [f"a:oov{k}" for k in range(6)]
+    elements = [[universe[j] for j in rng.integers(
+        0, len(universe), rng.integers(0, 60))] for _ in range(300)]
+    elements += [[], ["a:oov1"], [tokens[0]] * 70]
+    idf = [0.0 if k < 8 else float(rng.exponential())
+           for k in range(len(tokens))]
+    flat = flatten([(f"e{k}", element)
+                    for k, element in enumerate(elements)], vocab)
+    for weighting in WEIGHTINGS:
+        _, matrix, _, _ = compose_corpus(*flat, vectors, weighting, idf)
+        want = add_at_compose(*flat[1:], vectors, weighting, idf)
+        assert matrix.shape == want.shape
+        assert matrix.tobytes() == want.tobytes()
+
+
 def test_element_embedding_round_trip(tmp_path):
     elements = [("a:F.java:method:0", ["a:x", "a:y"]),
                 ("b:F.cs:statement:1", ["b:x", "a:missing"])]

@@ -186,6 +186,81 @@ def test_tie_group_straddling_k_is_ordered_by_id():
     assert ranked == oracle_rank_neighbors([1.0, 0.0], ids, matrix, k=3)
 
 
+def test_distinct_rows_equal_np_unique():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        # few values, signed zeros among them, so rows repeat and equal
+        # rows can differ in the sign of a zero
+        values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 3.0])
+        base = rng.choice(values, size=(int(rng.integers(1, 8)),
+                                        int(rng.integers(1, 4))))
+        matrix = base[rng.integers(0, len(base), int(rng.integers(1, 30)))]
+        rows, inverse = retrieve.distinct_rows(matrix)
+        want_rows, want_inverse = np.unique(matrix, axis=0,
+                                            return_inverse=True)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(inverse, want_inverse)
+        assert np.array_equal(rows[inverse], matrix)
+    for matrix in (np.array([[2.0, -0.0, 1.0]]), np.zeros((0, 3))):
+        rows, inverse = retrieve.distinct_rows(matrix)
+        want_rows, want_inverse = np.unique(matrix, axis=0,
+                                            return_inverse=True)
+        assert rows.shape == want_rows.shape and np.array_equal(
+            rows, want_rows)
+        assert inverse.shape == want_inverse.shape and np.array_equal(
+            inverse, want_inverse)
+
+
+def test_kth_best_counts_each_vector_by_its_size():
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        m = int(rng.integers(1, 12))
+        sims = rng.integers(-3, 4, size=(int(rng.integers(1, 6)), m)) / 3.0
+        sizes = rng.integers(1, 5, size=m)
+        top = int(rng.integers(1, sizes.sum() + 1))
+        expanded = np.sort(np.repeat(sims, sizes, axis=1), axis=1)
+        assert np.array_equal(retrieve._kth_best(sims, sizes, top),
+                              expanded[:, -top])
+
+
+# each case: candidates whose distinct vectors repeat, queries, and the ks
+# that exercise it; entries are small integers, so the scores are exact
+DISTINCT_CASES = {
+    # one direction at three magnitudes: a tie group of 7 candidates over
+    # three distinct vectors, larger than any k tried
+    "tie_group_larger_than_k": (
+        [[1, 0], [2, 0], [1, 0], [3, 0], [2, 0], [1, 0], [1, 0], [0, 1],
+         [-1, 1], [0, 2]],
+        [[1, 0], [1, 1], [0, 1]], (1, 2, 3, 6)),
+    # 3 distinct vectors over 9 candidates, k from 4 to 8
+    "k_between_distinct_and_total": (
+        [[1, 2], [2, 1], [1, 2], [-1, 0], [2, 1], [1, 2], [-1, 0], [1, 2],
+         [2, 1]],
+        [[1, 2], [2, 1], [-1, 0], [1, 1], [0, 1]], (4, 5, 7, 8)),
+    "single_distinct_vector": (
+        [[1, -1]] * 6, [[1, -1], [-1, 1], [0, 1]], (1, 3, 6, 9)),
+}
+
+
+@pytest.mark.parametrize("block", [None, 1])
+@pytest.mark.parametrize("case", DISTINCT_CASES)
+def test_top_k_over_distinct_vectors_equals_oracle(case, block,
+                                                   monkeypatch):
+    if block is not None:  # one query row per score block
+        monkeypatch.setattr(retrieve, "SCORE_BLOCK", block)
+    candidates, queries, ks = DISTINCT_CASES[case]
+    matrix = np.array(candidates, dtype=float)
+    # ids out of row order, so the tie-break is not the row order
+    ids = [f"b:e{name:02d}" for name in
+           np.random.default_rng(4).permutation(len(matrix))]
+    for k in ks:
+        ranked, distinct = rank_batch(queries, ids, matrix, k)
+        assert distinct == len(np.unique(matrix, axis=0))
+        assert ranked == [oracle_rank_neighbors(query, ids, matrix, k)
+                          for query in queries]
+        assert all(len(row) == min(k, len(ids)) for row in ranked)
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

@@ -4,6 +4,7 @@ import hashlib
 import os
 import runpy
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,21 @@ def test_run_demo_shows_readonly_first_for_final(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
     assert any(line.startswith("a:final\t1\tb:readonly\t")
                for line in done.stdout.splitlines()), done.stdout
+
+
+def test_scale_runs_every_stage_on_two_copies(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "scale.py"), "2", "--out",
+         str(tmp_path)], capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()
+    assert lines[0] == f"x2: 40 source files in {tmp_path}"
+    assert lines[1].split() == ["stage", "wall_s", "peak_rss_mb"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == ["pair", "normalize", "align",
+                                        "train", "compose", "map", "total"]
+    assert all(float(wall) > 0.0 and float(peak) > 0.0
+               for _, wall, peak in rows)
+    assert "[map] 192 statement queries (a2b) against 192 candidates" \
+        in done.stderr
+    assert len(list((tmp_path / "project" / "java").glob("*.java"))) == 20
+    assert (tmp_path / "run" / "mappings" / "statement.tsv").is_file()

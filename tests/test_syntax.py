@@ -18,6 +18,7 @@ from codemap.syntax import (LITERAL_KINDS, STRUCT_KEYWORDS,
                             element_ids, extract_elements, id_granularity,
                             normalize, parse, read_elements, read_stream,
                             write_elements, write_stream)
+from codemap.syntax import elements
 from codemap.syntax.lexer import lex
 from codemap.syntax.symbols import canon_primitive
 
@@ -753,6 +754,50 @@ def test_empty_element_table_reads_as_empty_columns(tmp_path):
     table = read_elements(out)
     assert all(len(column) == 0 for column in table)
     assert table.first.dtype.kind == "i"
+
+
+ELEMENT_ROWS = ["a\tA.java\tmethod\t0\t9\t0\t4\tA.f()",
+                "b\tA.cs\tstatement\t2\t5\t1\t3\texpr_stmt",
+                "b\tA.cs\texpression\t2\t4\t1\t2\texpr"]
+
+
+@pytest.mark.parametrize("text, whole", [
+    ("# provenance\n" + "\n".join(ELEMENT_ROWS) + "\n", True),
+    ("\n".join(ELEMENT_ROWS), True),
+    ("\ufeff# a\n# b\n" + "\r\n".join(ELEMENT_ROWS) + "\r\n", True),
+    ("# provenance\n\n" + "\n".join(ELEMENT_ROWS) + "\n", False),
+    ("\n# middle\n".join(ELEMENT_ROWS), False),
+    (ELEMENT_ROWS[0] + "\n \t\t\t\t\t\t\t\n" + ELEMENT_ROWS[1], False),
+    ("\n#".join(ELEMENT_ROWS), False),
+], ids=["header", "no_header", "bom_crlf", "blank_line", "inner_comment",
+        "whitespace_row", "comment_of_eight_fields"])
+def test_element_table_read_whole_equals_line_by_line(tmp_path, text,
+                                                      whole):
+    out = tmp_path / "elements.tsv"
+    out.write_bytes(text.encode("utf-8"))
+    assert (elements._split_whole(out) is not None) == whole
+    table = read_elements(out)
+    want = elements._split_by_line(out)
+    assert table.line == want[0]
+    for got, expected in zip(table[1:], want[1:]):
+        assert list(got) == list(expected)
+
+
+# a long row and a short row whose fields add up to two rows' worth; in
+# the second, the short row's fields would read as a shifted row of
+# integer token indices
+@pytest.mark.parametrize("long, short, fields", [
+    (ELEMENT_ROWS[0] + "\tx", ELEMENT_ROWS[1].rsplit("\t", 1)[0], 9),
+    (ELEMENT_ROWS[0] + "\tx\ta", "1\t2\t3\t4\t5\t6", 10)],
+    ids=["nine_then_seven", "ten_then_six"])
+def test_rows_of_other_widths_are_read_line_by_line(tmp_path, long, short,
+                                                    fields):
+    out = tmp_path / "elements.tsv"
+    out.write_text(f"# provenance\n{long}\n{short}\n")
+    assert elements._split_whole(out) is None
+    with pytest.raises(ValueError, match="elements.tsv:2: expected 8 "
+                                         f"fields, got {fields}"):
+        read_elements(out)
 
 
 @pytest.mark.parametrize("row, message", [
