@@ -7,12 +7,13 @@ Copy c, for c = 0 ... N - 1, appends `C<c:03d>` to the ten demo class
 names and file stems in both languages, as the scaled-map workload does
 for its twenty copies, so the project has 20 N source files.  The config
 is the workload's: the demo's with one training epoch, statement
-granularity and no truth file.  Each stage runs as `python -m codemap
-<stage>` with OpenBLAS at one thread.  Its peak RSS is the `ru_maxrss`
-that `os.wait4` returns for its process; that figure covers the children
-the stage forked and reaped, as the larger of the two, not their sum.
-The project and the run go to `--out`, or to a temporary directory that
-is removed afterwards.  Nothing here is timed by the benchmark.
+granularity and no truth file.  Each stage runs `codemap.cli.main` in
+its own Python process with OpenBLAS at one thread, and reports two
+peaks: its own (VmHWM) and the largest of the children it forked and
+reaped (`getrusage(RUSAGE_CHILDREN).ru_maxrss`, 0 if none), so a peak
+is told apart from its forked child's.  The project and the run go to
+`--out`, or to a temporary directory that is removed afterwards.
+Nothing here is timed by the benchmark.
 """
 
 import argparse
@@ -53,21 +54,34 @@ def make_project(copies, dest):
     return config
 
 
+# One stage, then its own peak and its reaped children's, in KB, on stdout
+STAGE = """\
+import resource, sys
+from codemap.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    own = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.exit(code)
+"""
+
+
 def run_stage(stage, config, out_dir):
-    """(wall seconds, peak RSS in MB) of one stage in its own process."""
+    """(wall seconds, own peak RSS, children's peak RSS), the peaks in MB,
+    of one stage in its own process."""
     src = str(ROOT / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep
                .join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     start = time.perf_counter()
-    child = subprocess.Popen(
-        [sys.executable, "-m", "codemap", stage, "--config", str(config),
-         "--out-dir", str(out_dir)], env=env)
-    _, status, usage = os.wait4(child.pid, 0)
+    done = subprocess.run(
+        [sys.executable, "-c", STAGE, stage, "--config", str(config),
+         "--out-dir", str(out_dir)], env=env, stdout=subprocess.PIPE,
+        text=True)
     wall = time.perf_counter() - start
-    child.returncode = os.waitstatus_to_exitcode(status)
-    if child.returncode:
-        raise SystemExit(f"codemap {stage}: exit {child.returncode}")
-    return wall, usage.ru_maxrss / 1024  # ru_maxrss is in KB on Linux
+    if done.returncode:
+        raise SystemExit(f"codemap {stage}: exit {done.returncode}")
+    own, children = done.stdout.split()[-2:]
+    return wall, int(own) / 1024, int(children) / 1024
 
 
 def main(argv=None):
@@ -85,11 +99,13 @@ def main(argv=None):
               flush=True)
         rows = [(stage, *run_stage(stage, config, work / "run"))
                 for stage in STAGES]
-    print(f"{'stage':<10} {'wall_s':>8} {'peak_rss_mb':>12}")
-    for stage, wall, peak in rows:
-        print(f"{stage:<10} {wall:>8.2f} {peak:>12.1f}")
-    print(f"{'total':<10} {sum(wall for _, wall, _ in rows):>8.2f} "
-          f"{max(peak for _, _, peak in rows):>12.1f}")
+    print(f"{'stage':<10} {'wall_s':>8} {'peak_rss_mb':>12} "
+          f"{'child_rss_mb':>12}")
+    for stage, wall, peak, child in rows:
+        print(f"{stage:<10} {wall:>8.2f} {peak:>12.1f} {child:>12.1f}")
+    print(f"{'total':<10} {sum(row[1] for row in rows):>8.2f} "
+          f"{max(row[2] for row in rows):>12.1f} "
+          f"{max(row[3] for row in rows):>12.1f}")
     return 0
 
 

@@ -16,14 +16,24 @@ denominators equal a dict-of-dicts E-step's left-to-right sums under
 Python 3.11 (3.12 compensates `sum`), bit for bit; per-batch sums differ.
 
 `batches()` plans the walk that indexing, `e_step` and `viterbi_align`
-share, and each reads a batch's `t[cell[lo:hi]]` the same way.
+share, and each reads a batch's `t[cell[lo:hi]]` the same way.  Cells
+are numbered by one in-place sort of each occurrence's key,
+source * len(targets) + target, packed into a uint64 above the
+occurrence's number, which makes every packed value distinct.  That
+holds 12 bytes per occurrence where an argsort of the keys held about
+32 (traced on bitext-align: 22.5 -> 12.8 MB).  The packed width is the
+bit length of the largest key plus that of the largest occurrence
+number: 40 bits on bitext-align, 59 on 1,000 demo copies.  Above
+PACKED_BITS an argsort of the keys numbers them, to the same ids.
+
 `train_model1` builds each occurrence's source id once per training, so
-an iteration only gathers `t`, divides and adds.  That index is int32 and
-lives only for the training, so it is gone before the other direction's
-table is built: on the bitext-align workload (721,540 occurrences per
-direction), intp copies of the cells, sources and segments raised peak
-RSS from 73 to 82 MB held for the training and to 99 MB kept on the
-table.  `write_table` selects, sorts and formats only the cells it keeps.
+an iteration only gathers `t`, divides in place and adds, and takes the
+log-likelihood only when asked.  That index is int32 and lives only for
+the training, so it is gone before the other direction's table is
+built: intp copies of the cells, sources and segments raised
+bitext-align's peak RSS from 73 to 82 MB held for the training and to
+99 MB kept on the table.  `write_table` selects, sorts and formats only
+the cells it keeps.
 
 The two directions share nothing until `symmetrize`, which reads only
 each one's Viterbi links, so `align_bitext` trains them at once, as
@@ -55,6 +65,9 @@ TABLE_WRITE_MIN_PROB = 1e-6
 # build_bitext splits an over-long side before this token, a method's start
 BOUNDARY_TOKEN = "func_decl"
 BATCH_OCCURRENCES = 1 << 16
+# Widest packed (cell key, occurrence number) that Model1Table sorts in
+# place; a wider one is numbered through an argsort of the keys
+PACKED_BITS = 64
 # Fewest b -> a E-step occurrences times iterations for which a forked
 # child trains that direction while this process trains a -> b.  On a
 # 2-vCPU host a fork broke even at about 150,000 (10 ms of aligning) when
@@ -183,6 +196,24 @@ class Bitext(tuple):
         return out
 
 
+def _in_key_order(keys, low, packed):
+    """(key, occurrence number) slices of BATCH_OCCURRENCES occurrences in
+    key order.  `keys` packed above `low` bits of occurrence number are
+    sorted in place: every packed value is distinct, so any sort puts them
+    in the one order.  Wider keys take an argsort."""
+    slices = range(0, len(keys), BATCH_OCCURRENCES)
+    if packed:
+        keys.sort()
+        for lo in slices:
+            part = keys[lo:lo + BATCH_OCCURRENCES]
+            yield part >> low, part & ((1 << low) - 1)
+    else:
+        order = np.argsort(keys)
+        for lo in slices:
+            at = order[lo:lo + BATCH_OCCURRENCES]
+            yield keys[at], at
+
+
 class Model1Table(Mapping):
     """A direction's table, read as `table[source][target]` (rows are
     built on access).  Sources are the bitext's ids plus one, NULL is
@@ -201,28 +232,40 @@ class Model1Table(Mapping):
             if bitext.tokens[k].startswith(bitext.tags[0])}
         # each pair's sources, NULL first, from source_off on
         source_off = src_off + np.arange(len(src_off))
-        sources = np.insert(src_ids.astype(np.int64) + 1, src_off[:-1], 0)
+        sources = np.insert(src_ids.astype(np.uint64) + 1, src_off[:-1], 0)
         lengths = np.diff(tgt_off)
         sizes = np.repeat(np.diff(source_off), lengths)
         self.seg_offsets = np.cumsum([0, *sizes])
-        # occurrence k of segment s is sources[k + shift[s]]; batches keep
-        # the temporaries small next to the keys and the argsort below
+        # occurrence k of segment s is sources[k + shift[s]]
         shift = np.repeat(source_off[:-1], lengths) - self.seg_offsets[:-1]
-        keys = np.empty(self.seg_offsets[-1], np.int64)
+        # each occurrence's cell key, source * len(targets) + target,
+        # packed above its occurrence number, which no other shares, where
+        # the two bit lengths fit in PACKED_BITS
+        n, width = int(self.seg_offsets[-1]), len(self.targets)
+        low = max(n - 1, 0).bit_length()
+        packed = (len(self.sources) * width - 1).bit_length() + low \
+            <= PACKED_BITS
+        keys = np.empty(n, np.uint64)
         for first, lo, hi, _, seg in self.batches():
             seg += first
-            keys[lo:hi] = (sources[np.arange(lo, hi) + shift[seg]] << 32
-                           | tgt_ids[seg])
-        # cell ids from one argsort: np.unique's inverse holds more copies
-        order = np.argsort(keys)
-        keys = keys[order]
-        new = np.ones(len(keys), bool)
-        new[1:] = keys[1:] != keys[:-1]
-        self.cell = np.empty(len(keys), np.int32)
-        self.cell[order] = np.cumsum(new, dtype=np.int32) - 1
-        cells = keys[new]
-        self.cell_src = (cells >> 32).astype(np.int32)
-        self.cell_tgt = (cells & 0xFFFFFFFF).astype(np.int32)
+            key = (sources[np.arange(lo, hi) + shift[seg]] * width
+                   + tgt_ids[seg].astype(np.uint64))
+            keys[lo:hi] = (key << low | np.arange(lo, hi, dtype=np.uint64)
+                           if packed else key)
+        # cell ids from one in-place sort, numbered a slice at a time; the
+        # keys go with the last slice, before the cells are gathered
+        ordered = _in_key_order(keys, low, packed)
+        del keys
+        self.cell, cells, count, last = np.empty(n, np.int32), [], 0, None
+        for key, at in ordered:
+            new = np.empty(len(key), bool)
+            new[0] = last is None or key[0] != last
+            np.not_equal(key[1:], key[:-1], out=new[1:])
+            self.cell[at] = np.cumsum(new, dtype=np.int32) + (count - 1)
+            cells.append(np.array(np.divmod(key[new], width), np.int32))
+            count, last = count + cells[-1].shape[1], key[-1]
+        self.cell_src, self.cell_tgt = np.concatenate(
+            [np.empty((2, 0), np.int32), *cells], axis=1)
         self.rows = np.searchsorted(self.cell_src,
                                     np.arange(len(self.sources) + 1))
         self.t = 1.0 / np.diff(self.rows)[self.cell_src]
@@ -254,18 +297,20 @@ class Model1Table(Mapping):
                    np.repeat(np.arange(end - first), sizes))
             first = end
 
-    def e_step(self, src):
+    def e_step(self, src, loglik=True):
         """The expected counts per cell and totals per source under `t`,
         and the corpus log-likelihood (the one sum taken in another
-        order); `src` is each occurrence's source id."""
+        order), None unless `loglik`; `src` is each occurrence's source
+        id."""
         counts, totals = np.zeros(len(self.t)), np.zeros(len(self.sources))
-        loglik = 0.0
+        loglik = 0.0 if loglik else None
         for _, lo, hi, sizes, seg in self.batches():
             cells = self.cell[lo:hi]
             share = self.t[cells]
             denom = np.bincount(seg, weights=share, minlength=len(sizes))
-            loglik += float(np.sum(np.log(np.maximum(denom, PROB_FLOOR))
-                                   - np.log(sizes)))
+            if loglik is not None:
+                loglik += float(np.sum(np.log(np.maximum(denom, PROB_FLOOR))
+                                       - np.log(sizes)))
             # a zero denominator has only zero shares
             denom[denom == 0.0] = 1.0
             share /= denom[seg]
@@ -291,11 +336,12 @@ def train_model1(bitext: list[Pair], iterations: int = 10,
     for _, lo, hi, _, _ in table.batches():
         src[lo:hi] = table.cell_src[table.cell[lo:hi]]
     for _ in range(iterations):
-        counts, totals, loglik = table.e_step(src)
-        if log_likelihoods is not None:
+        counts, totals, loglik = table.e_step(src, log_likelihoods is not None)
+        if loglik is not None:
             log_likelihoods.append(loglik)
-        table.t = np.divide(counts, totals[table.cell_src],
-                            out=np.zeros_like(counts), where=counts > 0.0)
+        # where a count is 0 it is +0.0 already, as the probability is
+        table.t = np.divide(counts, totals[table.cell_src], out=counts,
+                            where=counts > 0.0)
     return table
 
 

@@ -3,6 +3,7 @@
 Files whose normalized stems (lowercased, extension stripped) match with
 similarity at or above a threshold are considered implementations of the same
 functionality.  Matching is one-to-one: each file joins at most one pair.
+At threshold 1.0 only equal stems match, so they are looked up by stem.
 """
 
 from __future__ import annotations
@@ -98,19 +99,25 @@ def match_stems(
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     stems_a = [(p, normalize_stem(p)) for p in sorted(files_a)]
     stems_b = [(p, normalize_stem(p)) for p in sorted(files_b)]
-    candidates = []
-    for pa, sa in stems_a:
+    if threshold >= 1.0:
+        # only equal stems reach 1.0: look them up, compare no pair
+        paths_b: dict[str, list[str]] = {}
         for pb, sb in stems_b:
-            if threshold >= 1.0 and sa != sb:
-                continue
-            # the length difference bounds the distance below; taken as
-            # stem_similarity takes it, a pair at the threshold stays
-            longest = max(len(sa), len(sb), 1)
-            if 1.0 - abs(len(sa) - len(sb)) / longest < threshold:
-                continue
-            sim = stem_similarity(sa, sb)
-            if sim >= threshold:
-                candidates.append((pa, pb, sa, sim))
+            paths_b.setdefault(sb, []).append(pb)
+        candidates = [(pa, pb, sa, 1.0) for pa, sa in stems_a
+                      for pb in paths_b.get(sa, ())]
+    else:
+        candidates = []
+        for pa, sa in stems_a:
+            for pb, sb in stems_b:
+                # the length difference bounds the distance below; taken
+                # as stem_similarity takes it, a pair at the threshold stays
+                longest = max(len(sa), len(sb), 1)
+                if 1.0 - abs(len(sa) - len(sb)) / longest < threshold:
+                    continue
+                sim = stem_similarity(sa, sb)
+                if sim >= threshold:
+                    candidates.append((pa, pb, sa, sim))
     candidates.sort(key=lambda c: (-c[3], levenshtein(c[0], c[1]), c[0], c[1]))
     used_a: set[str] = set()
     used_b: set[str] = set()

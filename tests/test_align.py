@@ -13,6 +13,7 @@ from codemap.align import (NULL, AlignmentLinkSet, Bitext, Model1Table,
                            align_bitext, build_bitext, read_alignments,
                            read_table, symmetrize, train_model1,
                            viterbi_align, write_alignments, write_table)
+from perfbench import workloads
 from conftest import (assert_no_child_left, fork_every_time,
                       make_bijective_corpus, make_toy_bitext)
 
@@ -222,6 +223,82 @@ def test_batches_change_no_cell_ids_or_sums(monkeypatch):
         for got, expected in zip(small_sums, default.e_step(
                 default.cell_src[default.cell])):
             assert np.array_equal(got, expected)
+
+
+def _argsort_cells(bitext):
+    """Each occurrence's cell id, the cells' sources and targets and the
+    source rows, numbered through one argsort of (source << 32 | target)
+    keys: the reference the packed in-place sort must equal bit for bit."""
+    bitext = Bitext.of(bitext)
+    (src_ids, tgt_ids), (src_off, tgt_off) = bitext.ids, bitext.offsets
+    keys = np.array([source << 32 | target for k in range(len(bitext))
+                     for target in tgt_ids[tgt_off[k]:tgt_off[k + 1]].tolist()
+                     for source in [0, *(src_ids[src_off[k]:src_off[k + 1]]
+                                         + 1).tolist()]], np.int64)
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.ones(len(keys), bool)
+    new[1:] = keys[1:] != keys[:-1]
+    cell = np.empty(len(keys), np.int32)
+    cell[order] = np.cumsum(new, dtype=np.int32) - 1
+    cell_src = (keys[new] >> 32).astype(np.int32)
+    cell_tgt = (keys[new] & 0xFFFFFFFF).astype(np.int32)
+    rows = np.searchsorted(cell_src, np.arange(len(bitext.tokens) + 2))
+    return cell, cell_src, cell_tgt, rows
+
+
+def _assert_argsort_cells(bitext):
+    table = Model1Table(bitext)
+    for name, expected in zip(("cell", "cell_src", "cell_tgt", "rows"),
+                              _argsort_cells(bitext)):
+        got = getattr(table, name)
+        assert (got.dtype, got.tobytes()) == (expected.dtype,
+                                              expected.tobytes()), name
+
+
+@pytest.mark.parametrize("packed_bits", [None, 0])
+@pytest.mark.parametrize("batch", [None, 3])
+def test_cells_number_as_one_argsort_does(batch, packed_bits, monkeypatch):
+    # packed_bits 0 numbers every index through the argsort of wide keys
+    for name, value in (("BATCH_OCCURRENCES", batch),
+                        ("PACKED_BITS", packed_bits)):
+        if value is not None:
+            monkeypatch.setattr(align, name, value)
+    rng = np.random.default_rng(37)
+    for _ in range(30):
+        _assert_argsort_cells(make_toy_bitext(rng))
+    _assert_argsort_cells([(["a"], ["x"], "p")])
+    _assert_argsort_cells([(["x"] * 6, ["x"] * 5, "p0"),
+                           (["x"], ["x"] * 3, "p1")])
+    _assert_argsort_cells([(["a"], [], "p")])
+
+
+@pytest.mark.parametrize("packed_bits", [None, 0])
+def test_cells_of_the_bitext_align_workload(packed_bits, monkeypatch):
+    if packed_bits is not None:
+        monkeypatch.setattr(align, "PACKED_BITS", packed_bits)
+    bitext = Bitext(workloads.make_bitext(7)[0])
+    _assert_argsort_cells(bitext)
+    _assert_argsort_cells(bitext.transposed())
+
+
+def test_skipping_the_loglik_changes_no_bit(monkeypatch):
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        bitext = make_toy_bitext(rng)
+        assert train_model1(bitext, 6).t.tobytes() == \
+            train_model1(bitext, 6, log_likelihoods=[]).t.tobytes()
+    # NULL's every cell counts 0, so its row is 0/0, kept at +0.0
+    probs = {NULL: {"x": 0.0}, "a": {"x": 0.0, "y": 1.0}}
+    monkeypatch.setattr(align, "Model1Table", lambda b: _table(b, probs))
+    bitext = [(["a", "a"], ["x", "y"], "p")]
+    history = []
+    expected = np.array([0.0, 0.0, 0.0, 1.0]).tobytes()
+    assert train_model1(bitext, 1).t.tobytes() == expected
+    assert train_model1(bitext, 1, history).t.tobytes() == expected
+    # x's zero denominator is floored; y's is 2, over three sources each
+    assert history == [pytest.approx(math.log(1e-12) + math.log(2)
+                                     - 2 * math.log(3))]
 
 
 def test_bitext_index_decodes_to_its_pairs():

@@ -1,5 +1,7 @@
 """File pairing tests."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +119,22 @@ def test_pairing_is_one_to_one(names_a, names_b):
     assert len({p.path_b for p in pairs}) == len(pairs)
     for p in pairs:
         assert p.similarity >= 0.6
+
+
+@given(st.lists(st.tuples(st.sampled_from(["x", "y/z", "y"]),
+                          st.sampled_from(["Ab", "ab", "AB", "b", "ba", "a"])),
+                max_size=12),
+       st.lists(st.tuples(st.sampled_from(["x", "y/z", "yy"]),
+                          st.sampled_from(["Ab", "ab", "b", "ba", "a", "bb"])),
+                max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_equal_stems_looked_up_as_all_pairs_compare_them(names_a, names_b):
+    # just under 1.0 only equal stems pass, found by comparing every pair;
+    # a path may come twice
+    files_a = [f"{d}/{n}.java" for d, n in names_a]
+    files_b = [f"{d}/{n}.cs" for d, n in names_b]
+    assert match_stems(files_a, files_b, 1.0) == \
+        match_stems(files_a, files_b, math.nextafter(1.0, 0.0))
 
 
 def test_pair_files_walks_roots(tmp_path):

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from codemap import forked
+
 ROOT = Path(__file__).parent.parent
 
 
@@ -65,12 +67,20 @@ def test_scale_runs_every_stage_on_two_copies(tmp_path):
          str(tmp_path)], capture_output=True, text=True, check=True)
     lines = done.stdout.splitlines()
     assert lines[0] == f"x2: 40 source files in {tmp_path}"
-    assert lines[1].split() == ["stage", "wall_s", "peak_rss_mb"]
-    rows = [line.split() for line in lines[2:]]
-    assert [row[0] for row in rows] == ["pair", "normalize", "align",
-                                        "train", "compose", "map", "total"]
-    assert all(float(wall) > 0.0 and float(peak) > 0.0
-               for _, wall, peak in rows)
+    assert lines[1].split() == ["stage", "wall_s", "peak_rss_mb",
+                                "child_rss_mb"]
+    rows = {stage: [float(figure) for figure in figures]
+            for stage, *figures in (line.split() for line in lines[2:])}
+    assert list(rows) == ["pair", "normalize", "align", "train", "compose",
+                          "map", "total"]
+    assert all(wall > 0.0 and peak > 0.0 and child >= 0.0
+               for wall, peak, child in rows.values())
+    # two copies fork the b -> a training where a child can run beside
+    # its parent; pairing forks nothing
+    assert (rows["align"][2] > 0.0) == forked.available()
+    assert rows["pair"][2] == 0.0
+    assert rows["total"][1:] == [max(row[k] for stage, row in rows.items()
+                                     if stage != "total") for k in (1, 2)]
     assert "[map] 192 statement queries (a2b) against 192 candidates" \
         in done.stderr
     assert len(list((tmp_path / "project" / "java").glob("*.java"))) == 20
