@@ -8,6 +8,7 @@ At threshold 1.0 only equal stems match, so they are looked up by stem.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,7 +94,9 @@ def match_stems(
 
     Greedy by descending similarity; ties broken by smallest relative-path
     edit distance, then lexicographic path order.  Deterministic for a fixed
-    input.
+    input.  The distance is computed only for a candidate that shares a
+    path with another: one that shares none pairs wherever it sorts and
+    keeps no other from pairing.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
@@ -118,7 +121,11 @@ def match_stems(
                 sim = stem_similarity(sa, sb)
                 if sim >= threshold:
                     candidates.append((pa, pb, sa, sim))
-    candidates.sort(key=lambda c: (-c[3], levenshtein(c[0], c[1]), c[0], c[1]))
+    shared_a = Counter(c[0] for c in candidates)
+    shared_b = Counter(c[1] for c in candidates)
+    candidates.sort(key=lambda c: (
+        -c[3], levenshtein(c[0], c[1])
+        if shared_a[c[0]] > 1 or shared_b[c[1]] > 1 else 0, c[0], c[1]))
     used_a: set[str] = set()
     used_b: set[str] = set()
     pairs = []

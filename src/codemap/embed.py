@@ -33,13 +33,15 @@ ids (`_numbered`), which are all below the vocabulary size.
 
 Who draws and who steps: after `init_table`, `_Planner.messages` makes
 every draw in the order above, one plan per block, and the step loop
-reads the plans through `forked.results`.  From FORK_BLOCKS blocks on, a
-forked child owns the generator and plans while this process runs only
-the step loop, one dense kernel call per step that updates the rows it
-gathered in place; the two overlap on two CPUs.  Below the bound (a fork
-costs about as much as planning ten blocks), or where no child can run
-beside this process, each plan is drawn here as it is read.  The plans
-are the same either way.  A plan's cell counts go in the narrowest
+reads the plans through `forked.results`.  Wherever a child can run
+beside this process (`forked.available()`), a forked child owns the
+generator and plans while this process runs only the step loop, one
+dense kernel call per step that updates the rows it gathered in place;
+the two overlap on two CPUs.  The fork costs about what planning ten
+demo blocks does, and the demo plans 560, so a training of a few blocks
+pays it too rather than keep a second path.  Where no child can run
+(no `os.fork`, or one CPU), each plan is drawn here as it is read.  The
+plans are the same either way.  A plan's cell counts go in the narrowest
 unsigned type that holds its largest: uint8 on the demo (35).
 `sgns_pair_loss`/`sgns_pair_grads`, checked against finite differences,
 are one-center steps of the same kernel on a copy of the table.
@@ -71,14 +73,6 @@ SIDE_BATCH = 32
 # pairs ends at the first pair that reaches it.  A whole-epoch plan is
 # faster but holds every draw and cell of the epoch in memory.
 PLAN_ROWS = 256
-# Fewest blocks a training plans (epochs x blocks, estimated from its
-# in-vocabulary occurrences) for which a forked child plans them while
-# the training process steps.  Fork, pipe and reap cost about 2 ms on a
-# 2-vCPU host, and a demo block planned there saves the training process
-# about 0.35 ms, less for small blocks: forking paid from about ten
-# blocks, and trainings of a few small blocks, tests' toy corpora among
-# them, stay in one process.
-FORK_BLOCKS = 32
 # Fewest equal buckets of [0, 1) in the noise lookup; a power of two, so
 # a uniform's bucket is exact.
 NOISE_BUCKETS = 2 ** 12
@@ -416,7 +410,7 @@ class _Planner:
     `_cells` gives them: `ints` the int32 C, R, C offsets, R offsets,
     cell offsets and each step's pair, `counts` total then pos in the
     narrowest unsigned type that holds the block's largest count.  An
-    epoch ends with ((0, contexts, 0, 0), empty ints, empty counts)."""
+    epoch ends with its context count, a plain int."""
 
     def __init__(self, bitext: Bitext, links, vocab: Vocabulary,
                  cfg: TrainConfig):
@@ -529,8 +523,7 @@ class _Planner:
                 if blocks[first] is not None:
                     yield self._plan(layout, blocks[first], lengths, rng)
                 first = last
-            yield ((0, int(lengths.sum()), 0, 0), np.empty(0, np.int32),
-                   np.empty(0, np.uint8))
+            yield int(lengths.sum())
 
 
 # a divergent step overflows; train_biskip's loss check is its report
@@ -538,13 +531,15 @@ class _Planner:
 def _step_epoch(messages, table: EmbeddingTable, lrs: list[float]):
     """Steps along one epoch's block messages (`_Planner`) at their
     pairs' learning rates, up to the epoch's end; returns the loss summed
-    per pair, then over pairs, and the epoch's context count.  sgns_step
-    runs once per planned step, on flat slices of the block's cells."""
+    per pair, then over pairs, and the epoch's context count, its end
+    message.  sgns_step runs once per planned step, on flat slices of the
+    block's cells."""
     loss = pair_loss = 0.0
     last_pair = None
-    for (steps, centers, rows, cells), ints, counts in messages:
-        if not steps:
-            return loss + pair_loss, centers
+    for message in messages:
+        if type(message) is int:
+            return loss + pair_loss, message
+        (steps, centers, rows, cells), ints, counts = message
         cuts = [0, *accumulate((centers, rows, 3 * steps + 3)), len(ints)]
         C, R, bounds, step_pairs = (
             ints[start:end] for start, end in zip(cuts, cuts[1:]))
@@ -600,12 +595,8 @@ def train_biskip(bitext, links, cfg: TrainConfig,
         return table
     schedule_span = cfg.epochs * total
     starts = (np.cumsum(sizes) - sizes).tolist()
-    # a block holds PLAN_ROWS window rows or more, and each kept
-    # in-vocabulary occurrence has a row of its own (links add rows,
-    # subsampling keeps fewer occurrences)
-    blocks = cfg.epochs * min(len(bitext), total // PLAN_ROWS + 1)
     with forked.results(lambda: planner.messages(rng), "the block planner",
-                        blocks >= FORK_BLOCKS) as messages:
+                        True) as messages:
         for epoch in range(cfg.epochs):
             lrs = [max(cfg.lr0 * (1.0 - (epoch * total + start)
                                   / schedule_span),

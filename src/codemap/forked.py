@@ -23,10 +23,10 @@ and so does a message that fails to unpickle.  On every way out of
 `results`, the parent's exceptions and interrupts included, the parent
 closes the pipe, kills the child with SIGKILL and reaps it (`os.wait4`).
 
-Forking, the pipe and reaping cost about 2 ms on a 2-vCPU host, so a
-caller asks to fork only above a work bound of its own; `available()`
-needs `os.fork` and two CPUs in this process's affinity set, without
-which the two would only take turns.
+Forking, the pipe and reaping cost about 2 ms on a 2-vCPU host.  Only
+align brings a work bound of its own as `fork`; the BiSkip planner always
+asks.  `available()` needs `os.fork` and two CPUs in this process's
+affinity set, without which the two would only take turns.
 """
 
 from __future__ import annotations

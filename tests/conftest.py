@@ -56,11 +56,13 @@ def bijective_corpus():
     return make_bijective_corpus()
 
 
-def fork_every_time(monkeypatch, module, bound):
+def fork_every_time(monkeypatch, module, bound=None):
     """Makes `module` fork wherever it may, whatever the CPU count: its
-    work bound named `bound` goes to 0 and two CPUs are reported.
-    Returns the list that each fork appends this process's pid to."""
-    monkeypatch.setattr(module, bound, 0)
+    work bound named `bound`, if it has one, goes to 0 and two CPUs are
+    reported.  Returns the list that each fork appends this process's pid
+    to."""
+    if bound is not None:
+        monkeypatch.setattr(module, bound, 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     forks, fork = [], os.fork

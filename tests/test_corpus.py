@@ -137,6 +137,44 @@ def test_equal_stems_looked_up_as_all_pairs_compare_them(names_a, names_b):
         match_stems(files_a, files_b, math.nextafter(1.0, 0.0))
 
 
+def _oracle_match(files_a, files_b, threshold):
+    """Every a-path against every b-path, the candidates sorted by
+    (-similarity, path distance, path_a, path_b), then paired greedily."""
+    candidates = []
+    for pa in sorted(files_a):
+        for pb in sorted(files_b):
+            sa = normalize_stem(pa)
+            sim = stem_similarity(sa, normalize_stem(pb))
+            if sim >= threshold:
+                candidates.append((pa, pb, sa, sim))
+    candidates.sort(key=lambda c: (-c[3], levenshtein(c[0], c[1]), c[0], c[1]))
+    used_a, used_b, pairs = set(), set(), []
+    for pa, pb, sa, sim in candidates:
+        if pa not in used_a and pb not in used_b:
+            used_a.add(pa)
+            used_b.add(pb)
+            pairs.append(FilePair(pa, pb, sa, sim))
+    return sorted(pairs, key=lambda p: (p.stem, p.path_a))
+
+
+_DIRS = st.sampled_from(["", "x/", "y/z/", "yy/", "x/y/"])
+_NAMES = st.sampled_from(["Ab", "ab", "AB", "b", "ba", "a", "abc", "Tree",
+                          "tree", "Trees", "Node"])
+
+
+@given(st.lists(st.tuples(_DIRS, _NAMES), max_size=12),
+       st.lists(st.tuples(_DIRS, _NAMES), max_size=12),
+       st.sampled_from([1.0, 0.75, 0.5]))
+@settings(max_examples=300, deadline=None)
+def test_path_distance_only_where_shared_pairs_as_every_distance(
+        names_a, names_b, threshold):
+    # stems recur across directories, and a path may come twice
+    files_a = [f"{d}{n}.java" for d, n in names_a]
+    files_b = [f"{d}{n}.cs" for d, n in names_b]
+    assert match_stems(files_a, files_b, threshold) == \
+        _oracle_match(files_a, files_b, threshold)
+
+
 def test_pair_files_walks_roots(tmp_path):
     (tmp_path / "java").mkdir()
     (tmp_path / "cs").mkdir()

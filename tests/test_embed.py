@@ -8,7 +8,7 @@ from bisect import bisect_left
 import numpy as np
 import pytest
 
-from codemap import embed
+from codemap import embed, forked
 from codemap.align import AlignmentLinkSet
 from codemap.embed import (LR_FLOOR_FACTOR, EmbeddingTable, TrainConfig,
                            Vocabulary, _keep_probability, init_table,
@@ -545,22 +545,47 @@ def test_plan_bound_changes_nothing(subsample, side_batch, monkeypatch):
                          [(0.0, 32), (0.05, 32), (0.0, 2), (0.05, 2)])
 def test_forked_planner_changes_nothing(subsample, side_batch, monkeypatch):
     monkeypatch.setattr(embed, "SIDE_BATCH", side_batch)
-    forks = fork_every_time(monkeypatch, embed, "FORK_BLOCKS")
     bitext, _, links = make_bijective_corpus(n_pairs=120)
     cfg = TrainConfig(dim=8, epochs=3, subsample=subsample, seed=4)
+    _assert_one_fork_changes_nothing(bitext, links, cfg, monkeypatch)
+
+
+def _assert_one_fork_changes_nothing(bitext, links, cfg, monkeypatch):
+    """Trains with the planner in a forked child, then in this process,
+    and checks the child was forked once, for the same tables and losses
+    to the bit; returns the blocks planned here."""
+    forks = fork_every_time(monkeypatch, embed)
+    plan, planned = embed._Planner._plan, []
+
+    def counted_plan(self, *args):
+        planned.append(1)
+        return plan(self, *args)
+    monkeypatch.setattr(embed._Planner, "_plan", counted_plan)
     runs = []
-    # bound 10**9 draws in this process, 0 forks
-    for bound in (10 ** 9, 0):
-        monkeypatch.setattr(embed, "FORK_BLOCKS", bound)
+    for fork in (True, False):
+        if not fork:
+            monkeypatch.setattr(forked, "available", lambda: False)
         losses = []
         table = train_biskip(bitext, links, cfg, losses=losses)
         runs.append((table, losses))
     assert forks == [os.getpid()]
-    (here, here_losses), (forked, forked_losses) = runs
-    assert np.array_equal(forked.input_vecs, here.input_vecs)
-    assert np.array_equal(forked.output_vecs, here.output_vecs)
-    assert forked_losses == here_losses
+    (child, child_losses), (here, here_losses) = runs
+    assert np.array_equal(child.input_vecs, here.input_vecs)
+    assert np.array_equal(child.output_vecs, here.output_vecs)
+    assert child_losses == here_losses
     assert_no_child_left()
+    return len(planned)
+
+
+def test_toy_training_forks_its_planner(monkeypatch):
+    # a few blocks, as tests' toy corpora plan, still fork where a child
+    # can run
+    rng = np.random.default_rng(3)
+    bitext = make_toy_bitext(rng)
+    cfg = TrainConfig(dim=8, epochs=2, subsample=0.0, seed=4)
+    blocks = _assert_one_fork_changes_nothing(
+        bitext, _random_links(rng, bitext), cfg, monkeypatch)
+    assert 0 < blocks <= 4
 
 
 @pytest.mark.parametrize("failure", ["raise", "exit"])
@@ -576,7 +601,7 @@ def test_planner_child_failure_surfaces(failure, monkeypatch):
         return plan(self, *args)
     plan, planned = embed._Planner._plan, []
     monkeypatch.setattr(embed._Planner, "_plan", failing_plan)
-    forks = fork_every_time(monkeypatch, embed, "FORK_BLOCKS")
+    forks = fork_every_time(monkeypatch, embed)
     bitext, _, links = make_bijective_corpus(n_pairs=120)
     cfg = TrainConfig(dim=8, epochs=3, subsample=0.0, seed=4)
     expected = ((ValueError, "plan 4 failed") if failure == "raise" else
@@ -589,7 +614,7 @@ def test_planner_child_failure_surfaces(failure, monkeypatch):
 
 @pytest.mark.parametrize("failure", ["diverge", "interrupt"])
 def test_forked_training_that_fails_leaves_no_child(failure, monkeypatch):
-    forks = fork_every_time(monkeypatch, embed, "FORK_BLOCKS")
+    forks = fork_every_time(monkeypatch, embed)
     bitext, _, links = make_bijective_corpus(n_pairs=40)
     cfg = TrainConfig(dim=8, epochs=30, lr0=1e3, subsample=0.0, seed=3)
     if failure == "interrupt":
@@ -611,9 +636,10 @@ def test_narrowed_plan_counts_step_as_int32_would(fork, monkeypatch):
     # in a cell and one of 2 a few dozen; with one pair a block, blocks go
     # out in uint8 and in uint16
     monkeypatch.setattr(embed, "PLAN_ROWS", 1)
-    monkeypatch.setattr(embed, "FORK_BLOCKS", 10 ** 9)
     if fork:
-        fork_every_time(monkeypatch, embed, "FORK_BLOCKS")
+        fork_every_time(monkeypatch, embed)
+    else:
+        monkeypatch.setattr(forked, "available", lambda: False)
     plan, types = embed._Planner._plan, set()
 
     def widened(self, *args):
@@ -705,6 +731,9 @@ def _random_links(rng, bitext):
 
 @pytest.mark.parametrize("subsample", [0.0, 0.05, 0.3])
 def test_sorted_layout_equals_the_placed_one(subsample, monkeypatch):
+    if subsample:
+        # the planner builds each epoch's layout: here, so `built` sees it
+        monkeypatch.setattr(forked, "available", lambda: False)
     built = []
 
     def checked_layout(kept, links):

@@ -75,9 +75,10 @@ def test_scale_runs_every_stage_on_two_copies(tmp_path):
                           "map", "total"]
     assert all(wall > 0.0 and peak > 0.0 and child >= 0.0
                for wall, peak, child in rows.values())
-    # two copies fork the b -> a training where a child can run beside
-    # its parent; pairing forks nothing
+    # two copies fork the b -> a training and the block planner where a
+    # child can run beside its parent; pairing forks nothing
     assert (rows["align"][2] > 0.0) == forked.available()
+    assert (rows["train"][2] > 0.0) == forked.available()
     assert rows["pair"][2] == 0.0
     assert rows["total"][1:] == [max(row[k] for stage, row in rows.items()
                                      if stage != "total") for k in (1, 2)]
